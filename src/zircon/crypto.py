@@ -1,16 +1,21 @@
 """Cryptographic primitives shared by the watermark codec and the
 internal-datagram labeler.
 
-Everything here is a pure function of its inputs: one fixed-size block
+Every output here is a pure function of the inputs: one fixed-size block
 encryption, the payload digest, digest truncation, and the selection of 32
-label bits out of a digest.  Key material is wrapped in SymmetricKey so the
+label bits out of a digest.  The only state kept between calls is derived
+from a key or a seed alone and changes no result: one stateless ECB
+encryptor and one ECB decryptor per key material, and the 32 label bit
+positions per PRNG seed.  Key material is wrapped in SymmetricKey so the
 rotation epoch travels with the bytes.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
+from typing import Tuple
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -67,10 +72,18 @@ class Digest(bytes):
         return super().__new__(cls, data)
 
 
+# Bounded because a KeyRing keeps every epoch: the cache holds the contexts
+# of the keys in use, not of every key ever installed.
+@functools.lru_cache(maxsize=64)
+def _ecb(material: bytes, decrypt: bool):
+    # never finalize() a cached context: that closes it, and ECB has no
+    # chaining state to flush
+    cipher = Cipher(algorithms.AES(material), modes.ECB())
+    return cipher.decryptor() if decrypt else cipher.encryptor()
+
+
 def _aes_single_block(key: SymmetricKey, block: bytes, decrypt: bool) -> bytes:
-    cipher = Cipher(algorithms.AES(key.material), modes.ECB())
-    op = cipher.decryptor() if decrypt else cipher.encryptor()
-    return op.update(block) + op.finalize()
+    return _ecb(key.material, decrypt).update(block)
 
 
 def encrypt_block(key: SymmetricKey, plain: bytes) -> bytes:
@@ -119,12 +132,20 @@ def select_label_bits(d: Digest, mode: str = LABEL_MODE_LSB32,
     if mode == LABEL_MODE_PRNG:
         if seed is None:
             raise LabelModeError("prng label mode requires a seed")
-        rng = random.Random(seed)
-        positions = rng.sample(range(DIGEST_BYTES * 8), LABEL_BITS)
+        if isinstance(seed, bytearray):
+            seed = bytes(seed)  # hashable, and seeds random.Random identically
         value = 0
-        for i, pos in enumerate(positions):
-            byte_index, bit_index = divmod(pos, 8)
-            bit = (d[byte_index] >> (7 - bit_index)) & 1
-            value |= bit << (LABEL_BITS - 1 - i)
+        for byte_index, shift in _label_positions(seed):
+            value = (value << 1) | ((d[byte_index] >> shift) & 1)
         return value
     raise LabelModeError(f"unknown label mode {mode!r}")
+
+
+# typed: equal seeds of different types can seed differently (int 2**62 and
+# float 2.0**62 compare equal, but random.Random seeds a float by its hash)
+@functools.lru_cache(maxsize=64, typed=True)
+def _label_positions(seed: object) -> Tuple[Tuple[int, int], ...]:
+    """The (byte index, right shift) of each of the 32 label bits drawn for
+    `seed`, in draw order."""
+    positions = random.Random(seed).sample(range(DIGEST_BYTES * 8), LABEL_BITS)
+    return tuple((pos // 8, 7 - pos % 8) for pos in positions)

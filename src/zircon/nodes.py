@@ -140,11 +140,14 @@ class SourceNode:
         record = self._new_record(now_ms)
         hash_part = make_hash_subwatermark(payload)
         seq = self.next_seq
+        # build the frame first: a header field that does not fit raises
+        # before any record is stored
+        packet = embed(payload, assemble_watermark(record, hash_part),
+                       (self.identity.id, seq), hop=1)
         self.store.store(ProvenanceKey(self.identity.id, seq, 1), record,
                          by=self.identity.id)
         self.next_seq += 1
-        return embed(payload, assemble_watermark(record, hash_part),
-                     (self.identity.id, seq), hop=1)
+        return packet
 
     def emit_singlehop(self, payload: bytes, now_ms: int) -> BarePacket:
         """Store the full watermark (record plus hash part) and send only
@@ -152,10 +155,11 @@ class SourceNode:
         record = self._new_record(now_ms)
         hash_part = make_hash_subwatermark(payload)
         seq = self.next_seq
+        packet = embed_bare(payload, (self.identity.id, seq), hop=1)
         self.store.store(ProvenanceKey(self.identity.id, seq, 1), record,
                          by=self.identity.id, hash_part=bytes(hash_part))
         self.next_seq += 1
-        return embed_bare(payload, (self.identity.id, seq), hop=1)
+        return packet
 
 
 class IntermediateNode:

@@ -22,7 +22,8 @@ from .adversary import (
     AttackSpecError,
 )
 from .nodes import ROLE_GATEWAY, ROLE_INTERMEDIATE, ROLE_SOURCE, ROLES
-from .watermark import parse_ip
+from .crypto import KEY_BYTES
+from .watermark import MAX_HOP, MAX_PAYLOAD, MAX_SEQ, MAX_SRC, parse_ip
 
 MODE_SINGLEHOP = "singlehop"
 MODE_MULTIHOP = "multihop"
@@ -118,6 +119,8 @@ def validate(config: ScenarioConfig) -> None:
         ids[n.id] = n
         if n.role not in ROLES:
             errors.append(f"nodes[{n.id}].role: unknown role {n.role!r}")
+        elif n.role == ROLE_SOURCE and not 0 <= n.id <= MAX_SRC:
+            errors.append(f"nodes[{n.id}].id: a source id must fit 16 bits")
         try:
             ip = parse_ip(n.ip)
             if ip in ips:
@@ -135,6 +138,9 @@ def validate(config: ScenarioConfig) -> None:
         if len(route) < 2:
             errors.append(f"routes[{ri}]: needs at least source and gateway")
             continue
+        if len(route) > MAX_HOP + 1:
+            errors.append(f"routes[{ri}]: {len(route)} nodes, but the 8-bit hop "
+                          f"index allows at most {MAX_HOP + 1}")
         missing = [nid for nid in route if nid not in ids]
         if missing:
             errors.append(f"routes[{ri}]: unknown node ids {missing}")
@@ -158,7 +164,9 @@ def validate(config: ScenarioConfig) -> None:
         links.update(zip(route, route[1:]))
 
     route_sources = {r[0] for r in config.routes if r}
+    sent: Dict[int, int] = {}
     for ti, t in enumerate(config.traffic):
+        sent[t.source] = sent.get(t.source, 0) + t.count
         if t.source not in ids or ids[t.source].role != ROLE_SOURCE:
             errors.append(f"traffic[{ti}].source: {t.source} is not a source node")
         elif t.source not in route_sources:
@@ -169,6 +177,10 @@ def validate(config: ScenarioConfig) -> None:
             errors.append(f"traffic[{ti}].interval_ms: must be >= 1")
         if not 0 <= t.payload_bytes <= 0xFFFF:
             errors.append(f"traffic[{ti}].payload_bytes: must fit 16 bits")
+    for src, total in sent.items():
+        if total > MAX_SEQ:
+            errors.append(f"traffic: source {src} sends {total} packets, but "
+                          f"sequence numbers must fit 32 bits")
 
     for ai, a in enumerate(config.attacks):
         if a.kind in LINK_KINDS:
@@ -187,6 +199,16 @@ def validate(config: ScenarioConfig) -> None:
                 errors.append(f"attacks[{ai}]: inject target {a.to_id} unknown")
             if a.seq is None:
                 errors.append(f"attacks[{ai}]: fake_inject needs a forged seq")
+            elif not 0 <= a.seq <= MAX_SEQ:
+                errors.append(f"attacks[{ai}]: forged seq must fit 32 bits")
+            if not 0 <= a.src <= MAX_SRC:
+                errors.append(f"attacks[{ai}]: forged src must fit 16 bits")
+            if not 1 <= a.hop <= MAX_HOP:
+                errors.append(f"attacks[{ai}]: forged hop must be in 1..{MAX_HOP}")
+            if len(a.key_material) != KEY_BYTES:
+                errors.append(f"attacks[{ai}]: forging key must be {KEY_BYTES} bytes")
+            if len(a.payload) > MAX_PAYLOAD:
+                errors.append(f"attacks[{ai}]: forged payload must fit 16 bits of length")
         elif a.kind == STORE_PROBE:
             if a.src is None or a.seq is None:
                 errors.append(f"attacks[{ai}]: store_probe needs src and seq")

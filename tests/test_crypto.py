@@ -133,6 +133,33 @@ def test_encryption_is_injective_per_key(plain):
     assert encrypt_block(key, plain) != encrypt_block(key, other)
 
 
+def test_cached_contexts_survive_eviction_and_interleaving():
+    # more distinct keys than the context cache holds, visited in an order
+    # that keeps evicting and re-creating contexts, encrypt and decrypt mixed
+    prng = random.Random(0xECB)
+    keys = [prng.randbytes(16) for _ in range(150)]
+    for _ in range(600):
+        material = prng.choice(keys)
+        key = SymmetricKey(material=material, epoch=0)
+        plain = prng.randbytes(8)
+        if prng.random() < 0.5:
+            cipher = encrypt_block(key, plain)
+            assert cipher == aes_ref.encrypt_block(material, plain + PADDING)
+        else:
+            cipher = aes_ref.encrypt_block(material, plain + PADDING)
+        assert decrypt_block(key, cipher) == plain
+
+
+def test_failed_padding_check_leaves_the_key_usable():
+    key_a = SymmetricKey(material=V.AES_KAT_KEY, epoch=0)
+    key_b = SymmetricKey(material=bytes(range(16, 32)), epoch=1)
+    good = encrypt_block(key_b, b"12345678")
+    for _ in range(3):
+        with pytest.raises(DecryptionError):
+            decrypt_block(key_b, encrypt_block(key_a, b"ABCDEFGH"))
+        assert decrypt_block(key_b, good) == b"12345678"
+
+
 # -- digest helpers -------------------------------------------------------------
 
 @settings(max_examples=30)
@@ -171,6 +198,30 @@ def test_prng_mode_is_deterministic_and_seed_sensitive():
     c = select_label_bits(d, mode="prng", seed="s2")
     assert a == b
     assert a != c  # verified for these seeds; not a general guarantee
+
+
+def _label_uncached(d, seed):
+    positions = random.Random(seed).sample(range(256), 32)
+    bits = "".join(str((d[p // 8] >> (7 - p % 8)) & 1) for p in positions)
+    return int(bits, 2)
+
+
+def test_prng_labels_equal_uncached_reference():
+    seeds = [7, 0, -3, 2 ** 62, 2.0 ** 62, "s1", "", b"seed", bytearray(b"seed"),
+             b"\x00" * 40, 7]  # 7 comes again after the cache holds it
+    prng = random.Random(0x1AB)
+    for _ in range(3):
+        for seed in seeds:
+            d = digest(prng.randbytes(20))
+            assert select_label_bits(d, mode="prng", seed=seed) == \
+                _label_uncached(d, seed), seed
+    # a bytearray seed still works after it changed in place
+    seed = bytearray(b"abc")
+    d = digest(b"frame")
+    first = select_label_bits(d, mode="prng", seed=seed)
+    seed[0] ^= 1
+    assert select_label_bits(d, mode="prng", seed=seed) == _label_uncached(d, seed)
+    assert select_label_bits(d, mode="prng", seed=b"abc") == first
 
 
 @given(msg=st.binary(max_size=64))

@@ -1,0 +1,114 @@
+"""Byte-for-byte guard on the deterministic run outputs.
+
+Three small seeded scenarios run through `zircon run --out` and the sha256 of
+each output file is pinned.  Any change that moves a single byte of
+events.log, report.json or provenance.journal fails here; a change that is
+meant to move them must update the pinned digests and say why.
+"""
+import hashlib
+
+import pytest
+
+from zircon.cli import main
+
+MULTIHOP_LINE = """\
+seed: 11
+mode: multihop
+freshness_s: 60
+per_hop_delay_ms: 300
+nodes:
+  - {id: 1, ip: 10.0.0.1, role: source, x: 10.0, y: 50.0}
+  - {id: 2, ip: 10.0.0.2, role: intermediate, x: 40.0, y: 50.0}
+  - {id: 3, ip: 10.0.0.3, role: intermediate, x: 70.0, y: 50.0}
+  - {id: 9, ip: 10.0.0.9, role: gateway, x: 95.0, y: 50.0}
+routes:
+  - [1, 2, 3, 9]
+traffic:
+  - {source: 1, count: 25, interval_ms: 700, start_ms: 0, payload_bytes: 24}
+attacks: []
+"""
+
+SINGLEHOP_FANIN = """\
+seed: 23
+mode: singlehop
+freshness_s: 60
+per_hop_delay_ms: 200
+key_rotation: {min_generations: 3, max_generations: 6}
+nodes:
+  - {id: 1, ip: 10.0.1.1, role: source, x: 5.0, y: 10.0}
+  - {id: 2, ip: 10.0.1.2, role: source, x: 5.0, y: 40.0}
+  - {id: 3, ip: 10.0.1.3, role: source, x: 5.0, y: 70.0}
+  - {id: 4, ip: 10.0.1.4, role: source, x: 5.0, y: 95.0}
+  - {id: 9, ip: 10.0.1.9, role: gateway, x: 90.0, y: 50.0}
+routes:
+  - [1, 9]
+  - [2, 9]
+  - [3, 9]
+  - [4, 9]
+traffic:
+  - {source: 1, count: 8, interval_ms: 900, start_ms: 0, payload_bytes: 16}
+  - {source: 2, count: 8, interval_ms: 1100, start_ms: 150, payload_bytes: 8}
+  - {source: 3, count: 8, interval_ms: 1300, start_ms: 300, payload_bytes: 32}
+  - {source: 4, count: 8, interval_ms: 700, start_ms: 450, payload_bytes: 0}
+attacks: []
+"""
+
+ATTACKED_LINE = """\
+seed: 5
+mode: multihop
+freshness_s: 60
+per_hop_delay_ms: 300
+key_rotation: {min_generations: 4, max_generations: 7}
+nodes:
+  - {id: 1, ip: 10.0.0.1, role: source, x: 5.0, y: 50.0}
+  - {id: 2, ip: 10.0.0.2, role: intermediate, x: 30.0, y: 50.0}
+  - {id: 3, ip: 10.0.0.3, role: intermediate, x: 55.0, y: 50.0}
+  - {id: 4, ip: 10.0.0.4, role: intermediate, x: 80.0, y: 50.0}
+  - {id: 9, ip: 10.0.0.9, role: gateway, x: 95.0, y: 50.0}
+routes:
+  - [1, 2, 3, 4, 9]
+traffic:
+  - {source: 1, count: 12, interval_ms: 1000, start_ms: 0, payload_bytes: 16}
+attacks:
+  - {kind: modify_payload, from: 2, to: 3, seq: 3, edits: [[0, 1]]}
+  - {kind: modify_watermark, from: 3, to: 4, seq: 5, edits: [[5, 255]]}
+  - {kind: insert_bits, from: 2, to: 3, seq: 7, offset_bits: 80, bits: [1, 0, 1, 1, 0, 0, 1, 0]}
+  - {kind: drop, from: 3, to: 4, seq: 9}
+  - {kind: replay, from: 1, to: 2, seq: 10, delay_ms: 30000}
+  - {kind: fake_inject, to: 2, src: 1, seq: 4, after_ms: 3100, ip: 10.0.0.1, payload_hex: 666f72676564, key_material_hex: 101112131415161718191a1b1c1d1e1f, key_epoch: 999}
+  - {kind: store_probe, caller_id: 666, src: 1, seq: 1, after_ms: 500}
+"""
+
+# sha256 of (events.log, report.json, provenance.journal)
+GOLDEN = {
+    "multihop_line": (MULTIHOP_LINE, (
+        "112a8b893f585abac3353984e2327dabe3b306462ac5446e22850a492ea71ff3",
+        "509fe11922b908a553ad2a4642c269374c2033217ccc8f4fa75a9b100dc48369",
+        "0bd0a06bd7fad6767a57f9f9951d06edc2f3a7419135e021fcd2e63741736a1c",
+    )),
+    "singlehop_fanin": (SINGLEHOP_FANIN, (
+        "49203d80351480e013a5c76e4e1f7ba9740f5b602fed374fe40413737ed2460b",
+        "2415ac04e8d33f7739249d455e72e7adf172be9d9954245f7130247bd9e7d296",
+        "612aff6fd602b03750ff54002f54509f9469c4e48e87a82eeabb47f7b227ad2e",
+    )),
+    "attacked_line": (ATTACKED_LINE, (
+        "5ac57407379a60a7ef4dbe33bae2f779d7b10aa12b39cf722abe98aa38aca122",
+        "62823e538e300987eb75ede48d83cbec2e2ee50b7f996df78ca303f380186da3",
+        "613472079b5c43414d3c5995114940b3bf3ab783807ae9f69de5172b808726b0",
+    )),
+}
+
+OUTPUT_FILES = ("events.log", "report.json", "provenance.journal")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_outputs_match_pinned_digests(name, tmp_path, capsys):
+    yaml_text, want = GOLDEN[name]
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(yaml_text, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    got = tuple(hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
+                for f in OUTPUT_FILES)
+    assert got == want

@@ -97,6 +97,19 @@ def test_source_emit_singlehop_keeps_watermark_home(chain):
     assert stored.hash_part == bytes(make_hash_subwatermark(PAYLOAD))
 
 
+@pytest.mark.parametrize("emit", ["emit_multihop", "emit_singlehop"])
+def test_source_stores_nothing_when_the_frame_cannot_be_built(emit, keyring,
+                                                              store):
+    ident = NodeIdentity(id=70000, ip=bytes([10, 0, 0, 1]), role="source")
+    store.register_node(ident.id)
+    source = SourceNode(ident, keyring, store)
+    with pytest.raises(ValueError, match="16 bits"):
+        getattr(source, emit)(PAYLOAD, now_ms=0)
+    assert store.packet_ids() == []
+    assert store.journal == []
+    assert source.next_seq == 1
+
+
 def test_role_guards(chain, keyring, store):
     wrong = NodeIdentity(id=5, ip=bytes(4), role="intermediate")
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 import pytest
 
 from zircon.adversary import AttackSpec
+from zircon.netsim import run
 from zircon.scenario import (
     EXAMPLE_CONFIG,
     ConfigError,
@@ -184,6 +185,57 @@ def test_traffic_checks():
     cfg = small_config()
     cfg.traffic[0].payload_bytes = 70000
     assert any("16 bits" in e for e in errors_of(cfg))
+
+
+def test_wire_limits():
+    # source ids travel in a 16-bit header field
+    cfg = small_config()
+    cfg.nodes[0].id = 70000
+    cfg.routes = [[70000, 2, 9]]
+    cfg.traffic[0].source = 70000
+    assert any("source id must fit 16 bits" in e for e in errors_of(cfg))
+    cfg.nodes[0].id = cfg.routes[0][0] = cfg.traffic[0].source = 0xFFFF
+    validate(cfg)
+    assert run(cfg).report["counts"]["emitted"] == 3
+    cfg = small_config()
+    cfg.nodes[1].id = 70000  # only sources put their id on the wire
+    cfg.routes = [[1, 70000, 9]]
+    validate(cfg)
+
+    # the hop index is 8 bits: 254 intermediates are the most a route holds
+    cfg = small_config()
+    for i in range(255):
+        cfg.nodes.append(NodeSpec(id=100 + i, ip=f"10.1.{i // 200}.{i % 200}",
+                                  role="intermediate"))
+    cfg.routes = [[1] + [100 + i for i in range(255)] + [9]]
+    assert any("8-bit hop" in e for e in errors_of(cfg))
+    cfg.routes[0].pop(1)
+    validate(cfg)
+    assert run(cfg).report["counts"]["emitted"] == 3
+
+    # sequence numbers are 32 bits, counted over all of a source's traffic
+    cfg = small_config(traffic=[TrafficSpec(source=1, count=2 ** 31),
+                                TrafficSpec(source=1, count=2 ** 31)])
+    assert any("sequence numbers must fit 32 bits" in e for e in errors_of(cfg))
+    cfg.traffic[1].count -= 1
+    validate(cfg)
+
+
+def test_fake_inject_wire_limits():
+    def forged(**fields):
+        spec = dict(kind="fake_inject", to_id=2, src=1, seq=1, ip=bytes(4),
+                    key_material=bytes(16))
+        spec.update(fields)
+        return small_config(attacks=[AttackSpec(**spec)])
+
+    validate(forged(src=0xFFFF, seq=0xFFFFFFFF, hop=255))
+    assert any("forged src" in e for e in errors_of(forged(src=0x10000)))
+    assert any("forged seq" in e for e in errors_of(forged(seq=2 ** 32)))
+    assert any("forged hop" in e for e in errors_of(forged(hop=0)))
+    assert any("forged hop" in e for e in errors_of(forged(hop=256)))
+    assert any("forging key" in e for e in errors_of(forged(key_material=bytes(15))))
+    assert any("forged payload" in e
+               for e in errors_of(forged(payload=bytes(0x10000))))
 
 
 def test_attack_link_must_exist():
