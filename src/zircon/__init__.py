@@ -1,9 +1,9 @@
 """Zero-watermarking protocol library and deterministic network simulator.
 
 The package splits into a protocol layer (crypto, watermark, provstore,
-nodes, internal_datagram), an experiment layer (adversary, scenario, netsim),
-and an analysis layer (energy and provenance-cost models, detection
-reporting) with a CLI on top.
+nodes, internal_datagram), an experiment layer (adversary, scenario, netsim,
+and events, the event-log schema), and an analysis layer (energy and
+provenance-cost models, detection reporting) with a CLI on top.
 """
 
 __version__ = "0.1.0"

@@ -25,9 +25,9 @@ from .provstore import (
 from .watermark import (
     HEADER_BYTES,
     WATERMARK_BYTES,
-    assemble_watermark,
+    FeatureSubWatermark,
+    FinalWatermark,
     embed,
-    make_feature_subwatermark,
     make_hash_subwatermark,
     make_provenance_record,
 )
@@ -233,11 +233,11 @@ def build_fake_frame(spec: AttackSpec, now_s: int, seq: int) -> bytes:
     The hash part is honest (the attacker knows its payload), so only the
     provenance checks can catch it.
     """
-    sw = make_feature_subwatermark(spec.ip, now_s)
+    sw = FeatureSubWatermark(bytes(spec.ip), now_s)
     key = SymmetricKey(material=spec.key_material, epoch=spec.key_epoch)
     record = make_provenance_record(sw, key)
     hash_part = make_hash_subwatermark(spec.payload)
-    pkt = embed(spec.payload, assemble_watermark(record, hash_part),
+    pkt = embed(spec.payload, FinalWatermark(record, hash_part),
                 (spec.src, seq), hop=spec.hop)
     return pkt.to_bytes()
 

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Union
 
+from . import events
 from .adversary import DROP, EAVESDROP, REPLAY, STORE_PROBE
 from .nodes import ACCEPTED, ROLE_SOURCE
 
@@ -43,12 +44,14 @@ class EnergyParams:
     t_sl_ms: float = 299.0
     e0_mj: float = 100.0
     intermediate_multiplier: float = 1.0
+    # computation time charged per watermark operation: a node's T_C is
+    # this times its operation count
+    tc_per_op_ms: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("p_n_mw", "t_a_ms", "t_s_ms", "t_tr_ms", "t_sl_ms",
-                     "e0_mj", "intermediate_multiplier"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be nonnegative")
 
 
 def node_energy(params: EnergyParams, t_c_ms: float) -> float:
@@ -138,51 +141,6 @@ def write_energy_csv(out, report: dict, params: EnergyParams) -> None:
 
 # -- detection reporting ------------------------------------------------------
 
-def _parse_log(lines: Iterable[str]):
-    """Split a log into typed records; each carries its line index so causal
-    order survives events that share a timestamp."""
-    emits, verdicts, attacks, stores, deletes = [], [], [], [], []
-    for idx, raw in enumerate(lines):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split("|")
-        kind = parts[0]
-        try:
-            if kind == "emit":
-                emits.append({"idx": idx, "node": int(parts[1]),
-                              "src": int(parts[2]), "seq": int(parts[3]),
-                              "hop": int(parts[4]), "time": int(parts[5])})
-            elif kind == "verdict":
-                src = None if parts[2] == "-" else int(parts[2])
-                seq = None if parts[3] == "-" else int(parts[3])
-                hop = None if parts[4] == "-" else int(parts[4])
-                verdicts.append({"idx": idx, "node": int(parts[1]), "src": src,
-                                 "seq": seq, "hop": hop, "outcome": parts[5],
-                                 "time": int(parts[6])})
-            elif kind == "attack":
-                src = None if parts[3] == "-" else int(parts[3])
-                seq = None if parts[4] == "-" else int(parts[4])
-                attacks.append({"idx": idx, "kind": parts[1],
-                                "target": parts[2], "src": src, "seq": seq,
-                                "detail": parts[5], "time": int(parts[6])})
-            elif kind == "store":
-                stores.append({"idx": idx, "src": int(parts[1]),
-                               "seq": int(parts[2]), "hop": int(parts[3]),
-                               "by": int(parts[5]), "time": int(parts[6])})
-            elif kind == "delete":
-                deletes.append({"idx": idx, "src": int(parts[1]),
-                                "seq": int(parts[2]), "count": int(parts[3]),
-                                "time": int(parts[4])})
-            elif kind in ("deliver", "rotate"):
-                pass
-            else:
-                raise ValueError(f"unknown event kind {kind!r}")
-        except (IndexError, ValueError) as err:
-            raise ValueError(f"malformed log line {line!r}") from err
-    return emits, verdicts, attacks, stores, deletes
-
-
 def _replay_delay(detail: str) -> int:
     for chunk in detail.split(","):
         if chunk.startswith("delay="):
@@ -202,19 +160,30 @@ def detection_report(log: Union[str, Iterable[str]]) -> dict:
     Eavesdropping is passive and excluded from rates; store probes report
     what the access check returned.
     """
-    lines = log.splitlines() if isinstance(log, str) else list(log)
-    emits, verdicts, attacks, stores, deletes = _parse_log(lines)
-
-    by_packet_verdicts: Dict[tuple, List[dict]] = {}
-    for v in verdicts:
-        if v["src"] is not None and v["seq"] is not None:
-            by_packet_verdicts.setdefault((v["src"], v["seq"]), []).append(v)
-
+    lines = log.splitlines() if isinstance(log, str) else log
+    # attacks and verdicts keep their line index, so causal order survives
+    # events that share a timestamp
+    emitted: List[tuple] = []
+    attacks: List[tuple] = []
+    by_packet_verdicts: Dict[tuple, List[tuple]] = {}
     stored_hops: Dict[tuple, int] = {}
-    for s in stores:
-        key = (s["src"], s["seq"])
-        stored_hops[key] = max(stored_hops.get(key, 0), s["hop"])
-    deleted_ids = {(d["src"], d["seq"]) for d in deletes}
+    deleted_ids = set()
+    for idx, rec in events.read(lines, ("verdict", "store", "delete", "emit",
+                                        "attack")):
+        kind = type(rec)
+        if kind is events.Verdict:
+            if rec.src is not None and rec.seq is not None:
+                by_packet_verdicts.setdefault((rec.src, rec.seq), []).append(
+                    (idx, rec))
+        elif kind is events.Store:
+            key = (rec.src, rec.seq)
+            stored_hops[key] = max(stored_hops.get(key, 0), rec.hop)
+        elif kind is events.Delete:
+            deleted_ids.add((rec.src, rec.seq))
+        elif kind is events.Emit:
+            emitted.append((rec.src, rec.seq))
+        elif kind is events.Attack:
+            attacks.append((idx, rec))
 
     kinds: Dict[str, dict] = {}
 
@@ -225,42 +194,41 @@ def detection_report(log: Union[str, Iterable[str]]) -> dict:
     drop_localization = {}
     attacked_ids = set()
 
-    for a in attacks:
-        entry = bucket(a["kind"])
+    for a_idx, a in attacks:
+        entry = bucket(a.kind)
         entry["attacks"] += 1
-        key = (a["src"], a["seq"])
-        if a["src"] is not None:
+        key = (a.src, a.seq)
+        if a.src is not None:
             attacked_ids.add(key)
         packet_verdicts = by_packet_verdicts.get(key, [])
 
-        if a["kind"] == EAVESDROP:
+        if a.kind == EAVESDROP:
             continue
-        if a["kind"] == STORE_PROBE:
-            if "result=retrieved" not in a["detail"]:
+        if a.kind == STORE_PROBE:
+            if "result=retrieved" not in a.detail:
                 entry["detected"] += 1
             continue
-        if a["kind"] == DROP:
-            accepted_after = any(v["outcome"] == ACCEPTED and v["idx"] > a["idx"]
-                                 for v in packet_verdicts)
+        if a.kind == DROP:
+            accepted_after = any(v.outcome == ACCEPTED and idx > a_idx
+                                 for idx, v in packet_verdicts)
             stranded = key in stored_hops and key not in deleted_ids
             if stranded and not accepted_after:
                 entry["detected"] += 1
-                drop_localization[f"{a['src']}:{a['seq']}"] = stored_hops[key]
+                drop_localization[f"{a.src}:{a.seq}"] = stored_hops[key]
             continue
 
-        horizon = a["time"]
-        if a["kind"] == REPLAY:
-            horizon += _replay_delay(a["detail"])
+        horizon = a.time
+        if a.kind == REPLAY:
+            horizon += _replay_delay(a.detail)
         rejected_after = any(
-            v["outcome"] != ACCEPTED and v["idx"] > a["idx"]
-            and v["time"] >= horizon
-            for v in packet_verdicts
+            v.outcome != ACCEPTED and idx > a_idx and v.time >= horizon
+            for idx, v in packet_verdicts
         )
         if rejected_after:
             entry["detected"] += 1
         if packet_verdicts:
-            last = max(packet_verdicts, key=lambda v: v["idx"])
-            if last["outcome"] == ACCEPTED and last["idx"] > a["idx"]:
+            last_idx, last = packet_verdicts[-1]
+            if last.outcome == ACCEPTED and last_idx > a_idx:
                 false_accepts += 1
 
     for entry in kinds.values():
@@ -272,12 +240,11 @@ def detection_report(log: Union[str, Iterable[str]]) -> dict:
 
     false_rejects = 0
     clean_accepted = 0
-    for e in emits:
-        key = (e["src"], e["seq"])
+    for key in emitted:
         if key in attacked_ids:
             continue
         packet_verdicts = by_packet_verdicts.get(key, [])
-        if any(v["outcome"] == ACCEPTED for v in packet_verdicts):
+        if any(v.outcome == ACCEPTED for _, v in packet_verdicts):
             clean_accepted += 1
         elif packet_verdicts:
             false_rejects += 1

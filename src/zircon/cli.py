@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Optional
 
-from . import analysis, netsim, scenario
+from . import analysis, events, netsim, scenario
 from .adversary import (
     DELETE_BITS,
     DROP,
@@ -62,7 +62,7 @@ def _write_run_outputs(result: netsim.SimResult, out_dir: str) -> None:
         fh.write("\n")
     with open(os.path.join(out_dir, "provenance.journal"), "w",
               encoding="utf-8") as fh:
-        for line in result.store.journal:
+        for line in events.journal(result.log):
             fh.write(line + "\n")
 
 
@@ -179,13 +179,11 @@ def cmd_energy_table(args: argparse.Namespace) -> int:
     report_path = os.path.join(args.run, "report.json")
     with open(report_path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
-    stored = report.get("energy", {})
-    params = analysis.EnergyParams(**{
-        k: stored[k] for k in (
-            "p_n_mw", "t_a_ms", "t_s_ms", "t_tr_ms", "t_sl_ms", "e0_mj",
-            "intermediate_multiplier",
-        ) if k in stored
-    })
+    try:
+        params = analysis.EnergyParams(**report["energy"])
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"{report_path}: no usable energy parameters "
+                         f"({err})") from err
     with _out_stream(args.out) as out:
         analysis.write_energy_csv(out, report, params)
     return 0
@@ -200,25 +198,18 @@ def cmd_inspect_store(args: argparse.Namespace) -> int:
 
     live: dict = {}
     history: dict = {}
-    for line in lines:
-        if not line.strip():
-            continue
-        parts = line.split("|")
-        if parts[0] == "store":
-            key = (int(parts[1]), int(parts[2]))
-            rec = {"hop": int(parts[3]), "cipher": parts[4],
-                   "by": int(parts[5]), "time": int(parts[6])}
-            live.setdefault(key, []).append(rec)
-            hist = history.setdefault(key, {"stores": 0, "deletes": 0})
-            hist["stores"] += 1
-        elif parts[0] == "delete":
-            key = (int(parts[1]), int(parts[2]))
-            live.pop(key, None)
-            hist = history.setdefault(key, {"stores": 0, "deletes": 0})
-            hist["deletes"] += 1
-        else:
-            print(f"unrecognized journal line: {line}", file=sys.stderr)
+    for idx, rec in events.read(lines):
+        if type(rec) not in (events.Store, events.Delete):
+            print(f"unrecognized journal line: {lines[idx]}", file=sys.stderr)
             return 1
+        key = (rec.src, rec.seq)
+        hist = history.setdefault(key, {"stores": 0, "deletes": 0})
+        if type(rec) is events.Store:
+            live.setdefault(key, []).append(rec)
+            hist["stores"] += 1
+        else:
+            live.pop(key, None)
+            hist["deletes"] += 1
 
     for key in sorted(history):
         src, seq = key
@@ -228,13 +219,13 @@ def cmd_inspect_store(args: argparse.Namespace) -> int:
             continue
         hist = history[key]
         records = live.get(key, [])
-        hops = ",".join(str(r["hop"]) for r in records) or "-"
+        hops = ",".join(str(r.hop) for r in records) or "-"
         print(f"packet {src}:{seq} stores={hist['stores']} "
               f"deletes={hist['deletes']} live={len(records)} hops={hops}")
         if args.verbose:
             for r in records:
-                print(f"  hop {r['hop']} by node {r['by']} at {r['time']}ms "
-                      f"cipher={r['cipher']}")
+                print(f"  hop {r.hop} by node {r.by} at {r.time}ms "
+                      f"cipher={r.cipher_hex}")
     return 0
 
 

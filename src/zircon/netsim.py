@@ -15,10 +15,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from . import adversary
+from . import adversary, events
 from .adversary import FAKE_INJECT, STORE_PROBE, AttackSpec
 from .nodes import (
     ACCEPTED,
@@ -83,8 +83,7 @@ class Simulation:
         self.log: List[str] = []
         self.captures: List[bytes] = []
 
-        self.store = ProvenanceStore(clock=lambda: self.now)
-        self.store.on_journal = self.log.append
+        self.store = ProvenanceStore(clock=lambda: self.now, log=self.log)
 
         self._rngs: Dict[str, random.Random] = {}
         initial = SymmetricKey(material=self._rng("keys").randbytes(16), epoch=0)
@@ -166,14 +165,11 @@ class Simulation:
         heapq.heappush(self._queue, (time, next(self._order), kind, payload))
 
     def _log_attack(self, attack: AttackSpec, src, seq, detail: str) -> None:
-        fmt = lambda v: "-" if v is None else str(v)
-        self.log.append(
-            f"attack|{attack.kind}|{attack.target_label()}|{fmt(src)}|"
-            f"{fmt(seq)}|{detail}|{self.now}"
-        )
+        self.log.append(events.attack(attack.kind, attack.target_label(), src,
+                                      seq, detail, self.now))
 
     def _record_verdict(self, verdict: VerificationVerdict, flow: str) -> None:
-        self.log.append(verdict.line())
+        self.log.append(events.verdict(*verdict))
         key = (verdict.src, verdict.seq)
         state = self.packets.get(key)
         entry = {
@@ -196,7 +192,7 @@ class Simulation:
             self._generations -= self._rotation_threshold
             key = rotate_keys(self.keyring, self._rng("keys"))
             self._rotations += 1
-            self.log.append(f"rotate|{key.epoch}|{self.now}")
+            self.log.append(events.rotate(key.epoch, self.now))
             self._rotation_threshold = self._rng("rotation").randint(
                 self.config.key_rotation.min_generations,
                 self.config.key_rotation.max_generations,
@@ -244,7 +240,8 @@ class Simulation:
         self.node_packets[source] += 1
         self.node_ops[source] += OPS_BY_ROLE[ROLE_SOURCE]
         self._generations += 1
-        self.log.append(f"emit|{source}|{pkt.src}|{pkt.seq}|{pkt.hop}|{self.now}")
+        self.log.append(events.emit(source, pkt.src, pkt.seq, pkt.hop,
+                                    self.now))
         self.packets[(pkt.src, pkt.seq)] = _PacketState(
             source=pkt.src, seq=pkt.seq,
             route=list(self._route_of_source[source]), emitted_ms=self.now,
@@ -254,7 +251,7 @@ class Simulation:
 
     def _handle_deliver(self, to: int, data: bytes, src: int, seq: int,
                         hop: int, route_src: int, flow: str) -> None:
-        self.log.append(f"deliver|{to}|{src}|{seq}|{hop}|{self.now}")
+        self.log.append(events.deliver(to, src, seq, hop, self.now))
         self.node_packets[to] += 1
         state = self.packets.get((src, seq))
 
@@ -359,7 +356,6 @@ class Simulation:
                 "watermark_ops": self.node_ops[nid],
                 "t_c_ms": self.node_ops[nid] * self.config.energy.tc_per_op_ms,
             }
-        energy = self.config.energy
         return {
             "seed": self.config.seed,
             "mode": self.config.mode,
@@ -369,16 +365,7 @@ class Simulation:
             "nodes": nodes,
             "rotations": self._rotations,
             "final_epoch": self.keyring.current.epoch,
-            "energy": {
-                "p_n_mw": energy.p_n_mw,
-                "t_a_ms": energy.t_a_ms,
-                "t_s_ms": energy.t_s_ms,
-                "t_tr_ms": energy.t_tr_ms,
-                "t_sl_ms": energy.t_sl_ms,
-                "e0_mj": energy.e0_mj,
-                "intermediate_multiplier": energy.intermediate_multiplier,
-                "tc_per_op_ms": energy.tc_per_op_ms,
-            },
+            "energy": asdict(self.config.energy),
         }
 
 

@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from . import events
 from .crypto import DecryptionError, SymmetricKey, decrypt_block
 from .provstore import (
     MissingRecordError,
@@ -28,15 +29,14 @@ from .provstore import (
 from .watermark import (
     BarePacket,
     FeatureSubWatermark,
+    FinalWatermark,
     FrameError,
     WatermarkedPacket,
-    assemble_watermark,
     embed,
     embed_bare,
     extract,
     extract_bare,
     format_ip,
-    make_feature_subwatermark,
     make_hash_subwatermark,
     make_provenance_record,
 )
@@ -74,21 +74,9 @@ class NodeIdentity:
             raise ValueError("node ip must be 4 bytes")
 
 
-@dataclass(frozen=True)
-class VerificationVerdict:
-    outcome: str
-    node: int
-    src: Optional[int]
-    seq: Optional[int]
-    hop: Optional[int]
-    time: int
-
-    def line(self) -> str:
-        def fmt(v: Optional[int]) -> str:
-            return "-" if v is None else str(v)
-
-        return (f"verdict|{self.node}|{fmt(self.src)}|{fmt(self.seq)}|"
-                f"{fmt(self.hop)}|{self.outcome}|{self.time}")
+# a verdict is the record its event line parses back to: (node, src, seq,
+# hop, outcome, time), with None for an id the frame did not yield
+VerificationVerdict = events.Verdict
 
 
 class KeyRing:
@@ -122,19 +110,75 @@ def rotate_keys(ring: KeyRing, rng: random.Random) -> SymmetricKey:
     return key
 
 
-class SourceNode:
+class _Node:
+    """State every role holds: its identity, the shared key ring, and the
+    provenance store."""
+
+    role = ""
+
     def __init__(self, identity: NodeIdentity, keyring: KeyRing,
                  store: ProvenanceStore):
-        if identity.role != ROLE_SOURCE:
-            raise ValueError("SourceNode needs a source identity")
+        if identity.role != self.role:
+            raise ValueError(f"{type(self).__name__} needs an identity with "
+                             f"role {self.role!r}")
         self.identity = identity
         self.keyring = keyring
         self.store = store
-        self.next_seq = 1
 
     def _new_record(self, now_ms: int):
-        sw = make_feature_subwatermark(self.identity.ip, now_ms // 1000)
+        """This node's feature record, stamped with now in whole seconds and
+        sealed under the current key."""
+        sw = FeatureSubWatermark(self.identity.ip, now_ms // 1000)
         return make_provenance_record(sw, self.keyring.current)
+
+
+class _Verifier(_Node):
+    """The checks intermediates and the gateway share."""
+
+    def _verdict(self, outcome: str, src: Optional[int], seq: Optional[int],
+                 hop: Optional[int], now_ms: int) -> VerificationVerdict:
+        return VerificationVerdict(self.identity.id, src, seq, hop, outcome,
+                                   now_ms)
+
+    def _fail(self, outcome: str, src: Optional[int], seq: Optional[int],
+              hop: Optional[int], now_ms: int) -> Tuple[VerificationVerdict, None]:
+        """Discard the packet: delete its stored records, when the frame
+        still names a packet, and report what failed."""
+        if src is not None and seq is not None:
+            self.store.delete_all(src, seq)
+        return self._verdict(outcome, src, seq, hop, now_ms), None
+
+    def _check_hop(self, data: bytes, now_ms: int
+                   ) -> Tuple[Optional[VerificationVerdict],
+                              Optional[WatermarkedPacket]]:
+        """Parse a multi-hop frame, check its payload against the carried
+        hash part, and its hop and cipher against the newest stored record.
+        Returns (None, packet) when every check passed, else (verdict, None)."""
+        try:
+            pkt = extract(data)
+        except FrameError as err:
+            return self._fail(FRAME_FAIL, err.src, err.seq, err.hop, now_ms)
+        if make_hash_subwatermark(pkt.payload) != pkt.watermark.hash_part:
+            return self._fail(INTEGRITY_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
+        try:
+            last = self.store.query_last(pkt.src, pkt.seq)
+        except MissingRecordError:
+            # nothing stored to burn
+            return self._verdict(MISSING_RECORD, pkt.src, pkt.seq, pkt.hop,
+                                 now_ms), None
+        if (last.key.hop != pkt.hop
+                or last.value.cipher != pkt.watermark.record.cipher):
+            return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
+        return None, pkt
+
+
+class SourceNode(_Node):
+    role = ROLE_SOURCE
+
+    def __init__(self, identity: NodeIdentity, keyring: KeyRing,
+                 store: ProvenanceStore):
+        super().__init__(identity, keyring, store)
+        self.next_seq = 1
 
     def emit_multihop(self, payload: bytes, now_ms: int) -> WatermarkedPacket:
         record = self._new_record(now_ms)
@@ -142,7 +186,7 @@ class SourceNode:
         seq = self.next_seq
         # build the frame first: a header field that does not fit raises
         # before any record is stored
-        packet = embed(payload, assemble_watermark(record, hash_part),
+        packet = embed(payload, FinalWatermark(record, hash_part),
                        (self.identity.id, seq), hop=1)
         self.store.store(ProvenanceKey(self.identity.id, seq, 1), record,
                          by=self.identity.id)
@@ -162,83 +206,38 @@ class SourceNode:
         return packet
 
 
-class IntermediateNode:
-    def __init__(self, identity: NodeIdentity, keyring: KeyRing,
-                 store: ProvenanceStore):
-        if identity.role != ROLE_INTERMEDIATE:
-            raise ValueError("IntermediateNode needs an intermediate identity")
-        self.identity = identity
-        self.keyring = keyring
-        self.store = store
-
-    def _verdict(self, outcome: str, src: Optional[int], seq: Optional[int],
-                 hop: Optional[int], now_ms: int) -> VerificationVerdict:
-        return VerificationVerdict(outcome=outcome, node=self.identity.id,
-                                   src=src, seq=seq, hop=hop, time=now_ms)
+class IntermediateNode(_Verifier):
+    role = ROLE_INTERMEDIATE
 
     def process(self, data: bytes, now_ms: int
                 ) -> Tuple[VerificationVerdict, Optional[WatermarkedPacket]]:
-        try:
-            pkt = extract(data)
-        except FrameError as err:
-            if err.src is not None and err.seq is not None:
-                self.store.delete_all(err.src, err.seq)
-            return self._verdict(FRAME_FAIL, err.src, err.seq, err.hop,
-                                 now_ms), None
-
-        expected = make_hash_subwatermark(pkt.payload)
-        if bytes(expected) != bytes(pkt.watermark.hash_part):
-            self.store.delete_all(pkt.src, pkt.seq)
-            return self._verdict(INTEGRITY_FAIL, pkt.src, pkt.seq, pkt.hop,
-                                 now_ms), None
-
-        try:
-            last = self.store.query_last(pkt.src, pkt.seq)
-        except MissingRecordError:
-            return self._verdict(MISSING_RECORD, pkt.src, pkt.seq, pkt.hop,
-                                 now_ms), None
-        if (last.key.hop != pkt.hop
-                or last.value.cipher != pkt.watermark.record.cipher):
-            self.store.delete_all(pkt.src, pkt.seq)
-            return self._verdict(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop,
-                                 now_ms), None
+        verdict, pkt = self._check_hop(data, now_ms)
+        if verdict is not None:
+            return verdict, None
 
         # verified: re-watermark with own identity and receive time; the
         # hash part is carried through unchanged
-        sw = make_feature_subwatermark(self.identity.ip, now_ms // 1000)
-        record = make_provenance_record(sw, self.keyring.current)
+        record = self._new_record(now_ms)
         next_hop = pkt.hop + 1
         self.store.store(ProvenanceKey(pkt.src, pkt.seq, next_hop), record,
                          by=self.identity.id)
         forwarded = embed(pkt.payload,
-                          assemble_watermark(record, pkt.watermark.hash_part),
+                          FinalWatermark(record, pkt.watermark.hash_part),
                           (pkt.src, pkt.seq), next_hop)
         return self._verdict(ACCEPTED, pkt.src, pkt.seq, pkt.hop,
                              now_ms), forwarded
 
 
-class GatewayNode:
+class GatewayNode(_Verifier):
+    role = ROLE_GATEWAY
+
     def __init__(self, identity: NodeIdentity, keyring: KeyRing,
                  store: ProvenanceStore, registry: Dict[int, NodeIdentity],
                  freshness_s: int = 60, purge_on_delivery: bool = True):
-        if identity.role != ROLE_GATEWAY:
-            raise ValueError("GatewayNode needs a gateway identity")
-        self.identity = identity
-        self.keyring = keyring
-        self.store = store
+        super().__init__(identity, keyring, store)
         self.registry = registry
         self.freshness_s = freshness_s
         self.purge_on_delivery = purge_on_delivery
-
-    def _verdict(self, outcome: str, src: Optional[int], seq: Optional[int],
-                 hop: Optional[int], now_ms: int) -> VerificationVerdict:
-        return VerificationVerdict(outcome=outcome, node=self.identity.id,
-                                   src=src, seq=seq, hop=hop, time=now_ms)
-
-    def _fail(self, outcome: str, src: int, seq: int, hop: int, now_ms: int
-              ) -> Tuple[VerificationVerdict, None]:
-        self.store.delete_all(src, seq)
-        return self._verdict(outcome, src, seq, hop, now_ms), None
 
     def _decrypt_record(self, value) -> Optional[FeatureSubWatermark]:
         """Decrypt one stored record under the key of its own epoch; None
@@ -254,33 +253,28 @@ class GatewayNode:
             return None
         return FeatureSubWatermark.from_bytes(plain)
 
-    def _origin_ok(self, src: int, source_ip: bytes) -> bool:
-        origin = self.registry.get(src)
-        return (origin is not None and origin.registered
-                and origin.ip == source_ip)
+    def _accept(self, pkt, first: FeatureSubWatermark, path: ProvenancePath,
+                now_ms: int
+                ) -> Tuple[VerificationVerdict, Optional[ProvenancePath]]:
+        """The last checks of both profiles: the first decrypted record
+        names the packet's registered source, and its capture time is inside
+        the freshness window.  Then the path is out and the set purged."""
+        source = self.registry.get(pkt.src)
+        if source is None or not source.registered or source.ip != first.ip:
+            return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
+
+        if now_ms // 1000 - first.capture_time > self.freshness_s:
+            return self._fail(STALE_TIMESTAMP, pkt.src, pkt.seq, pkt.hop, now_ms)
+
+        if self.purge_on_delivery:
+            self.store.delete_all(pkt.src, pkt.seq)
+        return self._verdict(ACCEPTED, pkt.src, pkt.seq, pkt.hop, now_ms), path
 
     def verify_multihop(self, data: bytes, now_ms: int
                         ) -> Tuple[VerificationVerdict, Optional[ProvenancePath]]:
-        try:
-            pkt = extract(data)
-        except FrameError as err:
-            if err.src is not None and err.seq is not None:
-                self.store.delete_all(err.src, err.seq)
-            return self._verdict(FRAME_FAIL, err.src, err.seq, err.hop,
-                                 now_ms), None
-
-        expected = make_hash_subwatermark(pkt.payload)
-        if bytes(expected) != bytes(pkt.watermark.hash_part):
-            return self._fail(INTEGRITY_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
-
-        try:
-            last = self.store.query_last(pkt.src, pkt.seq)
-        except MissingRecordError:
-            return self._verdict(MISSING_RECORD, pkt.src, pkt.seq, pkt.hop,
-                                 now_ms), None
-        if (last.key.hop != pkt.hop
-                or last.value.cipher != pkt.watermark.record.cipher):
-            return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
+        verdict, pkt = self._check_hop(data, now_ms)
+        if verdict is not None:
+            return verdict, None
 
         try:
             records = self.store.query_all(pkt.src, pkt.seq, by=self.identity.id)
@@ -300,17 +294,8 @@ class GatewayNode:
                 return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop,
                                   now_ms)
             features.append(sw)
-
-        if not self._origin_ok(pkt.src, features[0].ip):
-            return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
-
-        if now_ms // 1000 - features[0].capture_time > self.freshness_s:
-            return self._fail(STALE_TIMESTAMP, pkt.src, pkt.seq, pkt.hop, now_ms)
-
         path = [(format_ip(sw.ip), sw.capture_time) for sw in features]
-        if self.purge_on_delivery:
-            self.store.delete_all(pkt.src, pkt.seq)
-        return self._verdict(ACCEPTED, pkt.src, pkt.seq, pkt.hop, now_ms), path
+        return self._accept(pkt, features[0], path, now_ms)
 
     def verify_singlehop(self, data: bytes, now_ms: int
                          ) -> Tuple[VerificationVerdict, Optional[ProvenancePath]]:
@@ -320,10 +305,7 @@ class GatewayNode:
         try:
             pkt = extract_bare(data)
         except FrameError as err:
-            if err.src is not None and err.seq is not None:
-                self.store.delete_all(err.src, err.seq)
-            return self._verdict(FRAME_FAIL, err.src, err.seq, err.hop,
-                                 now_ms), None
+            return self._fail(FRAME_FAIL, err.src, err.seq, err.hop, now_ms)
 
         try:
             records = self.store.query_all(pkt.src, pkt.seq, by=self.identity.id)
@@ -335,18 +317,11 @@ class GatewayNode:
         if len(records) != 1 or stored.hash_part is None:
             return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
 
-        regenerated = make_hash_subwatermark(pkt.payload)
-        if bytes(regenerated) != stored.hash_part:
+        if make_hash_subwatermark(pkt.payload) != stored.hash_part:
             return self._fail(INTEGRITY_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
 
         sw = self._decrypt_record(stored.value)
-        if sw is None or not self._origin_ok(pkt.src, sw.ip):
+        if sw is None:
             return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
-
-        if now_ms // 1000 - sw.capture_time > self.freshness_s:
-            return self._fail(STALE_TIMESTAMP, pkt.src, pkt.seq, pkt.hop, now_ms)
-
-        path = [(format_ip(sw.ip), sw.capture_time)]
-        if self.purge_on_delivery:
-            self.store.delete_all(pkt.src, pkt.seq)
-        return self._verdict(ACCEPTED, pkt.src, pkt.seq, pkt.hop, now_ms), path
+        return self._accept(pkt, sw, [(format_ip(sw.ip), sw.capture_time)],
+                            now_ms)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from . import events
 from .watermark import ProvenanceRecordValue
 
 
@@ -59,13 +60,17 @@ class _PacketSet:
 
 
 class ProvenanceStore:
-    def __init__(self, clock: Callable[[], int] = lambda: 0):
+    """Every store and delete appends its event line to `log`: the caller's
+    event log when one is given (the simulator passes its own), else a
+    list of the store's own."""
+
+    def __init__(self, clock: Callable[[], int] = lambda: 0,
+                 log: Optional[List[str]] = None):
         self.clock = clock
+        self.log: List[str] = [] if log is None else log
         self._sets: Dict[Tuple[int, int], _PacketSet] = {}
         self._node_ids: set = set()
         self._gateway_ids: set = set()
-        self.journal: List[str] = []
-        self.on_journal: Optional[Callable[[str], None]] = None
 
     # -- registration ------------------------------------------------------
 
@@ -77,13 +82,6 @@ class ProvenanceStore:
 
     def is_registered(self, node_id: int) -> bool:
         return node_id in self._node_ids or node_id in self._gateway_ids
-
-    # -- journal -----------------------------------------------------------
-
-    def _emit(self, line: str) -> None:
-        self.journal.append(line)
-        if self.on_journal is not None:
-            self.on_journal(line)
 
     # -- operations --------------------------------------------------------
 
@@ -103,10 +101,8 @@ class ProvenanceStore:
         rec = StoredRecord(key=key, value=value, by=by, time=self.clock(),
                            hash_part=hash_part)
         pset.records.append(rec)
-        self._emit(
-            f"store|{key.source}|{key.sequence}|{key.hop}|"
-            f"{value.cipher.hex()}|{by}|{rec.time}"
-        )
+        self.log.append(events.store(key.source, key.sequence, key.hop,
+                                     value.cipher.hex(), by, rec.time))
         return rec
 
     def query_last(self, source: int, sequence: int) -> StoredRecord:
@@ -131,7 +127,7 @@ class ProvenanceStore:
     def delete_all(self, source: int, sequence: int) -> int:
         pset = self._sets.pop((source, sequence), None)
         count = len(pset.records) if pset else 0
-        self._emit(f"delete|{source}|{sequence}|{count}|{self.clock()}")
+        self.log.append(events.delete(source, sequence, count, self.clock()))
         return count
 
     # -- introspection (read-only; used by reports and the drop sweep) -----

@@ -8,7 +8,7 @@ determines the simulation output, byte for byte.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import yaml
@@ -21,6 +21,7 @@ from .adversary import (
     AttackSpec,
     AttackSpecError,
 )
+from .analysis import EnergyParams
 from .nodes import ROLE_GATEWAY, ROLE_INTERMEDIATE, ROLE_SOURCE, ROLES
 from .crypto import KEY_BYTES
 from .watermark import MAX_HOP, MAX_PAYLOAD, MAX_SEQ, MAX_SRC, parse_ip
@@ -58,18 +59,6 @@ class TrafficSpec:
 
 
 @dataclass
-class EnergyConfig:
-    p_n_mw: float = 30.0
-    t_a_ms: float = 1.0
-    t_s_ms: float = 0.5
-    t_tr_ms: float = 300.0
-    t_sl_ms: float = 299.0
-    e0_mj: float = 100.0
-    intermediate_multiplier: float = 1.0
-    tc_per_op_ms: float = 0.5
-
-
-@dataclass
 class KeyRotationConfig:
     min_generations: int
     max_generations: int
@@ -85,7 +74,7 @@ class ScenarioConfig:
     drop_timeout_ms: Optional[int] = None  # defaults to 5x per-hop delay
     area: Tuple[float, float] = (100.0, 100.0)
     key_rotation: Optional[KeyRotationConfig] = None
-    energy: EnergyConfig = field(default_factory=EnergyConfig)
+    energy: EnergyParams = field(default_factory=EnergyParams)
     nodes: List[NodeSpec] = field(default_factory=list)
     routes: List[List[int]] = field(default_factory=list)
     traffic: List[TrafficSpec] = field(default_factory=list)
@@ -141,6 +130,13 @@ def validate(config: ScenarioConfig) -> None:
         if len(route) > MAX_HOP + 1:
             errors.append(f"routes[{ri}]: {len(route)} nodes, but the 8-bit hop "
                           f"index allows at most {MAX_HOP + 1}")
+        # the gateway compares whole seconds, so a clean packet emitted late
+        # in a second arrives stale once the trip outlasts the window
+        travel_ms = (len(route) - 1) * config.per_hop_delay_ms
+        if config.freshness_s > 0 and travel_ms > config.freshness_s * 1000:
+            errors.append(f"routes[{ri}]: {len(route) - 1} hops of "
+                          f"{config.per_hop_delay_ms} ms take {travel_ms} ms, "
+                          f"past the {config.freshness_s}-s freshness window")
         missing = [nid for nid in route if nid not in ids]
         if missing:
             errors.append(f"routes[{ri}]: unknown node ids {missing}")
@@ -288,49 +284,22 @@ def _attack_from_dict(d: dict) -> AttackSpec:
 
 
 def to_dict(config: ScenarioConfig) -> dict:
-    return {
-        "seed": config.seed,
-        "mode": config.mode,
-        "freshness_s": config.freshness_s,
-        "per_hop_delay_ms": config.per_hop_delay_ms,
-        "purge_on_delivery": config.purge_on_delivery,
-        "drop_timeout_ms": config.drop_timeout_ms,
-        "area": list(config.area),
-        "key_rotation": (
-            None if config.key_rotation is None else {
-                "min_generations": config.key_rotation.min_generations,
-                "max_generations": config.key_rotation.max_generations,
-            }
-        ),
-        "energy": {
-            "p_n_mw": config.energy.p_n_mw,
-            "t_a_ms": config.energy.t_a_ms,
-            "t_s_ms": config.energy.t_s_ms,
-            "t_tr_ms": config.energy.t_tr_ms,
-            "t_sl_ms": config.energy.t_sl_ms,
-            "e0_mj": config.energy.e0_mj,
-            "intermediate_multiplier": config.energy.intermediate_multiplier,
-            "tc_per_op_ms": config.energy.tc_per_op_ms,
-        },
-        "nodes": [
-            {"id": n.id, "ip": n.ip, "role": n.role, "x": n.x, "y": n.y,
-             "registered": n.registered}
-            for n in config.nodes
-        ],
-        "routes": [list(r) for r in config.routes],
-        "traffic": [
-            {"source": t.source, "count": t.count, "interval_ms": t.interval_ms,
-             "start_ms": t.start_ms, "payload_bytes": t.payload_bytes}
-            for t in config.traffic
-        ],
-        "attacks": [_attack_to_dict(a) for a in config.attacks],
-    }
+    """The YAML shape of a config: its fields in declaration order, with
+    plain lists for the area and routes, and attacks in their own form."""
+    data = asdict(config)
+    data["area"] = list(config.area)
+    data["routes"] = [list(r) for r in config.routes]
+    data["attacks"] = [_attack_to_dict(a) for a in config.attacks]
+    return data
 
 
 def from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError(["top level: expected a mapping"])
-    energy = EnergyConfig(**data.get("energy", {}))
+    try:
+        energy = EnergyParams(**data.get("energy", {}))
+    except (TypeError, ValueError) as err:
+        raise ConfigError([f"energy: {err}"]) from err
     kr = data.get("key_rotation")
     rotation = None if kr is None else KeyRotationConfig(**kr)
     try:

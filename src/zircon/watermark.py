@@ -168,10 +168,6 @@ class BarePacket:
         return header + self.payload
 
 
-def make_feature_subwatermark(ip: bytes, t: int) -> FeatureSubWatermark:
-    return FeatureSubWatermark(ip=bytes(ip), capture_time=t)
-
-
 def make_provenance_record(sw: FeatureSubWatermark,
                            key: SymmetricKey) -> ProvenanceRecordValue:
     return ProvenanceRecordValue(
@@ -182,15 +178,6 @@ def make_provenance_record(sw: FeatureSubWatermark,
 
 def make_hash_subwatermark(payload: bytes) -> HashSubWatermark:
     return HashSubWatermark(truncate_digest(digest(payload)))
-
-
-def assemble_watermark(record: ProvenanceRecordValue,
-                       hash_part: HashSubWatermark) -> FinalWatermark:
-    return FinalWatermark(record=record, hash_part=hash_part)
-
-
-def split_watermark(w: FinalWatermark) -> Tuple[ProvenanceRecordValue, HashSubWatermark]:
-    return w.record, w.hash_part
 
 
 def _check_header_fields(src: int, seq: int, hop: int) -> None:

@@ -17,7 +17,7 @@ import pytest
 
 from tests.conftest import build_chain
 from tests.reference import aes_ref, sha256_ref
-from zircon import analysis, crypto, netsim
+from zircon import analysis, crypto, events, netsim
 from zircon.adversary import AttackSpec, apply as apply_attack
 from zircon.internal_datagram import (
     INTERNAL_AUTHENTICATED,
@@ -37,7 +37,7 @@ from zircon.provstore import (
 from zircon.scenario import NodeSpec, ScenarioConfig, TrafficSpec
 from zircon.watermark import (
     HEADER_BYTES,
-    make_feature_subwatermark,
+    FeatureSubWatermark,
     make_provenance_record,
 )
 
@@ -92,8 +92,8 @@ def test_01_clean_multihop_delivery():
         assert all(a <= b for a, b in zip(times, times[1:]))
         assert p["store_records"] == 0
 
-    stores = [l for l in result.store.journal if l.startswith("store|")]
-    deletes = [l for l in result.store.journal if l.startswith("delete|")]
+    stores = [l for l in events.journal(result.log) if l.startswith("store|")]
+    deletes = [l for l in events.journal(result.log) if l.startswith("delete|")]
     assert len(stores) == 4000  # one record per traversed hop
     assert len(deletes) == 1000
     assert all(l.split("|")[3] == "4" for l in deletes)
@@ -205,7 +205,7 @@ def test_05_fake_injection_rejected():
     fake = flow_verdicts(result, "fake")
     assert fake == [(2, "provenance_fail")] * 100
     # nothing forged ever reaches the store, and nothing lingers
-    for line in result.store.journal:
+    for line in events.journal(result.log):
         if line.startswith("store|"):
             assert line.split("|")[5] in {"1", "2", "3", "4"}
     assert result.store.packet_ids() == []
@@ -219,7 +219,7 @@ def test_06_store_access_control():
     store.register_gateway(9)
 
     def record(ip_last, t):
-        sw = make_feature_subwatermark(bytes([10, 0, 0, ip_last]), t)
+        sw = FeatureSubWatermark(bytes([10, 0, 0, ip_last]), t)
         return make_provenance_record(sw, key)
 
     for seq in range(1, 101):
@@ -319,7 +319,7 @@ def test_10_deterministic_runs():
             outputs.append((
                 result.log_text(),
                 json.dumps(result.report, sort_keys=True),
-                "\n".join(result.store.journal),
+                "\n".join(events.journal(result.log)),
             ))
         return outputs
 

@@ -150,6 +150,25 @@ def test_energy_table_from_run_dir(tmp_path, capsys):
     assert [row.split(",")[0] for row in lines[1:]] == ["1", "2", "3", "9"]
 
 
+@pytest.mark.parametrize("energy", [None, {"p_n_mw": 30.0, "volts": 3.3}])
+def test_energy_table_refuses_report_without_usable_energy(tmp_path, capsys,
+                                                           energy):
+    cfg = write_example(tmp_path)
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "run", "--config", str(cfg), "--out", str(out_dir))
+    report_path = out_dir / "report.json"
+    report = json.loads(report_path.read_text())
+    if energy is None:
+        del report["energy"]
+    else:
+        report["energy"] = energy
+    report_path.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "energy-table", "--run", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "energy parameters" in err
+
+
 def test_energy_table_missing_run_dir(capsys):
     code, _, err = run_cli(capsys, "energy-table", "--run", "/no/such/dir")
     assert code == 1
@@ -201,6 +220,15 @@ def test_inspect_store_rejects_malformed_journal(tmp_path, capsys):
     code, _, err = run_cli(capsys, "inspect-store", "--journal", str(journal))
     assert code == 1
     assert "unrecognized" in err
+
+
+def test_inspect_store_rejects_truncated_line(tmp_path, capsys):
+    journal = tmp_path / "provenance.journal"
+    journal.write_text("store|1|1|1|aa|1|0\nstore|1|2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "inspect-store", "--journal", str(journal))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: malformed log line 'store|1|2'")
 
 
 def test_inspect_store_from_stdin(capsys, monkeypatch):

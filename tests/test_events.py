@@ -1,0 +1,96 @@
+"""The event-line schema: every writer's line parses back to its fields,
+and parse refuses what no writer produces."""
+import inspect
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from zircon import events
+
+INTEGER = st.integers(min_value=-2 ** 40, max_value=2 ** 40)
+# "-" marks a missing id; a text field is any run of printable characters
+# that holds no field separator
+TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
+                             blacklist_characters="|"), max_size=12)
+STRATEGY = {"": INTEGER, "?": st.none() | INTEGER, "$": TEXT}
+
+
+def fields_of(kind):
+    """One hypothesis strategy per field of `kind`, from SCHEMA's markers."""
+    return st.tuples(*(STRATEGY[name[-1] if name[-1] in "?$" else ""]
+                       for name in events.SCHEMA[kind].split()))
+
+
+@given(st.sampled_from(sorted(events.SCHEMA)).flatmap(
+    lambda kind: st.tuples(st.just(kind), fields_of(kind))))
+def test_every_kind_round_trips(kind_and_fields):
+    kind, fields = kind_and_fields
+    write = getattr(events, kind)
+    line = write(*fields)
+    assert line.split("|", 1)[0] == kind
+    record = events.parse(line)
+    assert tuple(record) == fields
+    assert record._fields == tuple(n.rstrip("?$")
+                                   for n in events.SCHEMA[kind].split())
+    assert tuple(inspect.signature(write).parameters) == record._fields
+    assert write(*record) == line
+
+
+def test_missing_ids_print_as_dash():
+    line = events.verdict(5, None, None, None, "frame_fail", 7)
+    assert line == "verdict|5|-|-|-|frame_fail|7"
+    assert events.parse(line) == events.Verdict(5, None, None, None,
+                                                "frame_fail", 7)
+    line = events.attack("store_probe", "store", None, 4, "caller=6", 0)
+    assert line == "attack|store_probe|store|-|4|caller=6|0"
+    assert events.parse(line).src is None
+
+
+@pytest.mark.parametrize("line", [
+    "bogus|1|2",                         # unknown kind
+    "",                                  # no kind at all
+    "rotate|1",                          # missing field
+    "rotate|1|2|3",                      # extra field
+    "store|1|2",                         # truncated
+    "emit|1|x|3|4|5",                    # non-integer
+    "delete|1|2|3|4.5",                  # non-integer
+    "emit|1|-|3|4|5",                    # "-" only stands in for an id
+    "verdict|9|1|1|1|accepted|-",        # ... not for the time
+])
+def test_parse_rejects(line):
+    with pytest.raises(ValueError, match="malformed log line"):
+        events.parse(line)
+
+
+def test_journal_keeps_store_and_delete_lines_in_order():
+    log = [events.emit(1, 1, 1, 1, 0),
+           events.store(1, 1, 1, "aa", 1, 0),
+           events.deliver(2, 1, 1, 1, 300),
+           events.delete(1, 1, 1, 300),
+           events.rotate(1, 300)]
+    assert events.journal(log) == [log[1], log[3]]
+
+
+def test_read_yields_indexed_records_of_the_asked_kinds():
+    lines = [events.emit(1, 1, 1, 1, 0),
+             "",
+             events.deliver(2, 1, 1, 1, 300),
+             "  " + events.delete(1, 1, 1, 300) + "\n",
+             events.rotate(1, 300)]
+    assert list(events.read(lines)) == [
+        (0, events.Emit(1, 1, 1, 1, 0)),
+        (2, events.Deliver(2, 1, 1, 1, 300)),
+        (3, events.Delete(1, 1, 1, 300)),
+        (4, events.Rotate(1, 300)),
+    ]
+    assert list(events.read(lines, ("delete",))) == [
+        (3, events.Delete(1, 1, 1, 300))]
+
+
+def test_read_passes_over_other_kinds_but_not_unknown_ones():
+    # a line of a kind nobody asked for is not parsed, so not checked
+    assert list(events.read(["deliver|x", "rotate|1|2"], ("rotate",))) \
+        == [(1, events.Rotate(1, 2))]
+    with pytest.raises(ValueError, match="unknown event kind 'bogus'"):
+        list(events.read(["rotate|1|2", "bogus|1"], ("rotate",)))

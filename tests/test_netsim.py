@@ -2,9 +2,8 @@
 rotation, and report bookkeeping."""
 import pytest
 
-from zircon import netsim
+from zircon import events, netsim
 from zircon.adversary import AttackSpec
-from zircon.analysis import _parse_log
 from zircon.scenario import (
     EXAMPLE_CONFIG,
     ConfigError,
@@ -74,7 +73,7 @@ def test_determinism_byte_identical():
     b = netsim.run(load_config(cfg_text))
     assert a.log_text() == b.log_text()
     assert a.report == b.report
-    assert a.store.journal == b.store.journal
+    assert events.journal(a.log) == events.journal(b.log)
 
 
 def test_different_seeds_differ():
@@ -89,7 +88,10 @@ def test_log_grammar_parses():
                               delay_ms=20000)]
     cfg.key_rotation = KeyRotationConfig(3, 3)
     result = netsim.run(cfg)
-    emits, verdicts, attacks, stores, deletes = _parse_log(result.log)
+    records = [events.parse(line) for line in result.log]
+    emits, attacks, stores, deletes = (
+        [r for r in records if type(r) is kind]
+        for kind in (events.Emit, events.Attack, events.Store, events.Delete))
     assert len(emits) == 5
     assert len(attacks) == 5
     assert stores and deletes
@@ -97,8 +99,8 @@ def test_log_grammar_parses():
 
 def test_store_journal_balanced_on_clean_run():
     result = netsim.run(base_config())
-    stores = [l for l in result.store.journal if l.startswith("store|")]
-    deletes = [l for l in result.store.journal if l.startswith("delete|")]
+    stores = [l for l in events.journal(result.log) if l.startswith("store|")]
+    deletes = [l for l in events.journal(result.log) if l.startswith("delete|")]
     assert len(stores) == 5 * 3  # one record per hop: source + 2 intermediates
     assert len(deletes) == 5
     assert all(l.split("|")[3] == "3" for l in deletes)  # 3 records purged each
@@ -201,7 +203,7 @@ def test_fake_inject_rejected_and_never_stored():
     assert flow_verdicts(result, "fake") == ["provenance_fail"]
     # the forged id never reaches the store: every journal write is from a
     # registered node and the set count never exceeds the route length
-    for line in result.store.journal:
+    for line in events.journal(result.log):
         if line.startswith("store|"):
             assert line.split("|")[5] in {"1", "2", "3"}
     assert result.store.packet_ids() == []

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from tests.conftest import build_chain
+from zircon import events
 from zircon.crypto import SymmetricKey, decrypt_block
 from zircon.nodes import (
     ACCEPTED,
@@ -27,7 +28,6 @@ from zircon.watermark import (
     FinalWatermark,
     HashSubWatermark,
     ProvenanceRecordValue,
-    assemble_watermark,
     embed,
     extract,
     make_hash_subwatermark,
@@ -106,7 +106,7 @@ def test_source_stores_nothing_when_the_frame_cannot_be_built(emit, keyring,
     with pytest.raises(ValueError, match="16 bits"):
         getattr(source, emit)(PAYLOAD, now_ms=0)
     assert store.packet_ids() == []
-    assert store.journal == []
+    assert events.journal(store.log) == []
     assert source.next_seq == 1
 
 
@@ -172,7 +172,8 @@ def test_intermediate_missing_record(chain):
     verdict, _ = other.intermediates[0].process(frame, 300)
     assert verdict.outcome == MISSING_RECORD
     # a missing set is replay evidence, not something to delete
-    assert not any(line.startswith("delete|") for line in other.store.journal)
+    assert not any(line.startswith("delete|")
+                   for line in events.journal(other.store.log))
 
 
 def test_intermediate_frame_fail_deletes_when_identity_known(chain):
@@ -267,14 +268,14 @@ def test_gateway_rejects_unknown_key_epoch():
 
 def test_gateway_rejects_record_encrypted_under_foreign_key():
     chain = build_chain(n_intermediates=0)
-    from zircon.watermark import make_feature_subwatermark, make_provenance_record
+    from zircon.watermark import FeatureSubWatermark, make_provenance_record
     foreign = SymmetricKey(material=bytes(range(16, 32)), epoch=0)
     record = make_provenance_record(
-        make_feature_subwatermark(chain.identity_of(1).ip, 0), foreign)
+        FeatureSubWatermark(chain.identity_of(1).ip, 0), foreign)
     # claims epoch 0, but the ring's epoch-0 key cannot decrypt it
     chain.store.store(ProvenanceKey(1, 1, 1), record, by=1)
-    w = assemble_watermark(ProvenanceRecordValue(cipher=record.cipher),
-                           make_hash_subwatermark(PAYLOAD))
+    w = FinalWatermark(ProvenanceRecordValue(cipher=record.cipher),
+                       make_hash_subwatermark(PAYLOAD))
     frame = embed(PAYLOAD, w, (1, 1), hop=1).to_bytes()
     verdict, _ = chain.gateway.verify_multihop(frame, 300)
     assert verdict.outcome == PROVENANCE_FAIL
@@ -368,7 +369,7 @@ def test_singlehop_freshness():
 def test_verdict_line_format():
     v = VerificationVerdict(outcome=ACCEPTED, node=9, src=1, seq=12, hop=3,
                             time=4200)
-    assert v.line() == "verdict|9|1|12|3|accepted|4200"
+    assert events.verdict(*v) == "verdict|9|1|12|3|accepted|4200"
     v = VerificationVerdict(outcome=FRAME_FAIL, node=5, src=None, seq=None,
                             hop=None, time=7)
-    assert v.line() == "verdict|5|-|-|-|frame_fail|7"
+    assert events.verdict(*v) == "verdict|5|-|-|-|frame_fail|7"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zircon import events
 from zircon.provstore import (
     AuthorizationError,
     MissingRecordError,
@@ -107,22 +108,22 @@ def test_deletion_clears_consumed_flag(populated):
 
 def test_journal_lines(populated):
     populated.delete_all(1, 1)
-    assert populated.journal == [
+    assert events.journal(populated.log) == [
         f"store|1|1|1|{'aa' * 16}|1|42",
         f"store|1|1|2|{'bb' * 16}|2|42",
         "delete|1|1|2|42",
     ]
 
 
-def test_journal_callback():
-    seen = []
-    s = ProvenanceStore()
-    s.on_journal = seen.append
+def test_journal_lines_land_in_the_given_log():
+    log = ["emit|1|1|7|1|0"]
+    s = ProvenanceStore(log=log)
     s.register_node(1)
     s.store(ProvenanceKey(1, 7, 1), value(1), by=1)
     s.delete_all(1, 7)
-    assert seen == s.journal
-    assert len(seen) == 2
+    assert s.log is log
+    assert len(log) == 3
+    assert events.journal(log) == log[1:]
 
 
 def test_packet_ids_and_counts(populated):

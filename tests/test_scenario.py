@@ -2,11 +2,11 @@
 import pytest
 
 from zircon.adversary import AttackSpec
+from zircon.analysis import EnergyParams
 from zircon.netsim import run
 from zircon.scenario import (
     EXAMPLE_CONFIG,
     ConfigError,
-    EnergyConfig,
     KeyRotationConfig,
     NodeSpec,
     ScenarioConfig,
@@ -56,7 +56,7 @@ def test_yaml_roundtrip_preserves_everything():
     cfg = small_config()
     cfg.key_rotation = KeyRotationConfig(5, 9)
     cfg.drop_timeout_ms = 1234
-    cfg.energy = EnergyConfig(p_n_mw=25.0, tc_per_op_ms=0.25)
+    cfg.energy = EnergyParams(p_n_mw=25.0, tc_per_op_ms=0.25)
     cfg.attacks = [
         AttackSpec(kind="eavesdrop", from_id=1, to_id=2),
         AttackSpec(kind="replay", from_id=1, to_id=2, delay_ms=9000,
@@ -202,8 +202,9 @@ def test_wire_limits():
     cfg.routes = [[1, 70000, 9]]
     validate(cfg)
 
-    # the hop index is 8 bits: 254 intermediates are the most a route holds
-    cfg = small_config()
+    # the hop index is 8 bits: 254 intermediates are the most a route holds;
+    # 200 ms hops keep the 255-hop trip (51 s) inside the 60-s freshness window
+    cfg = small_config(per_hop_delay_ms=200)
     for i in range(255):
         cfg.nodes.append(NodeSpec(id=100 + i, ip=f"10.1.{i // 200}.{i % 200}",
                                   role="intermediate"))
@@ -211,7 +212,9 @@ def test_wire_limits():
     assert any("8-bit hop" in e for e in errors_of(cfg))
     cfg.routes[0].pop(1)
     validate(cfg)
-    assert run(cfg).report["counts"]["emitted"] == 3
+    counts = run(cfg).report["counts"]
+    assert counts["emitted"] == 3
+    assert counts["accepted"] == 3
 
     # sequence numbers are 32 bits, counted over all of a source's traffic
     cfg = small_config(traffic=[TrafficSpec(source=1, count=2 ** 31),
@@ -269,3 +272,34 @@ def test_scalar_bounds():
     assert any("per_hop_delay_ms" in e
                for e in errors_of(small_config(per_hop_delay_ms=0)))
     assert any("area" in e for e in errors_of(small_config(area=(0.0, 50.0))))
+
+
+def line_of(n_intermediates):
+    cfg = small_config(per_hop_delay_ms=300, freshness_s=60)
+    cfg.nodes[1:2] = [NodeSpec(id=100 + i, ip=f"10.1.{i // 200}.{i % 200}",
+                               role="intermediate")
+                      for i in range(n_intermediates)]
+    cfg.routes = [[1] + [100 + i for i in range(n_intermediates)] + [9]]
+    return cfg
+
+
+def test_route_must_fit_the_freshness_window():
+    # 200 hops of 300 ms take exactly the 60-s window: even a packet emitted
+    # at the end of a second is fresh
+    cfg = line_of(199)
+    cfg.traffic[0].start_ms = 999
+    validate(cfg)
+    counts = run(cfg).report["counts"]
+    assert counts["accepted"] == counts["emitted"] == 3
+    # 201 hops take 60.3 s, and a packet emitted late in a second goes stale
+    errors = errors_of(line_of(200))
+    assert any(e.startswith("routes[0]:") and "60300 ms" in e
+               and "freshness" in e for e in errors)
+
+
+@pytest.mark.parametrize("field", ["t_a_ms", "tc_per_op_ms"])
+def test_negative_energy_constant_is_a_config_error(field):
+    text = EXAMPLE_CONFIG.replace(f"  {field}: ", f"  {field}: -5.0 #")
+    with pytest.raises(ConfigError) as exc:
+        load_config(text)
+    assert any(field in e and "nonnegative" in e for e in exc.value.errors)

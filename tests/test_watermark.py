@@ -14,27 +14,24 @@ from zircon.watermark import (
     FrameError,
     HashSubWatermark,
     ProvenanceRecordValue,
-    assemble_watermark,
     embed,
     embed_bare,
     extract,
     extract_bare,
     format_ip,
-    make_feature_subwatermark,
     make_hash_subwatermark,
     make_provenance_record,
     parse_ip,
-    split_watermark,
 )
 
 KEY = SymmetricKey(material=V.AES_KAT_KEY, epoch=0)
 
 
 def golden_packet():
-    sw = make_feature_subwatermark(bytes([192, 168, 1, 10]), 0x655B0F00)
+    sw = FeatureSubWatermark(bytes([192, 168, 1, 10]), 0x655B0F00)
     record = make_provenance_record(sw, KEY)
     hash_part = make_hash_subwatermark(b"abc")
-    return embed(b"abc", assemble_watermark(record, hash_part), (1, 1), hop=1)
+    return embed(b"abc", FinalWatermark(record, hash_part), (1, 1), hop=1)
 
 
 def test_golden_frame_bytes():
@@ -55,8 +52,8 @@ def test_watermark_is_constant_size():
     for n in (0, 1, 16, 255, 1000):
         hash_part = make_hash_subwatermark(bytes(n))
         record = make_provenance_record(
-            make_feature_subwatermark(bytes(4), 0), KEY)
-        w = assemble_watermark(record, hash_part)
+            FeatureSubWatermark(bytes(4), 0), KEY)
+        w = FinalWatermark(record, hash_part)
         assert len(w.to_bytes()) == WATERMARK_BYTES == 24
 
 
@@ -165,8 +162,8 @@ def test_embed_field_bounds():
 
 def test_watermark_split_and_assemble():
     w = golden_packet().watermark
-    record, hash_part = split_watermark(w)
-    assert assemble_watermark(record, hash_part) == w
+    record, hash_part = w.record, w.hash_part
+    assert FinalWatermark(record, hash_part) == w
     assert FinalWatermark.from_bytes(w.to_bytes()).to_bytes() == w.to_bytes()
     with pytest.raises(LengthError):
         FinalWatermark.from_bytes(b"x" * 23)
