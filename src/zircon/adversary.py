@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from . import events
 from .crypto import SymmetricKey
 from .provstore import (
     AuthorizationError,
@@ -168,14 +169,14 @@ def _apply_edits(data: bytes, edits: Tuple[Tuple[int, int], ...],
 def apply(spec: AttackSpec, data: bytes) -> AttackResult:
     """Apply a link attack to in-flight bytes."""
     if spec.kind == EAVESDROP:
-        return AttackResult(deliver=data, capture=bytes(data), detail="captured")
+        return AttackResult(deliver=data, capture=bytes(data),
+                            detail=events.detail(captured=True))
 
     if spec.kind == DROP:
-        return AttackResult(deliver=None, detail="dropped")
+        return AttackResult(deliver=None, detail=events.detail(dropped=True))
 
     if spec.kind == REPLAY:
         copy = bytearray(data)
-        detail = f"delay={spec.delay_ms}"
         if spec.mutate_timestamp:
             # the timestamp lives inside the encrypted record, so the best an
             # attacker can do is perturb cipher bytes; flip one in the
@@ -185,9 +186,11 @@ def apply(spec: AttackSpec, data: bytes) -> AttackResult:
             if len(copy) < tail + WATERMARK_BYTES:
                 raise AttackSpecError("frame carries no watermark to mutate")
             copy[tail + 7] ^= 0x01
-            detail += ",mutated"
         return AttackResult(deliver=data, capture=bytes(data),
-                            replay=(bytes(copy), spec.delay_ms), detail=detail)
+                            replay=(bytes(copy), spec.delay_ms),
+                            detail=events.detail(
+                                delay=spec.delay_ms,
+                                mutated=bool(spec.mutate_timestamp)))
 
     if spec.kind == INSERT_BITS:
         bits = _to_bits(data)
@@ -196,7 +199,8 @@ def apply(spec: AttackSpec, data: bytes) -> AttackResult:
             raise AttackSpecError(f"insert offset {off} outside 0..{len(bits)}")
         mutated = bits[:off] + list(spec.bits) + bits[off:]
         return AttackResult(deliver=_from_bits(mutated),
-                            detail=f"offset={off},n={len(spec.bits)}")
+                            detail=events.detail(offset=off,
+                                                 n=len(spec.bits)))
 
     if spec.kind == DELETE_BITS:
         bits = _to_bits(data)
@@ -207,12 +211,12 @@ def apply(spec: AttackSpec, data: bytes) -> AttackResult:
             )
         mutated = bits[:off] + bits[off + spec.q:]
         return AttackResult(deliver=_from_bits(mutated),
-                            detail=f"offset={off},q={spec.q}")
+                            detail=events.detail(offset=off, q=spec.q))
 
     if spec.kind == MODIFY_PAYLOAD:
         start, plen = _payload_region(data)
         return AttackResult(deliver=_apply_edits(data, spec.edits, start, plen),
-                            detail=f"edits={len(spec.edits)}")
+                            detail=events.detail(edits=len(spec.edits)))
 
     if spec.kind == MODIFY_WATERMARK:
         start, plen = _payload_region(data)
@@ -221,7 +225,7 @@ def apply(spec: AttackSpec, data: bytes) -> AttackResult:
             raise AttackSpecError("frame carries no watermark tail")
         return AttackResult(
             deliver=_apply_edits(data, spec.edits, tail, WATERMARK_BYTES),
-            detail=f"edits={len(spec.edits)}",
+            detail=events.detail(edits=len(spec.edits)),
         )
 
     raise AttackSpecError(f"{spec.kind} is not a link attack")

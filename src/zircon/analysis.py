@@ -49,9 +49,13 @@ class EnergyParams:
     tc_per_op_ms: float = 0.5
 
     def __post_init__(self) -> None:
+        # a bool is an int to Python, and NaN passes every comparison test
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be nonnegative")
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not 0 <= value < math.inf:
+                raise ValueError(f"{f.name} must be a finite nonnegative "
+                                 f"number, got {value!r}")
 
 
 def node_energy(params: EnergyParams, t_c_ms: float) -> float:
@@ -141,13 +145,6 @@ def write_energy_csv(out, report: dict, params: EnergyParams) -> None:
 
 # -- detection reporting ------------------------------------------------------
 
-def _replay_delay(detail: str) -> int:
-    for chunk in detail.split(","):
-        if chunk.startswith("delay="):
-            return int(chunk.split("=", 1)[1])
-    return 0
-
-
 def detection_report(log: Union[str, Iterable[str]]) -> dict:
     """Correlate attacks with the verdicts that followed them.
 
@@ -205,7 +202,7 @@ def detection_report(log: Union[str, Iterable[str]]) -> dict:
         if a.kind == EAVESDROP:
             continue
         if a.kind == STORE_PROBE:
-            if "result=retrieved" not in a.detail:
+            if events.parse_detail(a.detail).get("result") != "retrieved":
                 entry["detected"] += 1
             continue
         if a.kind == DROP:
@@ -219,7 +216,7 @@ def detection_report(log: Union[str, Iterable[str]]) -> dict:
 
         horizon = a.time
         if a.kind == REPLAY:
-            horizon += _replay_delay(a.detail)
+            horizon += int(events.parse_detail(a.detail).get("delay", 0))
         rejected_after = any(
             v.outcome != ACCEPTED and idx > a_idx and v.time >= horizon
             for idx, v in packet_verdicts

@@ -10,7 +10,7 @@ no object; a round-trip test holds each writer to SCHEMA.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 # Field order per kind.  A plain name is an integer, "name?" an integer that
 # prints as "-" when missing, and "name$" free text.
@@ -118,6 +118,29 @@ def delete(src: int, seq: int, count: int, time: int) -> str:
 
 def rotate(epoch: int, time: int) -> str:
     return f"rotate|{epoch}|{time}"
+
+
+# -- the attack line's detail field -----------------------------------------
+# Comma-separated items, each `key=value` or a bare flag: `delay=1000,mutated`,
+# `epoch=0,hop=1`, `caller=666,result=retrieved`, `captured`.  Keys and
+# values hold no `,`, `=` or `|`.
+
+def detail(**items) -> str:
+    """The detail field of `items`, in argument order: True writes a bare
+    flag, False and None write nothing, any other value `key=value`."""
+    return ",".join(key if value is True else f"{key}={value}"
+                    for key, value in items.items()
+                    if value is not None and value is not False)
+
+
+def parse_detail(text: str) -> Dict[str, Union[str, bool]]:
+    """A detail field back to its items: value text, or True for a flag."""
+    items: Dict[str, Union[str, bool]] = {}
+    for item in text.split(","):
+        if item:
+            key, sep, value = item.partition("=")
+            items[key] = value if sep else True
+    return items
 
 
 def journal(log: Iterable[str]) -> List[str]:

@@ -148,11 +148,17 @@ class Simulation:
         self.node_packets: Dict[int, int] = {i: 0 for i in self.identities}
         self.node_ops: Dict[int, int] = {i: 0 for i in self.identities}
 
+        # one heapify in place of a push per emit: the (time, order) keys are
+        # unique, so the pop order is the same.  Handlers never change a
+        # payload, so a traffic entry's emits share one.
         for traffic in config.traffic:
-            for i in range(traffic.count):
-                self._schedule(traffic.start_ms + i * traffic.interval_ms,
-                               "emit", source=traffic.source,
-                               payload_bytes=traffic.payload_bytes)
+            payload = {"source": traffic.source,
+                       "payload_bytes": traffic.payload_bytes}
+            self._queue.extend(
+                (traffic.start_ms + i * traffic.interval_ms, next(self._order),
+                 "emit", payload)
+                for i in range(traffic.count))
+        heapq.heapify(self._queue)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -286,7 +292,7 @@ class Simulation:
     def _handle_inject(self, attack: AttackSpec) -> None:
         frame = adversary.build_fake_frame(attack, self.now // 1000, attack.seq)
         self._log_attack(attack, attack.src, attack.seq,
-                         f"epoch={attack.key_epoch},hop={attack.hop}")
+                         events.detail(epoch=attack.key_epoch, hop=attack.hop))
         self._schedule(self.now + self.config.per_hop_delay_ms, "deliver",
                        to=attack.to_id, data=frame, src=attack.src,
                        seq=attack.seq, hop=attack.hop,
@@ -296,7 +302,7 @@ class Simulation:
         observed = adversary.run_store_probe(attack, self.store,
                                              attack.src, attack.seq)
         self._log_attack(attack, attack.src, attack.seq,
-                         f"caller={attack.caller_id},result={observed}")
+                         events.detail(caller=attack.caller_id, result=observed))
 
     # -- main loop -----------------------------------------------------------
 

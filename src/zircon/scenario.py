@@ -7,8 +7,7 @@ determines the simulation output, byte for byte.
 """
 from __future__ import annotations
 
-import io
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 import yaml
@@ -256,30 +255,33 @@ def _attack_to_dict(a: AttackSpec) -> dict:
     return d
 
 
+# attack keys spelt differently in YAML from the AttackSpec field they set
+_ATTACK_RENAMES = {"from": "from_id", "to": "to_id", "payload_hex": "payload",
+                   "key_material_hex": "key_material"}
+_ATTACK_KEYS = {**{f.name: f.name for f in fields(AttackSpec)
+                   if f.name not in _ATTACK_RENAMES.values()},
+                **_ATTACK_RENAMES}
+# YAML value to field value, by field; other fields take the value as read
+_ATTACK_CONVERT = {
+    "mutate_timestamp": bool,
+    "bits": tuple,
+    "edits": lambda edits: tuple((off, mask) for off, mask in edits),
+    "ip": parse_ip,
+    "payload": bytes.fromhex,
+    "key_material": bytes.fromhex,
+}
+
+
 def _attack_from_dict(d: dict) -> AttackSpec:
-    kwargs = dict(
-        kind=d.get("kind"),
-        from_id=d.get("from"),
-        to_id=d.get("to"),
-        src=d.get("src"),
-        seq=d.get("seq"),
-        after_ms=d.get("after_ms", 0),
-        delay_ms=d.get("delay_ms", 1000),
-        mutate_timestamp=bool(d.get("mutate_timestamp", False)),
-        offset_bits=d.get("offset_bits"),
-        bits=tuple(d.get("bits", ())),
-        q=d.get("q", 1),
-        edits=tuple((off, mask) for off, mask in d.get("edits", ())),
-        key_epoch=d.get("key_epoch", 0),
-        hop=d.get("hop", 1),
-        caller_id=d.get("caller_id"),
-    )
-    if "ip" in d:
-        kwargs["ip"] = parse_ip(d["ip"])
-    if "payload_hex" in d:
-        kwargs["payload"] = bytes.fromhex(d["payload_hex"])
-    if "key_material_hex" in d:
-        kwargs["key_material"] = bytes.fromhex(d["key_material_hex"])
+    if not isinstance(d, dict):
+        raise AttackSpecError(f"expected a mapping, got {d!r}")
+    kwargs = {}
+    for key, value in d.items():
+        name = _ATTACK_KEYS.get(key)
+        if name is None:
+            raise AttackSpecError(f"unknown key {key!r}")
+        convert = _ATTACK_CONVERT.get(name)
+        kwargs[name] = value if convert is None else convert(value)
     return AttackSpec(**kwargs)
 
 
@@ -293,49 +295,50 @@ def to_dict(config: ScenarioConfig) -> dict:
     return data
 
 
+# YAML value to field value, by field; other fields take the value as read
+_CONFIG_CONVERT = {
+    "area": lambda area: tuple(float(v) for v in area),
+    "key_rotation": lambda kr: None if kr is None else KeyRotationConfig(**kr),
+    "energy": lambda energy: EnergyParams(**energy),
+    "nodes": lambda nodes: [NodeSpec(**n) for n in nodes],
+    "routes": lambda routes: [list(r) for r in routes],
+    "traffic": lambda traffic: [TrafficSpec(**t) for t in traffic],
+    "attacks": lambda attacks: [_attack_from_dict(a) for a in attacks],
+}
+_CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
+
+
 def from_dict(data: dict) -> ScenarioConfig:
+    """A config from its YAML shape.  Only the keys present are passed on,
+    so every default lives in the dataclasses; an unknown key is an error."""
     if not isinstance(data, dict):
         raise ConfigError(["top level: expected a mapping"])
-    try:
-        energy = EnergyParams(**data.get("energy", {}))
-    except (TypeError, ValueError) as err:
-        raise ConfigError([f"energy: {err}"]) from err
-    kr = data.get("key_rotation")
-    rotation = None if kr is None else KeyRotationConfig(**kr)
-    try:
-        attacks = [_attack_from_dict(a) for a in data.get("attacks", [])]
-    except (AttackSpecError, TypeError, KeyError) as err:
-        raise ConfigError([f"attacks: {err}"]) from err
-    area = data.get("area", [100.0, 100.0])
-    return ScenarioConfig(
-        seed=data.get("seed", 1),
-        mode=data.get("mode", MODE_MULTIHOP),
-        freshness_s=data.get("freshness_s", 60),
-        per_hop_delay_ms=data.get("per_hop_delay_ms", 300),
-        purge_on_delivery=data.get("purge_on_delivery", True),
-        drop_timeout_ms=data.get("drop_timeout_ms"),
-        area=(float(area[0]), float(area[1])),
-        key_rotation=rotation,
-        energy=energy,
-        nodes=[NodeSpec(**n) for n in data.get("nodes", [])],
-        routes=[list(r) for r in data.get("routes", [])],
-        traffic=[TrafficSpec(**t) for t in data.get("traffic", [])],
-        attacks=attacks,
-    )
+    unknown = [key for key in data if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ConfigError([f"{key}: unknown key" for key in unknown])
+    kwargs = {}
+    for key, value in data.items():
+        convert = _CONFIG_CONVERT.get(key)
+        try:
+            kwargs[key] = value if convert is None else convert(value)
+        except (TypeError, ValueError) as err:
+            raise ConfigError([f"{key}: {err}"]) from err
+    return ScenarioConfig(**kwargs)
+
+
+# libyaml's C scanner and parser where PyYAML was built with it; either
+# loader constructs with the same SafeConstructor and resolver, so the
+# objects, and every output of a run, are the same
+LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_config(stream) -> ScenarioConfig:
-    """Parse and validate a YAML scenario from a stream or string."""
-    if isinstance(stream, (str, bytes)):
-        stream = io.StringIO(stream if isinstance(stream, str) else stream.decode())
+    """Parse and validate a YAML scenario from a stream, string or bytes."""
     try:
-        data = yaml.safe_load(stream)
+        data = yaml.load(stream, Loader=LOADER)
     except yaml.YAMLError as err:
         raise ConfigError([f"yaml: {err}"]) from err
-    try:
-        config = from_dict(data)
-    except TypeError as err:
-        raise ConfigError([str(err)]) from err
+    config = from_dict(data)
     validate(config)
     return config
 

@@ -251,6 +251,24 @@ def test_replay_detection_respects_horizon():
     assert report["false_accepts"] == 0
 
 
+def test_replay_rejection_before_the_horizon_does_not_count():
+    # a rejection of the packet before its replayed copy can arrive is not
+    # the replay being caught; the delay is read from the detail field
+    for detail in ("delay=30000", "delay=30000,mutated"):
+        log = log_lines(
+            "emit|1|1|1|1|0",
+            f"attack|replay|1->2|1|1|{detail}|0",
+            "verdict|2|1|1|1|provenance_fail|300",
+        )
+        assert detection_report(log)["kinds"]["replay"]["detected"] == 0
+    log = log_lines(
+        "emit|1|1|1|1|0",
+        "attack|replay|1->2|1|1|delay=200,mutated|0",
+        "verdict|2|1|1|1|provenance_fail|300",
+    )
+    assert detection_report(log)["kinds"]["replay"]["detected"] == 1
+
+
 def test_drop_detected_from_stranded_records():
     log = log_lines(
         "store|1|1|1|00|1|0",

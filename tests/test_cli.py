@@ -107,6 +107,21 @@ def test_run_invalid_config_fails(tmp_path, capsys):
     assert err.strip()
 
 
+def test_run_refuses_a_nan_energy_constant(tmp_path, capsys):
+    # NaN used to run and write `"t_a_ms": NaN`, which is not JSON
+    cfg = tmp_path / "scenario.yaml"
+    code, _, _ = run_cli(capsys, "gen-config", "--out", str(cfg))
+    assert code == 0
+    text = cfg.read_text(encoding="utf-8")
+    cfg.write_text(text.replace("  t_a_ms: 1.0 ", "  t_a_ms: .nan "),
+                   encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg),
+                             "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "energy: t_a_ms must be a finite nonnegative number, got nan" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -47,6 +47,41 @@ def test_missing_ids_print_as_dash():
     assert events.parse(line).src is None
 
 
+# -- the attack detail field ---------------------------------------------------
+
+DETAIL_KEY = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E,
+                                   blacklist_characters="|,="), min_size=1,
+                     max_size=8)
+DETAIL_VALUE = st.booleans() | st.none() | INTEGER | DETAIL_KEY
+
+
+@given(st.dictionaries(DETAIL_KEY, DETAIL_VALUE, max_size=4))
+def test_detail_round_trips(items):
+    text = events.detail(**items)
+    assert "|" not in text
+    kept = {k: v for k, v in items.items() if v is not None and v is not False}
+    assert events.parse_detail(text) == {
+        k: True if v is True else str(v) for k, v in kept.items()}
+    assert list(events.parse_detail(text)) == list(kept)
+
+
+@pytest.mark.parametrize("items, text", [
+    (dict(captured=True), "captured"),
+    (dict(delay=1000, mutated=False), "delay=1000"),
+    (dict(delay=30000, mutated=True), "delay=30000,mutated"),
+    (dict(offset=80, n=8), "offset=80,n=8"),
+    (dict(epoch=999, hop=1), "epoch=999,hop=1"),
+    (dict(caller=666, result="authorization_error"),
+     "caller=666,result=authorization_error"),
+    (dict(), ""),
+])
+def test_detail_field_format(items, text):
+    assert events.detail(**items) == text
+    assert events.parse_detail(text) == {
+        k: True if v is True else str(v) for k, v in items.items()
+        if v is not False}
+
+
 @pytest.mark.parametrize("line", [
     "bogus|1|2",                         # unknown kind
     "",                                  # no kind at all

@@ -1,8 +1,11 @@
 """Simulator behavior: determinism, packet fates under each attack, key
 rotation, and report bookkeeping."""
+import hashlib
+
 import pytest
 
 from zircon import events, netsim
+from zircon.cli import main
 from zircon.adversary import AttackSpec
 from zircon.scenario import (
     EXAMPLE_CONFIG,
@@ -289,6 +292,61 @@ def test_singlehop_payload_tamper_detected():
     result = netsim.run(cfg)
     assert {p["final"]["outcome"] for p in
             result.report["packets"].values()} == {"integrity_fail"}
+
+
+# -- same-millisecond ties ----------------------------------------------------------
+
+# Two sources emit on the same milliseconds, a forged frame is injected on one
+# of those milliseconds (so it reaches node 3 together with a genuine frame)
+# and a store probe runs on another; key rotation fires between them.  Ties
+# pop in scheduling order, so the digests, recorded when every emit was still
+# pushed one at a time, pin that order.
+TIES = """\
+seed: 17
+mode: multihop
+freshness_s: 60
+per_hop_delay_ms: 250
+key_rotation: {min_generations: 3, max_generations: 5}
+nodes:
+  - {id: 1, ip: 10.0.2.1, role: source, x: 5.0, y: 20.0}
+  - {id: 2, ip: 10.0.2.2, role: source, x: 5.0, y: 80.0}
+  - {id: 3, ip: 10.0.2.3, role: intermediate, x: 50.0, y: 50.0}
+  - {id: 9, ip: 10.0.2.9, role: gateway, x: 95.0, y: 50.0}
+routes:
+  - [1, 3, 9]
+  - [2, 3, 9]
+traffic:
+  - {source: 1, count: 6, interval_ms: 1000, start_ms: 500, payload_bytes: 16}
+  - {source: 2, count: 6, interval_ms: 1000, start_ms: 500, payload_bytes: 16}
+attacks:
+  - {kind: fake_inject, to: 3, src: 1, seq: 3, after_ms: 2500, ip: 10.0.2.1, payload_hex: "74696564", key_material_hex: 202122232425262728292a2b2c2d2e2f}
+  - {kind: store_probe, caller_id: 3, src: 2, seq: 2, after_ms: 1500}
+"""
+TIES_SHA256 = {
+    "events.log": "58bc8a6979d0d1adc8f5e0da9011db898d6b5e5b77e0ffab72280d99d711f995",
+    "report.json": "b03b7509375c46d6a8584e6efa1ae632ca2482bb55ae6c7584be71b607b3900c",
+    "provenance.journal": "056885d451b4c1b7cb28f2a0b40b321e28e2f773243f767407f4d1a213a61bae",
+}
+
+
+def test_same_millisecond_ties_keep_their_order(tmp_path, capsys):
+    cfg = tmp_path / "ties.yaml"
+    cfg.write_text(TIES, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    got = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+           for name in TIES_SHA256}
+    assert got == TIES_SHA256
+    # the probe and the injection ran first on their milliseconds, then
+    # source 1's emit, then source 2's
+    log = (out_dir / "events.log").read_text(encoding="utf-8").splitlines()
+    at = {t: [line.split("|")[0] + "|" + line.split("|")[1]
+              for line in log if line.endswith(f"|{t}")
+              and line.startswith(("attack", "emit"))]
+          for t in (1500, 2500)}
+    assert at == {1500: ["attack|store_probe", "emit|1", "emit|2"],
+                  2500: ["attack|fake_inject", "emit|1", "emit|2"]}
 
 
 # -- construction guards ---------------------------------------------------------------

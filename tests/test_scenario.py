@@ -303,3 +303,76 @@ def test_negative_energy_constant_is_a_config_error(field):
     with pytest.raises(ConfigError) as exc:
         load_config(text)
     assert any(field in e and "nonnegative" in e for e in exc.value.errors)
+
+
+@pytest.mark.parametrize("value, shown", [
+    (".nan", "nan"), (".inf", "inf"), ("yes", "True"), ("1e-5", "'1e-5'"),
+])
+def test_energy_constant_must_be_a_finite_number(value, shown):
+    text = EXAMPLE_CONFIG.replace("  t_a_ms: 1.0 ", f"  t_a_ms: {value} ")
+    with pytest.raises(ConfigError) as exc:
+        load_config(text)
+    assert exc.value.errors == [
+        f"energy: t_a_ms must be a finite nonnegative number, got {shown}"]
+
+
+def test_integer_energy_constant_is_accepted():
+    text = EXAMPLE_CONFIG.replace("  t_a_ms: 1.0 ", "  t_a_ms: 2 ")
+    assert load_config(text).energy.t_a_ms == 2
+
+
+@pytest.mark.parametrize("old, new", [
+    ("freshness_s: 60", "freshnes_s: 5"),
+    ("attacks: []", "attacks: []\nattack: []"),
+])
+def test_unknown_top_level_key_is_a_config_error(old, new):
+    key = new.split("\n")[-1].split(":")[0]
+    with pytest.raises(ConfigError) as exc:
+        load_config(EXAMPLE_CONFIG.replace(old, new))
+    assert exc.value.errors == [f"{key}: unknown key"]
+
+
+@pytest.mark.parametrize("attack, message", [
+    ("{kind: replay, from: 1, to: 2, dely_ms: 5000}", "unknown key 'dely_ms'"),
+    ("{kind: drop, from_id: 1, to: 2}", "unknown key 'from_id'"),
+    ("{kind: fake_inject, to: 2, src: 1, seq: 1, ip: 10.0.0.1, "
+     "payload: '00', key_material_hex: 000102030405060708090a0b0c0d0e0f}",
+     "unknown key 'payload'"),
+    ("[drop, 1, 2]", "expected a mapping, got ['drop', 1, 2]"),
+])
+def test_unknown_attack_key_is_a_config_error(attack, message):
+    text = EXAMPLE_CONFIG.replace("attacks: []", f"attacks:\n  - {attack}")
+    with pytest.raises(ConfigError) as exc:
+        load_config(text)
+    assert exc.value.errors == [f"attacks: {message}"]
+
+
+def test_absent_keys_take_the_dataclass_defaults():
+    cfg = from_dict({"nodes": [], "attacks": [{"kind": "drop"},
+                                              {"kind": "replay"}]})
+    assert cfg == ScenarioConfig(attacks=[AttackSpec(kind="drop"),
+                                          AttackSpec(kind="replay")])
+
+
+def test_yaml_spellings_convert_to_their_fields():
+    cfg = from_dict({"area": [3, 4], "attacks": [
+        {"kind": "replay", "from": 1, "to": 2, "mutate_timestamp": 1},
+        {"kind": "insert_bits", "bits": [1, 0]},
+        {"kind": "modify_payload", "edits": [[0, 1], [2, 3]]},
+        {"kind": "fake_inject", "src": 1, "ip": "10.0.0.1",
+         "payload_hex": "6869", "key_material_hex": "00" * 16},
+    ]})
+    assert cfg.area == (3.0, 4.0) and type(cfg.area[0]) is float
+    replay, insert, modify, fake = cfg.attacks
+    assert (replay.from_id, replay.to_id, replay.mutate_timestamp) == (1, 2, True)
+    assert insert.bits == (1, 0)
+    assert modify.edits == ((0, 1), (2, 3))
+    assert (fake.ip, fake.payload, fake.key_material) == (
+        bytes([10, 0, 0, 1]), b"hi", bytes(16))
+
+
+def test_area_of_the_wrong_length_fails_validation():
+    text = EXAMPLE_CONFIG.replace("area: [100.0, 100.0]", "area: [100, 100, 5]")
+    with pytest.raises(ConfigError) as exc:
+        load_config(text)
+    assert exc.value.errors == ["area: needs positive (length, width)"]

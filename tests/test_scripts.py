@@ -1,0 +1,40 @@
+"""Smoke tests for the scripts under scripts/: each runs as its own process
+against the package in src/, the way a user runs it."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_run_demo(tmp_path):
+    proc = run_script("run_demo.py", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "== clean run ==" in proc.stdout
+    assert "== attacked run ==" in proc.stdout
+    assert "false accepts: 0" in proc.stdout.splitlines()
+
+
+def test_sweep_tables(tmp_path):
+    out_dir = tmp_path / "tables"
+    proc = run_script("sweep_tables.py", "--out-dir", str(out_dir),
+                      cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    cost = (out_dir / "cost.csv").read_text(encoding="utf-8").splitlines()
+    assert cost[0] == "H,zircon,ssp,mp,bfp_bytes,bfp_bits"
+    assert [row.split(",")[0] for row in cost[1:]] == [
+        str(h) for h in range(1, 31)]
+    energy = (out_dir / "energy.csv").read_text(encoding="utf-8").splitlines()
+    assert energy[0] == "T_C_ms,energy_mJ,source_budget_mJ,relay_budget_mJ"
+    assert len(energy) == 1 + 201
