@@ -20,7 +20,7 @@ from .nodes import (
 from .netsim import Simulation, SimResult, run
 from .provstore import ProvenanceKey, ProvenanceStore
 from .scenario import ScenarioConfig, load_config
-from .watermark import FinalWatermark, WatermarkedPacket
+from .watermark import Frame
 
 __all__ = [
     "SymmetricKey", "digest", "encrypt_block", "decrypt_block",
@@ -29,6 +29,6 @@ __all__ = [
     "Simulation", "SimResult", "run",
     "ProvenanceKey", "ProvenanceStore",
     "ScenarioConfig", "load_config",
-    "FinalWatermark", "WatermarkedPacket",
+    "Frame",
     "__version__",
 ]

@@ -27,7 +27,6 @@ from .watermark import (
     HEADER_BYTES,
     WATERMARK_BYTES,
     FeatureSubWatermark,
-    FinalWatermark,
     embed,
     make_hash_subwatermark,
     make_provenance_record,
@@ -239,10 +238,9 @@ def build_fake_frame(spec: AttackSpec, now_s: int, seq: int) -> bytes:
     """
     sw = FeatureSubWatermark(bytes(spec.ip), now_s)
     key = SymmetricKey(material=spec.key_material, epoch=spec.key_epoch)
-    record = make_provenance_record(sw, key)
-    hash_part = make_hash_subwatermark(spec.payload)
-    pkt = embed(spec.payload, FinalWatermark(record, hash_part),
-                (spec.src, seq), hop=spec.hop)
+    pkt = embed(spec.payload, make_provenance_record(sw, key),
+                make_hash_subwatermark(spec.payload), (spec.src, seq),
+                hop=spec.hop)
     return pkt.to_bytes()
 
 

@@ -109,12 +109,14 @@ def provenance_size(model: CostModel) -> int:
 def cost_rows(max_hops: int = 30, p_fp: float = 0.02) -> List[dict]:
     rows = []
     for hops in range(1, max_hops + 1):
+        size = {scheme: provenance_size(CostModel(scheme, hops, p_fp))
+                for scheme in SCHEMES}
         rows.append({
             "H": hops,
-            "zircon": ZIRCON_BYTES,
-            "ssp": SSP_RECORD_BYTES * hops,
-            "mp": MP_RECORD_BYTES * hops,
-            "bfp_bytes": math.ceil(bfp_bits(hops, p_fp) / 8),
+            "zircon": size[SCHEME_ZIRCON],
+            "ssp": size[SCHEME_SSP],
+            "mp": size[SCHEME_MP],
+            "bfp_bytes": size[SCHEME_BFP],
             "bfp_bits": bfp_bits(hops, p_fp),
         })
     return rows

@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Optional
 
-from . import analysis, events, netsim, scenario
+from . import adversary, analysis, events, netsim, scenario
 from .adversary import (
     DELETE_BITS,
     DROP,
@@ -84,10 +84,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 # -- attack suite --------------------------------------------------------------
 
-SUITE_KINDS = (EAVESDROP, REPLAY, INSERT_BITS, DELETE_BITS, MODIFY_PAYLOAD,
-               MODIFY_WATERMARK, DROP, FAKE_INJECT, STORE_PROBE)
-
-
 def _suite_base(seed: int) -> ScenarioConfig:
     return ScenarioConfig(
         seed=seed,
@@ -140,7 +136,7 @@ def _suite_attacks(kind: str) -> list:
 def cmd_attack_suite(args: argparse.Namespace) -> int:
     rows = []
     total_false_accepts = 0
-    for kind in SUITE_KINDS:
+    for kind in adversary.KINDS:
         config = _suite_base(args.seed)
         config.attacks = _suite_attacks(kind)
         result = netsim.run(config)
@@ -295,9 +291,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as err:
         print(str(err), file=sys.stderr)
-        return 1
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -184,12 +184,11 @@ class Simulation:
         }
         if state is not None:
             state.verdicts.append(entry)
-            if flow == FLOW_ORGANIC and state.status == "in_flight":
-                if verdict.outcome == ACCEPTED:
-                    pass  # only a gateway accept is terminal; handled by caller
-                else:
-                    state.status = "rejected"
-                    state.final = entry
+            # only a gateway accept is terminal; the caller handles it
+            if (flow == FLOW_ORGANIC and state.status == "in_flight"
+                    and verdict.outcome != ACCEPTED):
+                state.status = "rejected"
+                state.final = entry
 
     def _maybe_rotate(self) -> None:
         if self._rotation_threshold is None:

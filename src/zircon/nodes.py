@@ -25,13 +25,12 @@ from .provstore import (
     OneRetrievalError,
     ProvenanceKey,
     ProvenanceStore,
+    StoredRecord,
 )
 from .watermark import (
-    BarePacket,
     FeatureSubWatermark,
-    FinalWatermark,
+    Frame,
     FrameError,
-    WatermarkedPacket,
     embed,
     embed_bare,
     extract,
@@ -52,9 +51,6 @@ PROVENANCE_FAIL = "provenance_fail"
 FRAME_FAIL = "frame_fail"
 STALE_TIMESTAMP = "stale_timestamp"
 MISSING_RECORD = "missing_record"
-
-OUTCOMES = (ACCEPTED, INTEGRITY_FAIL, PROVENANCE_FAIL, FRAME_FAIL,
-            STALE_TIMESTAMP, MISSING_RECORD)
 
 # (dotted ip, capture/receive time in seconds) per hop, in hop order
 ProvenancePath = List[Tuple[str, int]]
@@ -125,11 +121,12 @@ class _Node:
         self.keyring = keyring
         self.store = store
 
-    def _new_record(self, now_ms: int):
+    def _new_record(self, now_ms: int) -> Tuple[bytes, int]:
         """This node's feature record, stamped with now in whole seconds and
-        sealed under the current key."""
+        sealed under the current key: (cipher, key epoch)."""
+        key = self.keyring.current
         sw = FeatureSubWatermark(self.identity.ip, now_ms // 1000)
-        return make_provenance_record(sw, self.keyring.current)
+        return make_provenance_record(sw, key), key.epoch
 
 
 class _Verifier(_Node):
@@ -150,7 +147,7 @@ class _Verifier(_Node):
 
     def _check_hop(self, data: bytes, now_ms: int
                    ) -> Tuple[Optional[VerificationVerdict],
-                              Optional[WatermarkedPacket]]:
+                              Optional[Frame]]:
         """Parse a multi-hop frame, check its payload against the carried
         hash part, and its hop and cipher against the newest stored record.
         Returns (None, packet) when every check passed, else (verdict, None)."""
@@ -158,7 +155,7 @@ class _Verifier(_Node):
             pkt = extract(data)
         except FrameError as err:
             return self._fail(FRAME_FAIL, err.src, err.seq, err.hop, now_ms)
-        if make_hash_subwatermark(pkt.payload) != pkt.watermark.hash_part:
+        if make_hash_subwatermark(pkt.payload) != pkt.hash_part:
             return self._fail(INTEGRITY_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
         try:
             last = self.store.query_last(pkt.src, pkt.seq)
@@ -166,8 +163,7 @@ class _Verifier(_Node):
             # nothing stored to burn
             return self._verdict(MISSING_RECORD, pkt.src, pkt.seq, pkt.hop,
                                  now_ms), None
-        if (last.key.hop != pkt.hop
-                or last.value.cipher != pkt.watermark.record.cipher):
+        if last.key.hop != pkt.hop or last.cipher != pkt.cipher:
             return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
         return None, pkt
 
@@ -180,28 +176,28 @@ class SourceNode(_Node):
         super().__init__(identity, keyring, store)
         self.next_seq = 1
 
-    def emit_multihop(self, payload: bytes, now_ms: int) -> WatermarkedPacket:
-        record = self._new_record(now_ms)
+    def emit_multihop(self, payload: bytes, now_ms: int) -> Frame:
+        cipher, epoch = self._new_record(now_ms)
         hash_part = make_hash_subwatermark(payload)
         seq = self.next_seq
         # build the frame first: a header field that does not fit raises
         # before any record is stored
-        packet = embed(payload, FinalWatermark(record, hash_part),
-                       (self.identity.id, seq), hop=1)
-        self.store.store(ProvenanceKey(self.identity.id, seq, 1), record,
-                         by=self.identity.id)
+        packet = embed(payload, cipher, hash_part, (self.identity.id, seq),
+                       hop=1)
+        self.store.store(ProvenanceKey(self.identity.id, seq, 1), cipher,
+                         epoch, by=self.identity.id)
         self.next_seq += 1
         return packet
 
-    def emit_singlehop(self, payload: bytes, now_ms: int) -> BarePacket:
+    def emit_singlehop(self, payload: bytes, now_ms: int) -> Frame:
         """Store the full watermark (record plus hash part) and send only
         the bare payload frame."""
-        record = self._new_record(now_ms)
+        cipher, epoch = self._new_record(now_ms)
         hash_part = make_hash_subwatermark(payload)
         seq = self.next_seq
         packet = embed_bare(payload, (self.identity.id, seq), hop=1)
-        self.store.store(ProvenanceKey(self.identity.id, seq, 1), record,
-                         by=self.identity.id, hash_part=bytes(hash_part))
+        self.store.store(ProvenanceKey(self.identity.id, seq, 1), cipher,
+                         epoch, by=self.identity.id, hash_part=hash_part)
         self.next_seq += 1
         return packet
 
@@ -210,19 +206,18 @@ class IntermediateNode(_Verifier):
     role = ROLE_INTERMEDIATE
 
     def process(self, data: bytes, now_ms: int
-                ) -> Tuple[VerificationVerdict, Optional[WatermarkedPacket]]:
+                ) -> Tuple[VerificationVerdict, Optional[Frame]]:
         verdict, pkt = self._check_hop(data, now_ms)
         if verdict is not None:
             return verdict, None
 
         # verified: re-watermark with own identity and receive time; the
         # hash part is carried through unchanged
-        record = self._new_record(now_ms)
+        cipher, epoch = self._new_record(now_ms)
         next_hop = pkt.hop + 1
-        self.store.store(ProvenanceKey(pkt.src, pkt.seq, next_hop), record,
-                         by=self.identity.id)
-        forwarded = embed(pkt.payload,
-                          FinalWatermark(record, pkt.watermark.hash_part),
+        self.store.store(ProvenanceKey(pkt.src, pkt.seq, next_hop), cipher,
+                         epoch, by=self.identity.id)
+        forwarded = embed(pkt.payload, cipher, pkt.hash_part,
                           (pkt.src, pkt.seq), next_hop)
         return self._verdict(ACCEPTED, pkt.src, pkt.seq, pkt.hop,
                              now_ms), forwarded
@@ -239,16 +234,15 @@ class GatewayNode(_Verifier):
         self.freshness_s = freshness_s
         self.purge_on_delivery = purge_on_delivery
 
-    def _decrypt_record(self, value) -> Optional[FeatureSubWatermark]:
+    def _decrypt_record(self, rec: StoredRecord
+                        ) -> Optional[FeatureSubWatermark]:
         """Decrypt one stored record under the key of its own epoch; None
         means the record cannot have come from a registered node."""
-        if value.key_epoch is None:
-            return None
-        key = self.keyring.get(value.key_epoch)
+        key = self.keyring.get(rec.epoch)
         if key is None:
             return None
         try:
-            plain = decrypt_block(key, value.cipher)
+            plain = decrypt_block(key, rec.cipher)
         except DecryptionError:
             return None
         return FeatureSubWatermark.from_bytes(plain)
@@ -289,7 +283,7 @@ class GatewayNode(_Verifier):
 
         features = []
         for rec in records:
-            sw = self._decrypt_record(rec.value)
+            sw = self._decrypt_record(rec)
             if sw is None:
                 return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop,
                                   now_ms)
@@ -320,7 +314,7 @@ class GatewayNode(_Verifier):
         if make_hash_subwatermark(pkt.payload) != stored.hash_part:
             return self._fail(INTEGRITY_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
 
-        sw = self._decrypt_record(stored.value)
+        sw = self._decrypt_record(stored)
         if sw is None:
             return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
         return self._accept(pkt, sw, [(format_ip(sw.ip), sw.capture_time)],

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import events
-from .watermark import ProvenanceRecordValue
 
 
 class AuthorizationError(PermissionError):
@@ -45,7 +44,8 @@ class ProvenanceKey:
 @dataclass(frozen=True)
 class StoredRecord:
     key: ProvenanceKey
-    value: ProvenanceRecordValue
+    cipher: bytes  # the 16-byte encrypted feature record
+    epoch: int  # the key epoch that encrypted it; not on the wire
     by: int
     time: int
     # single-hop emitters keep the full watermark, so the truncated payload
@@ -80,12 +80,9 @@ class ProvenanceStore:
     def register_gateway(self, node_id: int) -> None:
         self._gateway_ids.add(node_id)
 
-    def is_registered(self, node_id: int) -> bool:
-        return node_id in self._node_ids or node_id in self._gateway_ids
-
     # -- operations --------------------------------------------------------
 
-    def store(self, key: ProvenanceKey, value: ProvenanceRecordValue, by: int,
+    def store(self, key: ProvenanceKey, cipher: bytes, epoch: int, by: int,
               hash_part: Optional[bytes] = None) -> StoredRecord:
         if by not in self._node_ids:
             raise AuthorizationError(f"id {by} is not registered to store records")
@@ -98,11 +95,11 @@ class ProvenanceStore:
         if pset is None:
             pset = _PacketSet()
             self._sets[(key.source, key.sequence)] = pset
-        rec = StoredRecord(key=key, value=value, by=by, time=self.clock(),
-                           hash_part=hash_part)
+        rec = StoredRecord(key=key, cipher=cipher, epoch=epoch, by=by,
+                           time=self.clock(), hash_part=hash_part)
         pset.records.append(rec)
         self.log.append(events.store(key.source, key.sequence, key.hop,
-                                     value.cipher.hex(), by, rec.time))
+                                     cipher.hex(), by, rec.time))
         return rec
 
     def query_last(self, source: int, sequence: int) -> StoredRecord:

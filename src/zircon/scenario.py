@@ -85,9 +85,58 @@ class ScenarioConfig:
         return 5 * self.per_hop_delay_ms
 
 
+# what a scalar field admits, by its annotation, a string under `from
+# __future__ import annotations`; types are matched exactly, so a bool (an
+# int subclass) is no number
+_SCALARS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+            "str": ((str,), "a string"), "bool": ((bool,), "true or false")}
+
+
+def _scalar_fields(cls) -> Tuple[Tuple[str, tuple, str], ...]:
+    """(name, admitted types, wording) per scalar field; an Optional field
+    admits None too."""
+    out = []
+    for f in fields(cls):
+        optional = f.type.startswith("Optional[")
+        want = f.type[len("Optional["):-1] if optional else f.type
+        if want in _SCALARS:
+            types, wording = _SCALARS[want]
+            out.append((f.name, types + (type(None),) * optional, wording))
+    return tuple(out)
+
+
+_SCALAR_FIELDS = {cls: _scalar_fields(cls) for cls in (
+    ScenarioConfig, NodeSpec, TrafficSpec, KeyRotationConfig, AttackSpec)}
+
+
+def _type_errors(where: str, obj) -> List[str]:
+    """One error per scalar field of a config dataclass whose value does not
+    have the annotated type."""
+    return [f"{where}{name}: must be {wording}, got {getattr(obj, name)!r}"
+            for name, types, wording in _SCALAR_FIELDS[type(obj)]
+            if type(getattr(obj, name)) not in types]
+
+
 def validate(config: ScenarioConfig) -> None:
     """Raise ConfigError listing every problem found."""
-    errors: List[str] = []
+    typed = [("", config)]
+    typed += [(f"nodes[{i}].", n) for i, n in enumerate(config.nodes)]
+    typed += [(f"traffic[{i}].", t) for i, t in enumerate(config.traffic)]
+    typed += [(f"attacks[{i}].", a) for i, a in enumerate(config.attacks)]
+    if config.key_rotation is not None:
+        typed.append(("key_rotation.", config.key_rotation))
+    errors = [e for where, obj in typed for e in _type_errors(where, obj)]
+    errors += [f"routes[{ri}]: node id {nid!r} is not an integer"
+               for ri, route in enumerate(config.routes) for nid in route
+               if type(nid) is not int]
+    errors += [f"attacks[{ai}].edits: {pair!r} is not an (offset, mask) "
+               f"pair of integers"
+               for ai, a in enumerate(config.attacks) for pair in a.edits
+               if any(type(v) is not int for v in pair)]
+    if errors:
+        # every check below compares these values
+        raise ConfigError(errors)
+
     if config.mode not in MODES:
         errors.append(f"mode: must be one of {MODES}, got {config.mode!r}")
     if config.freshness_s <= 0:

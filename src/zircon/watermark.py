@@ -6,15 +6,16 @@ bytes of the payload digest.  The watermark size never depends on payload
 length or path length; that constancy is the basis of the storage-cost
 comparison in the analysis layer.
 
-Two framing profiles exist on the wire.  Multi-hop frames carry the
-watermark tail; single-hop frames carry the bare payload because the
-receiving gateway regenerates everything it needs from the stored copy.
+Two framing profiles exist on the wire, both built and parsed by one codec
+into one `Frame` type.  Multi-hop frames carry the watermark tail;
+single-hop frames carry the bare payload because the receiving gateway
+regenerates everything it needs from the stored copy.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .crypto import (
     LengthError,
@@ -54,7 +55,7 @@ class FrameError(ValueError):
 
 
 def parse_ip(text: str) -> bytes:
-    parts = text.split(".")
+    parts = text.split(".") if isinstance(text, str) else ()
     if len(parts) != 4:
         raise ValueError(f"bad IPv4 address {text!r}")
     out = []
@@ -95,156 +96,91 @@ class FeatureSubWatermark:
         return cls(ip=data[:4], capture_time=int.from_bytes(data[4:], "big"))
 
 
-@dataclass(frozen=True)
-class ProvenanceRecordValue:
-    """Encrypted feature record as stored per hop.
-
-    key_epoch identifies which rotation generation encrypted it; frames on
-    the wire carry only the cipher bytes, so records parsed from a frame
-    have epoch None until matched against the store.
-    """
-
-    cipher: bytes
-    key_epoch: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if len(self.cipher) != RECORD_BYTES:
-            raise LengthError(f"record cipher must be {RECORD_BYTES} bytes")
-
-
-class HashSubWatermark(bytes):
-    """First 8 digest bytes of the payload."""
-
-    def __new__(cls, data: bytes) -> "HashSubWatermark":
-        if len(data) != HASH_PART_BYTES:
-            raise LengthError(
-                f"hash sub-watermark must be {HASH_PART_BYTES} bytes, got {len(data)}"
-            )
-        return super().__new__(cls, data)
-
-
-@dataclass(frozen=True)
-class FinalWatermark:
-    record: ProvenanceRecordValue
-    hash_part: HashSubWatermark
-
-    def to_bytes(self) -> bytes:
-        return self.record.cipher + bytes(self.hash_part)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "FinalWatermark":
-        if len(data) != WATERMARK_BYTES:
-            raise LengthError(f"watermark must be {WATERMARK_BYTES} bytes, got {len(data)}")
-        return cls(
-            record=ProvenanceRecordValue(cipher=data[:RECORD_BYTES]),
-            hash_part=HashSubWatermark(data[RECORD_BYTES:]),
-        )
-
-
-@dataclass(frozen=True)
-class WatermarkedPacket:
-    src: int
-    seq: int
-    hop: int
-    payload: bytes
-    watermark: FinalWatermark
-
-    def to_bytes(self) -> bytes:
-        header = _HEADER.pack(self.src, self.seq, self.hop, len(self.payload))
-        return header + self.payload + self.watermark.to_bytes()
-
-
-@dataclass(frozen=True)
-class BarePacket:
-    """Single-hop frame: header and payload only, no watermark tail."""
+class Frame(NamedTuple):
+    """One frame of either wire profile: the 9-byte header, the payload,
+    then, on a multi-hop frame, the watermark: the 16-byte encrypted feature
+    record (`cipher`) and the 8-byte hash part.  A bare (single-hop) frame
+    leaves both empty."""
 
     src: int
     seq: int
     hop: int
     payload: bytes
+    cipher: bytes = b""
+    hash_part: bytes = b""
 
     def to_bytes(self) -> bytes:
-        header = _HEADER.pack(self.src, self.seq, self.hop, len(self.payload))
-        return header + self.payload
+        return (_HEADER.pack(self.src, self.seq, self.hop, len(self.payload))
+                + self.payload + self.cipher + self.hash_part)
 
 
-def make_provenance_record(sw: FeatureSubWatermark,
-                           key: SymmetricKey) -> ProvenanceRecordValue:
-    return ProvenanceRecordValue(
-        cipher=encrypt_block(key, sw.to_bytes()),
-        key_epoch=key.epoch,
-    )
+def make_provenance_record(sw: FeatureSubWatermark, key: SymmetricKey) -> bytes:
+    """The 16-byte encrypted feature record."""
+    return encrypt_block(key, sw.to_bytes())
 
 
-def make_hash_subwatermark(payload: bytes) -> HashSubWatermark:
-    return HashSubWatermark(truncate_digest(digest(payload)))
+def make_hash_subwatermark(payload: bytes) -> bytes:
+    """The first 8 digest bytes of the payload."""
+    return truncate_digest(digest(payload))
 
 
-def _check_header_fields(src: int, seq: int, hop: int) -> None:
+def _frame(payload: bytes, packet_id: Tuple[int, int], hop: int,
+           cipher: bytes, hash_part: bytes) -> Frame:
+    src, seq = packet_id
     if not 0 <= src <= MAX_SRC:
         raise ValueError("source id must fit 16 bits")
     if not 0 <= seq <= MAX_SEQ:
         raise ValueError("sequence must fit 32 bits")
     if not 1 <= hop <= MAX_HOP:
         raise ValueError("hop index must be in 1..255")
-
-
-def embed(payload: bytes, w: FinalWatermark, packet_id: Tuple[int, int],
-          hop: int) -> WatermarkedPacket:
-    src, seq = packet_id
-    _check_header_fields(src, seq, hop)
     if len(payload) > MAX_PAYLOAD:
         raise LengthError(f"payload too long ({len(payload)} bytes)")
-    return WatermarkedPacket(src=src, seq=seq, hop=hop, payload=bytes(payload),
-                             watermark=w)
+    return Frame(src, seq, hop, bytes(payload), cipher, hash_part)
 
 
-def _parse_header(data: bytes) -> Tuple[int, int, int, int]:
-    # best-effort identity for error reporting even when too short
+def embed(payload: bytes, cipher: bytes, hash_part: bytes,
+          packet_id: Tuple[int, int], hop: int) -> Frame:
+    """A multi-hop frame: the payload followed by its 24-byte watermark."""
+    if len(cipher) != RECORD_BYTES:
+        raise LengthError(f"record cipher must be {RECORD_BYTES} bytes, "
+                          f"got {len(cipher)}")
+    if len(hash_part) != HASH_PART_BYTES:
+        raise LengthError(f"hash sub-watermark must be {HASH_PART_BYTES} "
+                          f"bytes, got {len(hash_part)}")
+    return _frame(payload, packet_id, hop, cipher, hash_part)
+
+
+def embed_bare(payload: bytes, packet_id: Tuple[int, int], hop: int) -> Frame:
+    """A single-hop frame: header and payload, no watermark tail."""
+    return _frame(payload, packet_id, hop, b"", b"")
+
+
+def _unframe(data: bytes, tail_bytes: int) -> Frame:
+    """Parse a frame that ends in `tail_bytes` of watermark (24 or 0); any
+    framing inconsistency raises FrameError."""
     if len(data) < HEADER_BYTES:
+        # best-effort identity for error reporting
         src = int.from_bytes(data[0:2], "big") if len(data) >= 2 else None
         seq = int.from_bytes(data[2:6], "big") if len(data) >= 6 else None
         hop = data[6] if len(data) >= 7 else None
         raise FrameError(f"frame too short ({len(data)} bytes)",
                          src=src, seq=seq, hop=hop)
-    return _HEADER.unpack_from(data)
-
-
-def extract(data: bytes) -> WatermarkedPacket:
-    """Parse a multi-hop frame; any framing inconsistency raises FrameError."""
-    src, seq, hop, plen = _parse_header(data)
-    expected = HEADER_BYTES + plen + WATERMARK_BYTES
-    if len(data) != expected:
-        raise FrameError(
-            f"frame length {len(data)} != declared {expected}",
-            src=src, seq=seq, hop=hop,
-        )
+    src, seq, hop, plen = _HEADER.unpack_from(data)
+    end = HEADER_BYTES + plen
+    if len(data) != end + tail_bytes:
+        raise FrameError(f"frame length {len(data)} != declared "
+                         f"{end + tail_bytes}", src=src, seq=seq, hop=hop)
     if hop < 1:
         raise FrameError("hop index 0 is invalid", src=src, seq=seq, hop=hop)
-    payload = data[HEADER_BYTES:HEADER_BYTES + plen]
-    tail = data[HEADER_BYTES + plen:]
-    return WatermarkedPacket(src=src, seq=seq, hop=hop, payload=payload,
-                             watermark=FinalWatermark.from_bytes(tail))
+    return Frame(src, seq, hop, data[HEADER_BYTES:end],
+                 data[end:end + RECORD_BYTES], data[end + RECORD_BYTES:])
 
 
-def extract_bare(data: bytes) -> BarePacket:
+def extract(data: bytes) -> Frame:
+    """Parse a multi-hop frame."""
+    return _unframe(data, WATERMARK_BYTES)
+
+
+def extract_bare(data: bytes) -> Frame:
     """Parse a single-hop frame (no watermark tail)."""
-    src, seq, hop, plen = _parse_header(data)
-    expected = HEADER_BYTES + plen
-    if len(data) != expected:
-        raise FrameError(
-            f"bare frame length {len(data)} != declared {expected}",
-            src=src, seq=seq, hop=hop,
-        )
-    if hop < 1:
-        raise FrameError("hop index 0 is invalid", src=src, seq=seq, hop=hop)
-    return BarePacket(src=src, seq=seq, hop=hop,
-                      payload=data[HEADER_BYTES:])
-
-
-def embed_bare(payload: bytes, packet_id: Tuple[int, int], hop: int) -> BarePacket:
-    src, seq = packet_id
-    _check_header_fields(src, seq, hop)
-    if len(payload) > MAX_PAYLOAD:
-        raise LengthError(f"payload too long ({len(payload)} bytes)")
-    return BarePacket(src=src, seq=seq, hop=hop, payload=bytes(payload))
+    return _unframe(data, 0)

@@ -223,8 +223,8 @@ def test_06_store_access_control():
         return make_provenance_record(sw, key)
 
     for seq in range(1, 101):
-        store.store(ProvenanceKey(1, seq, 1), record(1, seq), by=1)
-        store.store(ProvenanceKey(1, seq, 2), record(2, seq), by=2)
+        store.store(ProvenanceKey(1, seq, 1), record(1, seq), key.epoch, by=1)
+        store.store(ProvenanceKey(1, seq, 2), record(2, seq), key.epoch, by=2)
 
     for seq in range(1, 101):
         for node_id in (1, 2, 666):
@@ -236,7 +236,7 @@ def test_06_store_access_control():
             store.query_all(1, seq, by=9)
 
     with pytest.raises(AuthorizationError):
-        store.store(ProvenanceKey(2, 1, 1), record(3, 1), by=666)
+        store.store(ProvenanceKey(2, 1, 1), record(3, 1), key.epoch, by=666)
 
 
 def test_07_provenance_cost_model():

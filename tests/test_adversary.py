@@ -17,7 +17,7 @@ from zircon.adversary import (
 from zircon.crypto import DecryptionError, decrypt_block
 from zircon.nodes import ACCEPTED, PROVENANCE_FAIL
 from zircon.provstore import ProvenanceKey
-from zircon.watermark import ProvenanceRecordValue, extract
+from zircon.watermark import extract
 
 
 def frame_of(payload=b"0123456789abcdef"):
@@ -204,7 +204,7 @@ def test_fake_frame_is_well_formed_with_honest_hash():
     pkt = extract(frame)
     assert (pkt.src, pkt.seq, pkt.hop) == (1, 3, 1)
     from zircon.watermark import make_hash_subwatermark
-    assert pkt.watermark.hash_part == make_hash_subwatermark(b"forged-payload!!")
+    assert pkt.hash_part == make_hash_subwatermark(b"forged-payload!!")
 
 
 def test_fake_frame_does_not_decrypt_under_network_key():
@@ -212,7 +212,7 @@ def test_fake_frame_does_not_decrypt_under_network_key():
     frame = build_fake_frame(fake_spec(), now_s=12, seq=3)
     pkt = extract(frame)
     with pytest.raises(DecryptionError):
-        decrypt_block(chain.keyring.current, pkt.watermark.record.cipher)
+        decrypt_block(chain.keyring.current, pkt.cipher)
 
 
 def test_fake_frame_rejected_when_records_exist():
@@ -229,8 +229,7 @@ def test_fake_frame_rejected_when_records_exist():
 def test_store_probe_results(store):
     store.register_node(1)
     store.register_gateway(9)
-    store.store(ProvenanceKey(1, 1, 1),
-                ProvenanceRecordValue(cipher=bytes(16), key_epoch=0), by=1)
+    store.store(ProvenanceKey(1, 1, 1), bytes(16), 0, by=1)
 
     outsider = AttackSpec(kind="store_probe", caller_id=666)
     assert run_store_probe(outsider, store, 1, 1) == "authorization_error"

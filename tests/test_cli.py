@@ -1,4 +1,5 @@
 """Command-line verbs exercised through main(argv)."""
+import hashlib
 import json
 
 import pytest
@@ -122,6 +123,43 @@ def test_run_refuses_a_nan_energy_constant(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("count: 20,", "count: 2.5,",
+     "traffic[0].count: must be an integer, got 2.5"),
+    ("interval_ms: 1000,", 'interval_ms: "1000",',
+     "traffic[0].interval_ms: must be an integer, got '1000'"),
+    ("freshness_s: 60", "freshness_s: sixty",
+     "freshness_s: must be an integer, got 'sixty'"),
+    ("ip: 10.0.0.2,", "ip: 5,", "nodes[1].ip: must be a string, got 5"),
+    ("payload_bytes: 16", "payload_bytes: true",
+     "traffic[0].payload_bytes: must be an integer, got True"),
+    ("x: 40.0", 'x: "40"', "nodes[1].x: must be a number, got '40'"),
+    ("purge_on_delivery: true", "purge_on_delivery: 1",
+     "purge_on_delivery: must be true or false, got 1"),
+    ("[1, 2, 3, 9]", "[1, 2.0, 3, 9]",
+     "routes[0]: node id 2.0 is not an integer"),
+    ("attacks: []", "attacks: [{kind: drop, from: 1, to: 2, after_ms: soon}]",
+     "attacks[0].after_ms: must be an integer, got 'soon'"),
+    ("attacks: []",
+     "attacks: [{kind: modify_payload, from: 1, to: 2, edits: [[a, 1]]}]",
+     "attacks[0].edits: ('a', 1) is not an (offset, mask) pair of integers"),
+    ("attacks: []",
+     "attacks: [{kind: fake_inject, to: 2, src: 1, seq: 1, ip: 5, "
+     "key_material_hex: 000102030405060708090a0b0c0d0e0f}]",
+     "attacks: bad IPv4 address 5"),
+])
+def test_run_refuses_a_wrong_typed_scalar(tmp_path, capsys, old, new, message):
+    # each used to end in a traceback, or (payload_bytes: true) to run with
+    # a 1-byte payload
+    assert scenario.EXAMPLE_CONFIG.count(old) == 1
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(scenario.EXAMPLE_CONFIG.replace(old, new), encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 1
+    assert err == f"invalid scenario config:\n  {message}\n"
+    assert out == ""
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -149,6 +187,21 @@ def test_cost_table_file_matches_stdout(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "cost-table", "--out", str(path))
     assert code == 0
     assert path.read_text() == out
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    ((), "158caa56c38b424061a34ada98be81103139175701fedff3f46eb94e138dc52a"),
+    (("--max-hops", "60", "--pfp", "0.001"),
+     "926ee9333ba6991c1e90b1d932ec1287bc0bfceaafd7bc823d8c8ae563ac9a65"),
+    (("--max-hops", "7", "--pfp", "0.5"),
+     "dba6177fd8336adecf6c50945d89db6ba9f46838cef77888350d3410b3466e49"),
+])
+def test_cost_table_output_is_pinned(capsys, argv, sha256):
+    # digests of the table as written when each scheme's size was restated
+    # in cost_rows, before it asked provenance_size
+    code, out, _ = run_cli(capsys, "cost-table", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
 # -- energy-table ---------------------------------------------------------------------

@@ -25,9 +25,6 @@ from zircon.nodes import (
 from zircon.provstore import ProvenanceKey
 from zircon.watermark import (
     FeatureSubWatermark,
-    FinalWatermark,
-    HashSubWatermark,
-    ProvenanceRecordValue,
     embed,
     extract,
     make_hash_subwatermark,
@@ -77,12 +74,13 @@ def test_rotate_keys_is_deterministic(key):
 def test_source_emit_multihop(chain):
     pkt = chain.source.emit_multihop(PAYLOAD, now_ms=5300)
     assert (pkt.src, pkt.seq, pkt.hop) == (1, 1, 1)
-    assert bytes(pkt.watermark.hash_part) == bytes(make_hash_subwatermark(PAYLOAD))
+    assert pkt.hash_part == make_hash_subwatermark(PAYLOAD)
     stored = chain.store.query_last(1, 1)
     assert stored.key.hop == 1 and stored.by == 1
-    assert stored.value.cipher == pkt.watermark.record.cipher
+    assert stored.cipher == pkt.cipher
+    assert stored.epoch == chain.keyring.current.epoch
     # the record hides the emitter's ip and capture seconds
-    plain = decrypt_block(chain.keyring.current, stored.value.cipher)
+    plain = decrypt_block(chain.keyring.current, stored.cipher)
     sw = FeatureSubWatermark.from_bytes(plain)
     assert sw.ip == chain.identity_of(1).ip
     assert sw.capture_time == 5  # 5300 ms
@@ -94,7 +92,7 @@ def test_source_emit_singlehop_keeps_watermark_home(chain):
     pkt = chain.source.emit_singlehop(PAYLOAD, now_ms=0)
     assert pkt.to_bytes()[9:] == PAYLOAD  # no tail on the wire
     stored = chain.store.query_last(1, 1)
-    assert stored.hash_part == bytes(make_hash_subwatermark(PAYLOAD))
+    assert stored.hash_part == make_hash_subwatermark(PAYLOAD)
 
 
 @pytest.mark.parametrize("emit", ["emit_multihop", "emit_singlehop"])
@@ -132,10 +130,10 @@ def test_intermediate_accept_rewatermarks(chain):
     assert forwarded.hop == 2
     # hash part rides through unchanged; the record is the node's own
     original = extract(frame)
-    assert forwarded.watermark.hash_part == original.watermark.hash_part
-    assert forwarded.watermark.record.cipher != original.watermark.record.cipher
+    assert forwarded.hash_part == original.hash_part
+    assert forwarded.cipher != original.cipher
     sw = FeatureSubWatermark.from_bytes(
-        decrypt_block(chain.keyring.current, forwarded.watermark.record.cipher))
+        decrypt_block(chain.keyring.current, forwarded.cipher))
     assert sw.ip == node.identity.ip
     assert sw.capture_time == 4
     stored = chain.store.query_last(1, 1)
@@ -161,7 +159,8 @@ def test_intermediate_provenance_fail_on_record_tamper(chain):
 
 def test_intermediate_provenance_fail_on_hop_mismatch(chain):
     pkt = chain.source.emit_multihop(PAYLOAD, 0)
-    skipped = embed(pkt.payload, pkt.watermark, (pkt.src, pkt.seq), hop=2)
+    skipped = embed(pkt.payload, pkt.cipher, pkt.hash_part, (pkt.src, pkt.seq),
+                    hop=2)
     verdict, _ = chain.intermediates[0].process(skipped.to_bytes(), 300)
     assert verdict.outcome == PROVENANCE_FAIL
 
@@ -257,11 +256,9 @@ def test_gateway_freshness_boundary():
 def test_gateway_rejects_unknown_key_epoch():
     chain = build_chain(n_intermediates=0)
     cipher = bytes(range(16))
-    chain.store.store(ProvenanceKey(1, 1, 1),
-                      ProvenanceRecordValue(cipher=cipher, key_epoch=57), by=1)
-    w = FinalWatermark(record=ProvenanceRecordValue(cipher=cipher),
-                       hash_part=make_hash_subwatermark(PAYLOAD))
-    frame = embed(PAYLOAD, w, (1, 1), hop=1).to_bytes()
+    chain.store.store(ProvenanceKey(1, 1, 1), cipher, 57, by=1)
+    frame = embed(PAYLOAD, cipher, make_hash_subwatermark(PAYLOAD), (1, 1),
+                  hop=1).to_bytes()
     verdict, _ = chain.gateway.verify_multihop(frame, 300)
     assert verdict.outcome == PROVENANCE_FAIL
 
@@ -270,13 +267,12 @@ def test_gateway_rejects_record_encrypted_under_foreign_key():
     chain = build_chain(n_intermediates=0)
     from zircon.watermark import FeatureSubWatermark, make_provenance_record
     foreign = SymmetricKey(material=bytes(range(16, 32)), epoch=0)
-    record = make_provenance_record(
+    cipher = make_provenance_record(
         FeatureSubWatermark(chain.identity_of(1).ip, 0), foreign)
     # claims epoch 0, but the ring's epoch-0 key cannot decrypt it
-    chain.store.store(ProvenanceKey(1, 1, 1), record, by=1)
-    w = FinalWatermark(ProvenanceRecordValue(cipher=record.cipher),
-                       make_hash_subwatermark(PAYLOAD))
-    frame = embed(PAYLOAD, w, (1, 1), hop=1).to_bytes()
+    chain.store.store(ProvenanceKey(1, 1, 1), cipher, foreign.epoch, by=1)
+    frame = embed(PAYLOAD, cipher, make_hash_subwatermark(PAYLOAD), (1, 1),
+                  hop=1).to_bytes()
     verdict, _ = chain.gateway.verify_multihop(frame, 300)
     assert verdict.outcome == PROVENANCE_FAIL
 

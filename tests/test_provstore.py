@@ -13,11 +13,10 @@ from zircon.provstore import (
     ProvenanceStore,
     SequencingError,
 )
-from zircon.watermark import ProvenanceRecordValue
 
 
-def value(tag: int) -> ProvenanceRecordValue:
-    return ProvenanceRecordValue(cipher=bytes([tag]) * 16, key_epoch=0)
+def cipher(tag: int) -> bytes:
+    return bytes([tag]) * 16
 
 
 @pytest.fixture
@@ -26,32 +25,32 @@ def populated():
     s.register_node(1)
     s.register_node(2)
     s.register_gateway(9)
-    s.store(ProvenanceKey(1, 1, 1), value(0xAA), by=1)
-    s.store(ProvenanceKey(1, 1, 2), value(0xBB), by=2)
+    s.store(ProvenanceKey(1, 1, 1), cipher(0xAA), 0, by=1)
+    s.store(ProvenanceKey(1, 1, 2), cipher(0xBB), 0, by=2)
     return s
 
 
 def test_store_requires_registration(store):
     with pytest.raises(AuthorizationError):
-        store.store(ProvenanceKey(1, 1, 1), value(1), by=5)
+        store.store(ProvenanceKey(1, 1, 1), cipher(1), 0, by=5)
     store.register_node(5)
-    store.store(ProvenanceKey(1, 1, 1), value(1), by=5)
+    store.store(ProvenanceKey(1, 1, 1), cipher(1), 0, by=5)
     # gateway registration alone does not grant store rights
     store.register_gateway(9)
     with pytest.raises(AuthorizationError):
-        store.store(ProvenanceKey(1, 1, 2), value(2), by=9)
+        store.store(ProvenanceKey(1, 1, 2), cipher(2), 0, by=9)
 
 
 def test_hop_contiguity(store):
     store.register_node(1)
     with pytest.raises(SequencingError):
-        store.store(ProvenanceKey(1, 1, 2), value(1), by=1)  # must start at 1
-    store.store(ProvenanceKey(1, 1, 1), value(1), by=1)
+        store.store(ProvenanceKey(1, 1, 2), cipher(1), 0, by=1)  # must start at 1
+    store.store(ProvenanceKey(1, 1, 1), cipher(1), 0, by=1)
     with pytest.raises(SequencingError):
-        store.store(ProvenanceKey(1, 1, 1), value(2), by=1)  # duplicate hop
+        store.store(ProvenanceKey(1, 1, 1), cipher(2), 0, by=1)  # duplicate hop
     with pytest.raises(SequencingError):
-        store.store(ProvenanceKey(1, 1, 3), value(3), by=1)  # gap
-    store.store(ProvenanceKey(1, 1, 2), value(2), by=1)
+        store.store(ProvenanceKey(1, 1, 3), cipher(3), 0, by=1)  # gap
+    store.store(ProvenanceKey(1, 1, 2), cipher(2), 0, by=1)
     assert store.record_count(1, 1) == 2
 
 
@@ -63,7 +62,8 @@ def test_hop_index_starts_at_one():
 def test_query_last_returns_newest(populated):
     rec = populated.query_last(1, 1)
     assert rec.key.hop == 2
-    assert rec.value.cipher == bytes([0xBB]) * 16
+    assert rec.cipher == bytes([0xBB]) * 16
+    assert rec.epoch == 0
     assert rec.by == 2
     with pytest.raises(MissingRecordError):
         populated.query_last(1, 2)
@@ -94,14 +94,14 @@ def test_delete_all(populated):
     # deleting again reports zero, never raises
     assert populated.delete_all(1, 1) == 0
     # after deletion the hop sequence restarts at 1
-    populated.store(ProvenanceKey(1, 1, 1), value(0xCC), by=1)
+    populated.store(ProvenanceKey(1, 1, 1), cipher(0xCC), 0, by=1)
     assert populated.query_last(1, 1).key.hop == 1
 
 
 def test_deletion_clears_consumed_flag(populated):
     populated.query_all(1, 1, by=9)
     populated.delete_all(1, 1)
-    populated.store(ProvenanceKey(1, 1, 1), value(0xDD), by=1)
+    populated.store(ProvenanceKey(1, 1, 1), cipher(0xDD), 0, by=1)
     # a fresh set is retrievable even though the old one was consumed
     assert len(populated.query_all(1, 1, by=9)) == 1
 
@@ -119,7 +119,7 @@ def test_journal_lines_land_in_the_given_log():
     log = ["emit|1|1|7|1|0"]
     s = ProvenanceStore(log=log)
     s.register_node(1)
-    s.store(ProvenanceKey(1, 7, 1), value(1), by=1)
+    s.store(ProvenanceKey(1, 7, 1), cipher(1), 0, by=1)
     s.delete_all(1, 7)
     assert s.log is log
     assert len(log) == 3
@@ -127,7 +127,7 @@ def test_journal_lines_land_in_the_given_log():
 
 
 def test_packet_ids_and_counts(populated):
-    populated.store(ProvenanceKey(2, 5, 1), value(1), by=2)
+    populated.store(ProvenanceKey(2, 5, 1), cipher(1), 0, by=2)
     assert sorted(populated.packet_ids()) == [(1, 1), (2, 5)]
     assert populated.record_count(2, 5) == 1
     populated.delete_all(2, 5)
@@ -139,11 +139,11 @@ def test_sweep_stale():
     s = ProvenanceStore(clock=lambda: now["t"])
     s.register_node(1)
     s.register_gateway(9)
-    s.store(ProvenanceKey(1, 1, 1), value(1), by=1)
+    s.store(ProvenanceKey(1, 1, 1), cipher(1), 0, by=1)
     now["t"] = 500
-    s.store(ProvenanceKey(1, 2, 1), value(2), by=1)
-    s.store(ProvenanceKey(1, 2, 2), value(3), by=1)
-    s.store(ProvenanceKey(1, 3, 1), value(4), by=1)
+    s.store(ProvenanceKey(1, 2, 1), cipher(2), 0, by=1)
+    s.store(ProvenanceKey(1, 2, 2), cipher(3), 0, by=1)
+    s.store(ProvenanceKey(1, 3, 1), cipher(4), 0, by=1)
     s.query_all(1, 3, by=9)  # consumed: delivered, not a drop suspect
 
     suspects = s.sweep_stale(now=1000, timeout_ms=600)
@@ -159,17 +159,17 @@ def test_full_retrieval_preserves_hop_order(hops):
     s.register_node(1)
     s.register_gateway(9)
     for h in range(1, hops + 1):
-        s.store(ProvenanceKey(3, 4, h), value(h), by=1)
+        s.store(ProvenanceKey(3, 4, h), cipher(h), 0, by=1)
     records = s.query_all(3, 4, by=9)
     assert [r.key.hop for r in records] == list(range(1, hops + 1))
-    assert [r.value.cipher[0] for r in records] == list(range(1, hops + 1))
+    assert [r.cipher[0] for r in records] == list(range(1, hops + 1))
 
 
 def test_stored_hash_part_retained(store):
     store.register_node(1)
-    rec = store.store(ProvenanceKey(1, 1, 1), value(1), by=1,
+    rec = store.store(ProvenanceKey(1, 1, 1), cipher(1), 0, by=1,
                       hash_part=b"12345678")
     assert rec.hash_part == b"12345678"
     assert store.query_last(1, 1).hash_part == b"12345678"
-    plain = store.store(ProvenanceKey(1, 2, 1), value(1), by=1)
+    plain = store.store(ProvenanceKey(1, 2, 1), cipher(1), 0, by=1)
     assert plain.hash_part is None

@@ -8,12 +8,9 @@ from zircon.crypto import LengthError, SymmetricKey
 from zircon.watermark import (
     HEADER_BYTES,
     WATERMARK_BYTES,
-    BarePacket,
     FeatureSubWatermark,
-    FinalWatermark,
+    Frame,
     FrameError,
-    HashSubWatermark,
-    ProvenanceRecordValue,
     embed,
     embed_bare,
     extract,
@@ -29,9 +26,9 @@ KEY = SymmetricKey(material=V.AES_KAT_KEY, epoch=0)
 
 def golden_packet():
     sw = FeatureSubWatermark(bytes([192, 168, 1, 10]), 0x655B0F00)
-    record = make_provenance_record(sw, KEY)
+    cipher = make_provenance_record(sw, KEY)
     hash_part = make_hash_subwatermark(b"abc")
-    return embed(b"abc", FinalWatermark(record, hash_part), (1, 1), hop=1)
+    return embed(b"abc", cipher, hash_part, (1, 1), hop=1)
 
 
 def test_golden_frame_bytes():
@@ -42,25 +39,25 @@ def test_golden_frame_parses_back():
     pkt = extract(V.GOLDEN_FRAME)
     assert (pkt.src, pkt.seq, pkt.hop) == (1, 1, 1)
     assert pkt.payload == b"abc"
-    assert pkt.watermark.record.cipher == V.FEATURE_CIPHER16
-    assert bytes(pkt.watermark.hash_part) == V.HASH8_ABC
+    assert pkt.cipher == V.FEATURE_CIPHER16
+    assert pkt.hash_part == V.HASH8_ABC
     # epoch is not on the wire
-    assert pkt.watermark.record.key_epoch is None
+    assert "epoch" not in Frame._fields
 
 
 def test_watermark_is_constant_size():
     for n in (0, 1, 16, 255, 1000):
         hash_part = make_hash_subwatermark(bytes(n))
-        record = make_provenance_record(
+        cipher = make_provenance_record(
             FeatureSubWatermark(bytes(4), 0), KEY)
-        w = FinalWatermark(record, hash_part)
-        assert len(w.to_bytes()) == WATERMARK_BYTES == 24
+        pkt = embed(bytes(n), cipher, hash_part, (1, 1), hop=1)
+        assert len(pkt.to_bytes()) - HEADER_BYTES - n == WATERMARK_BYTES == 24
 
 
 def test_frame_sizes():
     pkt = golden_packet()
     assert len(pkt.to_bytes()) == HEADER_BYTES + 3 + WATERMARK_BYTES
-    empty = embed(b"", pkt.watermark, (1, 2), hop=1)
+    empty = embed(b"", pkt.cipher, pkt.hash_part, (1, 2), hop=1)
     assert len(empty.to_bytes()) == 33
     bare = embed_bare(b"", (1, 3), hop=1)
     assert len(bare.to_bytes()) == 9
@@ -87,14 +84,12 @@ def test_feature_subwatermark_bounds():
        hop=st.integers(1, 255), payload=st.binary(max_size=64))
 @settings(max_examples=60)
 def test_multihop_roundtrip(src, seq, hop, payload):
-    record = ProvenanceRecordValue(cipher=bytes(range(16)))
-    w = FinalWatermark(record=record,
-                       hash_part=make_hash_subwatermark(payload))
-    pkt = embed(payload, w, (src, seq), hop)
+    cipher, hash_part = bytes(range(16)), make_hash_subwatermark(payload)
+    pkt = embed(payload, cipher, hash_part, (src, seq), hop)
     back = extract(pkt.to_bytes())
     assert back == pkt
     assert (back.src, back.seq, back.hop, back.payload) == (src, seq, hop, payload)
-    assert back.watermark.to_bytes() == w.to_bytes()
+    assert back.cipher + back.hash_part == cipher + hash_part
 
 
 @given(src=st.integers(0, 0xFFFF), seq=st.integers(0, 0xFFFFFFFF),
@@ -103,7 +98,8 @@ def test_multihop_roundtrip(src, seq, hop, payload):
 def test_bare_roundtrip(src, seq, hop, payload):
     pkt = embed_bare(payload, (src, seq), hop)
     back = extract_bare(pkt.to_bytes())
-    assert back == BarePacket(src=src, seq=seq, hop=hop, payload=payload)
+    assert back == Frame(src=src, seq=seq, hop=hop, payload=payload)
+    assert back.cipher == back.hash_part == b""
 
 
 def test_extract_rejects_truncation():
@@ -144,33 +140,40 @@ def test_extract_rejects_hop_zero():
 
 def test_extract_bare_rejects_watermarked_frame():
     # a multihop frame read as bare has 24 undeclared trailing bytes
-    with pytest.raises(FrameError):
-        extract_bare(V.GOLDEN_FRAME)
+    err = pytest.raises(FrameError, extract_bare, V.GOLDEN_FRAME).value
+    assert (err.src, err.seq, err.hop) == (1, 1, 1)
+
+
+def test_extract_rejects_bare_frame():
+    # a bare frame read as multihop is 24 bytes short of its declared length
+    bare = embed_bare(b"abc", (7, 9), hop=3).to_bytes()
+    err = pytest.raises(FrameError, extract, bare).value
+    assert (err.src, err.seq, err.hop) == (7, 9, 3)
 
 
 def test_embed_field_bounds():
-    w = golden_packet().watermark
+    w = golden_packet()
     with pytest.raises(ValueError):
-        embed(b"x", w, (0x10000, 1), hop=1)
+        embed(b"x", w.cipher, w.hash_part, (0x10000, 1), hop=1)
     with pytest.raises(ValueError):
-        embed(b"x", w, (1, 2 ** 32), hop=1)
+        embed(b"x", w.cipher, w.hash_part, (1, 2 ** 32), hop=1)
     with pytest.raises(ValueError):
-        embed(b"x", w, (1, 1), hop=0)
+        embed(b"x", w.cipher, w.hash_part, (1, 1), hop=0)
     with pytest.raises(ValueError):
         embed_bare(b"x", (1, 1), hop=256)
 
 
 def test_watermark_split_and_assemble():
-    w = golden_packet().watermark
-    record, hash_part = w.record, w.hash_part
-    assert FinalWatermark(record, hash_part) == w
-    assert FinalWatermark.from_bytes(w.to_bytes()).to_bytes() == w.to_bytes()
+    w = golden_packet()
+    assert embed(w.payload, w.cipher, w.hash_part, (w.src, w.seq),
+                 w.hop) == w
+    assert extract(w.to_bytes()).to_bytes() == w.to_bytes()
+    with pytest.raises(FrameError):
+        extract(w.to_bytes()[:-1])
     with pytest.raises(LengthError):
-        FinalWatermark.from_bytes(b"x" * 23)
+        embed(b"x", w.cipher, b"x" * 7, (1, 1), hop=1)
     with pytest.raises(LengthError):
-        HashSubWatermark(b"x" * 7)
-    with pytest.raises(LengthError):
-        ProvenanceRecordValue(cipher=b"x" * 15)
+        embed(b"x", b"x" * 15, w.hash_part, (1, 1), hop=1)
 
 
 def test_parse_and_format_ip():
