@@ -123,9 +123,10 @@ def cost_rows(max_hops: int = 30, p_fp: float = 0.02) -> List[dict]:
 
 
 def write_cost_csv(out, max_hops: int = 30, p_fp: float = 0.02) -> None:
+    rows = cost_rows(max_hops, p_fp)  # a bad argument fails before the header
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["H", "zircon", "ssp", "mp", "bfp_bytes", "bfp_bits"])
-    for row in cost_rows(max_hops, p_fp):
+    for row in rows:
         writer.writerow([row["H"], row["zircon"], row["ssp"], row["mp"],
                          row["bfp_bytes"], str(row["bfp_bits"])])
 

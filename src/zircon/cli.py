@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import sys
@@ -166,8 +167,11 @@ def cmd_attack_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_cost_table(args: argparse.Namespace) -> int:
+    # rendered first, so that a bad --pfp leaves no output file behind
+    text = io.StringIO()
+    analysis.write_cost_csv(text, max_hops=args.max_hops, p_fp=args.pfp)
     with _out_stream(args.out) as out:
-        analysis.write_cost_csv(out, max_hops=args.max_hops, p_fp=args.pfp)
+        out.write(text.getvalue())
     return 0
 
 

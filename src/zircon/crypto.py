@@ -82,22 +82,18 @@ def _ecb(material: bytes, decrypt: bool):
     return cipher.decryptor() if decrypt else cipher.encryptor()
 
 
-def _aes_single_block(key: SymmetricKey, block: bytes, decrypt: bool) -> bytes:
-    return _ecb(key.material, decrypt).update(block)
-
-
 def encrypt_block(key: SymmetricKey, plain: bytes) -> bytes:
     """Encrypt an 8-byte value into a single 16-byte cipher block."""
     if len(plain) != PLAIN_BYTES:
         raise LengthError(f"plaintext must be {PLAIN_BYTES} bytes, got {len(plain)}")
-    return _aes_single_block(key, plain + _PADDING, decrypt=False)
+    return _ecb(key.material, False).update(plain + _PADDING)
 
 
 def decrypt_block(key: SymmetricKey, cipher: bytes) -> bytes:
     """Invert encrypt_block, verifying and stripping the padding tail."""
     if len(cipher) != CIPHER_BYTES:
         raise LengthError(f"ciphertext must be {CIPHER_BYTES} bytes, got {len(cipher)}")
-    block = _aes_single_block(key, cipher, decrypt=True)
+    block = _ecb(key.material, True).update(cipher)
     if block[PLAIN_BYTES:] != _PADDING:
         raise DecryptionError("padding check failed")
     return block[:PLAIN_BYTES]

@@ -85,6 +85,13 @@ class Simulation:
 
         self.store = ProvenanceStore(clock=lambda: self.now, log=self.log)
 
+        # event kind to handler; a queue entry is (time, order, kind, args)
+        # and keeps the kind string, not a bound method, to stay small
+        self._handlers = {"emit": self._handle_emit,
+                          "deliver": self._handle_deliver,
+                          "inject": self._handle_inject,
+                          "probe": self._handle_probe}
+
         self._rngs: Dict[str, random.Random] = {}
         initial = SymmetricKey(material=self._rng("keys").randbytes(16), epoch=0)
         self.keyring = KeyRing(initial)
@@ -140,23 +147,22 @@ class Simulation:
                 key = (attack.from_id, attack.to_id)
                 self._link_attacks.setdefault(key, []).append(attack)
             elif attack.kind == FAKE_INJECT:
-                self._schedule(attack.after_ms, "inject", attack=attack)
+                self._schedule(attack.after_ms, "inject", (attack,))
             elif attack.kind == STORE_PROBE:
-                self._schedule(attack.after_ms, "probe", attack=attack)
+                self._schedule(attack.after_ms, "probe", (attack,))
 
         self.packets: Dict[Tuple[int, int], _PacketState] = {}
         self.node_packets: Dict[int, int] = {i: 0 for i in self.identities}
         self.node_ops: Dict[int, int] = {i: 0 for i in self.identities}
 
         # one heapify in place of a push per emit: the (time, order) keys are
-        # unique, so the pop order is the same.  Handlers never change a
-        # payload, so a traffic entry's emits share one.
+        # unique, so the pop order is the same.  A traffic entry's emits
+        # share one argument tuple.
         for traffic in config.traffic:
-            payload = {"source": traffic.source,
-                       "payload_bytes": traffic.payload_bytes}
+            args = (traffic.source, traffic.payload_bytes)
             self._queue.extend(
                 (traffic.start_ms + i * traffic.interval_ms, next(self._order),
-                 "emit", payload)
+                 "emit", args)
                 for i in range(traffic.count))
         heapq.heapify(self._queue)
 
@@ -167,28 +173,30 @@ class Simulation:
             self._rngs[purpose] = random.Random(f"{self.config.seed}/{purpose}")
         return self._rngs[purpose]
 
-    def _schedule(self, time: int, kind: str, **payload) -> None:
-        heapq.heappush(self._queue, (time, next(self._order), kind, payload))
+    def _schedule(self, time: int, kind: str, args: tuple) -> None:
+        heapq.heappush(self._queue, (time, next(self._order), kind, args))
 
     def _log_attack(self, attack: AttackSpec, src, seq, detail: str) -> None:
         self.log.append(events.attack(attack.kind, attack.target_label(), src,
                                       seq, detail, self.now))
 
-    def _record_verdict(self, verdict: VerificationVerdict, flow: str) -> None:
+    def _record_verdict(self, verdict: VerificationVerdict, flow: str
+                        ) -> Optional[_PacketState]:
+        """Log a verdict and add it to its packet's state, which it returns
+        (None for a packet never emitted)."""
         self.log.append(events.verdict(*verdict))
-        key = (verdict.src, verdict.seq)
-        state = self.packets.get(key)
-        entry = {
-            "outcome": verdict.outcome, "node": verdict.node,
-            "hop": verdict.hop, "time": verdict.time, "flow": flow,
-        }
+        node, src, seq, hop, outcome, time = verdict
+        state = self.packets.get((src, seq))
         if state is not None:
+            entry = {"outcome": outcome, "node": node, "hop": hop,
+                     "time": time, "flow": flow}
             state.verdicts.append(entry)
             # only a gateway accept is terminal; the caller handles it
             if (flow == FLOW_ORGANIC and state.status == "in_flight"
-                    and verdict.outcome != ACCEPTED):
+                    and outcome != ACCEPTED):
                 state.status = "rejected"
                 state.final = entry
+        return state
 
     def _maybe_rotate(self) -> None:
         if self._rotation_threshold is None:
@@ -211,7 +219,7 @@ class Simulation:
         if to_id is None:
             return
         if flow == FLOW_ORGANIC:
-            for attack in self._link_attacks.get((from_id, to_id), []):
+            for attack in self._link_attacks.get((from_id, to_id), ()):
                 if not attack.matches(src, seq, self.now):
                     continue
                 result = adversary.apply(attack, data)
@@ -220,9 +228,9 @@ class Simulation:
                     self.captures.append(result.capture)
                 if result.replay is not None:
                     copy, delay = result.replay
-                    self._schedule(self.now + delay, "deliver", to=to_id,
-                                   data=copy, src=src, seq=seq, hop=hop,
-                                   route_src=route_src, flow=FLOW_REPLAYED)
+                    self._schedule(self.now + delay, "deliver",
+                                   (to_id, copy, src, seq, hop, route_src,
+                                    FLOW_REPLAYED))
                 if result.deliver is None:
                     state = self.packets.get((src, seq))
                     if state is not None and state.status == "in_flight":
@@ -230,12 +238,11 @@ class Simulation:
                     return
                 data = result.deliver
         self._schedule(self.now + self.config.per_hop_delay_ms, "deliver",
-                       to=to_id, data=data, src=src, seq=seq, hop=hop,
-                       route_src=route_src, flow=flow)
+                       (to_id, data, src, seq, hop, route_src, flow))
 
     # -- event handlers ------------------------------------------------------
 
-    def _handle_emit(self, payload_bytes: int, source: int) -> None:
+    def _handle_emit(self, source: int, payload_bytes: int) -> None:
         node = self.sources[source]
         payload = self._rng(f"payload/{source}").randbytes(payload_bytes)
         if self.config.mode == MODE_SINGLEHOP:
@@ -258,10 +265,9 @@ class Simulation:
                         hop: int, route_src: int, flow: str) -> None:
         self.log.append(events.deliver(to, src, seq, hop, self.now))
         self.node_packets[to] += 1
-        state = self.packets.get((src, seq))
 
-        if to in self.intermediates:
-            node = self.intermediates[to]
+        node = self.intermediates.get(to)
+        if node is not None:
             self.node_ops[to] += OPS_BY_ROLE[ROLE_INTERMEDIATE]
             verdict, forwarded = node.process(data, self.now)
             self._record_verdict(verdict, flow)
@@ -271,31 +277,28 @@ class Simulation:
                            forwarded.hop, flow)
             return
 
-        if to in self.gateways:
-            node = self.gateways[to]
-            self.node_ops[to] += OPS_BY_ROLE[ROLE_GATEWAY]
-            if self.config.mode == MODE_SINGLEHOP:
-                verdict, path = node.verify_singlehop(data, self.now)
-            else:
-                verdict, path = node.verify_multihop(data, self.now)
-            self._record_verdict(verdict, flow)
-            if verdict.outcome == ACCEPTED and flow == FLOW_ORGANIC \
-                    and state is not None and state.status == "in_flight":
-                state.status = "accepted"
-                state.final = state.verdicts[-1]
-                state.path = path
-            return
-
-        raise RuntimeError(f"delivery to non-verifying node {to}")
+        node = self.gateways.get(to)
+        if node is None:
+            raise RuntimeError(f"delivery to non-verifying node {to}")
+        self.node_ops[to] += OPS_BY_ROLE[ROLE_GATEWAY]
+        if self.config.mode == MODE_SINGLEHOP:
+            verdict, path = node.verify_singlehop(data, self.now)
+        else:
+            verdict, path = node.verify_multihop(data, self.now)
+        state = self._record_verdict(verdict, flow)
+        if verdict.outcome == ACCEPTED and flow == FLOW_ORGANIC \
+                and state is not None and state.status == "in_flight":
+            state.status = "accepted"
+            state.final = state.verdicts[-1]
+            state.path = path
 
     def _handle_inject(self, attack: AttackSpec) -> None:
         frame = adversary.build_fake_frame(attack, self.now // 1000, attack.seq)
         self._log_attack(attack, attack.src, attack.seq,
                          events.detail(epoch=attack.key_epoch, hop=attack.hop))
         self._schedule(self.now + self.config.per_hop_delay_ms, "deliver",
-                       to=attack.to_id, data=frame, src=attack.src,
-                       seq=attack.seq, hop=attack.hop,
-                       route_src=attack.src, flow=FLOW_FAKE)
+                       (attack.to_id, frame, attack.src, attack.seq,
+                        attack.hop, attack.src, FLOW_FAKE))
 
     def _handle_probe(self, attack: AttackSpec) -> None:
         observed = adversary.run_store_probe(attack, self.store,
@@ -309,12 +312,11 @@ class Simulation:
         """Process one event; False when the queue is exhausted."""
         if not self._queue:
             return False
-        time, _, kind, payload = heapq.heappop(self._queue)
+        time, _, kind, args = heapq.heappop(self._queue)
         if time < self.now:
             raise RuntimeError("event queue went backwards")
         self.now = time
-        handler = getattr(self, f"_handle_{kind}")
-        handler(**payload)
+        self._handlers[kind](*args)
         self._maybe_rotate()
         return True
 

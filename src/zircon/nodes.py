@@ -277,8 +277,8 @@ class GatewayNode(_Verifier):
             return self._verdict(MISSING_RECORD, pkt.src, pkt.seq, pkt.hop,
                                  now_ms), None
 
-        hops = [rec.key.hop for rec in records]
-        if hops != list(range(1, len(records) + 1)) or len(records) != pkt.hop:
+        # one record per hop so far, contiguous from 1
+        if [rec.key.hop for rec in records] != list(range(1, pkt.hop + 1)):
             return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
 
         features = []
@@ -288,7 +288,7 @@ class GatewayNode(_Verifier):
                 return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop,
                                   now_ms)
             features.append(sw)
-        path = [(format_ip(sw.ip), sw.capture_time) for sw in features]
+        path = [(format_ip(ip), capture_time) for ip, capture_time in features]
         return self._accept(pkt, features[0], path, now_ms)
 
     def verify_singlehop(self, data: bytes, now_ms: int

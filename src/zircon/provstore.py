@@ -5,11 +5,14 @@ one-time full retrieval, and whole-set deletion; there is deliberately no way
 to mutate a stored record in place.  Access is gated by an id registration
 table: only registered nodes may store, only registered gateways may pull a
 full set, and each packet's set can be pulled exactly once.
+
+The records are plain named tuples, built once per hop.  Their one range
+rule, hop >= 1, is kept where it can break: `store` accepts only the hop
+after the newest stored one, and the frame parser refuses hop 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import events
 
@@ -30,19 +33,13 @@ class OneRetrievalError(RuntimeError):
     """The full set for this packet was already retrieved once."""
 
 
-@dataclass(frozen=True)
-class ProvenanceKey:
+class ProvenanceKey(NamedTuple):
     source: int
     sequence: int
-    hop: int
-
-    def __post_init__(self) -> None:
-        if self.hop < 1:
-            raise ValueError("hop index starts at 1")
+    hop: int  # from 1; the store accepts only max + 1
 
 
-@dataclass(frozen=True)
-class StoredRecord:
+class StoredRecord(NamedTuple):
     key: ProvenanceKey
     cipher: bytes  # the 16-byte encrypted feature record
     epoch: int  # the key epoch that encrypted it; not on the wire
@@ -51,12 +48,6 @@ class StoredRecord:
     # single-hop emitters keep the full watermark, so the truncated payload
     # digest rides along; multi-hop entries leave this None
     hash_part: Optional[bytes] = None
-
-
-@dataclass
-class _PacketSet:
-    records: List[StoredRecord] = field(default_factory=list)
-    consumed: bool = False
 
 
 class ProvenanceStore:
@@ -68,7 +59,10 @@ class ProvenanceStore:
                  log: Optional[List[str]] = None):
         self.clock = clock
         self.log: List[str] = [] if log is None else log
-        self._sets: Dict[Tuple[int, int], _PacketSet] = {}
+        # a packet's records in hop order; a set exists only while it holds
+        # at least one record
+        self._sets: Dict[Tuple[int, int], List[StoredRecord]] = {}
+        self._consumed: set = set()  # packets whose set was retrieved
         self._node_ids: set = set()
         self._gateway_ids: set = set()
 
@@ -86,65 +80,65 @@ class ProvenanceStore:
               hash_part: Optional[bytes] = None) -> StoredRecord:
         if by not in self._node_ids:
             raise AuthorizationError(f"id {by} is not registered to store records")
-        pset = self._sets.get((key.source, key.sequence))
-        current_max = pset.records[-1].key.hop if pset and pset.records else 0
-        if key.hop != current_max + 1:
+        src, seq, hop = key
+        records = self._sets.get((src, seq))
+        current_max = records[-1].key.hop if records else 0
+        if hop != current_max + 1:
             raise SequencingError(
-                f"hop {key.hop} does not extend current max {current_max}"
+                f"hop {hop} does not extend current max {current_max}"
             )
-        if pset is None:
-            pset = _PacketSet()
-            self._sets[(key.source, key.sequence)] = pset
-        rec = StoredRecord(key=key, cipher=cipher, epoch=epoch, by=by,
-                           time=self.clock(), hash_part=hash_part)
-        pset.records.append(rec)
-        self.log.append(events.store(key.source, key.sequence, key.hop,
-                                     cipher.hex(), by, rec.time))
+        if records is None:
+            records = self._sets[(src, seq)] = []
+        time = self.clock()
+        rec = StoredRecord(key, cipher, epoch, by, time, hash_part)
+        records.append(rec)
+        self.log.append(events.store(src, seq, hop, cipher.hex(), by, time))
         return rec
 
     def query_last(self, source: int, sequence: int) -> StoredRecord:
-        pset = self._sets.get((source, sequence))
-        if pset is None or not pset.records:
+        records = self._sets.get((source, sequence))
+        if records is None:
             raise MissingRecordError(f"no records for packet ({source},{sequence})")
-        return pset.records[-1]
+        return records[-1]
 
     def query_all(self, source: int, sequence: int, by: int) -> List[StoredRecord]:
         if by not in self._gateway_ids:
             raise AuthorizationError(f"id {by} is not an authorized gateway")
-        pset = self._sets.get((source, sequence))
-        if pset is None or not pset.records:
+        packet = (source, sequence)
+        records = self._sets.get(packet)
+        if records is None:
             raise MissingRecordError(f"no records for packet ({source},{sequence})")
-        if pset.consumed:
+        if packet in self._consumed:
             raise OneRetrievalError(
                 f"set for packet ({source},{sequence}) was already retrieved"
             )
-        pset.consumed = True
-        return list(pset.records)
+        self._consumed.add(packet)
+        return list(records)
 
     def delete_all(self, source: int, sequence: int) -> int:
-        pset = self._sets.pop((source, sequence), None)
-        count = len(pset.records) if pset else 0
-        self.log.append(events.delete(source, sequence, count, self.clock()))
-        return count
+        records = self._sets.pop((source, sequence), ())
+        self._consumed.discard((source, sequence))
+        self.log.append(events.delete(source, sequence, len(records),
+                                      self.clock()))
+        return len(records)
 
     # -- introspection (read-only; used by reports and the drop sweep) -----
 
     def record_count(self, source: int, sequence: int) -> int:
-        pset = self._sets.get((source, sequence))
-        return len(pset.records) if pset else 0
+        return len(self._sets.get((source, sequence), ()))
 
     def packet_ids(self) -> List[Tuple[int, int]]:
-        return [key for key, pset in self._sets.items() if pset.records]
+        return list(self._sets)
 
     def sweep_stale(self, now: int, timeout_ms: int) -> List[Tuple[int, int, int, int]]:
         """Packets whose newest record has sat longer than timeout_ms without
         the set being retrieved.  Returns (source, sequence, last hop,
         last store time) per suspect; the last hop localizes a drop."""
         suspects = []
-        for (src, seq), pset in sorted(self._sets.items()):
-            if pset.consumed or not pset.records:
+        for (src, seq), records in sorted(self._sets.items()):
+            if (src, seq) in self._consumed:
                 continue
-            last = pset.records[-1]
+            last = records[-1]
             if now - last.time > timeout_ms:
                 suspects.append((src, seq, last.key.hop, last.time))
         return suspects

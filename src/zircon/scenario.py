@@ -13,8 +13,11 @@ from typing import Dict, List, Optional, Tuple
 import yaml
 
 from .adversary import (
+    DELETE_BITS,
     FAKE_INJECT,
+    INSERT_BITS,
     LINK_KINDS,
+    MODIFY_PAYLOAD,
     MODIFY_WATERMARK,
     STORE_PROBE,
     AttackSpec,
@@ -23,7 +26,15 @@ from .adversary import (
 from .analysis import EnergyParams
 from .nodes import ROLE_GATEWAY, ROLE_INTERMEDIATE, ROLE_SOURCE, ROLES
 from .crypto import KEY_BYTES
-from .watermark import MAX_HOP, MAX_PAYLOAD, MAX_SEQ, MAX_SRC, parse_ip
+from .watermark import (
+    HEADER_BYTES,
+    MAX_HOP,
+    MAX_PAYLOAD,
+    MAX_SEQ,
+    MAX_SRC,
+    WATERMARK_BYTES,
+    parse_ip,
+)
 
 MODE_SINGLEHOP = "singlehop"
 MODE_MULTIHOP = "multihop"
@@ -117,6 +128,56 @@ def _type_errors(where: str, obj) -> List[str]:
             if type(getattr(obj, name)) not in types]
 
 
+def _crossing_payloads(config: ScenarioConfig
+                       ) -> Dict[Tuple[int, int], List[Tuple[int, int]]]:
+    """Per link, (source, its shortest payload) of the organic traffic that
+    crosses it."""
+    shortest: Dict[int, int] = {}
+    for t in config.traffic:
+        shortest[t.source] = min(t.payload_bytes,
+                                 shortest.get(t.source, t.payload_bytes))
+    crossing: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for route in config.routes:
+        if route and route[0] in shortest:
+            for link in zip(route, route[1:]):
+                crossing.setdefault(link, []).append(
+                    (route[0], shortest[route[0]]))
+    return crossing
+
+
+def _offset_errors(where: str, a: AttackSpec, payload: Optional[int],
+                   tail: int) -> List[str]:
+    """Errors for the offsets of link attack `a` that fall outside the
+    shortest organic frame crossing its link: a header, `payload` bytes of
+    payload (None when no traffic crosses) and a `tail`-byte watermark."""
+    if a.kind == INSERT_BITS and a.offset_bits is None:
+        return [f"{where}offset_bits: insert_bits needs an offset"]
+    if a.kind == MODIFY_WATERMARK:
+        return [f"{where}edits: offset {off} is outside the "
+                f"{WATERMARK_BYTES}-byte watermark"
+                for off, _mask in a.edits if not 0 <= off < WATERMARK_BYTES]
+    if payload is None:
+        return []
+    shortest = f"the shortest frame on {a.from_id}->{a.to_id}"
+    bits = (HEADER_BYTES + payload + tail) * 8
+    if a.kind == MODIFY_PAYLOAD:
+        return [f"{where}edits: offset {off} is outside the {payload}-byte "
+                f"payload of {shortest}"
+                for off, _mask in a.edits if not 0 <= off < payload]
+    if a.kind == INSERT_BITS and not 0 <= a.offset_bits <= bits:
+        return [f"{where}offset_bits: {a.offset_bits} is outside the {bits} "
+                f"bits of {shortest}"]
+    if a.kind == DELETE_BITS and a.offset_bits is None and a.q > bits:
+        return [f"{where}q: {a.q} bits is more than the {bits} bits of "
+                f"{shortest}"]
+    if a.kind == DELETE_BITS and a.offset_bits is not None \
+            and not 0 <= a.offset_bits <= bits - a.q:
+        return [f"{where}offset_bits: bits {a.offset_bits}.."
+                f"{a.offset_bits + a.q - 1} are outside the {bits} bits of "
+                f"{shortest}"]
+    return []
+
+
 def validate(config: ScenarioConfig) -> None:
     """Raise ConfigError listing every problem found."""
     typed = [("", config)]
@@ -133,6 +194,9 @@ def validate(config: ScenarioConfig) -> None:
                f"pair of integers"
                for ai, a in enumerate(config.attacks) for pair in a.edits
                if any(type(v) is not int for v in pair)]
+    errors += [f"attacks[{ai}].bits: {b!r} is not a bit (0 or 1)"
+               for ai, a in enumerate(config.attacks) for b in a.bits
+               if type(b) is not int or b not in (0, 1)]
     if errors:
         # every check below compares these values
         raise ConfigError(errors)
@@ -226,6 +290,10 @@ def validate(config: ScenarioConfig) -> None:
             errors.append(f"traffic: source {src} sends {total} packets, but "
                           f"sequence numbers must fit 32 bits")
 
+    # only link attacks read it, and set-up runs validate twice
+    crossing = _crossing_payloads(config) \
+        if any(a.kind in LINK_KINDS for a in config.attacks) else {}
+    tail = 0 if config.mode == MODE_SINGLEHOP else WATERMARK_BYTES
     for ai, a in enumerate(config.attacks):
         if a.kind in LINK_KINDS:
             if (a.from_id, a.to_id) not in links:
@@ -238,6 +306,10 @@ def validate(config: ScenarioConfig) -> None:
                 errors.append(
                     f"attacks[{ai}]: singlehop frames carry no watermark to modify"
                 )
+            payload = min((p for src, p in crossing.get((a.from_id, a.to_id),
+                                                        ())
+                           if a.src in (None, src)), default=None)
+            errors += _offset_errors(f"attacks[{ai}].", a, payload, tail)
         elif a.kind == FAKE_INJECT:
             if a.to_id not in ids:
                 errors.append(f"attacks[{ai}]: inject target {a.to_id} unknown")
@@ -312,7 +384,6 @@ _ATTACK_KEYS = {**{f.name: f.name for f in fields(AttackSpec)
                 **_ATTACK_RENAMES}
 # YAML value to field value, by field; other fields take the value as read
 _ATTACK_CONVERT = {
-    "mutate_timestamp": bool,
     "bits": tuple,
     "edits": lambda edits: tuple((off, mask) for off, mask in edits),
     "ip": parse_ip,

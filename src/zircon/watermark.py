@@ -10,11 +10,15 @@ Two framing profiles exist on the wire, both built and parsed by one codec
 into one `Frame` type.  Multi-hop frames carry the watermark tail;
 single-hop frames carry the bare payload because the receiving gateway
 regenerates everything it needs from the stored copy.
+
+`Frame` and the feature record `FeatureSubWatermark` are plain named tuples,
+built once per hop.  A feature record's ranges (a 4-byte ip, a 32-bit
+capture time) are checked in `FeatureSubWatermark.to_bytes`, the only way
+one reaches the wire; one decoded from 8 bytes fits them by construction.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 from .crypto import (
@@ -22,7 +26,6 @@ from .crypto import (
     SymmetricKey,
     digest,
     encrypt_block,
-    truncate_digest,
 )
 
 WATERMARK_BYTES = 24
@@ -32,6 +35,8 @@ HASH_PART_BYTES = 8
 # [src:2][seq:4][hop:1][len:2] big-endian
 _HEADER = struct.Struct(">HIBH")
 HEADER_BYTES = _HEADER.size  # 9
+# [ip:4][capture time:4] big-endian, the plaintext of a feature record
+_FEATURE = struct.Struct(">4sI")
 
 MAX_PAYLOAD = 0xFFFF
 MAX_SEQ = 0xFFFFFFFF
@@ -70,30 +75,27 @@ def parse_ip(text: str) -> bytes:
 def format_ip(ip: bytes) -> str:
     if len(ip) != 4:
         raise LengthError(f"IPv4 address must be 4 bytes, got {len(ip)}")
-    return ".".join(str(b) for b in ip)
+    return "%d.%d.%d.%d" % tuple(ip)
 
 
-@dataclass(frozen=True)
-class FeatureSubWatermark:
+class FeatureSubWatermark(NamedTuple):
     """Node IP plus capture (or receive) time, both 4 bytes on the wire."""
 
     ip: bytes
     capture_time: int
 
-    def __post_init__(self) -> None:
+    def to_bytes(self) -> bytes:
         if len(self.ip) != 4:
             raise LengthError(f"ip must be 4 bytes, got {len(self.ip)}")
         if not 0 <= self.capture_time <= 0xFFFFFFFF:
             raise ValueError("capture_time must fit 32 unsigned bits")
-
-    def to_bytes(self) -> bytes:
-        return self.ip + self.capture_time.to_bytes(4, "big")
+        return _FEATURE.pack(self.ip, self.capture_time)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FeatureSubWatermark":
-        if len(data) != 8:
+        if len(data) != _FEATURE.size:
             raise LengthError(f"feature sub-watermark must be 8 bytes, got {len(data)}")
-        return cls(ip=data[:4], capture_time=int.from_bytes(data[4:], "big"))
+        return cls._make(_FEATURE.unpack(data))
 
 
 class Frame(NamedTuple):
@@ -121,7 +123,7 @@ def make_provenance_record(sw: FeatureSubWatermark, key: SymmetricKey) -> bytes:
 
 def make_hash_subwatermark(payload: bytes) -> bytes:
     """The first 8 digest bytes of the payload."""
-    return truncate_digest(digest(payload))
+    return digest(payload)[:HASH_PART_BYTES]
 
 
 def _frame(payload: bytes, packet_id: Tuple[int, int], hop: int,

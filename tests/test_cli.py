@@ -147,6 +147,18 @@ def test_run_refuses_a_nan_energy_constant(tmp_path, capsys):
      "attacks: [{kind: fake_inject, to: 2, src: 1, seq: 1, ip: 5, "
      "key_material_hex: 000102030405060708090a0b0c0d0e0f}]",
      "attacks: bad IPv4 address 5"),
+    ("attacks: []",
+     "attacks: [{kind: replay, from: 1, to: 2, mutate_timestamp: nope}]",
+     "attacks[0].mutate_timestamp: must be true or false, got 'nope'"),
+    ("attacks: []",
+     "attacks: [{kind: replay, from: 1, to: 2, mutate_timestamp: 1}]",
+     "attacks[0].mutate_timestamp: must be true or false, got 1"),
+    ("attacks: []", "attacks: [{kind: insert_bits, from: 1, to: 2, "
+     "offset_bits: 3, bits: [true, 0]}]",
+     "attacks[0].bits: True is not a bit (0 or 1)"),
+    ("attacks: []", "attacks: [{kind: insert_bits, from: 1, to: 2, "
+     "offset_bits: 3, bits: [0, 1.0]}]",
+     "attacks[0].bits: 1.0 is not a bit (0 or 1)"),
 ])
 def test_run_refuses_a_wrong_typed_scalar(tmp_path, capsys, old, new, message):
     # each used to end in a traceback, or (payload_bytes: true) to run with
@@ -158,6 +170,28 @@ def test_run_refuses_a_wrong_typed_scalar(tmp_path, capsys, old, new, message):
     assert code == 1
     assert err == f"invalid scenario config:\n  {message}\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("attack, message", [
+    ("{kind: modify_payload, from: 1, to: 2, edits: [[100, 1]]}",
+     "attacks[0].edits: offset 100 is outside the 16-byte payload of the "
+     "shortest frame on 1->2"),
+    ("{kind: insert_bits, from: 1, to: 2, offset_bits: 5000, bits: [1]}",
+     "attacks[0].offset_bits: 5000 is outside the 392 bits of the shortest "
+     "frame on 1->2"),
+])
+def test_run_refuses_an_attack_offset_outside_the_frame(tmp_path, capsys,
+                                                        attack, message):
+    # both used to pass validation and then abort the run, no outputs written
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(scenario.EXAMPLE_CONFIG.replace(
+        "attacks: []", f"attacks: [{attack}]"), encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg),
+                             "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err == f"invalid scenario config:\n  {message}\n"
+    assert out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_errors_exit_two(capsys):
@@ -202,6 +236,20 @@ def test_cost_table_output_is_pinned(capsys, argv, sha256):
     code, out, _ = run_cli(capsys, "cost-table", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("pfp", ["0", "1", "1.5", "-0.1"])
+def test_cost_table_writes_nothing_for_a_bad_pfp(tmp_path, capsys, pfp):
+    code, out, err = run_cli(capsys, "cost-table", "--pfp", pfp)
+    assert code == 1
+    assert out == ""
+    assert "false-positive rate must be in (0, 1)" in err
+    path = tmp_path / "cost.csv"
+    code, out, _ = run_cli(capsys, "cost-table", "--pfp", pfp,
+                           "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert not path.exists()
 
 
 # -- energy-table ---------------------------------------------------------------------

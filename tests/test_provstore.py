@@ -54,9 +54,13 @@ def test_hop_contiguity(store):
     assert store.record_count(1, 1) == 2
 
 
-def test_hop_index_starts_at_one():
-    with pytest.raises(ValueError):
-        ProvenanceKey(1, 1, 0)
+def test_hop_index_starts_at_one(store):
+    store.register_node(1)
+    with pytest.raises(ValueError):  # SequencingError is one
+        store.store(ProvenanceKey(1, 1, 0), cipher(1), 0, by=1)
+    assert store.record_count(1, 1) == 0
+    assert store.packet_ids() == []
+    assert store.log == []
 
 
 def test_query_last_returns_newest(populated):

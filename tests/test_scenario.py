@@ -247,6 +247,63 @@ def test_attack_link_must_exist():
     assert any("not on any route" in e for e in errors_of(cfg))
 
 
+# small_config's only link frames are 9 + 16 + 24 bytes: 392 bits
+SHORTEST = "the shortest frame on 1->2"
+
+
+@pytest.mark.parametrize("attack, message", [
+    (AttackSpec("modify_payload", 1, 2, edits=((0, 1), (16, 1))),
+     f"attacks[0].edits: offset 16 is outside the 16-byte payload of "
+     f"{SHORTEST}"),
+    (AttackSpec("modify_payload", 1, 2, edits=((-1, 1),)),
+     f"attacks[0].edits: offset -1 is outside the 16-byte payload of "
+     f"{SHORTEST}"),
+    (AttackSpec("modify_watermark", 1, 2, edits=((24, 1),)),
+     "attacks[0].edits: offset 24 is outside the 24-byte watermark"),
+    (AttackSpec("insert_bits", 1, 2, offset_bits=393, bits=(1,)),
+     f"attacks[0].offset_bits: 393 is outside the 392 bits of {SHORTEST}"),
+    (AttackSpec("insert_bits", 1, 2, bits=(1,)),
+     "attacks[0].offset_bits: insert_bits needs an offset"),
+    (AttackSpec("delete_bits", 1, 2, offset_bits=390, q=3),
+     f"attacks[0].offset_bits: bits 390..392 are outside the 392 bits of "
+     f"{SHORTEST}"),
+    (AttackSpec("delete_bits", 1, 2, q=393),
+     f"attacks[0].q: 393 bits is more than the 392 bits of {SHORTEST}"),
+])
+def test_attack_offsets_must_fall_inside_the_shortest_frame(attack, message):
+    assert errors_of(small_config(attacks=[attack])) == [message]
+
+
+@pytest.mark.parametrize("attack", [
+    AttackSpec("modify_payload", 1, 2, edits=((15, 1),)),
+    AttackSpec("modify_watermark", 1, 2, edits=((23, 1),)),
+    AttackSpec("insert_bits", 1, 2, offset_bits=392, bits=(1,)),
+    AttackSpec("delete_bits", 1, 2, offset_bits=389, q=3),
+    AttackSpec("delete_bits", 1, 2, q=392),
+])
+def test_attack_offsets_at_the_frame_edge_run(attack):
+    counts = run(small_config(attacks=[attack])).report["counts"]
+    assert counts["emitted"] == 3
+    assert counts["accepted"] + counts["rejected"] + counts["dropped"] == 3
+
+
+def test_attack_offsets_meet_the_shortest_crossing_payload():
+    edit = AttackSpec("modify_payload", 1, 2, edits=((4, 1),))
+    cfg = small_config(attacks=[edit], traffic=[
+        TrafficSpec(source=1, count=1), TrafficSpec(source=1, count=1,
+                                                    payload_bytes=4)])
+    assert errors_of(cfg) == [f"attacks[0].edits: offset 4 is outside the "
+                              f"4-byte payload of {SHORTEST}"]
+    # an attack filtered to a source that sends nothing meets no frame
+    edit.src = 7
+    validate(cfg)
+    # a singlehop frame has no watermark: 9 + 16 bytes, 200 bits
+    cfg = small_config(mode="singlehop", routes=[[1, 9]], attacks=[
+        AttackSpec("insert_bits", 1, 9, offset_bits=201, bits=(1,))])
+    assert errors_of(cfg) == ["attacks[0].offset_bits: 201 is outside the "
+                              "200 bits of the shortest frame on 1->9"]
+
+
 def test_fake_inject_and_probe_requirements():
     cfg = small_config()
     cfg.attacks = [AttackSpec(kind="fake_inject", to_id=7, src=1,

@@ -1,6 +1,6 @@
 """Framing and watermark construction."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.reference import vectors as V
@@ -65,6 +65,8 @@ def test_frame_sizes():
 
 @given(ip=st.binary(min_size=4, max_size=4),
        t=st.integers(min_value=0, max_value=0xFFFFFFFF))
+@example(ip=bytes(4), t=0)
+@example(ip=b"\xff" * 4, t=0xFFFFFFFF)
 def test_feature_subwatermark_roundtrip(ip, t):
     sw = FeatureSubWatermark(ip=ip, capture_time=t)
     assert FeatureSubWatermark.from_bytes(sw.to_bytes()) == sw
@@ -72,12 +74,26 @@ def test_feature_subwatermark_roundtrip(ip, t):
 
 
 def test_feature_subwatermark_bounds():
+    # the ranges are checked where a feature record goes on the wire
+    short_ip = FeatureSubWatermark(ip=b"xyz", capture_time=0)
+    late = FeatureSubWatermark(ip=bytes(4), capture_time=2 ** 32)
+    early = FeatureSubWatermark(ip=bytes(4), capture_time=-1)
     with pytest.raises(LengthError):
-        FeatureSubWatermark(ip=b"xyz", capture_time=0)
-    with pytest.raises(ValueError):
-        FeatureSubWatermark(ip=bytes(4), capture_time=2 ** 32)
+        short_ip.to_bytes()
+    with pytest.raises(LengthError):
+        make_provenance_record(short_ip, KEY)
+    for sw in (late, early):
+        with pytest.raises(ValueError):
+            sw.to_bytes()
+        with pytest.raises(ValueError):
+            make_provenance_record(sw, KEY)
     with pytest.raises(LengthError):
         FeatureSubWatermark.from_bytes(b"1234567")
+
+
+@given(ip=st.binary(min_size=4, max_size=4))
+def test_format_ip_matches_dotted_decimal(ip):
+    assert format_ip(ip) == ".".join(str(b) for b in ip)
 
 
 @given(src=st.integers(0, 0xFFFF), seq=st.integers(0, 0xFFFFFFFF),
