@@ -161,7 +161,7 @@ def _apply_edits(data: bytes, edits: Tuple[Tuple[int, int], ...],
         if not 0 <= off < region_len:
             raise AttackSpecError(f"edit offset {off} outside region of "
                                   f"{region_len} bytes")
-        out[base + off] ^= mask & 0xFF
+        out[base + off] ^= mask
     return bytes(out)
 
 

@@ -59,12 +59,10 @@ def _write_run_outputs(result: netsim.SimResult, out_dir: str) -> None:
     with open(os.path.join(out_dir, "events.log"), "w", encoding="utf-8") as fh:
         fh.write(result.log_text())
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(result.report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(result.report_text())
     with open(os.path.join(out_dir, "provenance.journal"), "w",
               encoding="utf-8") as fh:
-        for line in events.journal(result.log):
-            fh.write(line + "\n")
+        fh.write("".join(line + "\n" for line in events.journal(result.log)))
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import random
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional, Tuple
 
 from . import adversary, events
@@ -71,6 +73,76 @@ class SimResult:
 
     def log_text(self) -> str:
         return "\n".join(self.log) + "\n"
+
+    def report_text(self) -> str:
+        """The report as `json.dumps(report, indent=2, sort_keys=True)` plus
+        a newline, byte for byte.  With an indent, json takes its pure-Python
+        encoder, so the packet entries, the bulk of the file, are written
+        from the fixed key sets `_build_report` and `_record_verdict` give
+        them; the other top-level values are small and go through json."""
+        parts = []
+        for key, value in sorted(self.report.items()):
+            if key == "packets":
+                text = _packets_text(value)
+            else:
+                # encoded JSON holds no raw newline, so this only re-indents
+                text = json.dumps(value, indent=2, sort_keys=True
+                                  ).replace("\n", _P2)
+            parts.append(f"{_P2}{_quote(key)}: {text}")
+        return "{" + ",".join(parts) + "\n}\n"
+
+
+# a newline and the indent of each depth of report.json
+_P2, _P4, _P6, _P8, _P10 = ("\n" + " " * n for n in (2, 4, 6, 8, 10))
+
+
+def _leaf(value) -> str:
+    """A scalar as json writes it: a plain int in decimal, anything else
+    (None, a float, a bool) through json."""
+    return str(value) if type(value) is int else json.dumps(value)
+
+
+def _list_text(items: List[str], pad: str) -> str:
+    """A JSON list of encoded items, its brackets at `pad`."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+def _verdict_text(v: dict, pad: str) -> str:
+    """A verdict entry, its braces at `pad`; `hop` may be None."""
+    p = pad + "  "
+    return (f'{{{p}"flow": {_quote(v["flow"])},{p}"hop": {_leaf(v["hop"])},'
+            f'{p}"node": {_leaf(v["node"])},'
+            f'{p}"outcome": {_quote(v["outcome"])},'
+            f'{p}"time": {_leaf(v["time"])}{pad}}}')
+
+
+def _packet_text(e: dict) -> str:
+    """A packet entry, its braces at depth 4."""
+    final, path = e["final"], e["path"]
+    final = "null" if final is None else _verdict_text(final, _P6)
+    path = "null" if path is None else _list_text(
+        [f"[{_P10}{_quote(ip)},{_P10}{_leaf(t)}{_P8}]" for ip, t in path], _P6)
+    route = _list_text([_leaf(n) for n in e["route"]], _P6)
+    verdicts = _list_text([_verdict_text(v, _P8) for v in e["verdicts"]], _P6)
+    return (f'{{{_P6}"emitted_ms": {_leaf(e["emitted_ms"])},'
+            f'{_P6}"final": {final},{_P6}"path": {path},'
+            f'{_P6}"route": {route},{_P6}"seq": {_leaf(e["seq"])},'
+            f'{_P6}"source": {_leaf(e["source"])},'
+            f'{_P6}"status": {_quote(e["status"])},'
+            f'{_P6}"store_records": {_leaf(e["store_records"])},'
+            f'{_P6}"verdicts": {verdicts}{_P4}}}')
+
+
+def _packets_text(packets: dict) -> str:
+    """The packets object, its entries in key string order."""
+    if not packets:
+        return "{}"
+    entries = [f"{_P4}{_quote(key)}: {_packet_text(packets[key])}"
+               for key in sorted(packets)]
+    return "{" + ",".join(entries) + _P2 + "}"
 
 
 class Simulation:

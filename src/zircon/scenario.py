@@ -19,6 +19,7 @@ from .adversary import (
     LINK_KINDS,
     MODIFY_PAYLOAD,
     MODIFY_WATERMARK,
+    REPLAY,
     STORE_PROBE,
     AttackSpec,
     AttackSpecError,
@@ -28,6 +29,7 @@ from .nodes import ROLE_GATEWAY, ROLE_INTERMEDIATE, ROLE_SOURCE, ROLES
 from .crypto import KEY_BYTES
 from .watermark import (
     HEADER_BYTES,
+    MAX_CAPTURE_S,
     MAX_HOP,
     MAX_PAYLOAD,
     MAX_SEQ,
@@ -178,6 +180,19 @@ def _offset_errors(where: str, a: AttackSpec, payload: Optional[int],
     return []
 
 
+# link attacks that cut or pad the frame, and those that parse it: a parser
+# after a reshaper on one link meets a frame validate never modelled
+_RESHAPERS = (INSERT_BITS, DELETE_BITS)
+_PARSERS = (MODIFY_PAYLOAD, MODIFY_WATERMARK) + _RESHAPERS
+
+
+def _may_meet(a: AttackSpec, b: AttackSpec) -> bool:
+    """Whether two attacks' src and seq filters (None matches every value)
+    can both match one packet."""
+    return all(x is None or y is None or x == y
+               for x, y in ((a.src, b.src), (a.seq, b.seq)))
+
+
 def validate(config: ScenarioConfig) -> None:
     """Raise ConfigError listing every problem found."""
     typed = [("", config)]
@@ -271,14 +286,28 @@ def validate(config: ScenarioConfig) -> None:
             )
         links.update(zip(route, route[1:]))
 
-    route_sources = {r[0] for r in config.routes if r}
+    # the trip of each source's route; every capture time, taken in whole
+    # seconds of the clock, must fit 32 bits, so nothing may run past it
+    trips = {r[0]: (len(r) - 1) * config.per_hop_delay_ms
+             for r in config.routes if r}
+    replay_ms = max((a.delay_ms for a in config.attacks if a.kind == REPLAY),
+                    default=0)
     sent: Dict[int, int] = {}
     for ti, t in enumerate(config.traffic):
         sent[t.source] = sent.get(t.source, 0) + t.count
         if t.source not in ids or ids[t.source].role != ROLE_SOURCE:
             errors.append(f"traffic[{ti}].source: {t.source} is not a source node")
-        elif t.source not in route_sources:
+        elif t.source not in trips:
             errors.append(f"traffic[{ti}].source: {t.source} has no route")
+        else:
+            end_ms = (t.start_ms + (t.count - 1) * t.interval_ms
+                      + trips[t.source] + replay_ms)
+            if end_ms // 1000 > MAX_CAPTURE_S:
+                errors.append(f"traffic[{ti}].start_ms: its packets can be in "
+                              f"flight at {end_ms} ms, past the 32-bit "
+                              f"capture time ({MAX_CAPTURE_S} s)")
+        if t.start_ms < 0:
+            errors.append(f"traffic[{ti}].start_ms: must be >= 0")
         if t.count < 1:
             errors.append(f"traffic[{ti}].count: must be >= 1")
         if t.interval_ms < 1:
@@ -294,15 +323,36 @@ def validate(config: ScenarioConfig) -> None:
     crossing = _crossing_payloads(config) \
         if any(a.kind in LINK_KINDS for a in config.attacks) else {}
     tail = 0 if config.mode == MODE_SINGLEHOP else WATERMARK_BYTES
+    reshaped: Dict[Tuple[int, int], List[int]] = {}
     for ai, a in enumerate(config.attacks):
+        if a.after_ms < 0:
+            errors.append(f"attacks[{ai}].after_ms: must be >= 0")
         if a.kind in LINK_KINDS:
-            if (a.from_id, a.to_id) not in links:
+            link = (a.from_id, a.to_id)
+            if link not in links:
                 errors.append(
                     f"attacks[{ai}]: link {a.from_id}->{a.to_id} is not on any route"
                 )
+            if a.kind in _PARSERS or (a.kind == REPLAY and a.mutate_timestamp):
+                first = next((bi for bi in reshaped.get(link, ())
+                              if _may_meet(a, config.attacks[bi])), None)
+                if first is not None:
+                    errors.append(
+                        f"attacks[{ai}]: {a.kind} on {a.from_id}->{a.to_id} "
+                        f"would parse frames the "
+                        f"{config.attacks[first].kind} of attacks[{first}] "
+                        f"has already reshaped")
+            if a.kind in _RESHAPERS:
+                reshaped.setdefault(link, []).append(ai)
+            if a.kind == REPLAY and a.delay_ms < 0:
+                errors.append(f"attacks[{ai}].delay_ms: must be >= 0")
+            if a.kind in (MODIFY_PAYLOAD, MODIFY_WATERMARK):
+                errors += [f"attacks[{ai}].edits: xor mask {mask} is not a "
+                           f"byte (1..255)"
+                           for _off, mask in a.edits if not 1 <= mask <= 255]
             if config.mode == MODE_SINGLEHOP and (
                     a.kind == MODIFY_WATERMARK
-                    or (a.kind == "replay" and a.mutate_timestamp)):
+                    or (a.kind == REPLAY and a.mutate_timestamp)):
                 errors.append(
                     f"attacks[{ai}]: singlehop frames carry no watermark to modify"
                 )
@@ -313,6 +363,11 @@ def validate(config: ScenarioConfig) -> None:
         elif a.kind == FAKE_INJECT:
             if a.to_id not in ids:
                 errors.append(f"attacks[{ai}]: inject target {a.to_id} unknown")
+            end_ms = a.after_ms + max(trips.values(), default=0)
+            if end_ms // 1000 > MAX_CAPTURE_S:
+                errors.append(f"attacks[{ai}].after_ms: its forged frame can "
+                              f"be in flight at {end_ms} ms, past the 32-bit "
+                              f"capture time ({MAX_CAPTURE_S} s)")
             if a.seq is None:
                 errors.append(f"attacks[{ai}]: fake_inject needs a forged seq")
             elif not 0 <= a.seq <= MAX_SEQ:

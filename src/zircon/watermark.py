@@ -42,6 +42,7 @@ MAX_PAYLOAD = 0xFFFF
 MAX_SEQ = 0xFFFFFFFF
 MAX_SRC = 0xFFFF
 MAX_HOP = 0xFF
+MAX_CAPTURE_S = 0xFFFFFFFF  # capture times are whole seconds in 32 bits
 
 
 class FrameError(ValueError):
@@ -87,7 +88,7 @@ class FeatureSubWatermark(NamedTuple):
     def to_bytes(self) -> bytes:
         if len(self.ip) != 4:
             raise LengthError(f"ip must be 4 bytes, got {len(self.ip)}")
-        if not 0 <= self.capture_time <= 0xFFFFFFFF:
+        if not 0 <= self.capture_time <= MAX_CAPTURE_S:
             raise ValueError("capture_time must fit 32 unsigned bits")
         return _FEATURE.pack(self.ip, self.capture_time)
 

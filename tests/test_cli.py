@@ -194,6 +194,61 @@ def test_run_refuses_an_attack_offset_outside_the_frame(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+_INJECT = ("{kind: fake_inject, to: 2, src: 1, seq: 1, ip: 10.0.0.1, "
+           "key_material_hex: 000102030405060708090a0b0c0d0e0f, after_ms: ")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    # edited nothing, and read as 20 false accepts
+    ("attacks: []",
+     "attacks: [{kind: modify_payload, from: 1, to: 2, edits: [[0, 256]]}]",
+     "attacks[0].edits: xor mask 256 is not a byte (1..255)"),
+    # raised AttackSpecError from the first frame the delete had cut
+    ("attacks: []",
+     "attacks: [{kind: delete_bits, from: 1, to: 2, offset_bits: 0, q: 8}, "
+     "{kind: modify_watermark, from: 1, to: 2, edits: [[0, 1]]}]",
+     "attacks[1]: modify_watermark on 1->2 would parse frames the "
+     "delete_bits of attacks[0] has already reshaped"),
+    # raised ValueError from the first capture time past 32 bits
+    ("start_ms: 0,", "start_ms: 4294967296000,",
+     "traffic[0].start_ms: its packets can be in flight at 4294967315900 ms, "
+     "past the 32-bit capture time (4294967295 s)"),
+    ("attacks: []", f"attacks: [{_INJECT}4294967296000}}]",
+     "attacks[0].after_ms: its forged frame can be in flight at "
+     "4294967296900 ms, past the 32-bit capture time (4294967295 s)"),
+])
+def test_run_refuses_a_config_that_would_abort_or_mislead(tmp_path, capsys,
+                                                          old, new, message):
+    assert scenario.EXAMPLE_CONFIG.count(old) == 1
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(scenario.EXAMPLE_CONFIG.replace(old, new), encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg),
+                             "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err == f"invalid scenario config:\n  {message}\n"
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_just_inside_the_capture_time_horizon(tmp_path, capsys):
+    # one packet over three 300-ms hops lands at 4294967295999 ms, the last
+    # millisecond of capture time 2**32 - 1 s; a millisecond later is refused
+    text = scenario.EXAMPLE_CONFIG.replace("count: 20", "count: 1")
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(text.replace("start_ms: 0,", "start_ms: 4294967295099,"),
+                   encoding="utf-8")
+    code, out, _ = run_cli(capsys, "run", "--config", str(cfg),
+                           "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert "emitted=1 accepted=1" in out
+    cfg.write_text(text.replace("start_ms: 0,", "start_ms: 4294967295100,"),
+                   encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 1
+    assert "traffic[0].start_ms: its packets can be in flight at " \
+        "4294967296000 ms" in err
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -79,6 +79,30 @@ attacks:
   - {kind: store_probe, caller_id: 666, src: 1, seq: 1, after_ms: 500}
 """
 
+# the null branches of report.json: seq 2 dies on the first link (final and
+# path null, no verdicts, a suspected drop), and seq 5 reaches node 3 cut to
+# its 6-byte src/seq prefix, so its final verdict is a frame_fail with hop
+# null; twelve packets put "1:10" before "1:2"
+NULL_BRANCHES = """\
+seed: 31
+mode: multihop
+freshness_s: 60
+per_hop_delay_ms: 250
+key_rotation: {min_generations: 5, max_generations: 9}
+nodes:
+  - {id: 1, ip: 10.0.2.1, role: source, x: 5.0, y: 50.0}
+  - {id: 2, ip: 10.0.2.2, role: intermediate, x: 35.0, y: 50.0}
+  - {id: 3, ip: 10.0.2.3, role: intermediate, x: 65.0, y: 50.0}
+  - {id: 9, ip: 10.0.2.9, role: gateway, x: 95.0, y: 50.0}
+routes:
+  - [1, 2, 3, 9]
+traffic:
+  - {source: 1, count: 12, interval_ms: 800, start_ms: 0, payload_bytes: 16}
+attacks:
+  - {kind: drop, from: 1, to: 2, seq: 2}
+  - {kind: delete_bits, from: 2, to: 3, seq: 5, offset_bits: 48, q: 344}
+"""
+
 # sha256 of (events.log, report.json, provenance.journal)
 GOLDEN = {
     "multihop_line": (MULTIHOP_LINE, (
@@ -95,6 +119,11 @@ GOLDEN = {
         "5ac57407379a60a7ef4dbe33bae2f779d7b10aa12b39cf722abe98aa38aca122",
         "62823e538e300987eb75ede48d83cbec2e2ee50b7f996df78ca303f380186da3",
         "613472079b5c43414d3c5995114940b3bf3ab783807ae9f69de5172b808726b0",
+    )),
+    "null_branches": (NULL_BRANCHES, (
+        "632b4427e88b29ea3080cc89bd3f76f463fd90dccea6e20999af3af22abc1164",
+        "a6f0e6cd9a927893f0542834d1c46fe13a29c085fb824f16b988611932ced30e",
+        "89c254becfdf28276c8726279f02615cfbf9741ed58d470a2a34e17412102675",
     )),
 }
 

@@ -1,8 +1,11 @@
 """Simulator behavior: determinism, packet fates under each attack, key
 rotation, and report bookkeeping."""
 import hashlib
+import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zircon import events, netsim
 from zircon.cli import main
@@ -358,3 +361,62 @@ def test_simulation_validates_config():
     cfg.nodes[0].role = "router"
     with pytest.raises(ConfigError):
         netsim.Simulation(cfg)
+
+
+# -- report.json writer ----------------------------------------------------------------
+
+# every leaf kind json writes differently from str(): 70-bit ints, floats
+# such as 0.1 * 3 (and nan, inf), booleans and None, and strings that need
+# escaping
+_INTS = st.integers(min_value=-(1 << 70), max_value=1 << 70)
+_LEAVES = st.one_of(_INTS, st.floats(), st.just(0.1 * 3), st.booleans(),
+                    st.none())
+_TEXT = st.text(max_size=6)
+_VERDICT = st.fixed_dictionaries({
+    "outcome": _TEXT, "node": _LEAVES, "hop": st.one_of(st.none(), _INTS),
+    "time": _LEAVES, "flow": _TEXT})
+_PACKET = st.fixed_dictionaries({
+    "source": _LEAVES, "seq": _INTS, "route": st.lists(_INTS, max_size=3),
+    "emitted_ms": _LEAVES, "status": _TEXT,
+    "final": st.one_of(st.none(), _VERDICT),
+    "path": st.one_of(st.none(), st.lists(st.tuples(_TEXT, _LEAVES),
+                                          max_size=3)),
+    "verdicts": st.lists(_VERDICT, max_size=3), "store_records": _LEAVES})
+# "10:1" sorts before "9:1" as a string
+_PACKET_KEYS = st.one_of(
+    st.builds("{}:{}".format, st.integers(0, 12), st.integers(0, 12)), _TEXT)
+_REPORT = st.fixed_dictionaries({
+    "seed": _INTS, "mode": _TEXT,
+    "counts": st.dictionaries(_TEXT, _INTS, max_size=3),
+    "packets": st.dictionaries(_PACKET_KEYS, _PACKET, max_size=4),
+    "drops_suspected": st.lists(st.lists(_INTS, max_size=4), max_size=2),
+    "nodes": st.dictionaries(st.builds(str, st.integers(0, 12)),
+                             st.fixed_dictionaries({
+                                 "role": _TEXT, "packets": _INTS,
+                                 "watermark_ops": _INTS,
+                                 "t_c_ms": st.floats()}), max_size=3),
+    "rotations": _INTS, "final_epoch": _INTS,
+    "energy": st.dictionaries(_TEXT, st.floats(), max_size=3)})
+
+_HOP_NULL = {"outcome": "frame_fail", "node": 3, "hop": None, "time": 10,
+             "flow": "organic"}
+
+
+@given(report=_REPORT)
+@example(report={
+    "seed": 1, "mode": "multihop", "counts": {}, "drops_suspected": [],
+    "nodes": {}, "rotations": 0, "final_epoch": 0, "energy": {},
+    "packets": {
+        "9:1": {"source": 9, "seq": 1, "route": [], "emitted_ms": 0,
+                "status": "dropped", "final": None, "path": None,
+                "verdicts": [], "store_records": 1},
+        "10:1": {"source": 10, "seq": 1, "route": [10, 3], "emitted_ms": 5,
+                 "status": "rejected", "final": _HOP_NULL, "path": [],
+                 "verdicts": [_HOP_NULL], "store_records": 0}}})
+@settings(max_examples=200, deadline=None)
+def test_report_text_is_json_dumps_byte_for_byte(report):
+    result = netsim.SimResult(config=None, log=[], report=report, store=None,
+                              captures=[])
+    assert result.report_text() == \
+        json.dumps(report, indent=2, sort_keys=True) + "\n"
+

@@ -61,13 +61,14 @@ def test_yaml_roundtrip_preserves_everything():
         AttackSpec(kind="eavesdrop", from_id=1, to_id=2),
         AttackSpec(kind="replay", from_id=1, to_id=2, delay_ms=9000,
                    mutate_timestamp=True),
-        AttackSpec(kind="insert_bits", from_id=2, to_id=9, offset_bits=12,
-                   bits=(1, 0, 1)),
-        AttackSpec(kind="delete_bits", from_id=2, to_id=9, q=5, offset_bits=3),
         AttackSpec(kind="modify_payload", from_id=1, to_id=2, seq=2,
                    edits=((0, 1), (3, 0x80))),
         AttackSpec(kind="modify_watermark", from_id=2, to_id=9,
                    edits=((17, 0xFF),)),
+        # each after the attacks that parse frames on its link
+        AttackSpec(kind="insert_bits", from_id=2, to_id=9, offset_bits=12,
+                   bits=(1, 0, 1)),
+        AttackSpec(kind="delete_bits", from_id=1, to_id=2, q=5, offset_bits=3),
         AttackSpec(kind="drop", from_id=2, to_id=9, after_ms=1500),
         AttackSpec(kind="fake_inject", to_id=2, src=1, seq=4,
                    ip=bytes([10, 0, 0, 1]), payload=b"fp",
@@ -302,6 +303,82 @@ def test_attack_offsets_meet_the_shortest_crossing_payload():
         AttackSpec("insert_bits", 1, 9, offset_bits=201, bits=(1,))])
     assert errors_of(cfg) == ["attacks[0].offset_bits: 201 is outside the "
                               "200 bits of the shortest frame on 1->9"]
+
+
+_CUT = AttackSpec("delete_bits", 1, 2, offset_bits=0, q=8)
+_PAD = AttackSpec("insert_bits", 1, 2, offset_bits=8, bits=(1,))
+
+
+@pytest.mark.parametrize("later", [
+    AttackSpec("modify_payload", 1, 2, edits=((0, 1),)),
+    AttackSpec("modify_watermark", 1, 2, edits=((0, 1),)),
+    AttackSpec("replay", 1, 2, mutate_timestamp=True),
+    _PAD,
+])
+def test_a_frame_parser_after_a_reshaper_on_its_link_is_refused(later):
+    assert errors_of(small_config(attacks=[_CUT, later])) == [
+        f"attacks[1]: {later.kind} on 1->2 would parse frames the "
+        f"delete_bits of attacks[0] has already reshaped"]
+
+
+@pytest.mark.parametrize("attacks", [
+    # the parser first, or a non-parsing attack after the reshaper
+    [AttackSpec("modify_watermark", 1, 2, edits=((0, 1),)), _PAD],
+    [_PAD, AttackSpec("replay", 1, 2), AttackSpec("drop", 1, 2, seq=3)],
+    # filters that no one packet matches both of
+    [AttackSpec("delete_bits", 1, 2, src=1, offset_bits=0, q=8),
+     AttackSpec("modify_payload", 1, 2, src=5, edits=((0, 1),))],
+    [AttackSpec("delete_bits", 1, 2, seq=1, offset_bits=0, q=8),
+     AttackSpec("modify_payload", 1, 2, seq=2, edits=((0, 1),))],
+    # another link
+    [_CUT, AttackSpec("modify_payload", 2, 9, edits=((0, 1),))],
+])
+def test_attacks_that_never_chain_on_a_frame_run(attacks):
+    counts = run(small_config(attacks=attacks)).report["counts"]
+    assert counts["emitted"] == 3
+
+
+def test_a_reshaper_filtered_to_one_source_still_meets_an_unfiltered_parser():
+    cut = AttackSpec("delete_bits", 1, 2, src=1, offset_bits=0, q=8)
+    edit = AttackSpec("modify_payload", 1, 2, edits=((0, 1),))
+    assert errors_of(small_config(attacks=[cut, edit])) == [
+        "attacks[1]: modify_payload on 1->2 would parse frames the "
+        "delete_bits of attacks[0] has already reshaped"]
+
+
+def test_xor_masks_must_be_bytes():
+    edits = ((0, 1), (1, 255), (2, 256), (3, -1))
+    assert errors_of(small_config(attacks=[
+        AttackSpec("modify_payload", 1, 2, edits=edits)])) == [
+        "attacks[0].edits: xor mask 256 is not a byte (1..255)",
+        "attacks[0].edits: xor mask -1 is not a byte (1..255)"]
+
+
+def test_events_must_start_at_zero_or_later():
+    # each was scheduled before the clock's start and stopped the run with
+    # "event queue went backwards"
+    cfg = small_config(traffic=[TrafficSpec(source=1, count=1,
+                                            start_ms=-1000)])
+    assert "traffic[0].start_ms: must be >= 0" in errors_of(cfg)
+    cfg = small_config(attacks=[AttackSpec("replay", 1, 2, delay_ms=-1)])
+    assert errors_of(cfg) == ["attacks[0].delay_ms: must be >= 0"]
+    cfg = small_config(attacks=[AttackSpec(
+        "fake_inject", to_id=2, src=1, seq=1, after_ms=-5, ip=bytes(4),
+        key_material=bytes(16))])
+    assert errors_of(cfg) == ["attacks[0].after_ms: must be >= 0"]
+
+
+def test_the_horizon_counts_the_longest_replay_delay():
+    # small_config: three packets a second apart over two 300-ms hops
+    start = (1 << 32) * 1000 - 2000 - 600 - 5000
+    cfg = small_config(traffic=[TrafficSpec(source=1, count=3,
+                                            start_ms=start)])
+    cfg.attacks = [AttackSpec("replay", 1, 2, delay_ms=4999)]
+    validate(cfg)
+    cfg.attacks.append(AttackSpec("replay", 1, 2, seq=1, delay_ms=5000))
+    assert errors_of(cfg) == [
+        f"traffic[0].start_ms: its packets can be in flight at "
+        f"{(1 << 32) * 1000} ms, past the 32-bit capture time (4294967295 s)"]
 
 
 def test_fake_inject_and_probe_requirements():
