@@ -8,12 +8,15 @@ link; fake injection and store probes are synthesized events.
 Bit edits operate on the frame as a bitstream, most-significant bit first.
 A receiver only ever sees whole octets, so after an edit the stream is
 truncated to its largest whole-byte prefix before delivery; edits of a
-non-multiple of 8 bits therefore also shorten the frame by the remainder.
+non-multiple of 8 bits therefore also shorten the frame by the remainder,
+and a frame shorter than a byte comes out empty.  The splice runs on the
+frame read as one big-endian integer: shifts and masks cut or insert the
+bits, and one `to_bytes` keeps the whole-byte prefix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import events
 from .crypto import SymmetricKey
@@ -127,23 +130,21 @@ class AttackResult:
     detail: str = ""
 
 
-def _to_bits(data: bytes) -> List[int]:
-    out = []
-    for byte in data:
-        for i in range(7, -1, -1):
-            out.append((byte >> i) & 1)
-    return out
-
-
-def _from_bits(bits: List[int]) -> bytes:
-    usable = len(bits) - len(bits) % 8
-    out = bytearray()
-    for off in range(0, usable, 8):
-        byte = 0
-        for b in bits[off:off + 8]:
-            byte = (byte << 1) | b
-        out.append(byte)
-    return bytes(out)
+def _splice_bits(data: bytes, offset: int, cut: int,
+                 bits: Tuple[int, ...] = ()) -> bytes:
+    """`data` with `cut` bits removed at bit `offset` and `bits` put in their
+    place, most-significant bit first, truncated to its largest whole-byte
+    prefix.  The caller checks that the cut lies inside the frame."""
+    inserted = 0
+    for b in bits:
+        inserted = (inserted << 1) | b
+    value = int.from_bytes(data, "big")
+    tail_len = len(data) * 8 - offset - cut
+    head = value >> (tail_len + cut)
+    tail = value & ((1 << tail_len) - 1)
+    out_len = offset + len(bits) + tail_len
+    spliced = (((head << len(bits)) | inserted) << tail_len) | tail
+    return (spliced >> (out_len % 8)).to_bytes(out_len // 8, "big")
 
 
 def _payload_region(data: bytes) -> Tuple[int, int]:
@@ -192,24 +193,22 @@ def apply(spec: AttackSpec, data: bytes) -> AttackResult:
                                 mutated=bool(spec.mutate_timestamp)))
 
     if spec.kind == INSERT_BITS:
-        bits = _to_bits(data)
+        total = len(data) * 8
         off = spec.offset_bits
-        if off is None or not 0 <= off <= len(bits):
-            raise AttackSpecError(f"insert offset {off} outside 0..{len(bits)}")
-        mutated = bits[:off] + list(spec.bits) + bits[off:]
-        return AttackResult(deliver=_from_bits(mutated),
+        if off is None or not 0 <= off <= total:
+            raise AttackSpecError(f"insert offset {off} outside 0..{total}")
+        return AttackResult(deliver=_splice_bits(data, off, 0, spec.bits),
                             detail=events.detail(offset=off,
                                                  n=len(spec.bits)))
 
     if spec.kind == DELETE_BITS:
-        bits = _to_bits(data)
-        off = len(bits) - spec.q if spec.offset_bits is None else spec.offset_bits
-        if not 0 <= off or off + spec.q > len(bits):
+        total = len(data) * 8
+        off = total - spec.q if spec.offset_bits is None else spec.offset_bits
+        if not 0 <= off or off + spec.q > total:
             raise AttackSpecError(
-                f"delete range {off}+{spec.q} outside {len(bits)} bits"
+                f"delete range {off}+{spec.q} outside {total} bits"
             )
-        mutated = bits[:off] + bits[off + spec.q:]
-        return AttackResult(deliver=_from_bits(mutated),
+        return AttackResult(deliver=_splice_bits(data, off, spec.q),
                             detail=events.detail(offset=off, q=spec.q))
 
     if spec.kind == MODIFY_PAYLOAD:

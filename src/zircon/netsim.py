@@ -252,12 +252,14 @@ class Simulation:
         self.log.append(events.attack(attack.kind, attack.target_label(), src,
                                       seq, detail, self.now))
 
-    def _record_verdict(self, verdict: VerificationVerdict, flow: str
-                        ) -> Optional[_PacketState]:
-        """Log a verdict and add it to its packet's state, which it returns
-        (None for a packet never emitted)."""
+    def _record_verdict(self, verdict: VerificationVerdict, src: int,
+                        seq: int, flow: str) -> Optional[_PacketState]:
+        """Log a verdict as the node read it and add it to the state of the
+        delivered packet `(src, seq)`, which it returns (None for a packet
+        never emitted).  A garbled header cannot move the verdict onto
+        another packet's state."""
         self.log.append(events.verdict(*verdict))
-        node, src, seq, hop, outcome, time = verdict
+        node, _, _, hop, outcome, time = verdict
         state = self.packets.get((src, seq))
         if state is not None:
             entry = {"outcome": outcome, "node": node, "hop": hop,
@@ -342,7 +344,7 @@ class Simulation:
         if node is not None:
             self.node_ops[to] += OPS_BY_ROLE[ROLE_INTERMEDIATE]
             verdict, forwarded = node.process(data, self.now)
-            self._record_verdict(verdict, flow)
+            self._record_verdict(verdict, src, seq, flow)
             if forwarded is not None:
                 self._generations += 1
                 self._send(route_src, to, forwarded.to_bytes(), src, seq,
@@ -357,7 +359,7 @@ class Simulation:
             verdict, path = node.verify_singlehop(data, self.now)
         else:
             verdict, path = node.verify_multihop(data, self.now)
-        state = self._record_verdict(verdict, flow)
+        state = self._record_verdict(verdict, src, seq, flow)
         if verdict.outcome == ACCEPTED and flow == FLOW_ORGANIC \
                 and state is not None and state.status == "in_flight":
             state.status = "accepted"

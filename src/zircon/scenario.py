@@ -363,6 +363,9 @@ def validate(config: ScenarioConfig) -> None:
         elif a.kind == FAKE_INJECT:
             if a.to_id not in ids:
                 errors.append(f"attacks[{ai}]: inject target {a.to_id} unknown")
+            elif ids[a.to_id].role == ROLE_SOURCE:
+                errors.append(f"attacks[{ai}].to: node {a.to_id} is a source, "
+                              f"which verifies nothing")
             end_ms = a.after_ms + max(trips.values(), default=0)
             if end_ms // 1000 > MAX_CAPTURE_S:
                 errors.append(f"attacks[{ai}].after_ms: its forged frame can "

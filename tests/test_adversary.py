@@ -1,15 +1,13 @@
 """Attack primitives: bitstream arithmetic, per-kind apply semantics,
 forged frames, and store probes."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import build_chain
 from zircon.adversary import (
     AttackSpec,
     AttackSpecError,
-    _from_bits,
-    _to_bits,
     apply,
     build_fake_frame,
     run_store_probe,
@@ -25,23 +23,123 @@ def frame_of(payload=b"0123456789abcdef"):
     return chain, chain.source.emit_multihop(payload, 0).to_bytes()
 
 
-# -- bitstream helpers -----------------------------------------------------------
+# -- bitstream splice -------------------------------------------------------------
+
+# The bit-list model the integer splice replaced: one int per bit, most
+# significant first, folded back into whole bytes with the partial tail
+# dropped.  The properties below hold apply to it.
+
+def _to_bits(data):
+    out = []
+    for byte in data:
+        for i in range(7, -1, -1):
+            out.append((byte >> i) & 1)
+    return out
+
+
+def _from_bits(bits):
+    usable = len(bits) - len(bits) % 8
+    out = bytearray()
+    for off in range(0, usable, 8):
+        byte = 0
+        for b in bits[off:off + 8]:
+            byte = (byte << 1) | b
+        out.append(byte)
+    return bytes(out)
+
+
+def insert(data, offset, bits):
+    return apply(AttackSpec(kind="insert_bits", from_id=1, to_id=2,
+                            offset_bits=offset, bits=tuple(bits)), data)
+
+
+def delete(data, offset, q):
+    return apply(AttackSpec(kind="delete_bits", from_id=1, to_id=2,
+                            offset_bits=offset, q=q), data)
+
 
 def test_bits_are_msb_first():
     assert _to_bits(b"\xb2") == [1, 0, 1, 1, 0, 0, 1, 0]
-    assert _from_bits([1, 0, 1, 1, 0, 0, 1, 0]) == b"\xb2"
+    assert insert(b"", 0, [1, 0, 1, 1, 0, 0, 1, 0]).deliver == b"\xb2"
+    # one bit in at the front pushes the low bit of the last byte out
+    assert insert(b"\xb2", 0, [1]).deliver == b"\xd9"
+    assert delete(b"\xb2\x00", 0, 1).deliver == b"\x64"
 
 
-@given(data=st.binary(max_size=40))
+@given(data=st.binary(max_size=40), at=st.integers(0, 40 * 8))
 @settings(max_examples=50)
-def test_bits_roundtrip(data):
+def test_bits_roundtrip(data, at):
     assert _from_bits(_to_bits(data)) == data
+    offset = min(at, len(data) * 8)
+    byte = [1, 0, 1, 1, 0, 0, 1, 0]
+    assert delete(insert(data, offset, byte).deliver, offset, 8).deliver \
+        == data
 
 
 def test_partial_bytes_truncate():
     # 11 bits -> one whole byte survives
-    assert _from_bits([1] * 11) == b"\xff"
-    assert _from_bits([0, 1, 1]) == b""
+    assert insert(b"", 0, [1] * 11).deliver == b"\xff"
+    assert insert(b"", 0, [0, 1, 1]).deliver == b""
+
+
+def _model(spec, data):
+    bits = _to_bits(data)
+    off = len(bits) - spec.q if spec.offset_bits is None else spec.offset_bits
+    if spec.kind == "insert_bits":
+        return _from_bits(bits[:off] + list(spec.bits) + bits[off:])
+    return _from_bits(bits[:off] + bits[off + spec.q:])
+
+
+@given(data=st.binary(max_size=24), at=st.integers(0, 24 * 8),
+       bits=st.lists(st.integers(0, 1), min_size=1, max_size=80))
+@example(data=b"", at=0, bits=[1] * 65)
+@example(data=b"\x12\x34", at=16, bits=[1, 0, 1])
+@example(data=bytes(range(9)), at=0, bits=[0, 1] * 40)
+@settings(max_examples=300)
+def test_insert_bits_matches_the_bit_list_model(data, at, bits):
+    offset = min(at, len(data) * 8)
+    spec = AttackSpec(kind="insert_bits", from_id=1, to_id=2,
+                      offset_bits=offset, bits=tuple(bits))
+    result = apply(spec, data)
+    assert result.deliver == _model(spec, data)
+    assert result.detail == f"offset={offset},n={len(bits)}"
+
+
+@given(data=st.binary(min_size=1, max_size=24),
+       at=st.one_of(st.none(), st.integers(0, 24 * 8)),
+       q=st.integers(1, 24 * 8))
+@example(data=b"\xb2", at=0, q=8)
+@example(data=b"\xb2\x5c", at=None, q=16)
+@example(data=b"\xb2\x5c", at=None, q=3)
+@example(data=b"\xb2\x5c", at=13, q=3)
+@settings(max_examples=300)
+def test_delete_bits_matches_the_bit_list_model(data, at, q):
+    q = min(q, len(data) * 8)
+    offset = None if at is None else min(at, len(data) * 8 - q)
+    spec = AttackSpec(kind="delete_bits", from_id=1, to_id=2,
+                      offset_bits=offset, q=q)
+    result = apply(spec, data)
+    assert result.deliver == _model(spec, data)
+    shown = len(data) * 8 - q if offset is None else offset
+    assert result.detail == f"offset={shown},q={q}"
+
+
+@pytest.mark.parametrize("spec, data, message", [
+    (dict(kind="insert_bits", bits=(1,)), b"\xb2",
+     "insert offset None outside 0..8"),
+    (dict(kind="insert_bits", offset_bits=9, bits=(1,)), b"\xb2",
+     "insert offset 9 outside 0..8"),
+    (dict(kind="insert_bits", offset_bits=1, bits=(1,)), b"",
+     "insert offset 1 outside 0..0"),
+    (dict(kind="delete_bits", q=9), b"\xb2", "delete range -1+9 outside 8 bits"),
+    (dict(kind="delete_bits", offset_bits=5, q=4), b"\xb2",
+     "delete range 5+4 outside 8 bits"),
+    (dict(kind="delete_bits", q=1), b"", "delete range -1+1 outside 0 bits"),
+])
+def test_bit_attacks_outside_the_frame_are_refused(spec, data, message):
+    with pytest.raises(AttackSpecError) as exc:
+        apply(AttackSpec(from_id=1, to_id=2, **spec), data)
+    assert str(exc.value) == message
 
 
 # -- link attack application -------------------------------------------------------

@@ -216,6 +216,11 @@ _INJECT = ("{kind: fake_inject, to: 2, src: 1, seq: 1, ip: 10.0.0.1, "
     ("attacks: []", f"attacks: [{_INJECT}4294967296000}}]",
      "attacks[0].after_ms: its forged frame can be in flight at "
      "4294967296900 ms, past the 32-bit capture time (4294967295 s)"),
+    # raised RuntimeError: delivery to non-verifying node 1
+    ("attacks: []",
+     "attacks: [{kind: fake_inject, to: 1, src: 1, seq: 3, ip: 10.0.0.1, "
+     "key_material_hex: 000102030405060708090a0b0c0d0e0f}]",
+     "attacks[0].to: node 1 is a source, which verifies nothing"),
 ])
 def test_run_refuses_a_config_that_would_abort_or_mislead(tmp_path, capsys,
                                                           old, new, message):

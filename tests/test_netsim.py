@@ -254,6 +254,26 @@ def test_delete_bits_rejected_as_frame_fail():
             result.report["packets"].values()} == {"frame_fail"}
 
 
+def test_garbled_header_rejection_is_filed_under_the_delivered_packet():
+    # 56 one-bits over the header read as source 65535, seq 2**32 - 1; the
+    # rejection used to be filed under those ids, so every genuine packet
+    # was counted dropped
+    ones = ", ".join(["1"] * 56)
+    result = netsim.run(load_config(EXAMPLE_CONFIG.replace(
+        "attacks: []", "attacks: [{kind: insert_bits, from: 1, to: 2, "
+        f"offset_bits: 0, bits: [{ones}]}}]")))
+    assert result.report["counts"] == {"emitted": 20, "accepted": 0,
+                                       "rejected": 20, "dropped": 0,
+                                       "in_flight": 0}
+    assert {p["final"]["outcome"] for p in
+            result.report["packets"].values()} == {"frame_fail"}
+    # the log keeps the verdict as node 2 read it
+    verdicts = [line for line in result.log if line.startswith("verdict|")]
+    assert len(verdicts) == 20
+    assert all(line.startswith("verdict|2|65535|4294967295|")
+               for line in verdicts)
+
+
 # -- singlehop mode -----------------------------------------------------------------
 
 def singlehop_config(**overrides):

@@ -1,7 +1,9 @@
 """Config schema: YAML round-trip and the validation catalog."""
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from zircon.adversary import AttackSpec
+from zircon.adversary import KINDS, AttackSpec
 from zircon.analysis import EnergyParams
 from zircon.netsim import run
 from zircon.scenario import (
@@ -510,3 +512,101 @@ def test_area_of_the_wrong_length_fails_validation():
     with pytest.raises(ConfigError) as exc:
         load_config(text)
     assert exc.value.errors == ["area: needs positive (length, width)"]
+
+
+# -- every config that passes validate runs ------------------------------------------
+
+_GATEWAY = 9
+_POOL = (4, 5, 6, 7)  # intermediates the routes draw from
+_IDS = (1, 2, 3, *_POOL, _GATEWAY)
+_FRAME_BITS = (9 + 24 + 24) * 8  # header, largest payload, watermark
+
+
+@st.composite
+def _attacks(draw, links):
+    kind = draw(st.sampled_from(KINDS))
+    after_ms = draw(st.integers(0, 6000))
+    if kind == "fake_inject":
+        return AttackSpec(
+            kind=kind, to_id=draw(st.sampled_from(_IDS)),
+            src=draw(st.integers(0, 5)), seq=draw(st.integers(0, 5)),
+            after_ms=after_ms, ip=bytes([10, 0, 0, draw(st.integers(0, 9))]),
+            payload=draw(st.binary(max_size=24)),
+            key_material=draw(st.binary(min_size=16, max_size=16)),
+            key_epoch=draw(st.integers(0, 3)), hop=draw(st.integers(1, 5)))
+    if kind == "store_probe":
+        return AttackSpec(kind=kind,
+                          caller_id=draw(st.sampled_from(_IDS + (666,))),
+                          src=draw(st.integers(0, 5)),
+                          seq=draw(st.integers(0, 5)), after_ms=after_ms)
+    from_id, to_id = draw(st.sampled_from(links))
+    spec = dict(kind=kind, from_id=from_id, to_id=to_id, after_ms=after_ms,
+                src=draw(st.one_of(st.none(), st.integers(1, 3))),
+                seq=draw(st.one_of(st.none(), st.integers(0, 5))))
+    if kind == "replay":
+        spec.update(delay_ms=draw(st.integers(0, 70000)),
+                    mutate_timestamp=draw(st.booleans()))
+    elif kind == "insert_bits":
+        spec.update(offset_bits=draw(st.integers(0, _FRAME_BITS)),
+                    bits=tuple(draw(st.lists(st.integers(0, 1), min_size=1,
+                                             max_size=70))))
+    elif kind == "delete_bits":
+        spec.update(offset_bits=draw(st.one_of(
+                        st.none(), st.integers(0, _FRAME_BITS))),
+                    q=draw(st.integers(1, 70)))
+    elif kind in ("modify_payload", "modify_watermark"):
+        spec["edits"] = tuple(draw(st.lists(
+            st.tuples(st.integers(0, 24), st.integers(1, 255)),
+            min_size=1, max_size=3)))
+    return AttackSpec(**spec)
+
+
+@st.composite
+def _configs(draw):
+    mode = draw(st.sampled_from(["multihop", "singlehop"]))
+    sources = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=1,
+                            max_size=3, unique=True))
+    routes = []
+    for src in sources:
+        middle = [] if mode == "singlehop" else draw(
+            st.lists(st.sampled_from(_POOL), max_size=3, unique=True))
+        routes.append([src, *middle, _GATEWAY])
+    # at most one node unregistered: on a route it fails validation
+    unregistered = draw(st.one_of(st.none(), st.none(),
+                                  st.sampled_from(_IDS)))
+    nodes = [NodeSpec(id=nid, ip=f"10.0.0.{nid}",
+                      role=("source" if nid <= 3 else "gateway"
+                            if nid == _GATEWAY else "intermediate"),
+                      x=10 * nid, y=5, registered=nid != unregistered)
+             for nid in _IDS]
+    traffic = [TrafficSpec(source=src, count=draw(st.integers(1, 4)),
+                           interval_ms=draw(st.integers(1, 2000)),
+                           start_ms=draw(st.integers(0, 3000)),
+                           payload_bytes=draw(st.integers(0, 24)))
+               for src in draw(st.lists(st.sampled_from(sources), max_size=3,
+                                        unique=True))]
+    links = [link for route in routes for link in zip(route, route[1:])]
+    return ScenarioConfig(
+        seed=draw(st.integers(0, 1000)), mode=mode,
+        freshness_s=draw(st.integers(1, 60)),
+        per_hop_delay_ms=draw(st.integers(1, 500)),
+        purge_on_delivery=draw(st.booleans()),
+        key_rotation=draw(st.one_of(st.none(), st.builds(
+            KeyRotationConfig, st.integers(1, 2), st.integers(2, 4)))),
+        nodes=nodes, routes=routes, traffic=traffic,
+        attacks=draw(st.lists(_attacks(links), max_size=3)))
+
+
+@given(cfg=_configs())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_every_validated_config_runs_to_completion(cfg):
+    try:
+        validate(cfg)
+    except ConfigError:
+        return
+    counts = run(cfg).report["counts"]
+    assert counts["emitted"] == sum(t.count for t in cfg.traffic)
+    assert counts["emitted"] == sum(counts[status] for status in
+                                    ("accepted", "rejected", "dropped",
+                                     "in_flight"))
