@@ -424,10 +424,9 @@ class Simulation:
                 "verdicts": state.verdicts,
                 "store_records": self.store.record_count(src, seq),
             }
-        # a post-run sweep with the clock pushed past the timeout flags every
+        # a sweep one millisecond after the run, with no grace, flags every
         # unretrieved set; with purged deliveries those are exactly the drops
-        timeout = self.config.timeout_ms()
-        suspects = self.store.sweep_stale(self.now + timeout + 1, timeout)
+        suspects = self.store.sweep_stale(self.now + 1, 0)
         nodes = {}
         for nid in sorted(self.identities):
             ident = self.identities[nid]

@@ -7,7 +7,8 @@ determines the simulation output, byte for byte.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from collections import Counter
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 import yaml
@@ -16,13 +17,13 @@ from .adversary import (
     DELETE_BITS,
     FAKE_INJECT,
     INSERT_BITS,
+    KINDS,
     LINK_KINDS,
     MODIFY_PAYLOAD,
     MODIFY_WATERMARK,
     REPLAY,
     STORE_PROBE,
     AttackSpec,
-    AttackSpecError,
 )
 from .analysis import EnergyParams
 from .nodes import ROLE_GATEWAY, ROLE_INTERMEDIATE, ROLE_SOURCE, ROLES
@@ -35,6 +36,7 @@ from .watermark import (
     MAX_SEQ,
     MAX_SRC,
     WATERMARK_BYTES,
+    format_ip,
     parse_ip,
 )
 
@@ -83,7 +85,6 @@ class ScenarioConfig:
     freshness_s: int = 60
     per_hop_delay_ms: int = 300
     purge_on_delivery: bool = True
-    drop_timeout_ms: Optional[int] = None  # defaults to 5x per-hop delay
     area: Tuple[float, float] = (100.0, 100.0)
     key_rotation: Optional[KeyRotationConfig] = None
     energy: EnergyParams = field(default_factory=EnergyParams)
@@ -92,41 +93,71 @@ class ScenarioConfig:
     traffic: List[TrafficSpec] = field(default_factory=list)
     attacks: List[AttackSpec] = field(default_factory=list)
 
-    def timeout_ms(self) -> int:
-        if self.drop_timeout_ms is not None:
-            return self.drop_timeout_ms
-        return 5 * self.per_hop_delay_ms
 
+# top-level fields not taken as read: field -> (YAML key, reader).  A record
+# class as the reader builds a record from a mapping, and a one-class list a
+# list of records from a list of mappings
+_CONFIG_YAML = {
+    # an int becomes a float; anything else is left for validate to refuse
+    "area": ("area", lambda area: tuple(float(v) if type(v) is int else v
+                                        for v in area)),
+    "key_rotation": ("key_rotation", KeyRotationConfig),
+    "energy": ("energy", EnergyParams),
+    "nodes": ("nodes", [NodeSpec]),
+    "routes": ("routes", lambda routes: [list(r) for r in routes]),
+    "traffic": ("traffic", [TrafficSpec]),
+    "attacks": ("attacks", [AttackSpec]),
+}
+# attack fields spelt or held otherwise than in YAML: field -> (YAML key,
+# YAML value to field value, field value to YAML value)
+_ATTACK_YAML = {
+    "from_id": ("from", None, None),
+    "to_id": ("to", None, None),
+    "bits": ("bits", tuple, list),
+    "edits": ("edits", lambda edits: tuple((off, mask) for off, mask in edits),
+              lambda edits: [list(pair) for pair in edits]),
+    "ip": ("ip", parse_ip, format_ip),
+    "payload": ("payload_hex", bytes.fromhex, bytes.hex),
+    "key_material": ("key_material_hex", bytes.fromhex, bytes.hex),
+}
 
 # what a scalar field admits, by its annotation, a string under `from
 # __future__ import annotations`; types are matched exactly, so a bool (an
 # int subclass) is no number
 _SCALARS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
-            "str": ((str,), "a string"), "bool": ((bool,), "true or false")}
+            "str": ((str,), "a string"), "bool": ((bool,), "true or false"),
+            "bytes": ((bytes,), "bytes")}
 
 
-def _scalar_fields(cls) -> Tuple[Tuple[str, tuple, str], ...]:
-    """(name, admitted types, wording) per scalar field; an Optional field
-    admits None too."""
-    out = []
+def _table(cls, spelling: dict) -> tuple:
+    """A record class's YAML key -> (field, reader), required keys, and
+    (name, YAML key, admitted types, wording) per scalar field, which admits
+    its annotated type, and None too if Optional."""
+    keys, required, scalars = {}, [], []
     for f in fields(cls):
+        key, read = spelling.get(f.name, (f.name, None))[:2]
+        keys[key] = (f, read)
+        if f.default is MISSING and f.default_factory is MISSING:
+            required.append(key)
         optional = f.type.startswith("Optional[")
         want = f.type[len("Optional["):-1] if optional else f.type
         if want in _SCALARS:
             types, wording = _SCALARS[want]
-            out.append((f.name, types + (type(None),) * optional, wording))
-    return tuple(out)
+            scalars.append((f.name, key, types + (type(None),) * optional,
+                            wording))
+    return keys, required, scalars
 
 
-_SCALAR_FIELDS = {cls: _scalar_fields(cls) for cls in (
-    ScenarioConfig, NodeSpec, TrafficSpec, KeyRotationConfig, AttackSpec)}
+_TABLES = {cls: _table(cls, spelling) for cls, spelling in (
+    (ScenarioConfig, _CONFIG_YAML), (AttackSpec, _ATTACK_YAML), (NodeSpec, {}),
+    (TrafficSpec, {}), (KeyRotationConfig, {}), (EnergyParams, {}))}
 
 
 def _type_errors(where: str, obj) -> List[str]:
-    """One error per scalar field of a config dataclass whose value does not
+    """One error per scalar field of a config record whose value does not
     have the annotated type."""
-    return [f"{where}{name}: must be {wording}, got {getattr(obj, name)!r}"
-            for name, types, wording in _SCALAR_FIELDS[type(obj)]
+    return [f"{where}{key}: must be {wording}, got {getattr(obj, name)!r}"
+            for name, key, types, wording in _TABLES[type(obj)][2]
             if type(getattr(obj, name)) not in types]
 
 
@@ -193,6 +224,18 @@ def _may_meet(a: AttackSpec, b: AttackSpec) -> bool:
                for x, y in ((a.src, b.src), (a.seq, b.seq)))
 
 
+# what a fake_inject's forged fields must hold: (field, test of a value that
+# is not None, requirement); each goes on the wire or keys the forgery
+_FORGED = (
+    ("src", lambda src: 0 <= src <= MAX_SRC, "a forged src of 16 bits"),
+    ("seq", lambda seq: 0 <= seq <= MAX_SEQ, "a forged seq of 32 bits"),
+    ("ip", lambda ip: len(ip) == 4, "a 4-byte forged address"),
+    ("payload", lambda p: len(p) <= MAX_PAYLOAD, "a forged payload of < 64 KiB"),
+    ("key_material", lambda k: len(k) == KEY_BYTES, f"a {KEY_BYTES}-byte forging key"),
+    ("hop", lambda hop: 1 <= hop <= MAX_HOP, f"a forged hop in 1..{MAX_HOP}"),
+)
+
+
 def validate(config: ScenarioConfig) -> None:
     """Raise ConfigError listing every problem found."""
     typed = [("", config)]
@@ -202,6 +245,9 @@ def validate(config: ScenarioConfig) -> None:
     if config.key_rotation is not None:
         typed.append(("key_rotation.", config.key_rotation))
     errors = [e for where, obj in typed for e in _type_errors(where, obj)]
+    errors += [f"area[{i}]: must be a number, got {v!r}"
+               for i, v in enumerate(config.area)
+               if type(v) not in (int, float)]
     errors += [f"routes[{ri}]: node id {nid!r} is not an integer"
                for ri, route in enumerate(config.routes) for nid in route
                if type(nid) is not int]
@@ -229,31 +275,40 @@ def validate(config: ScenarioConfig) -> None:
     ips = set()
     if not config.nodes:
         errors.append("nodes: at least one node required")
-    for n in config.nodes:
+    for ni, n in enumerate(config.nodes):
         if n.id in ids:
-            errors.append(f"nodes: duplicate id {n.id}")
+            errors.append(f"nodes[{ni}].id: duplicate id {n.id}")
         ids[n.id] = n
         if n.role not in ROLES:
-            errors.append(f"nodes[{n.id}].role: unknown role {n.role!r}")
+            errors.append(f"nodes[{ni}].role: unknown role {n.role!r}")
         elif n.role == ROLE_SOURCE and not 0 <= n.id <= MAX_SRC:
-            errors.append(f"nodes[{n.id}].id: a source id must fit 16 bits")
+            errors.append(f"nodes[{ni}].id: a source id must fit 16 bits")
         try:
             ip = parse_ip(n.ip)
             if ip in ips:
-                errors.append(f"nodes[{n.id}].ip: duplicate address {n.ip}")
+                errors.append(f"nodes[{ni}].ip: duplicate address {n.ip}")
             ips.add(ip)
         except ValueError:
-            errors.append(f"nodes[{n.id}].ip: bad address {n.ip!r}")
+            errors.append(f"nodes[{ni}].ip: bad address {n.ip!r}")
         if len(config.area) == 2:
             length, width = config.area
             if not (0 <= n.x <= length and 0 <= n.y <= width):
-                errors.append(f"nodes[{n.id}]: position outside {length}x{width} area")
+                errors.append(f"nodes[{ni}]: position outside {length}x{width} area")
 
     links = set()
+    routed: Dict[int, int] = {}
     for ri, route in enumerate(config.routes):
         if len(route) < 2:
             errors.append(f"routes[{ri}]: needs at least source and gateway")
             continue
+        # the next hop is looked up by (source, node), so a node met twice on
+        # a route, or a second route from one source, would run another path
+        if len(set(route)) < len(route):
+            repeated = sorted(nid for nid, n in Counter(route).items() if n > 1)
+            errors.append(f"routes[{ri}]: nodes {repeated} appear more than once")
+        if routed.setdefault(route[0], ri) != ri:
+            errors.append(f"routes[{ri}]: source {route[0]} already has "
+                          f"routes[{routed[route[0]]}]")
         if len(route) > MAX_HOP + 1:
             errors.append(f"routes[{ri}]: {len(route)} nodes, but the 8-bit hop "
                           f"index allows at most {MAX_HOP + 1}")
@@ -319,73 +374,74 @@ def validate(config: ScenarioConfig) -> None:
             errors.append(f"traffic: source {src} sends {total} packets, but "
                           f"sequence numbers must fit 32 bits")
 
-    # only link attacks read it, and set-up runs validate twice
+    # only link attacks read it
     crossing = _crossing_payloads(config) \
         if any(a.kind in LINK_KINDS for a in config.attacks) else {}
     tail = 0 if config.mode == MODE_SINGLEHOP else WATERMARK_BYTES
     reshaped: Dict[Tuple[int, int], List[int]] = {}
     for ai, a in enumerate(config.attacks):
+        at = f"attacks[{ai}]"
+        if a.kind not in KINDS:
+            errors.append(f"{at}.kind: unknown attack kind {a.kind!r}")
         if a.after_ms < 0:
-            errors.append(f"attacks[{ai}].after_ms: must be >= 0")
+            errors.append(f"{at}.after_ms: must be >= 0")
         if a.kind in LINK_KINDS:
             link = (a.from_id, a.to_id)
             if link not in links:
                 errors.append(
-                    f"attacks[{ai}]: link {a.from_id}->{a.to_id} is not on any route"
-                )
+                    f"{at}: link {a.from_id}->{a.to_id} is not on any route")
             if a.kind in _PARSERS or (a.kind == REPLAY and a.mutate_timestamp):
                 first = next((bi for bi in reshaped.get(link, ())
                               if _may_meet(a, config.attacks[bi])), None)
                 if first is not None:
                     errors.append(
-                        f"attacks[{ai}]: {a.kind} on {a.from_id}->{a.to_id} "
+                        f"{at}: {a.kind} on {a.from_id}->{a.to_id} "
                         f"would parse frames the "
                         f"{config.attacks[first].kind} of attacks[{first}] "
                         f"has already reshaped")
             if a.kind in _RESHAPERS:
                 reshaped.setdefault(link, []).append(ai)
             if a.kind == REPLAY and a.delay_ms < 0:
-                errors.append(f"attacks[{ai}].delay_ms: must be >= 0")
+                errors.append(f"{at}.delay_ms: must be >= 0")
+            if a.kind == INSERT_BITS and not a.bits:
+                errors.append(f"{at}.bits: insert_bits needs at least one bit")
+            if a.kind == DELETE_BITS and a.q < 1:
+                errors.append(f"{at}.q: delete_bits needs q >= 1")
             if a.kind in (MODIFY_PAYLOAD, MODIFY_WATERMARK):
-                errors += [f"attacks[{ai}].edits: xor mask {mask} is not a "
-                           f"byte (1..255)"
+                if not a.edits:
+                    errors.append(f"{at}.edits: {a.kind} needs an edit")
+                errors += [f"{at}.edits: xor mask {mask} is not a byte (1..255)"
                            for _off, mask in a.edits if not 1 <= mask <= 255]
             if config.mode == MODE_SINGLEHOP and (
                     a.kind == MODIFY_WATERMARK
                     or (a.kind == REPLAY and a.mutate_timestamp)):
                 errors.append(
-                    f"attacks[{ai}]: singlehop frames carry no watermark to modify"
-                )
+                    f"{at}: singlehop frames carry no watermark to modify")
             payload = min((p for src, p in crossing.get((a.from_id, a.to_id),
                                                         ())
                            if a.src in (None, src)), default=None)
-            errors += _offset_errors(f"attacks[{ai}].", a, payload, tail)
+            errors += _offset_errors(f"{at}.", a, payload, tail)
         elif a.kind == FAKE_INJECT:
             if a.to_id not in ids:
-                errors.append(f"attacks[{ai}]: inject target {a.to_id} unknown")
+                errors.append(f"{at}.to: inject target {a.to_id} unknown")
             elif ids[a.to_id].role == ROLE_SOURCE:
-                errors.append(f"attacks[{ai}].to: node {a.to_id} is a source, "
+                errors.append(f"{at}.to: node {a.to_id} is a source, "
                               f"which verifies nothing")
             end_ms = a.after_ms + max(trips.values(), default=0)
             if end_ms // 1000 > MAX_CAPTURE_S:
-                errors.append(f"attacks[{ai}].after_ms: its forged frame can "
+                errors.append(f"{at}.after_ms: its forged frame can "
                               f"be in flight at {end_ms} ms, past the 32-bit "
                               f"capture time ({MAX_CAPTURE_S} s)")
-            if a.seq is None:
-                errors.append(f"attacks[{ai}]: fake_inject needs a forged seq")
-            elif not 0 <= a.seq <= MAX_SEQ:
-                errors.append(f"attacks[{ai}]: forged seq must fit 32 bits")
-            if not 0 <= a.src <= MAX_SRC:
-                errors.append(f"attacks[{ai}]: forged src must fit 16 bits")
-            if not 1 <= a.hop <= MAX_HOP:
-                errors.append(f"attacks[{ai}]: forged hop must be in 1..{MAX_HOP}")
-            if len(a.key_material) != KEY_BYTES:
-                errors.append(f"attacks[{ai}]: forging key must be {KEY_BYTES} bytes")
-            if len(a.payload) > MAX_PAYLOAD:
-                errors.append(f"attacks[{ai}]: forged payload must fit 16 bits of length")
+            errors += [f"{at}.{_ATTACK_YAML.get(name, (name,))[0]}: "
+                       f"fake_inject needs {need}"
+                       for name, fits, need in _FORGED
+                       if getattr(a, name) is None
+                       or not fits(getattr(a, name))]
         elif a.kind == STORE_PROBE:
             if a.src is None or a.seq is None:
-                errors.append(f"attacks[{ai}]: store_probe needs src and seq")
+                errors.append(f"{at}: store_probe needs src and seq")
+            if a.caller_id is None:
+                errors.append(f"{at}.caller_id: store_probe needs a caller_id")
 
     if config.key_rotation is not None:
         kr = config.key_rotation
@@ -398,69 +454,67 @@ def validate(config: ScenarioConfig) -> None:
 
 # -- YAML round-trip ---------------------------------------------------------
 
-def _attack_to_dict(a: AttackSpec) -> dict:
-    d: dict = {"kind": a.kind}
-    if a.from_id is not None:
-        d["from"] = a.from_id
-    if a.to_id is not None:
-        d["to"] = a.to_id
-    if a.src is not None:
-        d["src"] = a.src
-    if a.seq is not None:
-        d["seq"] = a.seq
-    if a.after_ms:
-        d["after_ms"] = a.after_ms
-    if a.kind == "replay":
-        d["delay_ms"] = a.delay_ms
-        if a.mutate_timestamp:
-            d["mutate_timestamp"] = True
-    if a.kind == "insert_bits":
-        d["offset_bits"] = a.offset_bits
-        d["bits"] = list(a.bits)
-    if a.kind == "delete_bits":
-        d["q"] = a.q
-        if a.offset_bits is not None:
-            d["offset_bits"] = a.offset_bits
-    if a.kind in ("modify_payload", "modify_watermark"):
-        d["edits"] = [[off, mask] for off, mask in a.edits]
-    if a.kind == "fake_inject":
-        d["ip"] = ".".join(str(b) for b in a.ip)
-        d["payload_hex"] = a.payload.hex()
-        d["key_material_hex"] = a.key_material.hex()
-        d["key_epoch"] = a.key_epoch
-        d["hop"] = a.hop
-    if a.kind == "store_probe":
-        d["caller_id"] = a.caller_id
-    return d
-
-
-# attack keys spelt differently in YAML from the AttackSpec field they set
-_ATTACK_RENAMES = {"from": "from_id", "to": "to_id", "payload_hex": "payload",
-                   "key_material_hex": "key_material"}
-_ATTACK_KEYS = {**{f.name: f.name for f in fields(AttackSpec)
-                   if f.name not in _ATTACK_RENAMES.values()},
-                **_ATTACK_RENAMES}
-# YAML value to field value, by field; other fields take the value as read
-_ATTACK_CONVERT = {
-    "bits": tuple,
-    "edits": lambda edits: tuple((off, mask) for off, mask in edits),
-    "ip": parse_ip,
-    "payload": bytes.fromhex,
-    "key_material": bytes.fromhex,
-}
-
-
-def _attack_from_dict(d: dict) -> AttackSpec:
-    if not isinstance(d, dict):
-        raise AttackSpecError(f"expected a mapping, got {d!r}")
+def _build(cls, data, where: str, errors: List[str]):
+    """A `cls` record from the YAML mapping `data` at path `where`, or None
+    on an unknown or missing key, a non-mapping or a failed conversion, each
+    appended to `errors` under its path.  validate judges the values."""
+    if not isinstance(data, dict):
+        errors.append(f"{where or 'top level'}: expected a mapping, got "
+                      f"{data!r}")
+        return None
+    keys, required, _scalars = _TABLES[cls]
+    found = len(errors)
     kwargs = {}
-    for key, value in d.items():
-        name = _ATTACK_KEYS.get(key)
-        if name is None:
-            raise AttackSpecError(f"unknown key {key!r}")
-        convert = _ATTACK_CONVERT.get(name)
-        kwargs[name] = value if convert is None else convert(value)
-    return AttackSpec(**kwargs)
+    for key, value in data.items():
+        path = f"{where}.{key}" if where else f"{key}"
+        if key not in keys:
+            errors.append(f"{path}: unknown key")
+            continue
+        f, read = keys[key]
+        if read is None or (value is None and f.default is None):
+            kwargs[f.name] = value
+        elif isinstance(read, list) and not isinstance(value, list):
+            errors.append(f"{path}: expected a list, got {value!r}")
+        elif isinstance(read, list):
+            kwargs[f.name] = [_build(read[0], item, f"{path}[{i}]", errors)
+                              for i, item in enumerate(value)]
+        elif read in _TABLES:
+            kwargs[f.name] = _build(read, value, path, errors)
+        else:
+            try:
+                kwargs[f.name] = read(value)
+            except (TypeError, ValueError, OverflowError) as err:
+                errors.append(f"{path}: {err}")
+    errors += [f"{where}.{key}: missing required key"
+               for key in required if key not in data]
+    if len(errors) > found:
+        return None
+    try:
+        return cls(**kwargs)
+    except ValueError as err:  # EnergyParams checks its own values
+        errors.append(f"{where}: {err}")
+        return None
+
+
+def from_dict(data) -> ScenarioConfig:
+    """A config from its YAML shape, or ConfigError listing every problem
+    _build finds; every default lives in the dataclasses."""
+    errors: List[str] = []
+    config = _build(ScenarioConfig, data, "", errors)
+    if errors:
+        raise ConfigError(errors)
+    return config
+
+
+def _attack_to_dict(a: AttackSpec) -> dict:
+    """An attack's YAML form: its kind and every field off its default."""
+    d = {}
+    for f in fields(a):
+        value = getattr(a, f.name)
+        if f.default is MISSING or value != f.default:
+            key, _read, write = _ATTACK_YAML.get(f.name, (f.name, None, None))
+            d[key] = value if write is None else write(value)
+    return d
 
 
 def to_dict(config: ScenarioConfig) -> dict:
@@ -473,37 +527,6 @@ def to_dict(config: ScenarioConfig) -> dict:
     return data
 
 
-# YAML value to field value, by field; other fields take the value as read
-_CONFIG_CONVERT = {
-    "area": lambda area: tuple(float(v) for v in area),
-    "key_rotation": lambda kr: None if kr is None else KeyRotationConfig(**kr),
-    "energy": lambda energy: EnergyParams(**energy),
-    "nodes": lambda nodes: [NodeSpec(**n) for n in nodes],
-    "routes": lambda routes: [list(r) for r in routes],
-    "traffic": lambda traffic: [TrafficSpec(**t) for t in traffic],
-    "attacks": lambda attacks: [_attack_from_dict(a) for a in attacks],
-}
-_CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
-
-
-def from_dict(data: dict) -> ScenarioConfig:
-    """A config from its YAML shape.  Only the keys present are passed on,
-    so every default lives in the dataclasses; an unknown key is an error."""
-    if not isinstance(data, dict):
-        raise ConfigError(["top level: expected a mapping"])
-    unknown = [key for key in data if key not in _CONFIG_KEYS]
-    if unknown:
-        raise ConfigError([f"{key}: unknown key" for key in unknown])
-    kwargs = {}
-    for key, value in data.items():
-        convert = _CONFIG_CONVERT.get(key)
-        try:
-            kwargs[key] = value if convert is None else convert(value)
-        except (TypeError, ValueError) as err:
-            raise ConfigError([f"{key}: {err}"]) from err
-    return ScenarioConfig(**kwargs)
-
-
 # libyaml's C scanner and parser where PyYAML was built with it; either
 # loader constructs with the same SafeConstructor and resolver, so the
 # objects, and every output of a run, are the same
@@ -511,14 +534,13 @@ LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_config(stream) -> ScenarioConfig:
-    """Parse and validate a YAML scenario from a stream, string or bytes."""
+    """Parse a YAML scenario from a stream, string or bytes into a config
+    whose values Simulation validates, after any change made to it."""
     try:
         data = yaml.load(stream, Loader=LOADER)
     except yaml.YAMLError as err:
         raise ConfigError([f"yaml: {err}"]) from err
-    config = from_dict(data)
-    validate(config)
-    return config
+    return from_dict(data)
 
 
 def dump_config(config: ScenarioConfig) -> str:
@@ -538,9 +560,6 @@ freshness_s: 60
 per_hop_delay_ms: 300
 # delete a packet's records once the gateway has retrieved and accepted them
 purge_on_delivery: true
-# packets whose newest record is older than this are flagged as dropped;
-# null means 5x per_hop_delay_ms
-drop_timeout_ms: null
 # deployment area (length, width) for node placement
 area: [100.0, 100.0]
 # rotate the shared key after a generation count drawn from this range;

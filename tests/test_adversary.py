@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import build_chain
+from tests.test_scenario import small_config
 from zircon.adversary import (
     AttackSpec,
     AttackSpecError,
@@ -15,6 +16,7 @@ from zircon.adversary import (
 from zircon.crypto import DecryptionError, decrypt_block
 from zircon.nodes import ACCEPTED, PROVENANCE_FAIL
 from zircon.provstore import ProvenanceKey
+from zircon.scenario import ConfigError, validate
 from zircon.watermark import extract
 
 
@@ -255,22 +257,30 @@ def test_store_probe_is_not_a_link_attack():
 # -- spec validation ---------------------------------------------------------------
 
 def test_spec_validation_errors():
-    with pytest.raises(AttackSpecError):
-        AttackSpec(kind="jam")
-    with pytest.raises(AttackSpecError):
-        AttackSpec(kind="insert_bits", bits=())
-    with pytest.raises(AttackSpecError):
-        AttackSpec(kind="insert_bits", bits=(0, 2))
-    with pytest.raises(AttackSpecError):
-        AttackSpec(kind="delete_bits", q=0)
-    with pytest.raises(AttackSpecError):
-        AttackSpec(kind="modify_payload", edits=())
-    with pytest.raises(AttackSpecError):
-        AttackSpec(kind="modify_payload", edits=((0, 0),))
-    with pytest.raises(AttackSpecError):
-        AttackSpec(kind="fake_inject", src=1)
-    with pytest.raises(AttackSpecError):
-        AttackSpec(kind="store_probe")
+    def errors_of(**spec):
+        cfg = small_config(attacks=[AttackSpec(from_id=1, to_id=2, **spec)])
+        with pytest.raises(ConfigError) as exc:
+            validate(cfg)
+        return exc.value.errors
+
+    assert "attacks[0].kind: unknown attack kind 'jam'" in errors_of(
+        kind="jam")
+    assert "attacks[0].bits: insert_bits needs at least one bit" in errors_of(
+        kind="insert_bits", offset_bits=0, bits=())
+    assert "attacks[0].bits: 2 is not a bit (0 or 1)" in errors_of(
+        kind="insert_bits", offset_bits=0, bits=(0, 2))
+    assert "attacks[0].q: delete_bits needs q >= 1" in errors_of(
+        kind="delete_bits", q=0)
+    assert "attacks[0].edits: modify_payload needs an edit" in errors_of(
+        kind="modify_payload", edits=())
+    assert "attacks[0].edits: xor mask 0 is not a byte (1..255)" in \
+        errors_of(kind="modify_payload", edits=((0, 0),))
+    errors = errors_of(kind="fake_inject", src=1, seq=1)
+    assert "attacks[0].ip: fake_inject needs a 4-byte forged address" in errors
+    assert "attacks[0].key_material_hex: fake_inject needs a 16-byte forging " \
+        "key" in errors
+    assert "attacks[0].caller_id: store_probe needs a caller_id" in errors_of(
+        kind="store_probe", src=1, seq=1)
 
 
 def test_spec_matching():

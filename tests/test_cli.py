@@ -146,7 +146,7 @@ def test_run_refuses_a_nan_energy_constant(tmp_path, capsys):
     ("attacks: []",
      "attacks: [{kind: fake_inject, to: 2, src: 1, seq: 1, ip: 5, "
      "key_material_hex: 000102030405060708090a0b0c0d0e0f}]",
-     "attacks: bad IPv4 address 5"),
+     "attacks[0].ip: bad IPv4 address 5"),
     ("attacks: []",
      "attacks: [{kind: replay, from: 1, to: 2, mutate_timestamp: nope}]",
      "attacks[0].mutate_timestamp: must be true or false, got 'nope'"),

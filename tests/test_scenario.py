@@ -1,11 +1,12 @@
 """Config schema: YAML round-trip and the validation catalog."""
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zircon.adversary import KINDS, AttackSpec
 from zircon.analysis import EnergyParams
-from zircon.netsim import run
+from zircon.netsim import Simulation, run
 from zircon.scenario import (
     EXAMPLE_CONFIG,
     ConfigError,
@@ -57,7 +58,6 @@ def test_example_config_is_valid():
 def test_yaml_roundtrip_preserves_everything():
     cfg = small_config()
     cfg.key_rotation = KeyRotationConfig(5, 9)
-    cfg.drop_timeout_ms = 1234
     cfg.energy = EnergyParams(p_n_mw=25.0, tc_per_op_ms=0.25)
     cfg.attacks = [
         AttackSpec(kind="eavesdrop", from_id=1, to_id=2),
@@ -102,13 +102,18 @@ def test_bad_yaml_and_bad_shape():
         from_dict(["not", "a", "mapping"])
 
 
-def test_timeout_default_is_five_hop_delays():
-    cfg = small_config()
-    assert cfg.timeout_ms() == 1500
-    cfg.per_hop_delay_ms = 100
-    assert cfg.timeout_ms() == 500
-    cfg.drop_timeout_ms = 99
-    assert cfg.timeout_ms() == 99
+def test_attacks_keep_every_field_off_its_default():
+    # the writer used to keep only each kind's own fields, so these came
+    # back from the YAML as defaults
+    cfg = small_config(attacks=[
+        AttackSpec(kind="drop", from_id=1, to_id=2, delay_ms=5,
+                   mutate_timestamp=True, q=3, offset_bits=7, bits=(1, 0),
+                   edits=((0, 1),), caller_id=6),
+        AttackSpec(kind="eavesdrop", from_id=1, to_id=2, ip=bytes(4),
+                   payload=b"p", key_material=bytes(16), key_epoch=2, hop=4),
+        AttackSpec(kind="replay", from_id=1, to_id=2, delay_ms=1000)])
+    assert load_config(dump_config(cfg)) == cfg
+    assert to_dict(cfg)["attacks"][2] == {"kind": "replay", "from": 1, "to": 2}
 
 
 # -- validation catalog ---------------------------------------------------------
@@ -137,6 +142,15 @@ def test_bad_ip_and_position():
     cfg = small_config()
     cfg.nodes[0].x = -1
     assert any("outside" in e for e in errors_of(cfg))
+    # a node's errors name its place in the list, as the type checks do,
+    # not its id
+    cfg = small_config()
+    cfg.nodes[2].ip = "10.0.0"
+    cfg.nodes[2].y = -1
+    cfg.nodes.append(NodeSpec(id=9, ip="10.0.0.5", role="gateway"))
+    assert errors_of(cfg) == ["nodes[2].ip: bad address '10.0.0'",
+                              "nodes[2]: position outside 100.0x100.0 area",
+                              "nodes[3].id: duplicate id 9"]
 
 
 def test_route_shape_checks():
@@ -147,8 +161,12 @@ def test_route_shape_checks():
     cfg = small_config(routes=[[2, 1, 9]])
     errs = errors_of(cfg)
     assert any("first node must be a source" in e for e in errs)
+    # the next hop is looked up by (source, node): 1->2->2->9 would run as
+    # 1->2->9, and a second route from a source would replace the first
     cfg = small_config(routes=[[1, 2, 2, 9]])
-    validate(cfg)  # repeating an intermediate is odd but well-formed
+    assert errors_of(cfg) == ["routes[0]: nodes [2] appear more than once"]
+    cfg = small_config(routes=[[1, 2, 9], [1, 9]])
+    assert errors_of(cfg) == ["routes[1]: source 1 already has routes[0]"]
     cfg = small_config(routes=[[1, 9, 9]])
     assert any("must be intermediate" in e for e in errors_of(cfg))
 
@@ -240,6 +258,9 @@ def test_fake_inject_wire_limits():
     assert any("forged hop" in e for e in errors_of(forged(hop=0)))
     assert any("forged hop" in e for e in errors_of(forged(hop=256)))
     assert any("forging key" in e for e in errors_of(forged(key_material=bytes(15))))
+    # a 3-byte address used to pass, and the run aborted on the first forgery
+    assert errors_of(forged(ip=b"\x0a\x00\x01")) == [
+        "attacks[0].ip: fake_inject needs a 4-byte forged address"]
     assert any("forged payload" in e
                for e in errors_of(forged(payload=bytes(0x10000))))
 
@@ -469,18 +490,70 @@ def test_unknown_top_level_key_is_a_config_error(old, new):
 
 
 @pytest.mark.parametrize("attack, message", [
-    ("{kind: replay, from: 1, to: 2, dely_ms: 5000}", "unknown key 'dely_ms'"),
-    ("{kind: drop, from_id: 1, to: 2}", "unknown key 'from_id'"),
+    ("{kind: replay, from: 1, to: 2, dely_ms: 5000}",
+     "attacks[0].dely_ms: unknown key"),
+    ("{kind: drop, from_id: 1, to: 2}", "attacks[0].from_id: unknown key"),
     ("{kind: fake_inject, to: 2, src: 1, seq: 1, ip: 10.0.0.1, "
      "payload: '00', key_material_hex: 000102030405060708090a0b0c0d0e0f}",
-     "unknown key 'payload'"),
-    ("[drop, 1, 2]", "expected a mapping, got ['drop', 1, 2]"),
+     "attacks[0].payload: unknown key"),
+    ("[drop, 1, 2]", "attacks[0]: expected a mapping, got ['drop', 1, 2]"),
 ])
 def test_unknown_attack_key_is_a_config_error(attack, message):
     text = EXAMPLE_CONFIG.replace("attacks: []", f"attacks:\n  - {attack}")
     with pytest.raises(ConfigError) as exc:
         load_config(text)
-    assert exc.value.errors == [f"attacks: {message}"]
+    assert exc.value.errors == [message]
+
+
+# a well-formed record of each kind, its first key a required one
+_RECORDS = {
+    "nodes": {"id": 4, "ip": "10.0.0.4", "role": "source"},
+    "traffic": {"source": 1, "count": 2},
+    "key_rotation": {"min_generations": 1, "max_generations": 2},
+    "attacks": {"kind": "drop", "from": 1, "to": 2},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+@pytest.mark.parametrize("fault", ["unknown", "missing", "not a mapping"])
+def test_a_bad_record_is_reported_at_its_path(name, fault):
+    record = _RECORDS[name]
+    first = next(iter(record))
+    entry, message = {
+        "unknown": ({**record, "colour": "red"}, ".colour: unknown key"),
+        "missing": ({k: v for k, v in record.items() if k != first},
+                    f".{first}: missing required key"),
+        "not a mapping": ([1, 2], ": expected a mapping, got [1, 2]"),
+    }[fault]
+    data = yaml.safe_load(EXAMPLE_CONFIG)
+    if name == "key_rotation":
+        data[name], where = entry, name
+    else:
+        data[name], where = [record, entry], f"{name}[1]"
+    with pytest.raises(ConfigError) as exc:
+        load_config(yaml.safe_dump(data))
+    assert exc.value.errors == [where + message]
+
+
+def test_every_problem_in_the_attacks_is_reported_at_once():
+    text = EXAMPLE_CONFIG.replace("mode: multihop", "mode: triple").replace(
+        "attacks: []", "attacks:\n  - {kind: jam, from: 1, to: 2}\n"
+        "  - {kind: delete_bits, from: 1, to: 2, q: 0}")
+    with pytest.raises(ConfigError) as exc:
+        validate(load_config(text))
+    assert exc.value.errors == [
+        "mode: must be one of ('singlehop', 'multihop'), got 'triple'",
+        "attacks[0].kind: unknown attack kind 'jam'",
+        "attacks[1].q: delete_bits needs q >= 1"]
+
+
+def test_load_config_only_builds_and_the_simulation_validates():
+    text = EXAMPLE_CONFIG.replace("count: 20", "count: 0")
+    cfg = load_config(text)
+    assert cfg.traffic[0].count == 0
+    with pytest.raises(ConfigError) as exc:
+        Simulation(cfg)
+    assert exc.value.errors == ["traffic[0].count: must be >= 1"]
 
 
 def test_absent_keys_take_the_dataclass_defaults():
@@ -510,8 +583,21 @@ def test_yaml_spellings_convert_to_their_fields():
 def test_area_of_the_wrong_length_fails_validation():
     text = EXAMPLE_CONFIG.replace("area: [100.0, 100.0]", "area: [100, 100, 5]")
     with pytest.raises(ConfigError) as exc:
-        load_config(text)
+        validate(load_config(text))
     assert exc.value.errors == ["area: needs positive (length, width)"]
+
+
+@pytest.mark.parametrize("area, message", [
+    ('["100", 100]', "area[0]: must be a number, got '100'"),
+    ("[yes, 5]", "area[0]: must be a number, got True"),
+    ("[5, null]", "area[1]: must be a number, got None"),
+])
+def test_area_entries_must_be_numbers(area, message):
+    # the first two used to load as 100x100 and 1x5 areas
+    text = EXAMPLE_CONFIG.replace("area: [100.0, 100.0]", f"area: {area}")
+    with pytest.raises(ConfigError) as exc:
+        validate(load_config(text))
+    assert exc.value.errors == [message]
 
 
 # -- every config that passes validate runs ------------------------------------------
@@ -522,21 +608,29 @@ _IDS = (1, 2, 3, *_POOL, _GATEWAY)
 _FRAME_BITS = (9 + 24 + 24) * 8  # header, largest payload, watermark
 
 
+def _or_none(strategy):
+    # mostly the value: each attack draws several of these
+    return st.one_of(strategy, strategy, strategy, st.none())
+
+
 @st.composite
 def _attacks(draw, links):
-    kind = draw(st.sampled_from(KINDS))
+    kind = draw(st.sampled_from(KINDS + ("jam",)))
     after_ms = draw(st.integers(0, 6000))
     if kind == "fake_inject":
         return AttackSpec(
             kind=kind, to_id=draw(st.sampled_from(_IDS)),
-            src=draw(st.integers(0, 5)), seq=draw(st.integers(0, 5)),
-            after_ms=after_ms, ip=bytes([10, 0, 0, draw(st.integers(0, 9))]),
+            src=draw(_or_none(st.integers(0, 5))), seq=draw(st.integers(0, 5)),
+            after_ms=after_ms, ip=draw(_or_none(st.one_of(
+                st.integers(0, 9).map(lambda i: bytes([10, 0, 0, i])),
+                st.binary(max_size=6)))),
             payload=draw(st.binary(max_size=24)),
-            key_material=draw(st.binary(min_size=16, max_size=16)),
+            key_material=draw(_or_none(st.binary(min_size=16, max_size=16))),
             key_epoch=draw(st.integers(0, 3)), hop=draw(st.integers(1, 5)))
     if kind == "store_probe":
         return AttackSpec(kind=kind,
-                          caller_id=draw(st.sampled_from(_IDS + (666,))),
+                          caller_id=draw(_or_none(st.sampled_from(
+                              _IDS + (666,)))),
                           src=draw(st.integers(0, 5)),
                           seq=draw(st.integers(0, 5)), after_ms=after_ms)
     from_id, to_id = draw(st.sampled_from(links))
@@ -548,16 +642,16 @@ def _attacks(draw, links):
                     mutate_timestamp=draw(st.booleans()))
     elif kind == "insert_bits":
         spec.update(offset_bits=draw(st.integers(0, _FRAME_BITS)),
-                    bits=tuple(draw(st.lists(st.integers(0, 1), min_size=1,
+                    bits=tuple(draw(st.lists(st.integers(0, 1),
                                              max_size=70))))
     elif kind == "delete_bits":
         spec.update(offset_bits=draw(st.one_of(
                         st.none(), st.integers(0, _FRAME_BITS))),
-                    q=draw(st.integers(1, 70)))
+                    q=draw(st.integers(-1, 70)))
     elif kind in ("modify_payload", "modify_watermark"):
         spec["edits"] = tuple(draw(st.lists(
             st.tuples(st.integers(0, 24), st.integers(1, 255)),
-            min_size=1, max_size=3)))
+            max_size=3)))
     return AttackSpec(**spec)
 
 

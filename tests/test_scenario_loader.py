@@ -79,7 +79,7 @@ LINK = dict(from_id=OPTIONAL_INT, to_id=OPTIONAL_INT, src=OPTIONAL_INT,
             seq=OPTIONAL_INT, after_ms=INTS)
 EDITS = st.lists(st.tuples(INTS, st.integers(1, 255)), min_size=1,
                  max_size=3).map(tuple)
-# one strategy per attack kind, each setting the fields its YAML form keeps
+# one strategy per attack kind, each setting that kind's own fields
 ATTACKS = st.one_of(
     st.builds(AttackSpec, kind=st.sampled_from(["eavesdrop", "drop"]), **LINK),
     st.builds(AttackSpec, kind=st.just("replay"), delay_ms=INTS,
@@ -102,7 +102,7 @@ ATTACKS = st.one_of(
 CONFIGS = st.builds(
     ScenarioConfig, seed=INTS, mode=TEXT, freshness_s=INTS,
     per_hop_delay_ms=INTS, purge_on_delivery=st.booleans(),
-    drop_timeout_ms=OPTIONAL_INT, area=st.tuples(FLOATS, FLOATS),
+    area=st.tuples(FLOATS, FLOATS),
     key_rotation=st.none() | st.builds(KeyRotationConfig, INTS, INTS),
     energy=ENERGY, nodes=st.lists(NODES, max_size=3),
     routes=st.lists(st.lists(INTS, max_size=4), max_size=3),
