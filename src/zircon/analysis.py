@@ -48,14 +48,19 @@ class EnergyParams:
     # this times its operation count
     tc_per_op_ms: float = 0.5
 
-    def __post_init__(self) -> None:
+
+def energy_errors(params: EnergyParams) -> List[str]:
+    """One `field: ...` error per constant that is not a finite nonnegative
+    number."""
+    errors = []
+    for f in fields(params):
+        value = getattr(params, f.name)
         # a bool is an int to Python, and NaN passes every comparison test
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not 0 <= value < math.inf:
-                raise ValueError(f"{f.name} must be a finite nonnegative "
-                                 f"number, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not 0 <= value < math.inf:
+            errors.append(f"{f.name}: must be a finite nonnegative number, "
+                          f"got {value!r}")
+    return errors
 
 
 def node_energy(params: EnergyParams, t_c_ms: float) -> float:

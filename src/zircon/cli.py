@@ -182,8 +182,19 @@ def cmd_energy_table(args: argparse.Namespace) -> int:
     except (KeyError, TypeError) as err:
         raise ValueError(f"{report_path}: no usable energy parameters "
                          f"({err})") from err
+    errors = analysis.energy_errors(params)
+    if errors:
+        raise ValueError(f"{report_path}: "
+                         + "; ".join(f"energy.{e}" for e in errors))
+    # rendered first, so that a malformed node entry leaves no output file
+    text = io.StringIO()
+    try:
+        analysis.write_energy_csv(text, report, params)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"{report_path}: malformed nodes "
+                         f"({type(err).__name__}: {err})") from err
     with _out_stream(args.out) as out:
-        analysis.write_energy_csv(out, report, params)
+        out.write(text.getvalue())
     return 0
 
 

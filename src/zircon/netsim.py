@@ -16,9 +16,9 @@ import heapq
 import itertools
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import adversary, events
 from .adversary import FAKE_INJECT, STORE_PROBE, AttackSpec
@@ -47,20 +47,9 @@ FLOW_REPLAYED = "replayed"
 FLOW_FAKE = "fake"
 
 # watermark operations charged per processed packet, by role; the proxy for
-# computation time in the energy model
+# computation time in the energy model.  Only sources emit and only verifiers
+# are delivered to, so a node's count is its packets times its role's charge.
 OPS_BY_ROLE = {ROLE_SOURCE: 1, ROLE_INTERMEDIATE: 2, ROLE_GATEWAY: 2}
-
-
-@dataclass
-class _PacketState:
-    source: int
-    seq: int
-    route: List[int]
-    emitted_ms: int
-    status: str = "in_flight"  # accepted | rejected | dropped | in_flight
-    final: Optional[dict] = None
-    path: Optional[list] = None
-    verdicts: List[dict] = field(default_factory=list)
 
 
 @dataclass
@@ -78,7 +67,7 @@ class SimResult:
         """The report as `json.dumps(report, indent=2, sort_keys=True)` plus
         a newline, byte for byte.  With an indent, json takes its pure-Python
         encoder, so the packet entries, the bulk of the file, are written
-        from the fixed key sets `_build_report` and `_record_verdict` give
+        from the fixed key sets `_handle_emit` and `_record_verdict` give
         them; the other top-level values are small and go through json."""
         parts = []
         for key, value in sorted(self.report.items()):
@@ -183,27 +172,24 @@ class Simulation:
                 registered=spec.registered,
             )
 
-        self.sources: Dict[int, SourceNode] = {}
-        self.intermediates: Dict[int, IntermediateNode] = {}
-        self.gateways: Dict[int, GatewayNode] = {}
+        # every node by id; its class's `role` picks what a delivery runs
+        self.nodes: Dict[int, Union[SourceNode, IntermediateNode,
+                                    GatewayNode]] = {}
         for ident in self.identities.values():
             if ident.role == ROLE_SOURCE:
-                self.sources[ident.id] = SourceNode(ident, self.keyring, self.store)
-                if ident.registered:
-                    self.store.register_node(ident.id)
+                node = SourceNode(ident, self.keyring, self.store)
             elif ident.role == ROLE_INTERMEDIATE:
-                self.intermediates[ident.id] = IntermediateNode(
-                    ident, self.keyring, self.store)
-                if ident.registered:
-                    self.store.register_node(ident.id)
+                node = IntermediateNode(ident, self.keyring, self.store)
             else:
-                self.gateways[ident.id] = GatewayNode(
-                    ident, self.keyring, self.store, self.identities,
-                    freshness_s=config.freshness_s,
-                    purge_on_delivery=config.purge_on_delivery,
-                )
-                if ident.registered:
-                    self.store.register_gateway(ident.id)
+                node = GatewayNode(ident, self.keyring, self.store,
+                                   self.identities,
+                                   freshness_s=config.freshness_s,
+                                   purge_on_delivery=config.purge_on_delivery)
+            self.nodes[ident.id] = node
+            if ident.registered and ident.role == ROLE_GATEWAY:
+                self.store.register_gateway(ident.id)
+            elif ident.registered:
+                self.store.register_node(ident.id)
 
         # next hop along each configured route
         self._route_of_source: Dict[int, List[int]] = {}
@@ -223,9 +209,9 @@ class Simulation:
             elif attack.kind == STORE_PROBE:
                 self._schedule(attack.after_ms, "probe", (attack,))
 
-        self.packets: Dict[Tuple[int, int], _PacketState] = {}
+        # each packet's report.json entry, kept from its emission on
+        self.packets: Dict[Tuple[int, int], dict] = {}
         self.node_packets: Dict[int, int] = {i: 0 for i in self.identities}
-        self.node_ops: Dict[int, int] = {i: 0 for i in self.identities}
 
         # one heapify in place of a push per emit: the (time, order) keys are
         # unique, so the pop order is the same.  A traffic entry's emits
@@ -253,24 +239,24 @@ class Simulation:
                                       seq, detail, self.now))
 
     def _record_verdict(self, verdict: VerificationVerdict, src: int,
-                        seq: int, flow: str) -> Optional[_PacketState]:
-        """Log a verdict as the node read it and add it to the state of the
+                        seq: int, flow: str) -> Optional[dict]:
+        """Log a verdict as the node read it and add it to the entry of the
         delivered packet `(src, seq)`, which it returns (None for a packet
         never emitted).  A garbled header cannot move the verdict onto
-        another packet's state."""
+        another packet's entry."""
         self.log.append(events.verdict(*verdict))
         node, _, _, hop, outcome, time = verdict
-        state = self.packets.get((src, seq))
-        if state is not None:
-            entry = {"outcome": outcome, "node": node, "hop": hop,
-                     "time": time, "flow": flow}
-            state.verdicts.append(entry)
+        entry = self.packets.get((src, seq))
+        if entry is not None:
+            v = {"outcome": outcome, "node": node, "hop": hop, "time": time,
+                 "flow": flow}
+            entry["verdicts"].append(v)
             # only a gateway accept is terminal; the caller handles it
-            if (flow == FLOW_ORGANIC and state.status == "in_flight"
+            if (flow == FLOW_ORGANIC and entry["status"] == "in_flight"
                     and outcome != ACCEPTED):
-                state.status = "rejected"
-                state.final = entry
-        return state
+                entry["status"] = "rejected"
+                entry["final"] = v
+        return entry
 
     def _maybe_rotate(self) -> None:
         if self._rotation_threshold is None:
@@ -306,9 +292,9 @@ class Simulation:
                                    (to_id, copy, src, seq, hop, route_src,
                                     FLOW_REPLAYED))
                 if result.deliver is None:
-                    state = self.packets.get((src, seq))
-                    if state is not None and state.status == "in_flight":
-                        state.status = "dropped"
+                    entry = self.packets.get((src, seq))
+                    if entry is not None and entry["status"] == "in_flight":
+                        entry["status"] = "dropped"
                     return
                 data = result.deliver
         self._schedule(self.now + self.config.per_hop_delay_ms, "deliver",
@@ -317,21 +303,23 @@ class Simulation:
     # -- event handlers ------------------------------------------------------
 
     def _handle_emit(self, source: int, payload_bytes: int) -> None:
-        node = self.sources[source]
+        node = self.nodes[source]
         payload = self._rng(f"payload/{source}").randbytes(payload_bytes)
         if self.config.mode == MODE_SINGLEHOP:
             pkt = node.emit_singlehop(payload, self.now)
         else:
             pkt = node.emit_multihop(payload, self.now)
         self.node_packets[source] += 1
-        self.node_ops[source] += OPS_BY_ROLE[ROLE_SOURCE]
         self._generations += 1
         self.log.append(events.emit(source, pkt.src, pkt.seq, pkt.hop,
                                     self.now))
-        self.packets[(pkt.src, pkt.seq)] = _PacketState(
-            source=pkt.src, seq=pkt.seq,
-            route=list(self._route_of_source[source]), emitted_ms=self.now,
-        )
+        # status: in_flight | accepted | rejected | dropped; store_records is
+        # counted when the report is built
+        self.packets[(pkt.src, pkt.seq)] = {
+            "source": pkt.src, "seq": pkt.seq,
+            "route": list(self._route_of_source[source]),
+            "emitted_ms": self.now, "status": "in_flight", "final": None,
+            "path": None, "verdicts": [], "store_records": None}
         self._send(source, source, pkt.to_bytes(), pkt.src, pkt.seq, pkt.hop,
                    FLOW_ORGANIC)
 
@@ -340,9 +328,8 @@ class Simulation:
         self.log.append(events.deliver(to, src, seq, hop, self.now))
         self.node_packets[to] += 1
 
-        node = self.intermediates.get(to)
-        if node is not None:
-            self.node_ops[to] += OPS_BY_ROLE[ROLE_INTERMEDIATE]
+        node = self.nodes[to]
+        if node.role == ROLE_INTERMEDIATE:
             verdict, forwarded = node.process(data, self.now)
             self._record_verdict(verdict, src, seq, flow)
             if forwarded is not None:
@@ -351,20 +338,18 @@ class Simulation:
                            forwarded.hop, flow)
             return
 
-        node = self.gateways.get(to)
-        if node is None:
+        if node.role != ROLE_GATEWAY:
             raise RuntimeError(f"delivery to non-verifying node {to}")
-        self.node_ops[to] += OPS_BY_ROLE[ROLE_GATEWAY]
         if self.config.mode == MODE_SINGLEHOP:
             verdict, path = node.verify_singlehop(data, self.now)
         else:
             verdict, path = node.verify_multihop(data, self.now)
-        state = self._record_verdict(verdict, src, seq, flow)
+        entry = self._record_verdict(verdict, src, seq, flow)
         if verdict.outcome == ACCEPTED and flow == FLOW_ORGANIC \
-                and state is not None and state.status == "in_flight":
-            state.status = "accepted"
-            state.final = state.verdicts[-1]
-            state.path = path
+                and entry is not None and entry["status"] == "in_flight":
+            entry["status"] = "accepted"
+            entry["final"] = entry["verdicts"][-1]
+            entry["path"] = path
 
     def _handle_inject(self, attack: AttackSpec) -> None:
         frame = adversary.build_fake_frame(attack, self.now // 1000, attack.seq)
@@ -407,34 +392,25 @@ class Simulation:
         counts = {"emitted": len(self.packets), "accepted": 0, "rejected": 0,
                   "dropped": 0, "in_flight": 0}
         packets = {}
-        for (src, seq), state in sorted(self.packets.items()):
-            # anything still untouched at drain time never reached a verdict
-            if state.status == "in_flight":
-                state.status = "dropped" if self.store.record_count(src, seq) \
-                    else "in_flight"
-            counts[state.status] += 1
-            packets[f"{src}:{seq}"] = {
-                "source": src,
-                "seq": seq,
-                "route": state.route,
-                "emitted_ms": state.emitted_ms,
-                "status": state.status,
-                "final": state.final,
-                "path": state.path,
-                "verdicts": state.verdicts,
-                "store_records": self.store.record_count(src, seq),
-            }
+        for (src, seq), entry in sorted(self.packets.items()):
+            entry["store_records"] = self.store.record_count(src, seq)
+            # a packet with stored records but no verdict was lost on the way
+            if entry["status"] == "in_flight" and entry["store_records"]:
+                entry["status"] = "dropped"
+            counts[entry["status"]] += 1
+            packets[f"{src}:{seq}"] = entry
         # a sweep one millisecond after the run, with no grace, flags every
         # unretrieved set; with purged deliveries those are exactly the drops
         suspects = self.store.sweep_stale(self.now + 1, 0)
         nodes = {}
-        for nid in sorted(self.identities):
-            ident = self.identities[nid]
+        for nid in sorted(self.nodes):
+            role = self.nodes[nid].role
+            ops = self.node_packets[nid] * OPS_BY_ROLE[role]
             nodes[str(nid)] = {
-                "role": ident.role,
+                "role": role,
                 "packets": self.node_packets[nid],
-                "watermark_ops": self.node_ops[nid],
-                "t_c_ms": self.node_ops[nid] * self.config.energy.tc_per_op_ms,
+                "watermark_ops": ops,
+                "t_c_ms": ops * self.config.energy.tc_per_op_ms,
             }
         return {
             "seed": self.config.seed,

@@ -25,7 +25,7 @@ from .adversary import (
     STORE_PROBE,
     AttackSpec,
 )
-from .analysis import EnergyParams
+from .analysis import EnergyParams, energy_errors
 from .nodes import ROLE_GATEWAY, ROLE_INTERMEDIATE, ROLE_SOURCE, ROLES
 from .crypto import KEY_BYTES
 from .watermark import (
@@ -270,6 +270,7 @@ def validate(config: ScenarioConfig) -> None:
         errors.append("per_hop_delay_ms: must be positive")
     if len(config.area) != 2 or config.area[0] <= 0 or config.area[1] <= 0:
         errors.append("area: needs positive (length, width)")
+    errors += [f"energy.{e}" for e in energy_errors(config.energy)]
 
     ids: Dict[int, NodeSpec] = {}
     ips = set()
@@ -489,11 +490,7 @@ def _build(cls, data, where: str, errors: List[str]):
                for key in required if key not in data]
     if len(errors) > found:
         return None
-    try:
-        return cls(**kwargs)
-    except ValueError as err:  # EnergyParams checks its own values
-        errors.append(f"{where}: {err}")
-        return None
+    return cls(**kwargs)
 
 
 def from_dict(data) -> ScenarioConfig:

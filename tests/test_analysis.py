@@ -14,6 +14,7 @@ from zircon.analysis import (
     bfp_bits,
     cost_rows,
     detection_report,
+    energy_errors,
     node_budget,
     node_energy,
     provenance_size,
@@ -57,8 +58,8 @@ def test_energy_monotonic_in_power():
 def test_energy_rejects_negatives():
     with pytest.raises(ValueError):
         node_energy(EnergyParams(), -1.0)
-    with pytest.raises(ValueError):
-        EnergyParams(t_tr_ms=-5.0)
+    assert energy_errors(EnergyParams(t_tr_ms=-5.0)) == [
+        "t_tr_ms: must be a finite nonnegative number, got -5.0"]
 
 
 def test_budget_by_role():

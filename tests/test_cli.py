@@ -1,10 +1,12 @@
 """Command-line verbs exercised through main(argv)."""
 import hashlib
 import json
+from dataclasses import asdict
 
 import pytest
 
 from zircon import scenario
+from zircon.analysis import EnergyParams
 from zircon.cli import main
 
 
@@ -119,7 +121,7 @@ def test_run_refuses_a_nan_energy_constant(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", "--config", str(cfg),
                              "--out", str(tmp_path / "out"))
     assert code == 1
-    assert "energy: t_a_ms must be a finite nonnegative number, got nan" in err
+    assert "energy.t_a_ms: must be a finite nonnegative number, got nan" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -343,6 +345,44 @@ def test_energy_table_refuses_report_without_usable_energy(tmp_path, capsys,
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "energy parameters" in err
+
+
+def edited_report(tmp_path, capsys, section, value):
+    """A run directory of the example scenario whose report.json has
+    `section` replaced by `value`, and the report's path."""
+    cfg = write_example(tmp_path)
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "run", "--config", str(cfg), "--out", str(out_dir))
+    report_path = out_dir / "report.json"
+    report = json.loads(report_path.read_text())
+    report[section] = value
+    report_path.write_text(json.dumps(report))
+    return out_dir, report_path
+
+
+def test_energy_table_refuses_a_negative_energy_constant(tmp_path, capsys):
+    energy = asdict(EnergyParams(t_a_ms=-1))
+    out_dir, report_path = edited_report(tmp_path, capsys, "energy", energy)
+    csv_path = tmp_path / "energy.csv"
+    code, out, err = run_cli(capsys, "energy-table", "--run", str(out_dir),
+                             "--out", str(csv_path))
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: {report_path}: energy.t_a_ms: must be a finite "
+                   f"nonnegative number, got -1\n")
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("nodes", [{"1": {"role": "source"}}, [1, 2]])
+def test_energy_table_refuses_malformed_nodes(tmp_path, capsys, nodes):
+    out_dir, report_path = edited_report(tmp_path, capsys, "nodes", nodes)
+    csv_path = tmp_path / "energy.csv"
+    code, out, err = run_cli(capsys, "energy-table", "--run", str(out_dir),
+                             "--out", str(csv_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {report_path}: malformed nodes (")
+    assert not csv_path.exists()
 
 
 def test_energy_table_missing_run_dir(capsys):

@@ -457,9 +457,8 @@ def test_route_must_fit_the_freshness_window():
 @pytest.mark.parametrize("field", ["t_a_ms", "tc_per_op_ms"])
 def test_negative_energy_constant_is_a_config_error(field):
     text = EXAMPLE_CONFIG.replace(f"  {field}: ", f"  {field}: -5.0 #")
-    with pytest.raises(ConfigError) as exc:
-        load_config(text)
-    assert any(field in e and "nonnegative" in e for e in exc.value.errors)
+    errors = errors_of(load_config(text))
+    assert any(f"energy.{field}" in e and "nonnegative" in e for e in errors)
 
 
 @pytest.mark.parametrize("value, shown", [
@@ -467,10 +466,19 @@ def test_negative_energy_constant_is_a_config_error(field):
 ])
 def test_energy_constant_must_be_a_finite_number(value, shown):
     text = EXAMPLE_CONFIG.replace("  t_a_ms: 1.0 ", f"  t_a_ms: {value} ")
-    with pytest.raises(ConfigError) as exc:
-        load_config(text)
-    assert exc.value.errors == [
-        f"energy: t_a_ms must be a finite nonnegative number, got {shown}"]
+    assert errors_of(load_config(text)) == [
+        f"energy.t_a_ms: must be a finite nonnegative number, got {shown}"]
+
+
+def test_energy_constants_are_reported_with_every_other_error():
+    text = (EXAMPLE_CONFIG.replace("  t_a_ms: 1.0 ", "  t_a_ms: .nan ")
+            .replace("  t_s_ms: 0.5 ", "  t_s_ms: -1 ")
+            .replace("per_hop_delay_ms: 300", "per_hop_delay_ms: -3"))
+    assert errors_of(load_config(text)) == [
+        "per_hop_delay_ms: must be positive",
+        "energy.t_a_ms: must be a finite nonnegative number, got nan",
+        "energy.t_s_ms: must be a finite nonnegative number, got -1",
+    ]
 
 
 def test_integer_energy_constant_is_accepted():
