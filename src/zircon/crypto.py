@@ -5,15 +5,19 @@ Every output here is a pure function of the inputs: one fixed-size block
 encryption, the payload digest, digest truncation, and the selection of 32
 label bits out of a digest.  The only state kept between calls is derived
 from a key or a seed alone and changes no result: one stateless ECB
-encryptor and one ECB decryptor per key material, and the 32 label bit
-positions per PRNG seed.  Key material is wrapped in SymmetricKey so the
-rotation epoch travels with the bytes.
+encryptor and one ECB decryptor per key material, and per PRNG seed one
+256-entry table of 32-bit label parts per digest byte (bytes that hold no
+drawn bit, about 11 of the 32, share one table; about 25 KB a seed and
+never over 40 KB).  Key material is wrapped in SymmetricKey so the rotation
+epoch travels with the bytes.
 """
 from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -130,18 +134,27 @@ def select_label_bits(d: Digest, mode: str = LABEL_MODE_LSB32,
             raise LabelModeError("prng label mode requires a seed")
         if isinstance(seed, bytearray):
             seed = bytes(seed)  # hashable, and seeds random.Random identically
-        value = 0
-        for byte_index, shift in _label_positions(seed):
-            value = (value << 1) | ((d[byte_index] >> shift) & 1)
-        return value
+        # each table puts its byte's bits at their own label places, so the
+        # parts never overlap and their sum is the label
+        return sum(map(operator.getitem, _label_tables(seed), d))
     raise LabelModeError(f"unknown label mode {mode!r}")
 
 
 # typed: equal seeds of different types can seed differently (int 2**62 and
 # float 2.0**62 compare equal, but random.Random seeds a float by its hash)
 @functools.lru_cache(maxsize=64, typed=True)
-def _label_positions(seed: object) -> Tuple[Tuple[int, int], ...]:
-    """The (byte index, right shift) of each of the 32 label bits drawn for
-    `seed`, in draw order."""
+def _label_tables(seed: object) -> Tuple[array, ...]:
+    """For `seed`, per digest byte: a table from the byte's value to its
+    drawn bits at their label places, first drawn bit most significant.
+    Bytes that hold no drawn bit share one all-zero table."""
     positions = random.Random(seed).sample(range(DIGEST_BYTES * 8), LABEL_BITS)
-    return tuple((pos // 8, 7 - pos % 8) for pos in positions)
+    places = [[] for _ in range(DIGEST_BYTES)]  # (label place, right shift)
+    for i, pos in enumerate(positions):
+        places[pos // 8].append((LABEL_BITS - 1 - i, 7 - pos % 8))
+    # unsigned 32-bit entries: a tuple of ints takes twice the memory even
+    # with equal entries sharing one object, and 64 seeds stay cached
+    zero = array("I", [0] * 256)
+    return tuple(array("I", [sum(((v >> shift) & 1) << place
+                                 for place, shift in bits)
+                             for v in range(256)]) if bits else zero
+                 for bits in places)

@@ -10,12 +10,13 @@ datagram size, so they always fall through to full inspection.
 The header model covers only the fields this scheme touches (total length,
 identification, flags, fragment offset, addresses); writing the label uses
 all 32 bits including the reserved flag bit, which is a modeling choice, not
-standards-conformant traffic.
+standards-conformant traffic.  The model is a checked named tuple: every way
+of building one, `_make` and `_replace` included, runs the field range checks.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import Callable, Optional
 
 from .crypto import digest, select_label_bits
@@ -30,28 +31,32 @@ REQUIRES_IDS = "requires_ids"
 HASH_PREFIX_BYTES = 20
 
 
-@dataclass(frozen=True)
-class Ipv4HeaderModel:
-    src: bytes
-    dst: bytes
-    payload: bytes = b""
-    identification: int = 0
-    flags: int = 0
-    fragment_offset: int = 0
-    total_length: Optional[int] = None
+class Ipv4HeaderModel(namedtuple("Ipv4HeaderModel", (
+        "src", "dst", "payload", "identification", "flags",
+        "fragment_offset", "total_length"))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.src) != 4 or len(self.dst) != 4:
+    def __new__(cls, src: bytes, dst: bytes, payload: bytes = b"",
+                identification: int = 0, flags: int = 0,
+                fragment_offset: int = 0,
+                total_length: Optional[int] = None) -> "Ipv4HeaderModel":
+        if len(src) != 4 or len(dst) != 4:
             raise ValueError("addresses must be 4 bytes")
-        if not 0 <= self.identification <= 0xFFFF:
+        if not 0 <= identification <= 0xFFFF:
             raise ValueError("identification must fit 16 bits")
-        if not 0 <= self.flags <= 0x7:
+        if not 0 <= flags <= 0x7:
             raise ValueError("flags must fit 3 bits")
-        if not 0 <= self.fragment_offset <= 0x1FFF:
+        if not 0 <= fragment_offset <= 0x1FFF:
             raise ValueError("fragment offset must fit 13 bits")
-        if self.total_length is None:
-            object.__setattr__(self, "total_length",
-                               HEADER_BYTES + len(self.payload))
+        if total_length is None:
+            total_length = HEADER_BYTES + len(payload)
+        return tuple.__new__(cls, (src, dst, payload, identification, flags,
+                                   fragment_offset, total_length))
+
+    @classmethod
+    def _make(cls, iterable) -> "Ipv4HeaderModel":
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     def to_bytes(self) -> bytes:
         packed = _HEADER.pack(
@@ -68,15 +73,8 @@ class Ipv4HeaderModel:
         if len(data) < HEADER_BYTES:
             raise ValueError(f"datagram shorter than header ({len(data)} bytes)")
         total, ident, flags_frag, src, dst = _HEADER.unpack_from(data)
-        return cls(
-            src=src,
-            dst=dst,
-            payload=data[HEADER_BYTES:],
-            identification=ident,
-            flags=flags_frag >> 13,
-            fragment_offset=flags_frag & 0x1FFF,
-            total_length=total,
-        )
+        return cls(src, dst, data[HEADER_BYTES:], ident, flags_frag >> 13,
+                   flags_frag & 0x1FFF, total)
 
 
 def _hash_input(d: Ipv4HeaderModel) -> bytes:
@@ -100,12 +98,8 @@ def label_datagram(d: Ipv4HeaderModel, mode: str = "lsb32",
     """Write the 32 label bits into identification ∥ flags ∥ fragment offset,
     most significant bits first."""
     bits = compute_label(d, mode, seed)
-    return replace(
-        d,
-        identification=bits >> 16,
-        flags=(bits >> 13) & 0x7,
-        fragment_offset=bits & 0x1FFF,
-    )
+    return Ipv4HeaderModel(d.src, d.dst, d.payload, bits >> 16,
+                           (bits >> 13) & 0x7, bits & 0x1FFF, d.total_length)
 
 
 def check_datagram(d: Ipv4HeaderModel,

@@ -95,9 +95,6 @@ class KeyRing:
     def get(self, epoch: int) -> Optional[SymmetricKey]:
         return self._keys.get(epoch)
 
-    def epochs(self) -> List[int]:
-        return sorted(self._keys)
-
 
 def rotate_keys(ring: KeyRing, rng: random.Random) -> SymmetricKey:
     """Install a fresh key at the next epoch and return it."""

@@ -238,13 +238,26 @@ _FORGED = (
 
 def validate(config: ScenarioConfig) -> None:
     """Raise ConfigError listing every problem found."""
-    typed = [("", config)]
-    typed += [(f"nodes[{i}].", n) for i, n in enumerate(config.nodes)]
-    typed += [(f"traffic[{i}].", t) for i, t in enumerate(config.traffic)]
-    typed += [(f"attacks[{i}].", a) for i, a in enumerate(config.attacks)]
+    errors, records = [], [("energy", config.energy, EnergyParams)]
+    for name, cls in (("nodes", NodeSpec), ("routes", None),
+                      ("traffic", TrafficSpec), ("attacks", AttackSpec)):
+        value = getattr(config, name)
+        if type(value) is not list:
+            errors.append(f"{name}: must be a list, got {value!r}")
+        elif cls is not None:
+            records += [(f"{name}[{i}]", v, cls) for i, v in enumerate(value)]
     if config.key_rotation is not None:
-        typed.append(("key_rotation.", config.key_rotation))
-    errors = [e for where, obj in typed for e in _type_errors(where, obj)]
+        records.append(("key_rotation", config.key_rotation, KeyRotationConfig))
+    errors += [f"{where}: must be {'an' if cls.__name__[0] in 'AEIOU' else 'a'}"
+               f" {cls.__name__} record, got {obj!r}"
+               for where, obj, cls in records if type(obj) is not cls]
+    if errors:
+        # every check below reads these records' fields
+        raise ConfigError(errors)
+    # the energy constants have their own rule, in the value pass
+    errors = _type_errors("", config) + [
+        e for where, obj, cls in records if cls is not EnergyParams
+        for e in _type_errors(where + ".", obj)]
     errors += [f"area[{i}]: must be a number, got {v!r}"
                for i, v in enumerate(config.area)
                if type(v) not in (int, float)]

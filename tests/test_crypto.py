@@ -8,6 +8,7 @@ checked for agreement with both.
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from zircon.crypto import (
     LabelModeError,
     LengthError,
     SymmetricKey,
+    _label_tables,
     decrypt_block,
     digest,
     encrypt_block,
@@ -222,6 +224,49 @@ def test_prng_labels_equal_uncached_reference():
     seed[0] ^= 1
     assert select_label_bits(d, mode="prng", seed=seed) == _label_uncached(d, seed)
     assert select_label_bits(d, mode="prng", seed=b"abc") == first
+
+
+@given(data=st.binary(min_size=32, max_size=32),
+       seed=st.integers() | st.integers(-2 ** 80, 2 ** 80) | st.floats()
+       | st.text() | st.binary())
+@settings(max_examples=150)
+def test_prng_tables_equal_uncached_reference(data, seed):
+    d = Digest(data)
+    assert select_label_bits(d, mode="prng", seed=seed) == \
+        _label_uncached(d, seed)
+
+
+def test_one_seed_tables_stay_small():
+    # cleared first, so no eviction frees memory while this seed's tables
+    # are counted
+    _label_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tables = _label_tables("a new seed")
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tables) == 32
+    assert grown <= 64 * 1024, grown
+
+
+def test_prng_selection_holds_no_memory_between_calls():
+    # this seed's 32 bits fall in exactly 20 digest bytes; a 20-tuple built
+    # per call, as a getter of those bytes returns, piles up on CPython
+    # 3.11's tuple free list: up to 2000 of them, 400 KB
+    seed = 357251267
+    digests = [digest(i.to_bytes(2, "big")) for i in range(3000)]
+    select_label_bits(digests[0], mode="prng", seed=seed)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for d in digests:
+            select_label_bits(d, mode="prng", seed=seed)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 16 * 1024, held
 
 
 @given(msg=st.binary(max_size=64))

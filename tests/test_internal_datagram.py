@@ -1,5 +1,7 @@
 """Self-authenticating management datagrams: header model, label placement,
 and the three-way classification."""
+import copy
+import pickle
 import random
 
 import pytest
@@ -66,6 +68,29 @@ def test_header_field_bounds():
         Ipv4HeaderModel.from_bytes(b"short")
 
 
+@given(data=st.binary(min_size=HEADER_BYTES, max_size=80))
+@settings(max_examples=80)
+def test_any_header_bytes_roundtrip(data):
+    assert Ipv4HeaderModel.from_bytes(data).to_bytes() == data
+
+
+def test_every_construction_path_checks_field_bounds():
+    m = mgmt_datagram()
+    with pytest.raises(ValueError, match="flags"):
+        m._replace(flags=8)
+    with pytest.raises(ValueError, match="identification"):
+        Ipv4HeaderModel._make((bytes(4), bytes(4), b"", 0x10000, 0, 0, 14))
+    with pytest.raises(ValueError, match="addresses"):
+        Ipv4HeaderModel(b"xyz", bytes(4), b"", 0, 0, 0, 14)
+
+
+def test_model_survives_pickle_and_copy():
+    m = label_datagram(mgmt_datagram(), mode="prng", seed="site-9")
+    assert pickle.loads(pickle.dumps(m)) == m
+    assert type(pickle.loads(pickle.dumps(m))) is Ipv4HeaderModel
+    assert copy.copy(m) == m
+
+
 # -- label derivation -------------------------------------------------------------
 
 def test_frozen_label_vectors():
@@ -96,6 +121,19 @@ def test_label_datagram_places_bits_msb_first():
     assert d.flags == (label >> 13) & 0x7
     assert d.fragment_offset == label & 0x1FFF
     assert extract_label(d) == label
+
+
+@given(payload=st.binary(max_size=40), total=st.none() | st.integers(0, 0xFFFF),
+       mode=st.sampled_from(["lsb32", "prng"]))
+@settings(max_examples=40)
+def test_label_datagram_keeps_addresses_payload_and_length(payload, total,
+                                                           mode):
+    d = Ipv4HeaderModel(src=bytes([10, 0, 0, 1]), dst=V.LABEL_DST,
+                        payload=payload, identification=7, flags=1,
+                        total_length=total)
+    labelled = label_datagram(d, mode=mode, seed=5)
+    assert (labelled.src, labelled.dst, labelled.payload,
+            labelled.total_length) == (d.src, d.dst, d.payload, d.total_length)
 
 
 @given(payload=st.binary(max_size=40))

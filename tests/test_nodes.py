@@ -57,7 +57,7 @@ def test_keyring_epochs_strictly_increase(keyring, key):
     assert keyring.current.epoch == 1
     assert keyring.get(0) == key
     assert keyring.get(7) is None
-    assert keyring.epochs() == [0, 1]
+    assert [e for e in range(8) if keyring.get(e) is not None] == [0, 1]
 
 
 def test_rotate_keys_is_deterministic(key):

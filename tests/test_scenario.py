@@ -608,6 +608,25 @@ def test_area_entries_must_be_numbers(area, message):
     assert exc.value.errors == [message]
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"energy": None}, "energy: must be an EnergyParams record, got None"),
+    ({"key_rotation": {"min_generations": 1, "max_generations": 2}},
+     "key_rotation: must be a KeyRotationConfig record, got "
+     "{'min_generations': 1, 'max_generations': 2}"),
+    ({"traffic": [{"source": 1, "count": 3}]},
+     "traffic[0]: must be a TrafficSpec record, got {'source': 1, 'count': 3}"),
+    ({"nodes": [None]}, "nodes[0]: must be a NodeSpec record, got None"),
+    ({"attacks": [{"kind": "drop"}]},
+     "attacks[0]: must be an AttackSpec record, got {'kind': 'drop'}"),
+    ({"traffic": None}, "traffic: must be a list, got None"),
+    ({"routes": None}, "routes: must be a list, got None"),
+])
+def test_a_record_of_the_wrong_type_is_a_config_error(overrides, message):
+    # configs built in code: each of these used to escape validate as a bare
+    # TypeError or KeyError
+    assert errors_of(small_config(**overrides)) == [message]
+
+
 # -- every config that passes validate runs ------------------------------------------
 
 _GATEWAY = 9
