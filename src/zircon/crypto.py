@@ -67,15 +67,6 @@ class SymmetricKey:
             raise ValueError("key epoch must be non-negative")
 
 
-class Digest(bytes):
-    """A 32-byte digest value; construction enforces the length."""
-
-    def __new__(cls, data: bytes) -> "Digest":
-        if len(data) != DIGEST_BYTES:
-            raise LengthError(f"digest must be {DIGEST_BYTES} bytes, got {len(data)}")
-        return super().__new__(cls, data)
-
-
 # Bounded because a KeyRing keeps every epoch: the cache holds the contexts
 # of the keys in use, not of every key ever installed.
 @functools.lru_cache(maxsize=64)
@@ -103,19 +94,19 @@ def decrypt_block(key: SymmetricKey, cipher: bytes) -> bytes:
     return block[:PLAIN_BYTES]
 
 
-def digest(data: bytes) -> Digest:
+def digest(data: bytes) -> bytes:
     """Full 32-byte digest of arbitrary input."""
-    return Digest(hashlib.sha256(data).digest())
+    return hashlib.sha256(data).digest()
 
 
-def truncate_digest(d: Digest) -> bytes:
+def truncate_digest(d: bytes) -> bytes:
     """First 8 bytes of a digest, in order."""
     if len(d) != DIGEST_BYTES:
         raise LengthError(f"digest must be {DIGEST_BYTES} bytes, got {len(d)}")
     return bytes(d[:TRUNCATED_BYTES])
 
 
-def select_label_bits(d: Digest, mode: str = LABEL_MODE_LSB32,
+def select_label_bits(d: bytes, mode: str = LABEL_MODE_LSB32,
                       seed: object = None) -> int:
     """Pick 32 bits out of a digest for header labeling.
 

@@ -50,6 +50,8 @@ class Ipv4HeaderModel(namedtuple("Ipv4HeaderModel", (
             raise ValueError("fragment offset must fit 13 bits")
         if total_length is None:
             total_length = HEADER_BYTES + len(payload)
+        if not 0 <= total_length <= 0xFFFF:
+            raise ValueError("total length must fit 16 bits")
         return tuple.__new__(cls, (src, dst, payload, identification, flags,
                                    fragment_offset, total_length))
 

@@ -153,6 +153,14 @@ class Simulation:
                           "inject": self._handle_inject,
                           "probe": self._handle_probe}
 
+        # the wire profile is fixed for the run; its methods are read off the
+        # classes here, not at import, so a wrapper put on a class sees them
+        singlehop = config.mode == MODE_SINGLEHOP
+        self._emit = (SourceNode.emit_singlehop if singlehop
+                      else SourceNode.emit_multihop)
+        self._verify = (GatewayNode.verify_singlehop if singlehop
+                        else GatewayNode.verify_multihop)
+
         self._rngs: Dict[str, random.Random] = {}
         initial = SymmetricKey(material=self._rng("keys").randbytes(16), epoch=0)
         self.keyring = KeyRing(initial)
@@ -183,8 +191,7 @@ class Simulation:
             else:
                 node = GatewayNode(ident, self.keyring, self.store,
                                    self.identities,
-                                   freshness_s=config.freshness_s,
-                                   purge_on_delivery=config.purge_on_delivery)
+                                   freshness_s=config.freshness_s)
             self.nodes[ident.id] = node
             if ident.registered and ident.role == ROLE_GATEWAY:
                 self.store.register_gateway(ident.id)
@@ -305,10 +312,7 @@ class Simulation:
     def _handle_emit(self, source: int, payload_bytes: int) -> None:
         node = self.nodes[source]
         payload = self._rng(f"payload/{source}").randbytes(payload_bytes)
-        if self.config.mode == MODE_SINGLEHOP:
-            pkt = node.emit_singlehop(payload, self.now)
-        else:
-            pkt = node.emit_multihop(payload, self.now)
+        pkt = self._emit(node, payload, self.now)
         self.node_packets[source] += 1
         self._generations += 1
         self.log.append(events.emit(source, pkt.src, pkt.seq, pkt.hop,
@@ -340,10 +344,7 @@ class Simulation:
 
         if node.role != ROLE_GATEWAY:
             raise RuntimeError(f"delivery to non-verifying node {to}")
-        if self.config.mode == MODE_SINGLEHOP:
-            verdict, path = node.verify_singlehop(data, self.now)
-        else:
-            verdict, path = node.verify_multihop(data, self.now)
+        verdict, path = self._verify(node, data, self.now)
         entry = self._record_verdict(verdict, src, seq, flow)
         if verdict.outcome == ACCEPTED and flow == FLOW_ORGANIC \
                 and entry is not None and entry["status"] == "in_flight":
@@ -399,9 +400,9 @@ class Simulation:
                 entry["status"] = "dropped"
             counts[entry["status"]] += 1
             packets[f"{src}:{seq}"] = entry
-        # a sweep one millisecond after the run, with no grace, flags every
-        # unretrieved set; with purged deliveries those are exactly the drops
-        suspects = self.store.sweep_stale(self.now + 1, 0)
+        # the gateway purges every set it accepts, so the sets never retrieved
+        # are exactly the drops
+        suspects = self.store.unretrieved()
         nodes = {}
         for nid in sorted(self.nodes):
             role = self.nodes[nid].role

@@ -6,8 +6,8 @@ the full watermark (multi-hop).  Intermediates verify integrity against the
 carried hash part and provenance against the stored record, then re-watermark
 with their own identity and receive time, keeping the hash part unchanged.
 The gateway re-runs both checks, pulls the whole record set once, decrypts it
-per-epoch, validates origin, freshness, and hop contiguity, and reconstructs
-the path.
+per-epoch, validates origin, freshness, and hop contiguity, reconstructs
+the path, and purges the set.
 
 Any failed check follows the same procedure: discard the packet, delete the
 packet's stored records, and emit a verdict describing what failed.
@@ -225,11 +225,10 @@ class GatewayNode(_Verifier):
 
     def __init__(self, identity: NodeIdentity, keyring: KeyRing,
                  store: ProvenanceStore, registry: Dict[int, NodeIdentity],
-                 freshness_s: int = 60, purge_on_delivery: bool = True):
+                 freshness_s: int = 60):
         super().__init__(identity, keyring, store)
         self.registry = registry
         self.freshness_s = freshness_s
-        self.purge_on_delivery = purge_on_delivery
 
     def _decrypt_record(self, rec: StoredRecord
                         ) -> Optional[FeatureSubWatermark]:
@@ -257,8 +256,7 @@ class GatewayNode(_Verifier):
         if now_ms // 1000 - first.capture_time > self.freshness_s:
             return self._fail(STALE_TIMESTAMP, pkt.src, pkt.seq, pkt.hop, now_ms)
 
-        if self.purge_on_delivery:
-            self.store.delete_all(pkt.src, pkt.seq)
+        self.store.delete_all(pkt.src, pkt.seq)
         return self._verdict(ACCEPTED, pkt.src, pkt.seq, pkt.hop, now_ms), path
 
     def verify_multihop(self, data: bytes, now_ms: int

@@ -122,23 +122,15 @@ class ProvenanceStore:
                                       self.clock()))
         return len(records)
 
-    # -- introspection (read-only; used by reports and the drop sweep) -----
+    # -- introspection (read-only; used by reports) ------------------------
 
     def record_count(self, source: int, sequence: int) -> int:
         return len(self._sets.get((source, sequence), ()))
 
-    def packet_ids(self) -> List[Tuple[int, int]]:
-        return list(self._sets)
-
-    def sweep_stale(self, now: int, timeout_ms: int) -> List[Tuple[int, int, int, int]]:
-        """Packets whose newest record has sat longer than timeout_ms without
-        the set being retrieved.  Returns (source, sequence, last hop,
-        last store time) per suspect; the last hop localizes a drop."""
-        suspects = []
-        for (src, seq), records in sorted(self._sets.items()):
-            if (src, seq) in self._consumed:
-                continue
-            last = records[-1]
-            if now - last.time > timeout_ms:
-                suspects.append((src, seq, last.key.hop, last.time))
-        return suspects
+    def unretrieved(self) -> List[Tuple[int, int, int, int]]:
+        """Every packet whose set was never retrieved, in packet order, as
+        (source, sequence, last hop, last store time); the last hop
+        localizes a drop."""
+        return [(src, seq, records[-1].key.hop, records[-1].time)
+                for (src, seq), records in sorted(self._sets.items())
+                if (src, seq) not in self._consumed]

@@ -84,7 +84,6 @@ class ScenarioConfig:
     mode: str = MODE_MULTIHOP
     freshness_s: int = 60
     per_hop_delay_ms: int = 300
-    purge_on_delivery: bool = True
     area: Tuple[float, float] = (100.0, 100.0)
     key_rotation: Optional[KeyRotationConfig] = None
     energy: EnergyParams = field(default_factory=EnergyParams)
@@ -239,24 +238,27 @@ _FORGED = (
 def validate(config: ScenarioConfig) -> None:
     """Raise ConfigError listing every problem found."""
     errors, records = [], [("energy", config.energy, EnergyParams)]
-    for name, cls in (("nodes", NodeSpec), ("routes", None),
+    for name, cls in (("nodes", NodeSpec), ("routes", list),
                       ("traffic", TrafficSpec), ("attacks", AttackSpec)):
         value = getattr(config, name)
         if type(value) is not list:
             errors.append(f"{name}: must be a list, got {value!r}")
-        elif cls is not None:
+        else:
             records += [(f"{name}[{i}]", v, cls) for i, v in enumerate(value)]
     if config.key_rotation is not None:
         records.append(("key_rotation", config.key_rotation, KeyRotationConfig))
+    if type(config.area) not in (tuple, list):
+        errors.append(f"area: must be a (length, width) pair, got "
+                      f"{config.area!r}")
     errors += [f"{where}: must be {'an' if cls.__name__[0] in 'AEIOU' else 'a'}"
-               f" {cls.__name__} record, got {obj!r}"
+               f" {cls.__name__}{'' if cls is list else ' record'}, got {obj!r}"
                for where, obj, cls in records if type(obj) is not cls]
     if errors:
-        # every check below reads these records' fields
+        # every check below walks these lists and reads these records' fields
         raise ConfigError(errors)
     # the energy constants have their own rule, in the value pass
     errors = _type_errors("", config) + [
-        e for where, obj, cls in records if cls is not EnergyParams
+        e for where, obj, cls in records if cls not in (EnergyParams, list)
         for e in _type_errors(where + ".", obj)]
     errors += [f"area[{i}]: must be a number, got {v!r}"
                for i, v in enumerate(config.area)
@@ -568,8 +570,6 @@ mode: multihop
 freshness_s: 60
 # simulated link latency; also the transmit window in the energy model
 per_hop_delay_ms: 300
-# delete a packet's records once the gateway has retrieved and accepted them
-purge_on_delivery: true
 # deployment area (length, width) for node placement
 area: [100.0, 100.0]
 # rotate the shared key after a generation count drawn from this range;

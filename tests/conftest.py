@@ -49,7 +49,6 @@ class Chain:
 
 
 def build_chain(n_intermediates: int = 2, freshness_s: int = 60,
-                purge_on_delivery: bool = True,
                 key_material: bytes = bytes(range(16)),
                 clock=lambda: 0) -> Chain:
     """One source at id 1, intermediates at 2.., gateway at 9."""
@@ -78,8 +77,7 @@ def build_chain(n_intermediates: int = 2, freshness_s: int = 60,
         source=SourceNode(src_ident, keyring, store),
         intermediates=intermediates,
         gateway=GatewayNode(gw_ident, keyring, store, registry,
-                            freshness_s=freshness_s,
-                            purge_on_delivery=purge_on_delivery),
+                            freshness_s=freshness_s),
         store=store,
         keyring=keyring,
         registry=registry,

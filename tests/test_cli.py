@@ -136,8 +136,8 @@ def test_run_refuses_a_nan_energy_constant(tmp_path, capsys):
     ("payload_bytes: 16", "payload_bytes: true",
      "traffic[0].payload_bytes: must be an integer, got True"),
     ("x: 40.0", 'x: "40"', "nodes[1].x: must be a number, got '40'"),
-    ("purge_on_delivery: true", "purge_on_delivery: 1",
-     "purge_on_delivery: must be true or false, got 1"),
+    ("x: 40.0, y: 50.0}", "x: 40.0, y: 50.0, registered: 1}",
+     "nodes[1].registered: must be true or false, got 1"),
     ("[1, 2, 3, 9]", "[1, 2.0, 3, 9]",
      "routes[0]: node id 2.0 is not an integer"),
     ("attacks: []", "attacks: [{kind: drop, from: 1, to: 2, after_ms: soon}]",

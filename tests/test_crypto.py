@@ -19,7 +19,6 @@ from tests.reference import aes_ref, sha256_ref
 from tests.reference import vectors as V
 from zircon.crypto import (
     DecryptionError,
-    Digest,
     LabelModeError,
     LengthError,
     SymmetricKey,
@@ -121,7 +120,7 @@ def test_length_validation():
     with pytest.raises(LengthError):
         SymmetricKey(material=b"x" * 15, epoch=0)
     with pytest.raises(LengthError):
-        Digest(b"x" * 31)
+        select_label_bits(b"x" * 31)
     with pytest.raises(ValueError):
         SymmetricKey(material=bytes(16), epoch=-1)
 
@@ -188,7 +187,7 @@ def test_lsb32_mode_reads_low_four_bytes():
 
 
 def test_prng_mode_frozen_vector():
-    d = Digest(V.LABEL_DIGEST)
+    d = V.LABEL_DIGEST
     got = select_label_bits(d, mode="prng", seed=V.LABEL_PRNG_SEED)
     assert got == V.LABEL_PRNG_VALUE
 
@@ -231,9 +230,8 @@ def test_prng_labels_equal_uncached_reference():
        | st.text() | st.binary())
 @settings(max_examples=150)
 def test_prng_tables_equal_uncached_reference(data, seed):
-    d = Digest(data)
-    assert select_label_bits(d, mode="prng", seed=seed) == \
-        _label_uncached(d, seed)
+    assert select_label_bits(data, mode="prng", seed=seed) == \
+        _label_uncached(data, seed)
 
 
 def test_one_seed_tables_stay_small():

@@ -64,6 +64,10 @@ def test_header_field_bounds():
         Ipv4HeaderModel(src=bytes(4), dst=bytes(4), flags=8)
     with pytest.raises(ValueError):
         Ipv4HeaderModel(src=bytes(4), dst=bytes(4), fragment_offset=0x2000)
+    with pytest.raises(ValueError, match="total length"):
+        Ipv4HeaderModel(src=bytes(4), dst=bytes(4), payload=bytes(70000))
+    with pytest.raises(ValueError, match="total length"):
+        Ipv4HeaderModel(src=bytes(4), dst=bytes(4), total_length=-1)
     with pytest.raises(ValueError):
         Ipv4HeaderModel.from_bytes(b"short")
 
@@ -78,6 +82,8 @@ def test_every_construction_path_checks_field_bounds():
     m = mgmt_datagram()
     with pytest.raises(ValueError, match="flags"):
         m._replace(flags=8)
+    with pytest.raises(ValueError, match="total length"):
+        m._replace(total_length=0x10000)
     with pytest.raises(ValueError, match="identification"):
         Ipv4HeaderModel._make((bytes(4), bytes(4), b"", 0x10000, 0, 0, 14))
     with pytest.raises(ValueError, match="addresses"):

@@ -2,6 +2,7 @@
 rotation, and report bookkeeping."""
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from tests.test_golden_outputs import GOLDEN
 from zircon import cli, events, netsim
 from zircon.cli import main
+from zircon.nodes import GatewayNode, SourceNode
 from zircon.adversary import KINDS, AttackSpec
 from zircon.scenario import (
     EXAMPLE_CONFIG,
@@ -111,7 +113,8 @@ def test_store_journal_balanced_on_clean_run():
     assert len(stores) == 5 * 3  # one record per hop: source + 2 intermediates
     assert len(deletes) == 5
     assert all(l.split("|")[3] == "3" for l in deletes)  # 3 records purged each
-    assert result.store.packet_ids() == []
+    assert all(p["store_records"] == 0
+               for p in result.report["packets"].values())
 
 
 def test_node_accounting():
@@ -213,7 +216,8 @@ def test_fake_inject_rejected_and_never_stored():
     for line in events.journal(result.log):
         if line.startswith("store|"):
             assert line.split("|")[5] in {"1", "2", "3"}
-    assert result.store.packet_ids() == []
+    assert all(p["store_records"] == 0
+               for p in result.report["packets"].values())
 
 
 def test_store_probe_logged_with_result():
@@ -316,6 +320,29 @@ def test_singlehop_payload_tamper_detected():
     result = netsim.run(cfg)
     assert {p["final"]["outcome"] for p in
             result.report["packets"].values()} == {"integrity_fail"}
+
+
+@pytest.mark.parametrize("make, profile", [(singlehop_config, "singlehop"),
+                                           (base_config, "multihop")])
+def test_the_wire_profile_is_looked_up_when_the_simulation_is_built(
+        monkeypatch, make, profile):
+    # a wrapper put on a class after import, as a tracer does, sees every
+    # call, and the other profile's pair is never called
+    calls = Counter()
+    for cls, verb in ((SourceNode, "emit"), (GatewayNode, "verify")):
+        for mode in ("singlehop", "multihop"):
+            name = f"{verb}_{mode}"
+
+            def counted(*args, _name=name, _original=getattr(cls, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(cls, name, counted)
+    result = netsim.run(make())
+    delivered = sum(1 for _, d in events.read(result.log, ("deliver",))
+                    if d.node == 9)
+    assert calls == {f"emit_{profile}": result.report["counts"]["emitted"],
+                     f"verify_{profile}": delivered}
+    assert delivered > 0
 
 
 # -- same-millisecond ties ----------------------------------------------------------

@@ -103,7 +103,7 @@ def test_source_stores_nothing_when_the_frame_cannot_be_built(emit, keyring,
     source = SourceNode(ident, keyring, store)
     with pytest.raises(ValueError, match="16 bits"):
         getattr(source, emit)(PAYLOAD, now_ms=0)
-    assert store.packet_ids() == []
+    assert store.record_count(ident.id, 1) == 0
     assert events.journal(store.log) == []
     assert source.next_seq == 1
 
@@ -230,10 +230,11 @@ def test_gateway_rejects_replay_after_delivery(chain):
 
 
 def test_gateway_one_retrieval_blocks_second_delivery():
-    chain = build_chain(n_intermediates=0, purge_on_delivery=False)
+    chain = build_chain(n_intermediates=0)
     frame = chain.source.emit_multihop(PAYLOAD, 0).to_bytes()
-    v1, _ = chain.gateway.verify_multihop(frame, 300)
-    assert v1.outcome == ACCEPTED
+    # a pull by a registered gateway id outside verification (a store_probe
+    # with that caller) consumes the set without deleting it
+    assert len(chain.store.query_all(1, 1, by=9)) == 1
     assert chain.store.record_count(1, 1) == 1  # kept, but consumed
     v2, _ = chain.gateway.verify_multihop(frame, 600)
     assert v2.outcome == MISSING_RECORD

@@ -59,7 +59,7 @@ def test_hop_index_starts_at_one(store):
     with pytest.raises(ValueError):  # SequencingError is one
         store.store(ProvenanceKey(1, 1, 0), cipher(1), 0, by=1)
     assert store.record_count(1, 1) == 0
-    assert store.packet_ids() == []
+    assert store.unretrieved() == []
     assert store.log == []
 
 
@@ -130,15 +130,15 @@ def test_journal_lines_land_in_the_given_log():
     assert events.journal(log) == log[1:]
 
 
-def test_packet_ids_and_counts(populated):
+def test_unretrieved_sets_and_counts(populated):
     populated.store(ProvenanceKey(2, 5, 1), cipher(1), 0, by=2)
-    assert sorted(populated.packet_ids()) == [(1, 1), (2, 5)]
+    assert [u[:2] for u in populated.unretrieved()] == [(1, 1), (2, 5)]
     assert populated.record_count(2, 5) == 1
     populated.delete_all(2, 5)
-    assert populated.packet_ids() == [(1, 1)]
+    assert [u[:2] for u in populated.unretrieved()] == [(1, 1)]
 
 
-def test_sweep_stale():
+def test_unretrieved():
     now = {"t": 0}
     s = ProvenanceStore(clock=lambda: now["t"])
     s.register_node(1)
@@ -150,10 +150,8 @@ def test_sweep_stale():
     s.store(ProvenanceKey(1, 3, 1), cipher(4), 0, by=1)
     s.query_all(1, 3, by=9)  # consumed: delivered, not a drop suspect
 
-    suspects = s.sweep_stale(now=1000, timeout_ms=600)
-    assert suspects == [(1, 1, 1, 0)]  # only the packet older than 600ms
-    suspects = s.sweep_stale(now=5000, timeout_ms=600)
-    assert suspects == [(1, 1, 1, 0), (1, 2, 2, 500)]
+    # every set never retrieved, oldest packet first, with its last hop
+    assert s.unretrieved() == [(1, 1, 1, 0), (1, 2, 2, 500)]
 
 
 @given(hops=st.integers(min_value=1, max_value=12))

@@ -1,4 +1,6 @@
 """Config schema: YAML round-trip and the validation catalog."""
+import dataclasses
+
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -489,6 +491,8 @@ def test_integer_energy_constant_is_accepted():
 @pytest.mark.parametrize("old, new", [
     ("freshness_s: 60", "freshnes_s: 5"),
     ("attacks: []", "attacks: []\nattack: []"),
+    # a retired knob: the gateway always purges an accepted set
+    ("attacks: []", "attacks: []\npurge_on_delivery: false"),
 ])
 def test_unknown_top_level_key_is_a_config_error(old, new):
     key = new.split("\n")[-1].split(":")[0]
@@ -620,6 +624,9 @@ def test_area_entries_must_be_numbers(area, message):
      "attacks[0]: must be an AttackSpec record, got {'kind': 'drop'}"),
     ({"traffic": None}, "traffic: must be a list, got None"),
     ({"routes": None}, "routes: must be a list, got None"),
+    ({"routes": [None]}, "routes[0]: must be a list, got None"),
+    ({"routes": [[1, 2, 9], 5]}, "routes[1]: must be a list, got 5"),
+    ({"area": None}, "area: must be a (length, width) pair, got None"),
 ])
 def test_a_record_of_the_wrong_type_is_a_config_error(overrides, message):
     # configs built in code: each of these used to escape validate as a bare
@@ -642,17 +649,24 @@ def _or_none(strategy):
 
 @st.composite
 def _attacks(draw, links):
-    kind = draw(st.sampled_from(KINDS + ("jam",)))
+    # fake_inject four times over: close to a fifth of the validated configs
+    # then carry a well-formed one
+    kind = draw(st.sampled_from(KINDS + ("jam",) + ("fake_inject",) * 3))
     after_ms = draw(st.integers(0, 6000))
     if kind == "fake_inject":
+        # three in four well formed: every forged field set, and a verifier
+        # as target; the rest exercise validate's refusals
+        formed = draw(st.integers(0, 3)) > 0
+        forged = (lambda strategy: strategy) if formed else _or_none
+        ip = st.integers(0, 9).map(lambda i: bytes([10, 0, 0, i]))
         return AttackSpec(
-            kind=kind, to_id=draw(st.sampled_from(_IDS)),
-            src=draw(_or_none(st.integers(0, 5))), seq=draw(st.integers(0, 5)),
-            after_ms=after_ms, ip=draw(_or_none(st.one_of(
-                st.integers(0, 9).map(lambda i: bytes([10, 0, 0, i])),
-                st.binary(max_size=6)))),
+            kind=kind, to_id=draw(st.sampled_from((*_POOL, _GATEWAY)
+                                                  if formed else _IDS)),
+            src=draw(forged(st.integers(0, 5))), seq=draw(st.integers(0, 5)),
+            after_ms=after_ms, ip=draw(forged(ip if formed else st.one_of(
+                ip, st.binary(max_size=6)))),
             payload=draw(st.binary(max_size=24)),
-            key_material=draw(_or_none(st.binary(min_size=16, max_size=16))),
+            key_material=draw(forged(st.binary(min_size=16, max_size=16))),
             key_epoch=draw(st.integers(0, 3)), hop=draw(st.integers(1, 5)))
     if kind == "store_probe":
         return AttackSpec(kind=kind,
@@ -711,7 +725,6 @@ def _configs(draw):
         seed=draw(st.integers(0, 1000)), mode=mode,
         freshness_s=draw(st.integers(1, 60)),
         per_hop_delay_ms=draw(st.integers(1, 500)),
-        purge_on_delivery=draw(st.booleans()),
         key_rotation=draw(st.one_of(st.none(), st.builds(
             KeyRotationConfig, st.integers(1, 2), st.integers(2, 4)))),
         nodes=nodes, routes=routes, traffic=traffic,
@@ -731,3 +744,23 @@ def test_every_validated_config_runs_to_completion(cfg):
     assert counts["emitted"] == sum(counts[status] for status in
                                     ("accepted", "rejected", "dropped",
                                      "in_flight"))
+
+
+@given(cfg=_configs())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_eavesdrops_and_refused_probes_change_no_organic_fate(cfg):
+    # fake_inject is not among them: a forged frame that fails a check still
+    # burns the genuine packet's records
+    try:
+        validate(cfg)
+    except ConfigError:
+        return
+    gateways = {n.id for n in cfg.nodes if n.role == "gateway" and n.registered}
+    quiet = dataclasses.replace(cfg, attacks=[
+        a for a in cfg.attacks if a.kind != "eavesdrop"
+        and not (a.kind == "store_probe" and a.caller_id not in gateways)])
+    fates = [{key: (p["status"], p["final"], p["path"])
+              for key, p in run(c).report["packets"].items()}
+             for c in (cfg, quiet)]
+    assert fates[0] == fates[1]

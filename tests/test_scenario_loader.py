@@ -101,7 +101,7 @@ ATTACKS = st.one_of(
 )
 CONFIGS = st.builds(
     ScenarioConfig, seed=INTS, mode=TEXT, freshness_s=INTS,
-    per_hop_delay_ms=INTS, purge_on_delivery=st.booleans(),
+    per_hop_delay_ms=INTS,
     area=st.tuples(FLOATS, FLOATS),
     key_rotation=st.none() | st.builds(KeyRotationConfig, INTS, INTS),
     energy=ENERGY, nodes=st.lists(NODES, max_size=3),
