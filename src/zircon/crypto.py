@@ -2,14 +2,14 @@
 internal-datagram labeler.
 
 Every output here is a pure function of the inputs: one fixed-size block
-encryption, the payload digest, digest truncation, and the selection of 32
-label bits out of a digest.  The only state kept between calls is derived
-from a key or a seed alone and changes no result: one stateless ECB
-encryptor and one ECB decryptor per key material, and per PRNG seed one
-256-entry table of 32-bit label parts per digest byte (bytes that hold no
-drawn bit, about 11 of the 32, share one table; about 25 KB a seed and
-never over 40 KB).  Key material is wrapped in SymmetricKey so the rotation
-epoch travels with the bytes.
+encryption, the payload digest, and the selection of 32 label bits out of
+a digest.  The only state kept between calls is derived from a key or a
+seed alone and changes no result: one stateless ECB encryptor and
+decryptor pair per key material, and per PRNG seed one 256-entry table of
+32-bit label parts per digest byte (bytes that hold no drawn bit, about 11
+of the 32, share one table; about 25 KB a seed and never over 40 KB).  Key
+material is wrapped in SymmetricKey so the rotation epoch travels with the
+bytes.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ KEY_BYTES = 16
 PLAIN_BYTES = 8
 CIPHER_BYTES = 16
 DIGEST_BYTES = 32
-TRUNCATED_BYTES = 8
 
 # the 8-byte plaintext is padded to one cipher block with eight 0x08 bytes;
 # the constant tail doubles as a decryption sanity check
@@ -70,25 +69,26 @@ class SymmetricKey:
 # Bounded because a KeyRing keeps every epoch: the cache holds the contexts
 # of the keys in use, not of every key ever installed.
 @functools.lru_cache(maxsize=64)
-def _ecb(material: bytes, decrypt: bool):
+def _ecb(material: bytes):
+    """(encryptor, decryptor) of one key, both from one cipher object."""
     # never finalize() a cached context: that closes it, and ECB has no
     # chaining state to flush
     cipher = Cipher(algorithms.AES(material), modes.ECB())
-    return cipher.decryptor() if decrypt else cipher.encryptor()
+    return cipher.encryptor(), cipher.decryptor()
 
 
 def encrypt_block(key: SymmetricKey, plain: bytes) -> bytes:
     """Encrypt an 8-byte value into a single 16-byte cipher block."""
     if len(plain) != PLAIN_BYTES:
         raise LengthError(f"plaintext must be {PLAIN_BYTES} bytes, got {len(plain)}")
-    return _ecb(key.material, False).update(plain + _PADDING)
+    return _ecb(key.material)[0].update(plain + _PADDING)
 
 
 def decrypt_block(key: SymmetricKey, cipher: bytes) -> bytes:
     """Invert encrypt_block, verifying and stripping the padding tail."""
     if len(cipher) != CIPHER_BYTES:
         raise LengthError(f"ciphertext must be {CIPHER_BYTES} bytes, got {len(cipher)}")
-    block = _ecb(key.material, True).update(cipher)
+    block = _ecb(key.material)[1].update(cipher)
     if block[PLAIN_BYTES:] != _PADDING:
         raise DecryptionError("padding check failed")
     return block[:PLAIN_BYTES]
@@ -97,13 +97,6 @@ def decrypt_block(key: SymmetricKey, cipher: bytes) -> bytes:
 def digest(data: bytes) -> bytes:
     """Full 32-byte digest of arbitrary input."""
     return hashlib.sha256(data).digest()
-
-
-def truncate_digest(d: bytes) -> bytes:
-    """First 8 bytes of a digest, in order."""
-    if len(d) != DIGEST_BYTES:
-        raise LengthError(f"digest must be {DIGEST_BYTES} bytes, got {len(d)}")
-    return bytes(d[:TRUNCATED_BYTES])
 
 
 def select_label_bits(d: bytes, mode: str = LABEL_MODE_LSB32,

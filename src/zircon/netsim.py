@@ -198,11 +198,12 @@ class Simulation:
             elif ident.registered:
                 self.store.register_node(ident.id)
 
-        # next hop along each configured route
+        # next hop along each configured route; each source's packet entries
+        # share one copy of its route
         self._route_of_source: Dict[int, List[int]] = {}
         self._next_hop: Dict[Tuple[int, int], int] = {}
         for route in config.routes:
-            self._route_of_source[route[0]] = route
+            self._route_of_source[route[0]] = list(route)
             for a, b in zip(route, route[1:]):
                 self._next_hop[(route[0], a)] = b
 
@@ -321,7 +322,7 @@ class Simulation:
         # counted when the report is built
         self.packets[(pkt.src, pkt.seq)] = {
             "source": pkt.src, "seq": pkt.seq,
-            "route": list(self._route_of_source[source]),
+            "route": self._route_of_source[source],
             "emitted_ms": self.now, "status": "in_flight", "final": None,
             "path": None, "verdicts": [], "store_records": None}
         self._send(source, source, pkt.to_bytes(), pkt.src, pkt.seq, pkt.hop,

@@ -5,9 +5,9 @@ send the bare payload (single-hop profile, the watermark stays home) or embed
 the full watermark (multi-hop).  Intermediates verify integrity against the
 carried hash part and provenance against the stored record, then re-watermark
 with their own identity and receive time, keeping the hash part unchanged.
-The gateway re-runs both checks, pulls the whole record set once, decrypts it
-per-epoch, validates origin, freshness, and hop contiguity, reconstructs
-the path, and purges the set.
+The gateway re-runs both checks, pulls the whole record set once, validates
+hop contiguity, then in one pass decrypts each record per-epoch into a path
+entry, validates origin and freshness, and purges the set.
 
 Any failed check follows the same procedure: discard the packet, delete the
 packet's stored records, and emit a verdict describing what failed.
@@ -28,6 +28,7 @@ from .provstore import (
     StoredRecord,
 )
 from .watermark import (
+    FEATURE,
     FeatureSubWatermark,
     Frame,
     FrameError,
@@ -229,31 +230,41 @@ class GatewayNode(_Verifier):
         super().__init__(identity, keyring, store)
         self.registry = registry
         self.freshness_s = freshness_s
+        # the dotted text of each ip a path has held, formatted on first
+        # sight: the path entries of one node share its string
+        self._ip_text: Dict[bytes, str] = {}
 
-    def _decrypt_record(self, rec: StoredRecord
-                        ) -> Optional[FeatureSubWatermark]:
-        """Decrypt one stored record under the key of its own epoch; None
-        means the record cannot have come from a registered node."""
-        key = self.keyring.get(rec.epoch)
-        if key is None:
-            return None
-        try:
-            plain = decrypt_block(key, rec.cipher)
-        except DecryptionError:
-            return None
-        return FeatureSubWatermark.from_bytes(plain)
+    def _open_set(self, pkt: Frame, records: List[StoredRecord], now_ms: int
+                  ) -> Tuple[VerificationVerdict, Optional[ProvenancePath]]:
+        """The set pass of both profiles.  Decrypt each record under the key
+        of its own epoch straight into an (ip text, capture time) pair; a
+        record that cannot have come from a registered node fails the packet
+        there.  Then the first record must name the packet's registered
+        source, with a capture time inside the freshness window, before the
+        path is out and the set purged."""
+        path: ProvenancePath = [None] * len(records)
+        for i, rec in enumerate(records):
+            key = self.keyring.get(rec.epoch)
+            if key is None:
+                return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop,
+                                  now_ms)
+            try:
+                ip, capture_time = FEATURE.unpack(decrypt_block(key, rec.cipher))
+            except DecryptionError:
+                return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop,
+                                  now_ms)
+            text = self._ip_text.get(ip)
+            if text is None:
+                text = self._ip_text[ip] = format_ip(ip)
+            path[i] = (text, capture_time)
+            if i == 0:
+                first_ip = ip
 
-    def _accept(self, pkt, first: FeatureSubWatermark, path: ProvenancePath,
-                now_ms: int
-                ) -> Tuple[VerificationVerdict, Optional[ProvenancePath]]:
-        """The last checks of both profiles: the first decrypted record
-        names the packet's registered source, and its capture time is inside
-        the freshness window.  Then the path is out and the set purged."""
         source = self.registry.get(pkt.src)
-        if source is None or not source.registered or source.ip != first.ip:
+        if source is None or not source.registered or source.ip != first_ip:
             return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
 
-        if now_ms // 1000 - first.capture_time > self.freshness_s:
+        if now_ms // 1000 - path[0][1] > self.freshness_s:
             return self._fail(STALE_TIMESTAMP, pkt.src, pkt.seq, pkt.hop, now_ms)
 
         self.store.delete_all(pkt.src, pkt.seq)
@@ -276,15 +287,7 @@ class GatewayNode(_Verifier):
         if [rec.key.hop for rec in records] != list(range(1, pkt.hop + 1)):
             return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
 
-        features = []
-        for rec in records:
-            sw = self._decrypt_record(rec)
-            if sw is None:
-                return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop,
-                                  now_ms)
-            features.append(sw)
-        path = [(format_ip(ip), capture_time) for ip, capture_time in features]
-        return self._accept(pkt, features[0], path, now_ms)
+        return self._open_set(pkt, records, now_ms)
 
     def verify_singlehop(self, data: bytes, now_ms: int
                          ) -> Tuple[VerificationVerdict, Optional[ProvenancePath]]:
@@ -309,8 +312,4 @@ class GatewayNode(_Verifier):
         if make_hash_subwatermark(pkt.payload) != stored.hash_part:
             return self._fail(INTEGRITY_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
 
-        sw = self._decrypt_record(stored)
-        if sw is None:
-            return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
-        return self._accept(pkt, sw, [(format_ip(sw.ip), sw.capture_time)],
-                            now_ms)
+        return self._open_set(pkt, records, now_ms)

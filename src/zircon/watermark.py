@@ -14,7 +14,8 @@ regenerates everything it needs from the stored copy.
 `Frame` and the feature record `FeatureSubWatermark` are plain named tuples,
 built once per hop.  A feature record's ranges (a 4-byte ip, a 32-bit
 capture time) are checked in `FeatureSubWatermark.to_bytes`, the only way
-one reaches the wire; one decoded from 8 bytes fits them by construction.
+one reaches the wire; 8 decoded bytes fit them by construction, so the
+gateway reads a plaintext with `FEATURE.unpack` into a bare pair.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ HASH_PART_BYTES = 8
 _HEADER = struct.Struct(">HIBH")
 HEADER_BYTES = _HEADER.size  # 9
 # [ip:4][capture time:4] big-endian, the plaintext of a feature record
-_FEATURE = struct.Struct(">4sI")
+FEATURE = struct.Struct(">4sI")
 
 MAX_PAYLOAD = 0xFFFF
 MAX_SEQ = 0xFFFFFFFF
@@ -90,13 +91,13 @@ class FeatureSubWatermark(NamedTuple):
             raise LengthError(f"ip must be 4 bytes, got {len(self.ip)}")
         if not 0 <= self.capture_time <= MAX_CAPTURE_S:
             raise ValueError("capture_time must fit 32 unsigned bits")
-        return _FEATURE.pack(self.ip, self.capture_time)
+        return FEATURE.pack(self.ip, self.capture_time)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FeatureSubWatermark":
-        if len(data) != _FEATURE.size:
+        if len(data) != FEATURE.size:
             raise LengthError(f"feature sub-watermark must be 8 bytes, got {len(data)}")
-        return cls._make(_FEATURE.unpack(data))
+        return cls._make(FEATURE.unpack(data))
 
 
 class Frame(NamedTuple):

@@ -22,12 +22,12 @@ from zircon.crypto import (
     LabelModeError,
     LengthError,
     SymmetricKey,
+    _ecb,
     _label_tables,
     decrypt_block,
     digest,
     encrypt_block,
     select_label_bits,
-    truncate_digest,
 )
 
 PADDING = bytes([8] * 8)
@@ -77,11 +77,6 @@ def test_frozen_feature_vector():
     assert encrypt_block(key, V.FEATURE_PLAIN8) == V.FEATURE_CIPHER16
     assert decrypt_block(key, V.FEATURE_CIPHER16) == V.FEATURE_PLAIN8
     assert aes_ref.encrypt_block(V.AES_KAT_KEY, V.FEATURE_BLOCK16) == V.FEATURE_CIPHER16
-
-
-def test_frozen_truncation_vector():
-    assert truncate_digest(digest(b"abc")) == V.HASH8_ABC
-    assert V.HASH8_ABC == V.SHA256_ABC[:8]
 
 
 # -- block cipher wrapper -------------------------------------------------------
@@ -151,6 +146,18 @@ def test_cached_contexts_survive_eviction_and_interleaving():
         assert decrypt_block(key, cipher) == plain
 
 
+def test_one_cache_entry_holds_both_contexts_of_a_key():
+    # 64 keys, each used both ways, fit the 64-entry cache: a second pass
+    # creates no context
+    _ecb.cache_clear()
+    keys = [SymmetricKey(material=bytes([i]) * 16, epoch=0) for i in range(64)]
+    for _ in range(2):
+        for key in keys:
+            assert decrypt_block(key, encrypt_block(key, b"12345678")) \
+                == b"12345678"
+    assert _ecb.cache_info().misses == 64
+
+
 def test_failed_padding_check_leaves_the_key_usable():
     key_a = SymmetricKey(material=V.AES_KAT_KEY, epoch=0)
     key_b = SymmetricKey(material=bytes(range(16, 32)), epoch=1)
@@ -167,13 +174,6 @@ def test_failed_padding_check_leaves_the_key_usable():
 @given(msg=st.binary(max_size=256))
 def test_digest_equals_reference(msg):
     assert digest(msg) == sha256_ref.sha256(msg)
-
-
-def test_truncate_digest_takes_leading_bytes():
-    d = digest(b"anything")
-    assert truncate_digest(d) == bytes(d)[:8]
-    with pytest.raises(LengthError):
-        truncate_digest(b"x" * 31)
 
 
 # -- label-bit selection --------------------------------------------------------

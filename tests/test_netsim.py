@@ -71,6 +71,27 @@ def test_clean_run_accepts_everything():
     assert result.report["drops_suspected"] == []
 
 
+def test_packet_entries_share_ip_strings_and_routes():
+    cfg = base_config(count=4)
+    cfg.nodes.append(NodeSpec(id=4, ip="10.0.0.4", role="source", x=5, y=20))
+    cfg.routes.append([4, 3, 9])
+    cfg.traffic.append(TrafficSpec(source=4, count=4, interval_ms=700,
+                                   payload_bytes=8))
+    packets = netsim.run(cfg).report["packets"].values()
+    assert all(p["status"] == "accepted" for p in packets)
+    for route in cfg.routes:
+        entries = [p for p in packets if p["source"] == route[0]]
+        assert len(entries) == 4
+        assert entries[0]["route"] == route
+        assert entries[0]["route"] is not route
+        assert all(p["route"] is entries[0]["route"] for p in entries)
+    texts = {}
+    for p in packets:
+        for ip, _ in p["path"]:
+            assert texts.setdefault(ip, ip) is ip
+    assert sorted(texts) == ["10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"]
+
+
 def test_example_config_runs_clean():
     result = netsim.run(load_config(EXAMPLE_CONFIG))
     assert result.report["counts"]["accepted"] == 20

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from tests.conftest import build_chain
-from zircon import events
+from zircon import events, nodes
 from zircon.crypto import SymmetricKey, decrypt_block
 from zircon.nodes import (
     ACCEPTED,
@@ -27,7 +27,9 @@ from zircon.watermark import (
     FeatureSubWatermark,
     embed,
     extract,
+    format_ip,
     make_hash_subwatermark,
+    make_provenance_record,
 )
 
 PAYLOAD = b"sensor reading 7"
@@ -266,7 +268,6 @@ def test_gateway_rejects_unknown_key_epoch():
 
 def test_gateway_rejects_record_encrypted_under_foreign_key():
     chain = build_chain(n_intermediates=0)
-    from zircon.watermark import FeatureSubWatermark, make_provenance_record
     foreign = SymmetricKey(material=bytes(range(16, 32)), epoch=0)
     cipher = make_provenance_record(
         FeatureSubWatermark(chain.identity_of(1).ip, 0), foreign)
@@ -276,6 +277,59 @@ def test_gateway_rejects_record_encrypted_under_foreign_key():
                   hop=1).to_bytes()
     verdict, _ = chain.gateway.verify_multihop(frame, 300)
     assert verdict.outcome == PROVENANCE_FAIL
+
+
+def count_decrypts(monkeypatch):
+    """Count the gateway's block decryptions from now on."""
+    calls = []
+
+    def counting(key, cipher):
+        calls.append(cipher)
+        return decrypt_block(key, cipher)
+
+    monkeypatch.setattr(nodes, "decrypt_block", counting)
+    return calls
+
+
+def test_gateway_decrypts_each_record_once(chain, monkeypatch):
+    calls = count_decrypts(monkeypatch)
+    verdict, path, _ = walk_to_gateway(chain)
+    assert verdict.outcome == ACCEPTED
+    assert len(path) == 3
+    assert len(calls) == 3
+
+
+def test_gateway_stops_at_the_first_undecryptable_record(monkeypatch):
+    chain = build_chain(n_intermediates=2)
+    chain.source.emit_multihop(PAYLOAD, 0)
+    # hop 2 claims epoch 0, but the ring's epoch-0 key cannot decrypt it
+    foreign = SymmetricKey(material=bytes(range(16, 32)), epoch=0)
+    ciphers = [make_provenance_record(
+        FeatureSubWatermark(chain.identity_of(hop).ip, 0), key)
+        for hop, key in ((2, foreign), (3, chain.keyring.current))]
+    for hop, cipher in enumerate(ciphers, start=2):
+        chain.store.store(ProvenanceKey(1, 1, hop), cipher, 0, by=hop)
+    frame = embed(PAYLOAD, ciphers[-1], make_hash_subwatermark(PAYLOAD),
+                  (1, 1), hop=3).to_bytes()
+    calls = count_decrypts(monkeypatch)
+    verdict, path = chain.gateway.verify_multihop(frame, 300)
+    assert verdict.outcome == PROVENANCE_FAIL
+    assert path is None
+    assert len(calls) == 2
+    assert chain.store.record_count(1, 1) == 0
+
+
+def test_path_formats_an_ip_unknown_when_the_gateway_was_built(chain):
+    walk_to_gateway(chain)
+    # the source re-registers under a new ip once the gateway has run
+    ident = NodeIdentity(id=1, ip=bytes([192, 168, 7, 1]), role="source")
+    chain.registry[1] = ident
+    chain.source = SourceNode(ident, chain.keyring, chain.store)
+    chain.source.next_seq = 2
+    verdict, path, _ = walk_to_gateway(chain)
+    assert verdict.outcome == ACCEPTED
+    assert path[0][0] == format_ip(ident.ip) == "192.168.7.1"
+    assert [ip for ip, _ in path[1:]] == ["10.0.0.2", "10.0.0.3"]
 
 
 def test_gateway_rejects_unregistered_origin(chain):

@@ -721,6 +721,10 @@ def _configs(draw):
                for src in draw(st.lists(st.sampled_from(sources), max_size=3,
                                         unique=True))]
     links = [link for route in routes for link in zip(route, route[1:])]
+    # four in five configs draw at least one attack, broken forms included:
+    # over half of the configs that pass validate then carry one
+    attacks = draw(st.lists(_attacks(links), max_size=3,
+                            min_size=min(1, draw(st.integers(0, 4)))))
     return ScenarioConfig(
         seed=draw(st.integers(0, 1000)), mode=mode,
         freshness_s=draw(st.integers(1, 60)),
@@ -728,7 +732,7 @@ def _configs(draw):
         key_rotation=draw(st.one_of(st.none(), st.builds(
             KeyRotationConfig, st.integers(1, 2), st.integers(2, 4)))),
         nodes=nodes, routes=routes, traffic=traffic,
-        attacks=draw(st.lists(_attacks(links), max_size=3)))
+        attacks=attacks)
 
 
 @given(cfg=_configs())

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.reference import vectors as V
-from zircon.crypto import LengthError, SymmetricKey
+from zircon.crypto import LengthError, SymmetricKey, digest
 from zircon.watermark import (
     HEADER_BYTES,
     WATERMARK_BYTES,
@@ -43,6 +43,16 @@ def test_golden_frame_parses_back():
     assert pkt.hash_part == V.HASH8_ABC
     # epoch is not on the wire
     assert "epoch" not in Frame._fields
+
+
+def test_frozen_hash_part_vector():
+    assert make_hash_subwatermark(b"abc") == V.HASH8_ABC
+    assert V.HASH8_ABC == V.SHA256_ABC[:8]
+
+
+def test_hash_part_takes_leading_digest_bytes():
+    d = digest(b"anything")
+    assert make_hash_subwatermark(b"anything") == bytes(d)[:8]
 
 
 def test_watermark_is_constant_size():
