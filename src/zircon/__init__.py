@@ -13,7 +13,6 @@ from .nodes import (
     GatewayNode,
     IntermediateNode,
     KeyRing,
-    NodeIdentity,
     SourceNode,
     VerificationVerdict,
 )
@@ -24,8 +23,8 @@ from .watermark import Frame
 
 __all__ = [
     "SymmetricKey", "digest", "encrypt_block", "decrypt_block",
-    "GatewayNode", "IntermediateNode", "KeyRing", "NodeIdentity",
-    "SourceNode", "VerificationVerdict",
+    "GatewayNode", "IntermediateNode", "KeyRing", "SourceNode",
+    "VerificationVerdict",
     "Simulation", "SimResult", "run",
     "ProvenanceKey", "ProvenanceStore",
     "ScenarioConfig", "load_config",

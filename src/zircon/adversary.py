@@ -29,7 +29,6 @@ from .provstore import (
 from .watermark import (
     HEADER_BYTES,
     WATERMARK_BYTES,
-    FeatureSubWatermark,
     embed,
     make_hash_subwatermark,
     make_provenance_record,
@@ -216,9 +215,8 @@ def build_fake_frame(spec: AttackSpec, now_s: int, seq: int) -> bytes:
     The hash part is honest (the attacker knows its payload), so only the
     provenance checks can catch it.
     """
-    sw = FeatureSubWatermark(bytes(spec.ip), now_s)
     key = SymmetricKey(material=spec.key_material, epoch=spec.key_epoch)
-    pkt = embed(spec.payload, make_provenance_record(sw, key),
+    pkt = embed(spec.payload, make_provenance_record(spec.ip, now_s, key),
                 make_hash_subwatermark(spec.payload), (spec.src, seq),
                 hop=spec.hop)
     return pkt.to_bytes()

@@ -27,7 +27,6 @@ from .nodes import (
     GatewayNode,
     IntermediateNode,
     KeyRing,
-    NodeIdentity,
     ROLE_GATEWAY,
     ROLE_INTERMEDIATE,
     ROLE_SOURCE,
@@ -173,30 +172,27 @@ class Simulation:
                 config.key_rotation.max_generations,
             )
 
-        self.identities: Dict[int, NodeIdentity] = {}
-        for spec in config.nodes:
-            self.identities[spec.id] = NodeIdentity(
-                id=spec.id, ip=parse_ip(spec.ip), role=spec.role,
-                registered=spec.registered,
-            )
-
-        # every node by id; its class's `role` picks what a delivery runs
+        # every node by id; its class's `role` picks what a delivery runs.
+        # The gateways' `origins` holds the ip of every registered node.
         self.nodes: Dict[int, Union[SourceNode, IntermediateNode,
                                     GatewayNode]] = {}
-        for ident in self.identities.values():
-            if ident.role == ROLE_SOURCE:
-                node = SourceNode(ident, self.keyring, self.store)
-            elif ident.role == ROLE_INTERMEDIATE:
-                node = IntermediateNode(ident, self.keyring, self.store)
+        origins: Dict[int, bytes] = {}
+        for spec in config.nodes:
+            ip = parse_ip(spec.ip)
+            if spec.role == ROLE_SOURCE:
+                node = SourceNode(spec.id, ip, self.keyring, self.store)
+            elif spec.role == ROLE_INTERMEDIATE:
+                node = IntermediateNode(spec.id, ip, self.keyring, self.store)
             else:
-                node = GatewayNode(ident, self.keyring, self.store,
-                                   self.identities,
-                                   freshness_s=config.freshness_s)
-            self.nodes[ident.id] = node
-            if ident.registered and ident.role == ROLE_GATEWAY:
-                self.store.register_gateway(ident.id)
-            elif ident.registered:
-                self.store.register_node(ident.id)
+                node = GatewayNode(spec.id, ip, self.keyring, self.store,
+                                   origins, freshness_s=config.freshness_s)
+            self.nodes[spec.id] = node
+            if spec.registered:
+                origins[spec.id] = ip
+                if spec.role == ROLE_GATEWAY:
+                    self.store.register_gateway(spec.id)
+                else:
+                    self.store.register_node(spec.id)
 
         # next hop along each configured route; each source's packet entries
         # share one copy of its route
@@ -219,7 +215,7 @@ class Simulation:
 
         # each packet's report.json entry, kept from its emission on
         self.packets: Dict[Tuple[int, int], dict] = {}
-        self.node_packets: Dict[int, int] = {i: 0 for i in self.identities}
+        self.node_packets: Dict[int, int] = {i: 0 for i in self.nodes}
 
         # one heapify in place of a push per emit: the (time, order) keys are
         # unique, so the pop order is the same.  A traffic entry's emits

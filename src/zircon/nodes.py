@@ -1,13 +1,15 @@
-"""Protocol state machines for the three node roles.
+"""Protocol state machines for the three node roles; a node's class is its
+role, and each node holds its own id and ip.
 
 Sources generate and store a fresh provenance record per packet, then either
 send the bare payload (single-hop profile, the watermark stays home) or embed
 the full watermark (multi-hop).  Intermediates verify integrity against the
 carried hash part and provenance against the stored record, then re-watermark
-with their own identity and receive time, keeping the hash part unchanged.
+with their own ip and receive time, keeping the hash part unchanged.
 The gateway re-runs both checks, pulls the whole record set once, validates
 hop contiguity, then in one pass decrypts each record per-epoch into a path
-entry, validates origin and freshness, and purges the set.
+entry, checks the origin (the claimed source must be a registered node whose
+ip is the first record's), then freshness, and purges the set.
 
 Any failed check follows the same procedure: discard the packet, delete the
 packet's stored records, and emit a verdict describing what failed.
@@ -15,7 +17,6 @@ packet's stored records, and emit a verdict describing what failed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import events
@@ -29,7 +30,6 @@ from .provstore import (
 )
 from .watermark import (
     FEATURE,
-    FeatureSubWatermark,
     Frame,
     FrameError,
     embed,
@@ -55,20 +55,6 @@ MISSING_RECORD = "missing_record"
 
 # (dotted ip, capture/receive time in seconds) per hop, in hop order
 ProvenancePath = List[Tuple[str, int]]
-
-
-@dataclass(frozen=True)
-class NodeIdentity:
-    id: int
-    ip: bytes
-    role: str
-    registered: bool = True
-
-    def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise ValueError(f"unknown role {self.role!r}")
-        if len(self.ip) != 4:
-            raise ValueError("node ip must be 4 bytes")
 
 
 # a verdict is the record its event line parses back to: (node, src, seq,
@@ -105,17 +91,15 @@ def rotate_keys(ring: KeyRing, rng: random.Random) -> SymmetricKey:
 
 
 class _Node:
-    """State every role holds: its identity, the shared key ring, and the
-    provenance store."""
+    """State every role holds: its id and 4-byte ip, the shared key ring,
+    and the provenance store."""
 
     role = ""
 
-    def __init__(self, identity: NodeIdentity, keyring: KeyRing,
+    def __init__(self, node_id: int, ip: bytes, keyring: KeyRing,
                  store: ProvenanceStore):
-        if identity.role != self.role:
-            raise ValueError(f"{type(self).__name__} needs an identity with "
-                             f"role {self.role!r}")
-        self.identity = identity
+        self.id = node_id
+        self.ip = ip
         self.keyring = keyring
         self.store = store
 
@@ -123,8 +107,7 @@ class _Node:
         """This node's feature record, stamped with now in whole seconds and
         sealed under the current key: (cipher, key epoch)."""
         key = self.keyring.current
-        sw = FeatureSubWatermark(self.identity.ip, now_ms // 1000)
-        return make_provenance_record(sw, key), key.epoch
+        return make_provenance_record(self.ip, now_ms // 1000, key), key.epoch
 
 
 class _Verifier(_Node):
@@ -132,8 +115,7 @@ class _Verifier(_Node):
 
     def _verdict(self, outcome: str, src: Optional[int], seq: Optional[int],
                  hop: Optional[int], now_ms: int) -> VerificationVerdict:
-        return VerificationVerdict(self.identity.id, src, seq, hop, outcome,
-                                   now_ms)
+        return VerificationVerdict(self.id, src, seq, hop, outcome, now_ms)
 
     def _fail(self, outcome: str, src: Optional[int], seq: Optional[int],
               hop: Optional[int], now_ms: int) -> Tuple[VerificationVerdict, None]:
@@ -169,9 +151,9 @@ class _Verifier(_Node):
 class SourceNode(_Node):
     role = ROLE_SOURCE
 
-    def __init__(self, identity: NodeIdentity, keyring: KeyRing,
+    def __init__(self, node_id: int, ip: bytes, keyring: KeyRing,
                  store: ProvenanceStore):
-        super().__init__(identity, keyring, store)
+        super().__init__(node_id, ip, keyring, store)
         self.next_seq = 1
 
     def emit_multihop(self, payload: bytes, now_ms: int) -> Frame:
@@ -180,10 +162,9 @@ class SourceNode(_Node):
         seq = self.next_seq
         # build the frame first: a header field that does not fit raises
         # before any record is stored
-        packet = embed(payload, cipher, hash_part, (self.identity.id, seq),
-                       hop=1)
-        self.store.store(ProvenanceKey(self.identity.id, seq, 1), cipher,
-                         epoch, by=self.identity.id)
+        packet = embed(payload, cipher, hash_part, (self.id, seq), hop=1)
+        self.store.store(ProvenanceKey(self.id, seq, 1), cipher, epoch,
+                         by=self.id)
         self.next_seq += 1
         return packet
 
@@ -193,9 +174,9 @@ class SourceNode(_Node):
         cipher, epoch = self._new_record(now_ms)
         hash_part = make_hash_subwatermark(payload)
         seq = self.next_seq
-        packet = embed_bare(payload, (self.identity.id, seq), hop=1)
-        self.store.store(ProvenanceKey(self.identity.id, seq, 1), cipher,
-                         epoch, by=self.identity.id, hash_part=hash_part)
+        packet = embed_bare(payload, (self.id, seq), hop=1)
+        self.store.store(ProvenanceKey(self.id, seq, 1), cipher, epoch,
+                         by=self.id, hash_part=hash_part)
         self.next_seq += 1
         return packet
 
@@ -209,12 +190,12 @@ class IntermediateNode(_Verifier):
         if verdict is not None:
             return verdict, None
 
-        # verified: re-watermark with own identity and receive time; the
+        # verified: re-watermark with own ip and receive time; the
         # hash part is carried through unchanged
         cipher, epoch = self._new_record(now_ms)
         next_hop = pkt.hop + 1
         self.store.store(ProvenanceKey(pkt.src, pkt.seq, next_hop), cipher,
-                         epoch, by=self.identity.id)
+                         epoch, by=self.id)
         forwarded = embed(pkt.payload, cipher, pkt.hash_part,
                           (pkt.src, pkt.seq), next_hop)
         return self._verdict(ACCEPTED, pkt.src, pkt.seq, pkt.hop,
@@ -224,11 +205,12 @@ class IntermediateNode(_Verifier):
 class GatewayNode(_Verifier):
     role = ROLE_GATEWAY
 
-    def __init__(self, identity: NodeIdentity, keyring: KeyRing,
-                 store: ProvenanceStore, registry: Dict[int, NodeIdentity],
+    def __init__(self, node_id: int, ip: bytes, keyring: KeyRing,
+                 store: ProvenanceStore, origins: Dict[int, bytes],
                  freshness_s: int = 60):
-        super().__init__(identity, keyring, store)
-        self.registry = registry
+        super().__init__(node_id, ip, keyring, store)
+        # the ip of every registered node, by id
+        self.origins = origins
         self.freshness_s = freshness_s
         # the dotted text of each ip a path has held, formatted on first
         # sight: the path entries of one node share its string
@@ -260,8 +242,7 @@ class GatewayNode(_Verifier):
             if i == 0:
                 first_ip = ip
 
-        source = self.registry.get(pkt.src)
-        if source is None or not source.registered or source.ip != first_ip:
+        if self.origins.get(pkt.src) != first_ip:
             return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
 
         if now_ms // 1000 - path[0][1] > self.freshness_s:
@@ -277,7 +258,7 @@ class GatewayNode(_Verifier):
             return verdict, None
 
         try:
-            records = self.store.query_all(pkt.src, pkt.seq, by=self.identity.id)
+            records = self.store.query_all(pkt.src, pkt.seq, by=self.id)
         except (MissingRecordError, OneRetrievalError):
             # the set vanished or was already pulled: treat as replay evidence
             return self._verdict(MISSING_RECORD, pkt.src, pkt.seq, pkt.hop,
@@ -300,7 +281,7 @@ class GatewayNode(_Verifier):
             return self._fail(FRAME_FAIL, err.src, err.seq, err.hop, now_ms)
 
         try:
-            records = self.store.query_all(pkt.src, pkt.seq, by=self.identity.id)
+            records = self.store.query_all(pkt.src, pkt.seq, by=self.id)
         except (MissingRecordError, OneRetrievalError):
             return self._verdict(MISSING_RECORD, pkt.src, pkt.seq, pkt.hop,
                                  now_ms), None

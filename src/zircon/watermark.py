@@ -11,14 +11,15 @@ into one `Frame` type.  Multi-hop frames carry the watermark tail;
 single-hop frames carry the bare payload because the receiving gateway
 regenerates everything it needs from the stored copy.
 
-`Frame` and the feature record `FeatureSubWatermark` are plain named tuples,
-built once per hop.  A feature record's ranges (a 4-byte ip, a 32-bit
-capture time) are checked in `FeatureSubWatermark.to_bytes`, the only way
-one reaches the wire; 8 decoded bytes fit them by construction, so the
-gateway reads a plaintext with `FEATURE.unpack` into a bare pair.
+`Frame` is a plain named tuple, built once per hop.  A feature record is
+the 8-byte `FEATURE` plaintext of an ip and a capture time; its ranges (a
+4-byte ip, a 32-bit capture time) are checked in `make_provenance_record`,
+its one writer.  8 decrypted bytes fit them by construction, so the gateway
+reads a plaintext with `FEATURE.unpack` into a bare pair.
 """
 from __future__ import annotations
 
+import re
 import struct
 from typing import NamedTuple, Optional, Tuple
 
@@ -44,6 +45,10 @@ MAX_SEQ = 0xFFFFFFFF
 MAX_SRC = 0xFFFF
 MAX_HOP = 0xFF
 MAX_CAPTURE_S = 0xFFFFFFFF  # capture times are whole seconds in 32 bits
+# strict dotted decimal: four parts, each 0..255 in ASCII digits with no
+# leading zero (some tools read 010 as octal)
+_IP_PART = r"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_IPV4 = re.compile(r"\.".join([_IP_PART] * 4))
 
 
 class FrameError(ValueError):
@@ -62,42 +67,16 @@ class FrameError(ValueError):
 
 
 def parse_ip(text: str) -> bytes:
-    parts = text.split(".") if isinstance(text, str) else ()
-    if len(parts) != 4:
+    match = _IPV4.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"bad IPv4 address {text!r}")
-    out = []
-    for p in parts:
-        v = int(p)
-        if not 0 <= v <= 255:
-            raise ValueError(f"bad IPv4 address {text!r}")
-        out.append(v)
-    return bytes(out)
+    return bytes(map(int, match.groups()))
 
 
 def format_ip(ip: bytes) -> str:
     if len(ip) != 4:
         raise LengthError(f"IPv4 address must be 4 bytes, got {len(ip)}")
     return "%d.%d.%d.%d" % tuple(ip)
-
-
-class FeatureSubWatermark(NamedTuple):
-    """Node IP plus capture (or receive) time, both 4 bytes on the wire."""
-
-    ip: bytes
-    capture_time: int
-
-    def to_bytes(self) -> bytes:
-        if len(self.ip) != 4:
-            raise LengthError(f"ip must be 4 bytes, got {len(self.ip)}")
-        if not 0 <= self.capture_time <= MAX_CAPTURE_S:
-            raise ValueError("capture_time must fit 32 unsigned bits")
-        return FEATURE.pack(self.ip, self.capture_time)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "FeatureSubWatermark":
-        if len(data) != FEATURE.size:
-            raise LengthError(f"feature sub-watermark must be 8 bytes, got {len(data)}")
-        return cls._make(FEATURE.unpack(data))
 
 
 class Frame(NamedTuple):
@@ -118,9 +97,15 @@ class Frame(NamedTuple):
                 + self.payload + self.cipher + self.hash_part)
 
 
-def make_provenance_record(sw: FeatureSubWatermark, key: SymmetricKey) -> bytes:
-    """The 16-byte encrypted feature record."""
-    return encrypt_block(key, sw.to_bytes())
+def make_provenance_record(ip: bytes, capture_time: int,
+                           key: SymmetricKey) -> bytes:
+    """The 16-byte encrypted feature record of a node's ip and its capture
+    (or receive) time in whole seconds."""
+    if len(ip) != 4:
+        raise LengthError(f"ip must be 4 bytes, got {len(ip)}")
+    if not 0 <= capture_time <= MAX_CAPTURE_S:
+        raise ValueError("capture_time must fit 32 unsigned bits")
+    return encrypt_block(key, FEATURE.pack(ip, capture_time))
 
 
 def make_hash_subwatermark(payload: bytes) -> bytes:

@@ -11,10 +11,6 @@ from zircon.nodes import (
     GatewayNode,
     IntermediateNode,
     KeyRing,
-    NodeIdentity,
-    ROLE_GATEWAY,
-    ROLE_INTERMEDIATE,
-    ROLE_SOURCE,
     SourceNode,
 )
 from zircon.provstore import ProvenanceStore
@@ -42,10 +38,8 @@ class Chain:
     gateway: GatewayNode
     store: ProvenanceStore
     keyring: KeyRing
-    registry: Dict[int, NodeIdentity]
-
-    def identity_of(self, node_id: int) -> NodeIdentity:
-        return self.registry[node_id]
+    # the gateway's table of registered nodes' ips, by id
+    origins: Dict[int, bytes]
 
 
 def build_chain(n_intermediates: int = 2, freshness_s: int = 60,
@@ -54,33 +48,24 @@ def build_chain(n_intermediates: int = 2, freshness_s: int = 60,
     """One source at id 1, intermediates at 2.., gateway at 9."""
     keyring = KeyRing(SymmetricKey(material=key_material, epoch=0))
     store = ProvenanceStore(clock=clock)
-    registry: Dict[int, NodeIdentity] = {}
-
-    src_ident = NodeIdentity(id=1, ip=bytes([10, 0, 0, 1]), role=ROLE_SOURCE)
-    registry[1] = src_ident
-    store.register_node(1)
-
-    intermediates = []
-    for i in range(n_intermediates):
-        nid = 2 + i
-        ident = NodeIdentity(id=nid, ip=bytes([10, 0, 0, nid]),
-                             role=ROLE_INTERMEDIATE)
-        registry[nid] = ident
-        store.register_node(nid)
-        intermediates.append(IntermediateNode(ident, keyring, store))
-
-    gw_ident = NodeIdentity(id=9, ip=bytes([10, 0, 0, 9]), role=ROLE_GATEWAY)
-    registry[9] = gw_ident
-    store.register_gateway(9)
+    # node n has ip 10.0.0.n
+    origins = {nid: bytes([10, 0, 0, nid])
+               for nid in [1, *range(2, 2 + n_intermediates), 9]}
+    for nid in origins:
+        if nid == 9:
+            store.register_gateway(nid)
+        else:
+            store.register_node(nid)
 
     return Chain(
-        source=SourceNode(src_ident, keyring, store),
-        intermediates=intermediates,
-        gateway=GatewayNode(gw_ident, keyring, store, registry,
+        source=SourceNode(1, origins[1], keyring, store),
+        intermediates=[IntermediateNode(nid, origins[nid], keyring, store)
+                       for nid in range(2, 2 + n_intermediates)],
+        gateway=GatewayNode(9, origins[9], keyring, store, origins,
                             freshness_s=freshness_s),
         store=store,
         keyring=keyring,
-        registry=registry,
+        origins=origins,
     )
 
 

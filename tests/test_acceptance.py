@@ -37,7 +37,6 @@ from zircon.provstore import (
 from zircon.scenario import NodeSpec, ScenarioConfig, TrafficSpec
 from zircon.watermark import (
     HEADER_BYTES,
-    FeatureSubWatermark,
     make_hash_subwatermark,
     make_provenance_record,
 )
@@ -221,8 +220,7 @@ def test_06_store_access_control():
     store.register_gateway(9)
 
     def record(ip_last, t):
-        sw = FeatureSubWatermark(bytes([10, 0, 0, ip_last]), t)
-        return make_provenance_record(sw, key)
+        return make_provenance_record(bytes([10, 0, 0, ip_last]), t, key)
 
     for seq in range(1, 101):
         store.store(ProvenanceKey(1, seq, 1), record(1, seq), key.epoch, by=1)

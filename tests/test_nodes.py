@@ -6,7 +6,7 @@ import pytest
 
 from tests.conftest import build_chain
 from zircon import events, nodes
-from zircon.crypto import SymmetricKey, decrypt_block
+from zircon.crypto import LengthError, SymmetricKey, decrypt_block
 from zircon.nodes import (
     ACCEPTED,
     FRAME_FAIL,
@@ -14,17 +14,15 @@ from zircon.nodes import (
     MISSING_RECORD,
     PROVENANCE_FAIL,
     STALE_TIMESTAMP,
-    GatewayNode,
     IntermediateNode,
     KeyRing,
-    NodeIdentity,
     SourceNode,
     VerificationVerdict,
     rotate_keys,
 )
 from zircon.provstore import ProvenanceKey
 from zircon.watermark import (
-    FeatureSubWatermark,
+    FEATURE,
     embed,
     extract,
     format_ip,
@@ -83,9 +81,7 @@ def test_source_emit_multihop(chain):
     assert stored.epoch == chain.keyring.current.epoch
     # the record hides the emitter's ip and capture seconds
     plain = decrypt_block(chain.keyring.current, stored.cipher)
-    sw = FeatureSubWatermark.from_bytes(plain)
-    assert sw.ip == chain.identity_of(1).ip
-    assert sw.capture_time == 5  # 5300 ms
+    assert FEATURE.unpack(plain) == (chain.origins[1], 5)  # 5300 ms
     # sequence numbers increment per emission
     assert chain.source.emit_multihop(PAYLOAD, 6000).seq == 2
 
@@ -100,26 +96,31 @@ def test_source_emit_singlehop_keeps_watermark_home(chain):
 @pytest.mark.parametrize("emit", ["emit_multihop", "emit_singlehop"])
 def test_source_stores_nothing_when_the_frame_cannot_be_built(emit, keyring,
                                                               store):
-    ident = NodeIdentity(id=70000, ip=bytes([10, 0, 0, 1]), role="source")
-    store.register_node(ident.id)
-    source = SourceNode(ident, keyring, store)
+    store.register_node(70000)
+    source = SourceNode(70000, bytes([10, 0, 0, 1]), keyring, store)
     with pytest.raises(ValueError, match="16 bits"):
         getattr(source, emit)(PAYLOAD, now_ms=0)
-    assert store.record_count(ident.id, 1) == 0
+    assert store.record_count(70000, 1) == 0
     assert events.journal(store.log) == []
     assert source.next_seq == 1
 
 
-def test_role_guards(chain, keyring, store):
-    wrong = NodeIdentity(id=5, ip=bytes(4), role="intermediate")
-    with pytest.raises(ValueError):
-        SourceNode(wrong, keyring, store)
-    with pytest.raises(ValueError):
-        GatewayNode(wrong, keyring, store, {})
-    with pytest.raises(ValueError):
-        IntermediateNode(chain.identity_of(1), keyring, store)
-    with pytest.raises(ValueError):
-        NodeIdentity(id=5, ip=bytes(4), role="router")
+def test_a_node_with_a_short_ip_stores_no_record(chain):
+    # validate refuses such a node in a config; built by hand, it fails on
+    # its first record, before anything is stored
+    for emit in ("emit_multihop", "emit_singlehop"):
+        source = SourceNode(1, bytes([10, 0, 0]), chain.keyring, chain.store)
+        with pytest.raises(LengthError):
+            getattr(source, emit)(PAYLOAD, now_ms=0)
+        assert chain.store.record_count(1, 1) == 0
+        assert source.next_seq == 1
+
+    frame = chain.source.emit_multihop(PAYLOAD, 0).to_bytes()
+    node = IntermediateNode(2, bytes([10, 0, 0]), chain.keyring, chain.store)
+    with pytest.raises(LengthError):
+        node.process(frame, now_ms=300)
+    assert chain.store.record_count(1, 1) == 1
+    assert chain.store.query_last(1, 1).key.hop == 1
 
 
 # -- intermediate ---------------------------------------------------------------
@@ -134,12 +135,10 @@ def test_intermediate_accept_rewatermarks(chain):
     original = extract(frame)
     assert forwarded.hash_part == original.hash_part
     assert forwarded.cipher != original.cipher
-    sw = FeatureSubWatermark.from_bytes(
-        decrypt_block(chain.keyring.current, forwarded.cipher))
-    assert sw.ip == node.identity.ip
-    assert sw.capture_time == 4
+    plain = decrypt_block(chain.keyring.current, forwarded.cipher)
+    assert FEATURE.unpack(plain) == (node.ip, 4)
     stored = chain.store.query_last(1, 1)
-    assert stored.key.hop == 2 and stored.by == node.identity.id
+    assert stored.key.hop == 2 and stored.by == node.id
 
 
 def test_intermediate_integrity_fail_deletes_records(chain):
@@ -269,8 +268,7 @@ def test_gateway_rejects_unknown_key_epoch():
 def test_gateway_rejects_record_encrypted_under_foreign_key():
     chain = build_chain(n_intermediates=0)
     foreign = SymmetricKey(material=bytes(range(16, 32)), epoch=0)
-    cipher = make_provenance_record(
-        FeatureSubWatermark(chain.identity_of(1).ip, 0), foreign)
+    cipher = make_provenance_record(chain.origins[1], 0, foreign)
     # claims epoch 0, but the ring's epoch-0 key cannot decrypt it
     chain.store.store(ProvenanceKey(1, 1, 1), cipher, foreign.epoch, by=1)
     frame = embed(PAYLOAD, cipher, make_hash_subwatermark(PAYLOAD), (1, 1),
@@ -304,9 +302,8 @@ def test_gateway_stops_at_the_first_undecryptable_record(monkeypatch):
     chain.source.emit_multihop(PAYLOAD, 0)
     # hop 2 claims epoch 0, but the ring's epoch-0 key cannot decrypt it
     foreign = SymmetricKey(material=bytes(range(16, 32)), epoch=0)
-    ciphers = [make_provenance_record(
-        FeatureSubWatermark(chain.identity_of(hop).ip, 0), key)
-        for hop, key in ((2, foreign), (3, chain.keyring.current))]
+    ciphers = [make_provenance_record(chain.origins[hop], 0, key)
+               for hop, key in ((2, foreign), (3, chain.keyring.current))]
     for hop, cipher in enumerate(ciphers, start=2):
         chain.store.store(ProvenanceKey(1, 1, hop), cipher, 0, by=hop)
     frame = embed(PAYLOAD, ciphers[-1], make_hash_subwatermark(PAYLOAD),
@@ -322,27 +319,24 @@ def test_gateway_stops_at_the_first_undecryptable_record(monkeypatch):
 def test_path_formats_an_ip_unknown_when_the_gateway_was_built(chain):
     walk_to_gateway(chain)
     # the source re-registers under a new ip once the gateway has run
-    ident = NodeIdentity(id=1, ip=bytes([192, 168, 7, 1]), role="source")
-    chain.registry[1] = ident
-    chain.source = SourceNode(ident, chain.keyring, chain.store)
+    chain.origins[1] = ip = bytes([192, 168, 7, 1])
+    chain.source = SourceNode(1, ip, chain.keyring, chain.store)
     chain.source.next_seq = 2
     verdict, path, _ = walk_to_gateway(chain)
     assert verdict.outcome == ACCEPTED
-    assert path[0][0] == format_ip(ident.ip) == "192.168.7.1"
+    assert path[0][0] == format_ip(ip) == "192.168.7.1"
     assert [ip for ip, _ in path[1:]] == ["10.0.0.2", "10.0.0.3"]
 
 
 def test_gateway_rejects_unregistered_origin(chain):
-    chain.registry[1] = NodeIdentity(id=1, ip=chain.identity_of(1).ip,
-                                     role="source", registered=False)
+    del chain.origins[1]
     frame = chain.source.emit_multihop(PAYLOAD, 0).to_bytes()
     verdict, _ = chain.gateway.verify_multihop(frame, 300)
     assert verdict.outcome == PROVENANCE_FAIL
 
 
 def test_gateway_rejects_origin_ip_mismatch(chain):
-    chain.registry[1] = NodeIdentity(id=1, ip=bytes([10, 9, 9, 9]),
-                                     role="source")
+    chain.origins[1] = bytes([10, 9, 9, 9])
     frame = chain.source.emit_multihop(PAYLOAD, 0).to_bytes()
     verdict, _ = chain.gateway.verify_multihop(frame, 300)
     assert verdict.outcome == PROVENANCE_FAIL

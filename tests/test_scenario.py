@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from zircon.adversary import KINDS, AttackSpec
 from zircon.analysis import EnergyParams
 from zircon.netsim import Simulation, run
+from zircon.nodes import ACCEPTED, GatewayNode, SourceNode
 from zircon.scenario import (
     EXAMPLE_CONFIG,
     ConfigError,
@@ -22,6 +23,7 @@ from zircon.scenario import (
     to_dict,
     validate,
 )
+from zircon.watermark import extract, extract_bare
 
 
 def small_config(**overrides):
@@ -153,6 +155,11 @@ def test_bad_ip_and_position():
     assert errors_of(cfg) == ["nodes[2].ip: bad address '10.0.0'",
                               "nodes[2]: position outside 100.0x100.0 area",
                               "nodes[3].id: duplicate id 9"]
+    # a leading zero reads as octal to some tools: not the decimal 10.0.0.1
+    # of nodes[0], but no address at all
+    cfg = small_config()
+    cfg.nodes[1].ip = "010.0.0.1"
+    assert errors_of(cfg) == ["nodes[1].ip: bad address '010.0.0.1'"]
 
 
 def test_route_shape_checks():
@@ -768,3 +775,46 @@ def test_eavesdrops_and_refused_probes_change_no_organic_fate(cfg):
               for key, p in run(c).report["packets"].items()}
              for c in (cfg, quiet)]
     assert fates[0] == fates[1]
+
+
+@given(cfg=_configs())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_every_accept_is_authentic(cfg):
+    # a gateway accepts only the payload the source emitted under that
+    # (src, seq), and only with the path of the source's route
+    try:
+        validate(cfg)
+    except ConfigError:
+        return
+    emitted, accepted = {}, []
+
+    def emitting(original):
+        def emit(node, payload, now_ms):
+            frame = original(node, payload, now_ms)
+            emitted[(frame.src, frame.seq)] = payload
+            return frame
+        return emit
+
+    def verifying(original, parse):
+        def verify(node, data, now_ms):
+            verdict, path = original(node, data, now_ms)
+            if verdict.outcome == ACCEPTED:
+                accepted.append((parse(data), path))
+            return verdict, path
+        return verify
+
+    # the simulation reads the methods off the classes when it is built
+    with pytest.MonkeyPatch.context() as patch:
+        for mode, parse in (("multihop", extract),
+                            ("singlehop", extract_bare)):
+            patch.setattr(SourceNode, f"emit_{mode}",
+                          emitting(getattr(SourceNode, f"emit_{mode}")))
+            patch.setattr(GatewayNode, f"verify_{mode}", verifying(
+                getattr(GatewayNode, f"verify_{mode}"), parse))
+        run(cfg)
+    ips = {n.id: n.ip for n in cfg.nodes}
+    routes = {route[0]: route for route in cfg.routes}
+    for pkt, path in accepted:
+        assert pkt.payload == emitted.get((pkt.src, pkt.seq))
+        assert [ip for ip, _ in path] == [ips[n] for n in routes[pkt.src][:-1]]

@@ -4,11 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.reference import vectors as V
-from zircon.crypto import LengthError, SymmetricKey, digest
+from zircon.crypto import LengthError, SymmetricKey, decrypt_block, digest
 from zircon.watermark import (
+    FEATURE,
     HEADER_BYTES,
     WATERMARK_BYTES,
-    FeatureSubWatermark,
     Frame,
     FrameError,
     embed,
@@ -25,8 +25,7 @@ KEY = SymmetricKey(material=V.AES_KAT_KEY, epoch=0)
 
 
 def golden_packet():
-    sw = FeatureSubWatermark(bytes([192, 168, 1, 10]), 0x655B0F00)
-    cipher = make_provenance_record(sw, KEY)
+    cipher = make_provenance_record(bytes([192, 168, 1, 10]), 0x655B0F00, KEY)
     hash_part = make_hash_subwatermark(b"abc")
     return embed(b"abc", cipher, hash_part, (1, 1), hop=1)
 
@@ -58,8 +57,7 @@ def test_hash_part_takes_leading_digest_bytes():
 def test_watermark_is_constant_size():
     for n in (0, 1, 16, 255, 1000):
         hash_part = make_hash_subwatermark(bytes(n))
-        cipher = make_provenance_record(
-            FeatureSubWatermark(bytes(4), 0), KEY)
+        cipher = make_provenance_record(bytes(4), 0, KEY)
         pkt = embed(bytes(n), cipher, hash_part, (1, 1), hop=1)
         assert len(pkt.to_bytes()) - HEADER_BYTES - n == WATERMARK_BYTES == 24
 
@@ -78,27 +76,18 @@ def test_frame_sizes():
 @example(ip=bytes(4), t=0)
 @example(ip=b"\xff" * 4, t=0xFFFFFFFF)
 def test_feature_subwatermark_roundtrip(ip, t):
-    sw = FeatureSubWatermark(ip=ip, capture_time=t)
-    assert FeatureSubWatermark.from_bytes(sw.to_bytes()) == sw
-    assert len(sw.to_bytes()) == 8
+    plain = decrypt_block(KEY, make_provenance_record(ip, t, KEY))
+    assert len(plain) == 8
+    assert FEATURE.unpack(plain) == (ip, t)
 
 
 def test_feature_subwatermark_bounds():
-    # the ranges are checked where a feature record goes on the wire
-    short_ip = FeatureSubWatermark(ip=b"xyz", capture_time=0)
-    late = FeatureSubWatermark(ip=bytes(4), capture_time=2 ** 32)
-    early = FeatureSubWatermark(ip=bytes(4), capture_time=-1)
+    # the ranges are checked where a feature record is written
     with pytest.raises(LengthError):
-        short_ip.to_bytes()
-    with pytest.raises(LengthError):
-        make_provenance_record(short_ip, KEY)
-    for sw in (late, early):
+        make_provenance_record(b"xyz", 0, KEY)
+    for late_or_early in (2 ** 32, -1):
         with pytest.raises(ValueError):
-            sw.to_bytes()
-        with pytest.raises(ValueError):
-            make_provenance_record(sw, KEY)
-    with pytest.raises(LengthError):
-        FeatureSubWatermark.from_bytes(b"1234567")
+            make_provenance_record(bytes(4), late_or_early, KEY)
 
 
 @given(ip=st.binary(min_size=4, max_size=4))
@@ -204,9 +193,18 @@ def test_watermark_split_and_assemble():
 
 def test_parse_and_format_ip():
     assert parse_ip("10.0.0.1") == bytes([10, 0, 0, 1])
+    assert parse_ip("0.0.0.0") == bytes(4)
+    assert parse_ip("255.255.255.255") == b"\xff" * 4
     assert format_ip(bytes([192, 168, 1, 10])) == "192.168.1.10"
-    for bad in ("10.0.0", "10.0.0.256", "a.b.c.d", "1.2.3.4.5"):
-        with pytest.raises(ValueError):
-            parse_ip(bad)
     with pytest.raises(LengthError):
         format_ip(b"xyz")
+
+
+@pytest.mark.parametrize("text", [
+    "10.0.0", "10.0.0.256", "a.b.c.d", "1.2.3.4.5", "1_0.0.0.1",
+    "+10.0.0.1", " 10.0.0.1", "10.0.0.1 ", "10.0.0.1\n", "10.0.0.\u0664",
+    "-0.0.0.1", "010.0.0.1", "10.0.0.00", "10..0.1", "1000.0.0.1", "",
+    167772161, b"10.0.0.1", None])
+def test_parse_ip_refuses_all_but_strict_dotted_decimal(text):
+    with pytest.raises(ValueError, match="bad IPv4 address"):
+        parse_ip(text)
