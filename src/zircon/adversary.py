@@ -105,7 +105,6 @@ class AttackResult:
     """Outcome of applying one link attack to one frame."""
 
     deliver: Optional[bytes]
-    capture: Optional[bytes] = None
     replay: Optional[Tuple[bytes, int]] = None
     detail: str = ""
 
@@ -149,8 +148,7 @@ def _apply_edits(data: bytes, edits: Tuple[Tuple[int, int], ...],
 def apply(spec: AttackSpec, data: bytes) -> AttackResult:
     """Apply a link attack to in-flight bytes."""
     if spec.kind == EAVESDROP:
-        return AttackResult(deliver=data, capture=bytes(data),
-                            detail=events.detail(captured=True))
+        return AttackResult(deliver=data, detail=events.detail(captured=True))
 
     if spec.kind == DROP:
         return AttackResult(deliver=None, detail=events.detail(dropped=True))
@@ -166,8 +164,7 @@ def apply(spec: AttackSpec, data: bytes) -> AttackResult:
             if len(copy) < tail + WATERMARK_BYTES:
                 raise AttackSpecError("frame carries no watermark to mutate")
             copy[tail + 7] ^= 0x01
-        return AttackResult(deliver=data, capture=bytes(data),
-                            replay=(bytes(copy), spec.delay_ms),
+        return AttackResult(deliver=data, replay=(bytes(copy), spec.delay_ms),
                             detail=events.detail(
                                 delay=spec.delay_ms,
                                 mutated=bool(spec.mutate_timestamp)))

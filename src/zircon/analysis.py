@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Union
 from . import events
 from .adversary import DROP, EAVESDROP, REPLAY, STORE_PROBE
 from .nodes import ACCEPTED, ROLE_SOURCE
+from .watermark import WATERMARK_BYTES
 
 SCHEME_ZIRCON = "zircon"
 SCHEME_SSP = "ssp"
@@ -32,7 +33,6 @@ SCHEMES = (SCHEME_ZIRCON, SCHEME_SSP, SCHEME_MP, SCHEME_BFP)
 
 SSP_RECORD_BYTES = 42
 MP_RECORD_BYTES = 6
-ZIRCON_BYTES = 24
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,12 @@ def provenance_size(model: CostModel) -> int:
         return MP_RECORD_BYTES * model.hops
     if model.scheme == SCHEME_BFP:
         return math.ceil(bfp_bits(model.hops, model.p_fp) / 8)
-    return ZIRCON_BYTES
+    return WATERMARK_BYTES
 
 
 def cost_rows(max_hops: int = 30, p_fp: float = 0.02) -> List[dict]:
+    # checks both arguments, also when no row follows
+    CostModel(SCHEME_ZIRCON, max_hops, p_fp)
     rows = []
     for hops in range(1, max_hops + 1):
         size = {scheme: provenance_size(CostModel(scheme, hops, p_fp))

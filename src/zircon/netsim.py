@@ -34,7 +34,7 @@ from .nodes import (
     VerificationVerdict,
     rotate_keys,
 )
-from .crypto import SymmetricKey
+from .crypto import KEY_BYTES, SymmetricKey
 from .provstore import ProvenanceStore
 from .scenario import MODE_SINGLEHOP, ScenarioConfig, validate
 from .watermark import parse_ip
@@ -53,11 +53,8 @@ OPS_BY_ROLE = {ROLE_SOURCE: 1, ROLE_INTERMEDIATE: 2, ROLE_GATEWAY: 2}
 
 @dataclass
 class SimResult:
-    config: ScenarioConfig
     log: List[str]
     report: dict
-    store: ProvenanceStore
-    captures: List[bytes]
 
     def log_text(self) -> str:
         return "\n".join(self.log) + "\n"
@@ -141,7 +138,6 @@ class Simulation:
         self._queue: list = []
         self._order = itertools.count()
         self.log: List[str] = []
-        self.captures: List[bytes] = []
 
         self.store = ProvenanceStore(clock=lambda: self.now, log=self.log)
 
@@ -161,7 +157,7 @@ class Simulation:
                         else GatewayNode.verify_multihop)
 
         self._rngs: Dict[str, random.Random] = {}
-        initial = SymmetricKey(material=self._rng("keys").randbytes(16), epoch=0)
+        initial = SymmetricKey(self._rng("keys").randbytes(KEY_BYTES), 0)
         self.keyring = KeyRing(initial)
         self._generations = 0
         self._rotations = 0
@@ -288,8 +284,6 @@ class Simulation:
                     continue
                 result = adversary.apply(attack, data)
                 self._log_attack(attack, src, seq, result.detail)
-                if result.capture is not None:
-                    self.captures.append(result.capture)
                 if result.replay is not None:
                     copy, delay = result.replay
                     self._schedule(self.now + delay, "deliver",
@@ -339,8 +333,6 @@ class Simulation:
                            forwarded.hop, flow)
             return
 
-        if node.role != ROLE_GATEWAY:
-            raise RuntimeError(f"delivery to non-verifying node {to}")
         verdict, path = self._verify(node, data, self.now)
         entry = self._record_verdict(verdict, src, seq, flow)
         if verdict.outcome == ACCEPTED and flow == FLOW_ORGANIC \
@@ -369,10 +361,7 @@ class Simulation:
         """Process one event; False when the queue is exhausted."""
         if not self._queue:
             return False
-        time, _, kind, args = heapq.heappop(self._queue)
-        if time < self.now:
-            raise RuntimeError("event queue went backwards")
-        self.now = time
+        self.now, _, kind, args = heapq.heappop(self._queue)
         self._handlers[kind](*args)
         self._maybe_rotate()
         return True
@@ -380,9 +369,7 @@ class Simulation:
     def run(self) -> SimResult:
         while self.step():
             pass
-        return SimResult(config=self.config, log=self.log,
-                         report=self._build_report(), store=self.store,
-                         captures=self.captures)
+        return SimResult(self.log, self._build_report())
 
     # -- reporting -----------------------------------------------------------
 

@@ -6,10 +6,10 @@ send the bare payload (single-hop profile, the watermark stays home) or embed
 the full watermark (multi-hop).  Intermediates verify integrity against the
 carried hash part and provenance against the stored record, then re-watermark
 with their own ip and receive time, keeping the hash part unchanged.
-The gateway re-runs both checks, pulls the whole record set once, validates
-hop contiguity, then in one pass decrypts each record per-epoch into a path
-entry, checks the origin (the claimed source must be a registered node whose
-ip is the first record's), then freshness, and purges the set.
+The gateway re-runs both checks, pulls the whole record set once (the store
+keeps it contiguous from hop 1), then in one pass decrypts each record
+per-epoch into a path entry, checks the origin (the claimed source must be a
+registered node with the first record's ip), then freshness, and purges it.
 
 Any failed check follows the same procedure: discard the packet, delete the
 packet's stored records, and emit a verdict describing what failed.
@@ -20,7 +20,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from . import events
-from .crypto import DecryptionError, SymmetricKey, decrypt_block
+from .crypto import KEY_BYTES, DecryptionError, SymmetricKey, decrypt_block
 from .provstore import (
     MissingRecordError,
     OneRetrievalError,
@@ -85,7 +85,7 @@ class KeyRing:
 
 def rotate_keys(ring: KeyRing, rng: random.Random) -> SymmetricKey:
     """Install a fresh key at the next epoch and return it."""
-    key = SymmetricKey(material=rng.randbytes(16), epoch=ring.current.epoch + 1)
+    key = SymmetricKey(rng.randbytes(KEY_BYTES), ring.current.epoch + 1)
     ring.add(key)
     return key
 
@@ -143,7 +143,7 @@ class _Verifier(_Node):
             # nothing stored to burn
             return self._verdict(MISSING_RECORD, pkt.src, pkt.seq, pkt.hop,
                                  now_ms), None
-        if last.key.hop != pkt.hop or last.cipher != pkt.cipher:
+        if last.hop != pkt.hop or last.cipher != pkt.cipher:
             return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
         return None, pkt
 
@@ -263,10 +263,6 @@ class GatewayNode(_Verifier):
             # the set vanished or was already pulled: treat as replay evidence
             return self._verdict(MISSING_RECORD, pkt.src, pkt.seq, pkt.hop,
                                  now_ms), None
-
-        # one record per hop so far, contiguous from 1
-        if [rec.key.hop for rec in records] != list(range(1, pkt.hop + 1)):
-            return self._fail(PROVENANCE_FAIL, pkt.src, pkt.seq, pkt.hop, now_ms)
 
         return self._open_set(pkt, records, now_ms)
 

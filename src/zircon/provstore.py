@@ -6,9 +6,9 @@ to mutate a stored record in place.  Access is gated by an id registration
 table: only registered nodes may store, only registered gateways may pull a
 full set, and each packet's set can be pulled exactly once.
 
-The records are plain named tuples, built once per hop.  Their one range
-rule, hop >= 1, is kept where it can break: `store` accepts only the hop
-after the newest stored one, and the frame parser refuses hop 0.
+The records are plain named tuples, one per hop, keyed by their set's
+(source, sequence).  The store guarantees hop contiguity: every set holds
+hops 1..n, as `store` accepts only the hop after the newest stored one.
 """
 from __future__ import annotations
 
@@ -40,10 +40,9 @@ class ProvenanceKey(NamedTuple):
 
 
 class StoredRecord(NamedTuple):
-    key: ProvenanceKey
+    hop: int
     cipher: bytes  # the 16-byte encrypted feature record
     epoch: int  # the key epoch that encrypted it; not on the wire
-    by: int
     time: int
     # single-hop emitters keep the full watermark, so the truncated payload
     # digest rides along; multi-hop entries leave this None
@@ -77,12 +76,12 @@ class ProvenanceStore:
     # -- operations --------------------------------------------------------
 
     def store(self, key: ProvenanceKey, cipher: bytes, epoch: int, by: int,
-              hash_part: Optional[bytes] = None) -> StoredRecord:
+              hash_part: Optional[bytes] = None) -> None:
         if by not in self._node_ids:
             raise AuthorizationError(f"id {by} is not registered to store records")
         src, seq, hop = key
         records = self._sets.get((src, seq))
-        current_max = records[-1].key.hop if records else 0
+        current_max = records[-1].hop if records else 0
         if hop != current_max + 1:
             raise SequencingError(
                 f"hop {hop} does not extend current max {current_max}"
@@ -90,10 +89,8 @@ class ProvenanceStore:
         if records is None:
             records = self._sets[(src, seq)] = []
         time = self.clock()
-        rec = StoredRecord(key, cipher, epoch, by, time, hash_part)
-        records.append(rec)
+        records.append(StoredRecord(hop, cipher, epoch, time, hash_part))
         self.log.append(events.store(src, seq, hop, cipher.hex(), by, time))
-        return rec
 
     def query_last(self, source: int, sequence: int) -> StoredRecord:
         records = self._sets.get((source, sequence))
@@ -131,6 +128,6 @@ class ProvenanceStore:
         """Every packet whose set was never retrieved, in packet order, as
         (source, sequence, last hop, last store time); the last hop
         localizes a drop."""
-        return [(src, seq, records[-1].key.hop, records[-1].time)
+        return [(src, seq, records[-1].hop, records[-1].time)
                 for (src, seq), records in sorted(self._sets.items())
                 if (src, seq) not in self._consumed]

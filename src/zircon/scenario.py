@@ -383,7 +383,7 @@ def validate(config: ScenarioConfig) -> None:
             errors.append(f"traffic[{ti}].count: must be >= 1")
         if t.interval_ms < 1:
             errors.append(f"traffic[{ti}].interval_ms: must be >= 1")
-        if not 0 <= t.payload_bytes <= 0xFFFF:
+        if not 0 <= t.payload_bytes <= MAX_PAYLOAD:
             errors.append(f"traffic[{ti}].payload_bytes: must fit 16 bits")
     for src, total in sent.items():
         if total > MAX_SEQ:

@@ -231,7 +231,7 @@ def test_06_store_access_control():
             with pytest.raises(AuthorizationError):
                 store.query_all(1, seq, by=node_id)
         records = store.query_all(1, seq, by=9)
-        assert [r.key.hop for r in records] == [1, 2]
+        assert [r.hop for r in records] == [1, 2]
         with pytest.raises(OneRetrievalError):
             store.query_all(1, seq, by=9)
 

@@ -150,7 +150,6 @@ def test_eavesdrop_copies_without_altering():
     _, frame = frame_of()
     result = apply(AttackSpec(kind="eavesdrop", from_id=1, to_id=2), frame)
     assert result.deliver == frame
-    assert result.capture == frame
     assert result.replay is None
 
 

@@ -314,6 +314,22 @@ def test_cost_table_writes_nothing_for_a_bad_pfp(tmp_path, capsys, pfp):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("hops", [["0"], ["0", "--pfp", "7"], ["-3"]])
+def test_cost_table_writes_nothing_for_a_bad_hop_count(tmp_path, capsys,
+                                                       hops):
+    # such a count builds no row, and must still fail before any output
+    code, out, err = run_cli(capsys, "cost-table", "--max-hops", *hops)
+    assert code == 1
+    assert out == ""
+    assert "hop count must be >= 1" in err
+    path = tmp_path / "cost.csv"
+    code, out, _ = run_cli(capsys, "cost-table", "--max-hops", *hops,
+                           "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert not path.exists()
+
+
 # -- energy-table ---------------------------------------------------------------------
 
 def test_energy_table_from_run_dir(tmp_path, capsys):

@@ -1,7 +1,8 @@
-"""No module in src/zircon imports a name it never uses.
+"""No module in src/zircon imports a name it never uses, or defines a
+top-level private name it never reads.
 
-A stdlib `ast` scan, so that a deletion cannot leave a stale import behind.
-Names `__init__.py` re-exports through `__all__` count as used.
+Stdlib `ast` scans, so that a deletion cannot leave a stale import or helper
+behind.  Names `__init__.py` re-exports through `__all__` count as used.
 """
 import ast
 from pathlib import Path
@@ -31,6 +32,27 @@ def unused_imports(source: str):
     return sorted(imported - used)
 
 
+def unused_private_names(source: str):
+    """The top-level `_private` names a module binds by def, class or
+    assignment and never reads, sorted."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            defined.update(name.id for target in targets
+                           for name in ast.walk(target)
+                           if isinstance(name, ast.Name))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(name for name in defined - read
+                  if name.startswith("_") and not name.startswith("__"))
+
+
 def test_the_scan_finds_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import os.path, sys as system\n"
@@ -44,3 +66,24 @@ def test_the_scan_finds_an_unused_import():
                          ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_finds_an_unused_private_name():
+    source = ("__version__ = '1'\n"
+              "_A, _B = 1, 2\n"
+              "_C: int = 3\n"
+              "PUBLIC = 4\n"
+              "def _f():\n"
+              "    _local = _A\n"
+              "    return _local\n"
+              "class _K:\n"
+              "    _attr = PUBLIC\n"
+              "def _g(x=_K):\n"
+              "    return x\n")
+    assert unused_private_names(source) == ["_B", "_C", "_f", "_g"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_defines_a_private_name_it_never_reads(path):
+    assert unused_private_names(path.read_text(encoding="utf-8")) == []

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.test_golden_outputs import GOLDEN
-from zircon import cli, events, netsim
+from zircon import adversary, cli, events, netsim
 from zircon.cli import main
 from zircon.nodes import GatewayNode, SourceNode
 from zircon.adversary import KINDS, AttackSpec
@@ -252,12 +252,27 @@ def test_store_probe_logged_with_result():
     assert result.report["counts"]["accepted"] == 5
 
 
-def test_eavesdrop_captures_wire_bytes():
+def record_attacked_frames(monkeypatch):
+    """The frames each link attack is applied to, in order: netsim calls
+    `adversary.apply` through its module, so the wrapper sees every one."""
+    frames = []
+    original = adversary.apply
+
+    def apply(spec, data):
+        frames.append(data)
+        return original(spec, data)
+
+    monkeypatch.setattr(adversary, "apply", apply)
+    return frames
+
+
+def test_eavesdrop_captures_wire_bytes(monkeypatch):
+    captures = record_attacked_frames(monkeypatch)
     cfg = base_config()
     cfg.attacks = [AttackSpec(kind="eavesdrop", from_id=2, to_id=3)]
     result = netsim.run(cfg)
-    assert len(result.captures) == 5
-    for raw in result.captures:
+    assert len(captures) == 5
+    for raw in captures:
         pkt = extract(raw)
         assert pkt.hop == 2  # captured after the first re-watermark
     assert result.report["counts"]["accepted"] == 5
@@ -325,11 +340,13 @@ def test_singlehop_clean_run():
         assert len(p["path"]) == 1
 
 
-def test_singlehop_frames_are_bare():
+def test_singlehop_frames_are_bare(monkeypatch):
+    captures = record_attacked_frames(monkeypatch)
     cfg = singlehop_config()
     cfg.attacks = [AttackSpec(kind="eavesdrop", from_id=1, to_id=9)]
-    result = netsim.run(cfg)
-    for raw in result.captures:
+    netsim.run(cfg)
+    assert len(captures) == 4
+    for raw in captures:
         assert len(raw) == 9 + 12
         extract_bare(raw)
 
@@ -484,8 +501,7 @@ _HOP_NULL = {"outcome": "frame_fail", "node": 3, "hop": None, "time": 10,
                  "verdicts": [_HOP_NULL], "store_records": 0}}})
 @settings(max_examples=200, deadline=None)
 def test_report_text_is_json_dumps_byte_for_byte(report):
-    result = netsim.SimResult(config=None, log=[], report=report, store=None,
-                              captures=[])
+    result = netsim.SimResult(log=[], report=report)
     assert result.report_text() == \
         json.dumps(report, indent=2, sort_keys=True) + "\n"
 

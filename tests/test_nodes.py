@@ -76,7 +76,8 @@ def test_source_emit_multihop(chain):
     assert (pkt.src, pkt.seq, pkt.hop) == (1, 1, 1)
     assert pkt.hash_part == make_hash_subwatermark(PAYLOAD)
     stored = chain.store.query_last(1, 1)
-    assert stored.key.hop == 1 and stored.by == 1
+    assert stored.hop == 1
+    assert events.parse(chain.store.log[-1]).by == 1
     assert stored.cipher == pkt.cipher
     assert stored.epoch == chain.keyring.current.epoch
     # the record hides the emitter's ip and capture seconds
@@ -120,7 +121,7 @@ def test_a_node_with_a_short_ip_stores_no_record(chain):
     with pytest.raises(LengthError):
         node.process(frame, now_ms=300)
     assert chain.store.record_count(1, 1) == 1
-    assert chain.store.query_last(1, 1).key.hop == 1
+    assert chain.store.query_last(1, 1).hop == 1
 
 
 # -- intermediate ---------------------------------------------------------------
@@ -138,7 +139,8 @@ def test_intermediate_accept_rewatermarks(chain):
     plain = decrypt_block(chain.keyring.current, forwarded.cipher)
     assert FEATURE.unpack(plain) == (node.ip, 4)
     stored = chain.store.query_last(1, 1)
-    assert stored.key.hop == 2 and stored.by == node.id
+    assert stored.hop == 2
+    assert events.parse(chain.store.log[-1]).by == node.id
 
 
 def test_intermediate_integrity_fail_deletes_records(chain):

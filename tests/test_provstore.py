@@ -65,10 +65,11 @@ def test_hop_index_starts_at_one(store):
 
 def test_query_last_returns_newest(populated):
     rec = populated.query_last(1, 1)
-    assert rec.key.hop == 2
+    assert rec.hop == 2
     assert rec.cipher == bytes([0xBB]) * 16
     assert rec.epoch == 0
-    assert rec.by == 2
+    # the storing node's id is kept in the journal only
+    assert events.parse(populated.log[-1]).by == 2
     with pytest.raises(MissingRecordError):
         populated.query_last(1, 2)
 
@@ -79,7 +80,7 @@ def test_query_all_is_gateway_only(populated):
     with pytest.raises(AuthorizationError):
         populated.query_all(1, 1, by=666)  # unknown id
     records = populated.query_all(1, 1, by=9)
-    assert [r.key.hop for r in records] == [1, 2]
+    assert [r.hop for r in records] == [1, 2]
 
 
 def test_one_retrieval_semantics(populated):
@@ -87,7 +88,7 @@ def test_one_retrieval_semantics(populated):
     with pytest.raises(OneRetrievalError):
         populated.query_all(1, 1, by=9)
     # point queries are exempt: the per-hop check still works afterwards
-    assert populated.query_last(1, 1).key.hop == 2
+    assert populated.query_last(1, 1).hop == 2
 
 
 def test_delete_all(populated):
@@ -99,7 +100,7 @@ def test_delete_all(populated):
     assert populated.delete_all(1, 1) == 0
     # after deletion the hop sequence restarts at 1
     populated.store(ProvenanceKey(1, 1, 1), cipher(0xCC), 0, by=1)
-    assert populated.query_last(1, 1).key.hop == 1
+    assert populated.query_last(1, 1).hop == 1
 
 
 def test_deletion_clears_consumed_flag(populated):
@@ -163,15 +164,14 @@ def test_full_retrieval_preserves_hop_order(hops):
     for h in range(1, hops + 1):
         s.store(ProvenanceKey(3, 4, h), cipher(h), 0, by=1)
     records = s.query_all(3, 4, by=9)
-    assert [r.key.hop for r in records] == list(range(1, hops + 1))
+    assert [r.hop for r in records] == list(range(1, hops + 1))
     assert [r.cipher[0] for r in records] == list(range(1, hops + 1))
 
 
 def test_stored_hash_part_retained(store):
     store.register_node(1)
-    rec = store.store(ProvenanceKey(1, 1, 1), cipher(1), 0, by=1,
-                      hash_part=b"12345678")
-    assert rec.hash_part == b"12345678"
+    store.store(ProvenanceKey(1, 1, 1), cipher(1), 0, by=1,
+                hash_part=b"12345678")
     assert store.query_last(1, 1).hash_part == b"12345678"
-    plain = store.store(ProvenanceKey(1, 2, 1), cipher(1), 0, by=1)
-    assert plain.hash_part is None
+    store.store(ProvenanceKey(1, 2, 1), cipher(1), 0, by=1)
+    assert store.query_last(1, 2).hash_part is None

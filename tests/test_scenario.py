@@ -655,11 +655,22 @@ def _or_none(strategy):
 
 
 @st.composite
-def _attacks(draw, links):
-    # fake_inject four times over: close to a fifth of the validated configs
-    # then carry a well-formed one
-    kind = draw(st.sampled_from(KINDS + ("jam",) + ("fake_inject",) * 3))
+def _attacks(draw, links, live, smallest):
+    # fake_inject and modify_payload four times over: close to a fifth of
+    # the validated configs then carry a well-formed forgery, and one in ten
+    # a payload edit that reaches a packet
+    kind = draw(st.sampled_from(KINDS + ("jam",)
+                                + ("fake_inject", "modify_payload") * 3))
     after_ms = draw(st.integers(0, 6000))
+    if kind == "modify_payload" and live and smallest and draw(st.booleans()):
+        # half the time the form that reaches a packet: edits inside the
+        # smallest payload drawn, on a link its source's packets cross
+        src, (from_id, to_id) = draw(st.sampled_from(live))
+        return AttackSpec(kind=kind, from_id=from_id, to_id=to_id,
+                          src=draw(st.sampled_from((None, src))),
+                          edits=tuple(draw(st.lists(st.tuples(
+                              st.integers(0, smallest - 1),
+                              st.integers(1, 255)), min_size=1, max_size=3))))
     if kind == "fake_inject":
         # three in four well formed: every forged field set, and a verifier
         # as target; the rest exercise validate's refusals
@@ -728,9 +739,14 @@ def _configs(draw):
                for src in draw(st.lists(st.sampled_from(sources), max_size=3,
                                         unique=True))]
     links = [link for route in routes for link in zip(route, route[1:])]
+    # each link a source's traffic crosses, with that source
+    senders = {t.source for t in traffic}
+    live = [(route[0], link) for route in routes if route[0] in senders
+            for link in zip(route, route[1:])]
+    smallest = min((t.payload_bytes for t in traffic), default=0)
     # four in five configs draw at least one attack, broken forms included:
     # over half of the configs that pass validate then carry one
-    attacks = draw(st.lists(_attacks(links), max_size=3,
+    attacks = draw(st.lists(_attacks(links, live, smallest), max_size=3,
                             min_size=min(1, draw(st.integers(0, 4)))))
     return ScenarioConfig(
         seed=draw(st.integers(0, 1000)), mode=mode,
