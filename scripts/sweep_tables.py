@@ -2,8 +2,8 @@
 """Regenerate the cost and energy tables under tables/.
 
 cost.csv compares per-packet provenance overhead across schemes for 1..30
-hops.  energy.csv prices each node role at the default radio constants,
-sweeping watermarking time from 0 to 20 ms.  Both files are deterministic;
+hops (--max-hops, at most 255).  energy.csv prices each node role at the
+default radio constants, sweeping watermarking time from 0 to 20 ms.  Both files are deterministic;
 rerunning the script must produce byte-identical output.
 """
 import argparse
@@ -11,6 +11,7 @@ import os
 import sys
 
 from zircon import analysis
+from zircon.watermark import MAX_HOP, WATERMARK_BYTES
 
 
 def write_energy_sweep(path: str) -> None:
@@ -31,20 +32,31 @@ def main() -> int:
     parser.add_argument("--pfp", type=float, default=0.02)
     args = parser.parse_args()
 
+    # the rows come first, so that a bad argument leaves no file behind
+    try:
+        rows = analysis.cost_rows(args.max_hops, args.pfp)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     os.makedirs(args.out_dir, exist_ok=True)
     cost_path = os.path.join(args.out_dir, "cost.csv")
     with open(cost_path, "w", encoding="utf-8", newline="") as fh:
-        analysis.write_cost_csv(fh, max_hops=args.max_hops, p_fp=args.pfp)
+        analysis.write_cost_csv(fh, rows)
     energy_path = os.path.join(args.out_dir, "energy.csv")
     write_energy_sweep(energy_path)
 
-    crossover = next(
-        h for h in range(1, 1000)
-        if analysis.provenance_size(analysis.CostModel("bfp", h, args.pfp)) > 24
-    )
+    # no path is longer than the 8-bit hop index counts
+    crossover = next((h for h in range(1, MAX_HOP + 1)
+                      if analysis.provenance_size(analysis.CostModel(
+                          "bfp", h, args.pfp)) > WATERMARK_BYTES), None)
     print(f"wrote {cost_path} ({args.max_hops} hop rows)")
     print(f"wrote {energy_path} (201 sweep rows)")
-    print(f"bloom filter overtakes the constant 24-byte mark at H={crossover}")
+    if crossover is None:
+        print(f"bloom filter never overtakes the constant {WATERMARK_BYTES}"
+              f"-byte mark within {MAX_HOP} hops")
+    else:
+        print(f"bloom filter overtakes the constant {WATERMARK_BYTES}-byte "
+              f"mark at H={crossover}")
     return 0
 
 

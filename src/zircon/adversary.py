@@ -213,10 +213,9 @@ def build_fake_frame(spec: AttackSpec, now_s: int, seq: int) -> bytes:
     provenance checks can catch it.
     """
     key = SymmetricKey(material=spec.key_material, epoch=spec.key_epoch)
-    pkt = embed(spec.payload, make_provenance_record(spec.ip, now_s, key),
-                make_hash_subwatermark(spec.payload), (spec.src, seq),
-                hop=spec.hop)
-    return pkt.to_bytes()
+    return embed(spec.src, seq, spec.hop, spec.payload,
+                 make_provenance_record(spec.ip, now_s, key),
+                 make_hash_subwatermark(spec.payload))
 
 
 def run_store_probe(spec: AttackSpec, store: ProvenanceStore,

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Union
 from . import events
 from .adversary import DROP, EAVESDROP, REPLAY, STORE_PROBE
 from .nodes import ACCEPTED, ROLE_SOURCE
-from .watermark import WATERMARK_BYTES
+from .watermark import MAX_HOP, WATERMARK_BYTES
 
 SCHEME_ZIRCON = "zircon"
 SCHEME_SSP = "ssp"
@@ -112,6 +112,9 @@ def provenance_size(model: CostModel) -> int:
 
 
 def cost_rows(max_hops: int = 30, p_fp: float = 0.02) -> List[dict]:
+    # no path has more hops than the 8-bit hop index counts
+    if max_hops > MAX_HOP:
+        raise ValueError(f"hop count must be <= {MAX_HOP}")
     # checks both arguments, also when no row follows
     CostModel(SCHEME_ZIRCON, max_hops, p_fp)
     rows = []
@@ -129,8 +132,7 @@ def cost_rows(max_hops: int = 30, p_fp: float = 0.02) -> List[dict]:
     return rows
 
 
-def write_cost_csv(out, max_hops: int = 30, p_fp: float = 0.02) -> None:
-    rows = cost_rows(max_hops, p_fp)  # a bad argument fails before the header
+def write_cost_csv(out, rows: List[dict]) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["H", "zircon", "ssp", "mp", "bfp_bytes", "bfp_bits"])
     for row in rows:
@@ -238,12 +240,11 @@ def detection_report(log: Union[str, Iterable[str]]) -> dict:
             if last.outcome == ACCEPTED and last_idx > a_idx:
                 false_accepts += 1
 
+    # a bucket exists once it has counted an attack
     for entry in kinds.values():
-        if entry["attacks"] and entry["detected"] is not None:
-            entry["rate"] = entry["detected"] / entry["attacks"]
+        entry["rate"] = entry["detected"] / entry["attacks"]
     if EAVESDROP in kinds:
-        kinds[EAVESDROP]["detected"] = None
-        kinds[EAVESDROP]["rate"] = None
+        kinds[EAVESDROP].update(detected=None, rate=None)
 
     false_rejects = 0
     clean_accepted = 0

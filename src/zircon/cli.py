@@ -165,11 +165,10 @@ def cmd_attack_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_cost_table(args: argparse.Namespace) -> int:
-    # rendered first, so that a bad --pfp leaves no output file behind
-    text = io.StringIO()
-    analysis.write_cost_csv(text, max_hops=args.max_hops, p_fp=args.pfp)
+    # the rows come first, so that a bad argument leaves no output file behind
+    rows = analysis.cost_rows(args.max_hops, args.pfp)
     with _out_stream(args.out) as out:
-        out.write(text.getvalue())
+        analysis.write_cost_csv(out, rows)
     return 0
 
 

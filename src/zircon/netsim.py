@@ -273,9 +273,9 @@ class Simulation:
 
     # -- link transmission ---------------------------------------------------
 
-    def _send(self, route_src: int, from_id: int, data: bytes,
-              src: int, seq: int, hop: int, flow: str) -> None:
-        to_id = self._next_hop.get((route_src, from_id))
+    def _send(self, from_id: int, data: bytes, src: int, seq: int, hop: int,
+              flow: str) -> None:
+        to_id = self._next_hop.get((src, from_id))
         if to_id is None:
             return
         if flow == FLOW_ORGANIC:
@@ -287,8 +287,7 @@ class Simulation:
                 if result.replay is not None:
                     copy, delay = result.replay
                     self._schedule(self.now + delay, "deliver",
-                                   (to_id, copy, src, seq, hop, route_src,
-                                    FLOW_REPLAYED))
+                                   (to_id, copy, src, seq, hop, FLOW_REPLAYED))
                 if result.deliver is None:
                     entry = self.packets.get((src, seq))
                     if entry is not None and entry["status"] == "in_flight":
@@ -296,30 +295,28 @@ class Simulation:
                     return
                 data = result.deliver
         self._schedule(self.now + self.config.per_hop_delay_ms, "deliver",
-                       (to_id, data, src, seq, hop, route_src, flow))
+                       (to_id, data, src, seq, hop, flow))
 
     # -- event handlers ------------------------------------------------------
 
     def _handle_emit(self, source: int, payload_bytes: int) -> None:
         node = self.nodes[source]
         payload = self._rng(f"payload/{source}").randbytes(payload_bytes)
-        pkt = self._emit(node, payload, self.now)
+        seq, frame = self._emit(node, payload, self.now)
         self.node_packets[source] += 1
         self._generations += 1
-        self.log.append(events.emit(source, pkt.src, pkt.seq, pkt.hop,
-                                    self.now))
+        self.log.append(events.emit(source, source, seq, 1, self.now))
         # status: in_flight | accepted | rejected | dropped; store_records is
         # counted when the report is built
-        self.packets[(pkt.src, pkt.seq)] = {
-            "source": pkt.src, "seq": pkt.seq,
+        self.packets[(source, seq)] = {
+            "source": source, "seq": seq,
             "route": self._route_of_source[source],
             "emitted_ms": self.now, "status": "in_flight", "final": None,
             "path": None, "verdicts": [], "store_records": None}
-        self._send(source, source, pkt.to_bytes(), pkt.src, pkt.seq, pkt.hop,
-                   FLOW_ORGANIC)
+        self._send(source, frame, source, seq, 1, FLOW_ORGANIC)
 
     def _handle_deliver(self, to: int, data: bytes, src: int, seq: int,
-                        hop: int, route_src: int, flow: str) -> None:
+                        hop: int, flow: str) -> None:
         self.log.append(events.deliver(to, src, seq, hop, self.now))
         self.node_packets[to] += 1
 
@@ -329,8 +326,7 @@ class Simulation:
             self._record_verdict(verdict, src, seq, flow)
             if forwarded is not None:
                 self._generations += 1
-                self._send(route_src, to, forwarded.to_bytes(), src, seq,
-                           forwarded.hop, flow)
+                self._send(to, forwarded, src, seq, verdict.hop + 1, flow)
             return
 
         verdict, path = self._verify(node, data, self.now)
@@ -347,7 +343,7 @@ class Simulation:
                          events.detail(epoch=attack.key_epoch, hop=attack.hop))
         self._schedule(self.now + self.config.per_hop_delay_ms, "deliver",
                        (attack.to_id, frame, attack.src, attack.seq,
-                        attack.hop, attack.src, FLOW_FAKE))
+                        attack.hop, FLOW_FAKE))
 
     def _handle_probe(self, attack: AttackSpec) -> None:
         observed = adversary.run_store_probe(attack, self.store,

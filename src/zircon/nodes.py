@@ -156,48 +156,50 @@ class SourceNode(_Node):
         super().__init__(node_id, ip, keyring, store)
         self.next_seq = 1
 
-    def emit_multihop(self, payload: bytes, now_ms: int) -> Frame:
+    def emit_multihop(self, payload: bytes, now_ms: int) -> Tuple[int, bytes]:
+        """Store the hop-1 record and return (seq, the frame's wire bytes)."""
         cipher, epoch = self._new_record(now_ms)
         hash_part = make_hash_subwatermark(payload)
         seq = self.next_seq
         # build the frame first: a header field that does not fit raises
         # before any record is stored
-        packet = embed(payload, cipher, hash_part, (self.id, seq), hop=1)
+        frame = embed(self.id, seq, 1, payload, cipher, hash_part)
         self.store.store(ProvenanceKey(self.id, seq, 1), cipher, epoch,
                          by=self.id)
         self.next_seq += 1
-        return packet
+        return seq, frame
 
-    def emit_singlehop(self, payload: bytes, now_ms: int) -> Frame:
-        """Store the full watermark (record plus hash part) and send only
-        the bare payload frame."""
+    def emit_singlehop(self, payload: bytes, now_ms: int) -> Tuple[int, bytes]:
+        """Store the full watermark (record plus hash part) and return (seq,
+        the bare payload frame's wire bytes)."""
         cipher, epoch = self._new_record(now_ms)
         hash_part = make_hash_subwatermark(payload)
         seq = self.next_seq
-        packet = embed_bare(payload, (self.id, seq), hop=1)
+        frame = embed_bare(self.id, seq, 1, payload)
         self.store.store(ProvenanceKey(self.id, seq, 1), cipher, epoch,
                          by=self.id, hash_part=hash_part)
         self.next_seq += 1
-        return packet
+        return seq, frame
 
 
 class IntermediateNode(_Verifier):
     role = ROLE_INTERMEDIATE
 
     def process(self, data: bytes, now_ms: int
-                ) -> Tuple[VerificationVerdict, Optional[Frame]]:
+                ) -> Tuple[VerificationVerdict, Optional[bytes]]:
+        """Return (verdict, the forwarded frame's wire bytes or None)."""
         verdict, pkt = self._check_hop(data, now_ms)
         if verdict is not None:
             return verdict, None
 
-        # verified: re-watermark with own ip and receive time; the
-        # hash part is carried through unchanged
+        # verified: re-watermark with own ip and receive time, hash part
+        # unchanged; the frame comes first, so a hop past 255 stores nothing
         cipher, epoch = self._new_record(now_ms)
         next_hop = pkt.hop + 1
+        forwarded = embed(pkt.src, pkt.seq, next_hop, pkt.payload, cipher,
+                          pkt.hash_part)
         self.store.store(ProvenanceKey(pkt.src, pkt.seq, next_hop), cipher,
                          epoch, by=self.id)
-        forwarded = embed(pkt.payload, cipher, pkt.hash_part,
-                          (pkt.src, pkt.seq), next_hop)
         return self._verdict(ACCEPTED, pkt.src, pkt.seq, pkt.hop,
                              now_ms), forwarded
 

@@ -6,12 +6,14 @@ bytes of the payload digest.  The watermark size never depends on payload
 length or path length; that constancy is the basis of the storage-cost
 comparison in the analysis layer.
 
-Two framing profiles exist on the wire, both built and parsed by one codec
-into one `Frame` type.  Multi-hop frames carry the watermark tail;
-single-hop frames carry the bare payload because the receiving gateway
-regenerates everything it needs from the stored copy.
+Two framing profiles exist on the wire, both written and parsed by one
+codec.  Multi-hop frames carry the watermark tail; single-hop frames carry
+the bare payload because the receiving gateway regenerates everything it
+needs from the stored copy.
 
-`Frame` is a plain named tuple, built once per hop.  A feature record is
+`embed`/`embed_bare` write a frame's wire bytes, and `extract`/`extract_bare`
+parse them into a `Frame`, a plain named tuple of the same fields in the
+same order, so `embed(*extract(data)) == data`.  A feature record is
 the 8-byte `FEATURE` plaintext of an ip and a capture time; its ranges (a
 4-byte ip, a 32-bit capture time) are checked in `make_provenance_record`,
 its one writer.  8 decrypted bytes fit them by construction, so the gateway
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import re
 import struct
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 from .crypto import (
     LengthError,
@@ -80,21 +82,17 @@ def format_ip(ip: bytes) -> str:
 
 
 class Frame(NamedTuple):
-    """One frame of either wire profile: the 9-byte header, the payload,
-    then, on a multi-hop frame, the watermark: the 16-byte encrypted feature
-    record (`cipher`) and the 8-byte hash part.  A bare (single-hop) frame
-    leaves both empty."""
+    """A parsed frame of either wire profile: the 9-byte header fields, the
+    payload, then, on a multi-hop frame, the watermark: the 16-byte encrypted
+    feature record (`cipher`) and the 8-byte hash part.  A bare (single-hop)
+    frame parses both as empty."""
 
     src: int
     seq: int
     hop: int
     payload: bytes
-    cipher: bytes = b""
-    hash_part: bytes = b""
-
-    def to_bytes(self) -> bytes:
-        return (_HEADER.pack(self.src, self.seq, self.hop, len(self.payload))
-                + self.payload + self.cipher + self.hash_part)
+    cipher: bytes
+    hash_part: bytes
 
 
 def make_provenance_record(ip: bytes, capture_time: int,
@@ -113,9 +111,8 @@ def make_hash_subwatermark(payload: bytes) -> bytes:
     return digest(payload)[:HASH_PART_BYTES]
 
 
-def _frame(payload: bytes, packet_id: Tuple[int, int], hop: int,
-           cipher: bytes, hash_part: bytes) -> Frame:
-    src, seq = packet_id
+def _frame(src: int, seq: int, hop: int, payload: bytes, cipher: bytes,
+           hash_part: bytes) -> bytes:
     if not 0 <= src <= MAX_SRC:
         raise ValueError("source id must fit 16 bits")
     if not 0 <= seq <= MAX_SEQ:
@@ -124,11 +121,12 @@ def _frame(payload: bytes, packet_id: Tuple[int, int], hop: int,
         raise ValueError("hop index must be in 1..255")
     if len(payload) > MAX_PAYLOAD:
         raise LengthError(f"payload too long ({len(payload)} bytes)")
-    return Frame(src, seq, hop, bytes(payload), cipher, hash_part)
+    return b"".join((_HEADER.pack(src, seq, hop, len(payload)), payload,
+                     cipher, hash_part))
 
 
-def embed(payload: bytes, cipher: bytes, hash_part: bytes,
-          packet_id: Tuple[int, int], hop: int) -> Frame:
+def embed(src: int, seq: int, hop: int, payload: bytes, cipher: bytes,
+          hash_part: bytes) -> bytes:
     """A multi-hop frame: the payload followed by its 24-byte watermark."""
     if len(cipher) != RECORD_BYTES:
         raise LengthError(f"record cipher must be {RECORD_BYTES} bytes, "
@@ -136,12 +134,12 @@ def embed(payload: bytes, cipher: bytes, hash_part: bytes,
     if len(hash_part) != HASH_PART_BYTES:
         raise LengthError(f"hash sub-watermark must be {HASH_PART_BYTES} "
                           f"bytes, got {len(hash_part)}")
-    return _frame(payload, packet_id, hop, cipher, hash_part)
+    return _frame(src, seq, hop, payload, cipher, hash_part)
 
 
-def embed_bare(payload: bytes, packet_id: Tuple[int, int], hop: int) -> Frame:
+def embed_bare(src: int, seq: int, hop: int, payload: bytes) -> bytes:
     """A single-hop frame: header and payload, no watermark tail."""
-    return _frame(payload, packet_id, hop, b"", b"")
+    return _frame(src, seq, hop, payload, b"", b"")
 
 
 def _unframe(data: bytes, tail_bytes: int) -> Frame:

@@ -108,7 +108,7 @@ def test_02_single_bit_tampering_always_detected():
     for byte_i in range(HEADER_BYTES, frame_len):
         for bit in range(8):
             chain = build_chain(n_intermediates=1)
-            frame = bytearray(chain.source.emit_multihop(PAYLOAD, 0).to_bytes())
+            frame = bytearray(chain.source.emit_multihop(PAYLOAD, 0)[1])
             assert len(frame) == frame_len
             frame[byte_i] ^= 1 << bit
             verdict, forwarded = chain.intermediates[0].process(bytes(frame),
@@ -131,14 +131,14 @@ def test_03_length_tampering_never_accepted():
 
     for _ in range(500):  # trailing truncation
         chain = build_chain(n_intermediates=1)
-        frame = chain.source.emit_multihop(PAYLOAD, 0).to_bytes()
+        _, frame = chain.source.emit_multihop(PAYLOAD, 0)
         q = rng.randint(1, 8)
         verdict, forwarded = chain.intermediates[0].process(frame[:-q], 300)
         accepted += verdict.outcome == ACCEPTED or forwarded is not None
 
     for _ in range(500):  # bit insertion at random offsets
         chain = build_chain(n_intermediates=1)
-        frame = chain.source.emit_multihop(PAYLOAD, 0).to_bytes()
+        _, frame = chain.source.emit_multihop(PAYLOAD, 0)
         n_bits = 8 * rng.randint(1, 8)
         offset = rng.randrange(0, len(frame) * 8 + 1)
         spec = AttackSpec(kind="insert_bits", from_id=1, to_id=2,
@@ -342,7 +342,7 @@ def test_10_deterministic_runs():
     csvs = []
     for _ in range(2):
         out = io.StringIO()
-        analysis.write_cost_csv(out)
+        analysis.write_cost_csv(out, analysis.cost_rows())
         energy_out = io.StringIO()
         report = netsim.run(five_node_config(count=10, seed=3)).report
         analysis.write_energy_csv(energy_out, report, analysis.EnergyParams())

@@ -22,7 +22,7 @@ from zircon.watermark import extract
 
 def frame_of(payload=b"0123456789abcdef"):
     chain = build_chain()
-    return chain, chain.source.emit_multihop(payload, 0).to_bytes()
+    return chain, chain.source.emit_multihop(payload, 0)[1]
 
 
 # -- bitstream splice -------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_cost_model_validation():
 
 def test_cost_csv_shape_and_values():
     out = io.StringIO()
-    write_cost_csv(out, max_hops=5)
+    write_cost_csv(out, cost_rows(max_hops=5))
     lines = out.getvalue().splitlines()
     assert lines[0] == "H,zircon,ssp,mp,bfp_bytes,bfp_bits"
     assert len(lines) == 6
@@ -135,10 +135,17 @@ def test_cost_csv_shape_and_values():
 
 def test_cost_csv_deterministic():
     a, b = io.StringIO(), io.StringIO()
-    write_cost_csv(a)
-    write_cost_csv(b)
+    write_cost_csv(a, cost_rows())
+    write_cost_csv(b, cost_rows())
     assert a.getvalue() == b.getvalue()
     assert len(a.getvalue().splitlines()) == 31
+
+
+def test_cost_rows_stop_at_the_longest_path_the_hop_index_counts():
+    with pytest.raises(ValueError, match="hop count must be <= 255"):
+        cost_rows(max_hops=256)
+    # the bound is the table's: the model itself prices any path length
+    assert provenance_size(CostModel("ssp", 256)) == 42 * 256
 
 
 def test_cost_rows_match_csv():

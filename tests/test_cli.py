@@ -276,6 +276,15 @@ def test_cost_table_stdout(capsys):
     assert lines[1].split(",")[:4] == ["1", "24", "42", "6"]
 
 
+def test_cost_table_takes_the_longest_path_the_hop_index_counts(capsys):
+    code, out, _ = run_cli(capsys, "cost-table", "--max-hops", "255")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 256
+    assert lines[-1].split(",")[:4] == ["255", "24", str(42 * 255),
+                                        str(6 * 255)]
+
+
 def test_cost_table_file_matches_stdout(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "cost-table")
     assert code == 0
@@ -314,14 +323,19 @@ def test_cost_table_writes_nothing_for_a_bad_pfp(tmp_path, capsys, pfp):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("hops", [["0"], ["0", "--pfp", "7"], ["-3"]])
+@pytest.mark.parametrize("hops", [["0"], ["0", "--pfp", "7"], ["-3"],
+                                  ["256"], ["100000000"]])
 def test_cost_table_writes_nothing_for_a_bad_hop_count(tmp_path, capsys,
                                                        hops):
-    # such a count builds no row, and must still fail before any output
+    # a count below 1 builds no row, and one above 255 would build rows no
+    # path has (the 8-bit hop index counts none); both must fail before
+    # any output
+    message = "hop count must be " + (">= 1" if int(hops[0]) < 1
+                                      else "<= 255")
     code, out, err = run_cli(capsys, "cost-table", "--max-hops", *hops)
     assert code == 1
     assert out == ""
-    assert "hop count must be >= 1" in err
+    assert message in err
     path = tmp_path / "cost.csv"
     code, out, _ = run_cli(capsys, "cost-table", "--max-hops", *hops,
                            "--out", str(path))

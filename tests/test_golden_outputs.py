@@ -1,11 +1,17 @@
 """Byte-for-byte guard on the deterministic run outputs.
 
-Three small seeded scenarios run through `zircon run --out` and the sha256 of
-each output file is pinned.  Any change that moves a single byte of
-events.log, report.json or provenance.journal fails here; a change that is
-meant to move them must update the pinned digests and say why.
+Four small seeded scenarios run through `zircon run --out` and the sha256 of
+each output file is pinned, and the benchmark's three simulator workloads are
+held at two seeds each to the digests perfbench/baseline.json records.  Any
+change that moves a single byte of events.log, report.json or
+provenance.journal fails here; a change that is meant to move them must
+update the pinned digests and say why.
 """
 import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,4 +146,39 @@ def test_run_outputs_match_pinned_digests(name, tmp_path, capsys):
     capsys.readouterr()
     got = tuple(hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
                 for f in OUTPUT_FILES)
+    assert got == want
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_bench_workloads():
+    """perfbench/workloads.py, loaded by path so it shadows no module."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_WORKLOADS = _load_bench_workloads()
+
+
+@pytest.mark.parametrize("workload, seed", [
+    (w, s) for w in ("line_deep", "fanin_singlehop", "attack_mix")
+    for s in (1, 2)])
+def test_bench_workload_outputs_match_the_baseline(workload, seed, tmp_path,
+                                                   capsys):
+    baseline = json.loads((PERFBENCH / "baseline.json").read_text("utf-8"))
+    want = baseline["workloads"][workload]["digests_by_seed"][str(seed)]
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(BENCH_WORKLOADS.GENERATORS[workload](seed).yaml_text,
+                   encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    got = {f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
+           for f in OUTPUT_FILES}
     assert got == want

@@ -202,7 +202,7 @@ def test_sensor_frames_require_ids():
     # the frame sizes cannot match the fixed internal size
     chain = build_chain()
     for i in range(5):
-        frame = chain.source.emit_multihop(bytes(16) + bytes([i]), 0).to_bytes()
+        _, frame = chain.source.emit_multihop(bytes(16) + bytes([i]), 0)
         d = Ipv4HeaderModel(src=bytes([10, 0, 0, 1]), dst=V.LABEL_DST,
                             payload=frame)
         got = check_datagram(d, is_internal, expected_size=34)

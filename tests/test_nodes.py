@@ -36,13 +36,13 @@ PAYLOAD = b"sensor reading 7"
 def walk_to_gateway(chain, payload=PAYLOAD, t0=0, step_ms=300):
     """Drive one packet through every intermediate; returns the gateway
     verdict, the reconstructed path, and the arrival time."""
-    frame = chain.source.emit_multihop(payload, t0).to_bytes()
+    _, frame = chain.source.emit_multihop(payload, t0)
     t = t0
     for node in chain.intermediates:
         t += step_ms
         verdict, forwarded = node.process(frame, t)
         assert verdict.outcome == ACCEPTED
-        frame = forwarded.to_bytes()
+        frame = forwarded
     t += step_ms
     verdict, path = chain.gateway.verify_multihop(frame, t)
     return verdict, path, t
@@ -72,7 +72,9 @@ def test_rotate_keys_is_deterministic(key):
 # -- source -------------------------------------------------------------------
 
 def test_source_emit_multihop(chain):
-    pkt = chain.source.emit_multihop(PAYLOAD, now_ms=5300)
+    seq, frame = chain.source.emit_multihop(PAYLOAD, now_ms=5300)
+    pkt = extract(frame)
+    assert seq == 1
     assert (pkt.src, pkt.seq, pkt.hop) == (1, 1, 1)
     assert pkt.hash_part == make_hash_subwatermark(PAYLOAD)
     stored = chain.store.query_last(1, 1)
@@ -84,12 +86,14 @@ def test_source_emit_multihop(chain):
     plain = decrypt_block(chain.keyring.current, stored.cipher)
     assert FEATURE.unpack(plain) == (chain.origins[1], 5)  # 5300 ms
     # sequence numbers increment per emission
-    assert chain.source.emit_multihop(PAYLOAD, 6000).seq == 2
+    seq, frame = chain.source.emit_multihop(PAYLOAD, 6000)
+    assert seq == extract(frame).seq == 2
 
 
 def test_source_emit_singlehop_keeps_watermark_home(chain):
-    pkt = chain.source.emit_singlehop(PAYLOAD, now_ms=0)
-    assert pkt.to_bytes()[9:] == PAYLOAD  # no tail on the wire
+    seq, frame = chain.source.emit_singlehop(PAYLOAD, now_ms=0)
+    assert seq == 1
+    assert frame[9:] == PAYLOAD  # no tail on the wire
     stored = chain.store.query_last(1, 1)
     assert stored.hash_part == make_hash_subwatermark(PAYLOAD)
 
@@ -116,7 +120,7 @@ def test_a_node_with_a_short_ip_stores_no_record(chain):
         assert chain.store.record_count(1, 1) == 0
         assert source.next_seq == 1
 
-    frame = chain.source.emit_multihop(PAYLOAD, 0).to_bytes()
+    _, frame = chain.source.emit_multihop(PAYLOAD, 0)
     node = IntermediateNode(2, bytes([10, 0, 0]), chain.keyring, chain.store)
     with pytest.raises(LengthError):
         node.process(frame, now_ms=300)
@@ -127,10 +131,11 @@ def test_a_node_with_a_short_ip_stores_no_record(chain):
 # -- intermediate ---------------------------------------------------------------
 
 def test_intermediate_accept_rewatermarks(chain):
-    frame = chain.source.emit_multihop(PAYLOAD, 0).to_bytes()
+    _, frame = chain.source.emit_multihop(PAYLOAD, 0)
     node = chain.intermediates[0]
     verdict, forwarded = node.process(frame, now_ms=4000)
     assert verdict.outcome == ACCEPTED
+    forwarded = extract(forwarded)
     assert forwarded.hop == 2
     # hash part rides through unchanged; the record is the node's own
     original = extract(frame)
@@ -143,8 +148,22 @@ def test_intermediate_accept_rewatermarks(chain):
     assert events.parse(chain.store.log[-1]).by == node.id
 
 
+def test_intermediate_stores_nothing_when_the_forward_cannot_be_built(chain):
+    # validate keeps routes inside the 8-bit hop index; a hand-built hop-255
+    # frame that passes every check still cannot be forwarded
+    key = chain.keyring.current
+    for hop in range(1, 256):
+        cipher = make_provenance_record(chain.origins[1], 0, key)
+        chain.store.store(ProvenanceKey(1, 1, hop), cipher, key.epoch, by=1)
+    frame = embed(1, 1, 255, PAYLOAD, cipher, make_hash_subwatermark(PAYLOAD))
+    with pytest.raises(ValueError, match="hop index"):
+        chain.intermediates[0].process(frame, now_ms=300)
+    assert chain.store.record_count(1, 1) == 255
+    assert chain.store.query_last(1, 1).hop == 255
+
+
 def test_intermediate_integrity_fail_deletes_records(chain):
-    frame = bytearray(chain.source.emit_multihop(PAYLOAD, 0).to_bytes())
+    frame = bytearray(chain.source.emit_multihop(PAYLOAD, 0)[1])
     frame[10] ^= 0x40  # payload byte
     verdict, forwarded = chain.intermediates[0].process(bytes(frame), 300)
     assert verdict.outcome == INTEGRITY_FAIL
@@ -153,7 +172,7 @@ def test_intermediate_integrity_fail_deletes_records(chain):
 
 
 def test_intermediate_provenance_fail_on_record_tamper(chain):
-    frame = bytearray(chain.source.emit_multihop(PAYLOAD, 0).to_bytes())
+    frame = bytearray(chain.source.emit_multihop(PAYLOAD, 0)[1])
     frame[9 + len(PAYLOAD) + 3] ^= 0x01  # inside the encrypted record
     verdict, _ = chain.intermediates[0].process(bytes(frame), 300)
     assert verdict.outcome == PROVENANCE_FAIL
@@ -161,15 +180,15 @@ def test_intermediate_provenance_fail_on_record_tamper(chain):
 
 
 def test_intermediate_provenance_fail_on_hop_mismatch(chain):
-    pkt = chain.source.emit_multihop(PAYLOAD, 0)
-    skipped = embed(pkt.payload, pkt.cipher, pkt.hash_part, (pkt.src, pkt.seq),
-                    hop=2)
-    verdict, _ = chain.intermediates[0].process(skipped.to_bytes(), 300)
+    pkt = extract(chain.source.emit_multihop(PAYLOAD, 0)[1])
+    skipped = embed(pkt.src, pkt.seq, 2, pkt.payload, pkt.cipher,
+                    pkt.hash_part)
+    verdict, _ = chain.intermediates[0].process(skipped, 300)
     assert verdict.outcome == PROVENANCE_FAIL
 
 
 def test_intermediate_missing_record(chain):
-    frame = chain.source.emit_multihop(PAYLOAD, 0).to_bytes()
+    _, frame = chain.source.emit_multihop(PAYLOAD, 0)
     other = build_chain()  # same key material, empty store
     verdict, _ = other.intermediates[0].process(frame, 300)
     assert verdict.outcome == MISSING_RECORD
@@ -179,7 +198,7 @@ def test_intermediate_missing_record(chain):
 
 
 def test_intermediate_frame_fail_deletes_when_identity_known(chain):
-    frame = chain.source.emit_multihop(PAYLOAD, 0).to_bytes()
+    _, frame = chain.source.emit_multihop(PAYLOAD, 0)
     verdict, _ = chain.intermediates[0].process(frame[:20], 300)
     assert verdict.outcome == FRAME_FAIL
     assert (verdict.src, verdict.seq) == (1, 1)
@@ -213,7 +232,7 @@ def test_gateway_path_times_follow_receive_times():
 
 
 def test_gateway_integrity_fail(chain):
-    frame = chain.source.emit_multihop(PAYLOAD, 0).to_bytes()
+    _, frame = chain.source.emit_multihop(PAYLOAD, 0)
     direct = build_chain(n_intermediates=0)
     direct.source.emit_multihop(PAYLOAD, 0)
     tampered = bytearray(frame)
@@ -225,7 +244,7 @@ def test_gateway_integrity_fail(chain):
 
 
 def test_gateway_rejects_replay_after_delivery(chain):
-    frame = chain.source.emit_multihop(PAYLOAD, 0).to_bytes()
+    _, frame = chain.source.emit_multihop(PAYLOAD, 0)
     v1, _ = chain.gateway.verify_multihop(frame, 300)
     assert v1.outcome == ACCEPTED
     v2, _ = chain.gateway.verify_multihop(frame, 600)
@@ -234,7 +253,7 @@ def test_gateway_rejects_replay_after_delivery(chain):
 
 def test_gateway_one_retrieval_blocks_second_delivery():
     chain = build_chain(n_intermediates=0)
-    frame = chain.source.emit_multihop(PAYLOAD, 0).to_bytes()
+    _, frame = chain.source.emit_multihop(PAYLOAD, 0)
     # a pull by a registered gateway id outside verification (a store_probe
     # with that caller) consumes the set without deleting it
     assert len(chain.store.query_all(1, 1, by=9)) == 1
@@ -246,12 +265,12 @@ def test_gateway_one_retrieval_blocks_second_delivery():
 def test_gateway_freshness_boundary():
     delta = 60
     chain = build_chain(n_intermediates=0, freshness_s=delta)
-    frame = chain.source.emit_multihop(PAYLOAD, 0).to_bytes()
+    _, frame = chain.source.emit_multihop(PAYLOAD, 0)
     verdict, _ = chain.gateway.verify_multihop(frame, now_ms=delta * 1000)
     assert verdict.outcome == ACCEPTED  # age == delta is still fresh
 
     chain = build_chain(n_intermediates=0, freshness_s=delta)
-    frame = chain.source.emit_multihop(PAYLOAD, 0).to_bytes()
+    _, frame = chain.source.emit_multihop(PAYLOAD, 0)
     verdict, _ = chain.gateway.verify_multihop(frame, now_ms=(delta + 1) * 1000)
     assert verdict.outcome == STALE_TIMESTAMP
     assert chain.store.record_count(1, 1) == 0
@@ -261,8 +280,7 @@ def test_gateway_rejects_unknown_key_epoch():
     chain = build_chain(n_intermediates=0)
     cipher = bytes(range(16))
     chain.store.store(ProvenanceKey(1, 1, 1), cipher, 57, by=1)
-    frame = embed(PAYLOAD, cipher, make_hash_subwatermark(PAYLOAD), (1, 1),
-                  hop=1).to_bytes()
+    frame = embed(1, 1, 1, PAYLOAD, cipher, make_hash_subwatermark(PAYLOAD))
     verdict, _ = chain.gateway.verify_multihop(frame, 300)
     assert verdict.outcome == PROVENANCE_FAIL
 
@@ -273,8 +291,7 @@ def test_gateway_rejects_record_encrypted_under_foreign_key():
     cipher = make_provenance_record(chain.origins[1], 0, foreign)
     # claims epoch 0, but the ring's epoch-0 key cannot decrypt it
     chain.store.store(ProvenanceKey(1, 1, 1), cipher, foreign.epoch, by=1)
-    frame = embed(PAYLOAD, cipher, make_hash_subwatermark(PAYLOAD), (1, 1),
-                  hop=1).to_bytes()
+    frame = embed(1, 1, 1, PAYLOAD, cipher, make_hash_subwatermark(PAYLOAD))
     verdict, _ = chain.gateway.verify_multihop(frame, 300)
     assert verdict.outcome == PROVENANCE_FAIL
 
@@ -308,8 +325,8 @@ def test_gateway_stops_at_the_first_undecryptable_record(monkeypatch):
                for hop, key in ((2, foreign), (3, chain.keyring.current))]
     for hop, cipher in enumerate(ciphers, start=2):
         chain.store.store(ProvenanceKey(1, 1, hop), cipher, 0, by=hop)
-    frame = embed(PAYLOAD, ciphers[-1], make_hash_subwatermark(PAYLOAD),
-                  (1, 1), hop=3).to_bytes()
+    frame = embed(1, 1, 3, PAYLOAD, ciphers[-1],
+                  make_hash_subwatermark(PAYLOAD))
     calls = count_decrypts(monkeypatch)
     verdict, path = chain.gateway.verify_multihop(frame, 300)
     assert verdict.outcome == PROVENANCE_FAIL
@@ -332,26 +349,26 @@ def test_path_formats_an_ip_unknown_when_the_gateway_was_built(chain):
 
 def test_gateway_rejects_unregistered_origin(chain):
     del chain.origins[1]
-    frame = chain.source.emit_multihop(PAYLOAD, 0).to_bytes()
+    _, frame = chain.source.emit_multihop(PAYLOAD, 0)
     verdict, _ = chain.gateway.verify_multihop(frame, 300)
     assert verdict.outcome == PROVENANCE_FAIL
 
 
 def test_gateway_rejects_origin_ip_mismatch(chain):
     chain.origins[1] = bytes([10, 9, 9, 9])
-    frame = chain.source.emit_multihop(PAYLOAD, 0).to_bytes()
+    _, frame = chain.source.emit_multihop(PAYLOAD, 0)
     verdict, _ = chain.gateway.verify_multihop(frame, 300)
     assert verdict.outcome == PROVENANCE_FAIL
 
 
 def test_gateway_accepts_across_key_rotation(chain):
-    frame = chain.source.emit_multihop(PAYLOAD, 0).to_bytes()
+    _, frame = chain.source.emit_multihop(PAYLOAD, 0)
     rotate_keys(chain.keyring, random.Random(5))
     t = 300
     for node in chain.intermediates:
         verdict, forwarded = node.process(frame, t)
         assert verdict.outcome == ACCEPTED
-        frame = forwarded.to_bytes()
+        frame = forwarded
         t += 300
     verdict, path = chain.gateway.verify_multihop(frame, t)
     assert verdict.outcome == ACCEPTED
@@ -359,7 +376,7 @@ def test_gateway_accepts_across_key_rotation(chain):
 
 
 def test_gateway_frame_fail(chain):
-    frame = chain.source.emit_multihop(PAYLOAD, 0).to_bytes()
+    _, frame = chain.source.emit_multihop(PAYLOAD, 0)
     verdict, path = chain.gateway.verify_multihop(frame[:30], 300)
     assert verdict.outcome == FRAME_FAIL
     assert path is None
@@ -370,7 +387,7 @@ def test_gateway_frame_fail(chain):
 
 def test_singlehop_accept():
     chain = build_chain(n_intermediates=0)
-    frame = chain.source.emit_singlehop(PAYLOAD, 2000).to_bytes()
+    _, frame = chain.source.emit_singlehop(PAYLOAD, 2000)
     verdict, path = chain.gateway.verify_singlehop(frame, 2300)
     assert verdict.outcome == ACCEPTED
     assert path == [("10.0.0.1", 2)]
@@ -379,7 +396,7 @@ def test_singlehop_accept():
 
 def test_singlehop_detects_payload_tamper():
     chain = build_chain(n_intermediates=0)
-    frame = bytearray(chain.source.emit_singlehop(PAYLOAD, 0).to_bytes())
+    frame = bytearray(chain.source.emit_singlehop(PAYLOAD, 0)[1])
     frame[-1] ^= 0x80
     verdict, _ = chain.gateway.verify_singlehop(bytes(frame), 300)
     assert verdict.outcome == INTEGRITY_FAIL
@@ -388,7 +405,7 @@ def test_singlehop_detects_payload_tamper():
 
 def test_singlehop_missing_record():
     chain = build_chain(n_intermediates=0)
-    frame = chain.source.emit_singlehop(PAYLOAD, 0).to_bytes()
+    _, frame = chain.source.emit_singlehop(PAYLOAD, 0)
     v1, _ = chain.gateway.verify_singlehop(frame, 300)
     assert v1.outcome == ACCEPTED
     v2, _ = chain.gateway.verify_singlehop(frame, 600)
@@ -398,15 +415,15 @@ def test_singlehop_missing_record():
 def test_singlehop_rejects_multihop_record_set():
     # records stored without a hash part cannot vouch for a bare frame
     chain = build_chain(n_intermediates=0)
-    pkt = chain.source.emit_multihop(PAYLOAD, 0)
-    bare = pkt.to_bytes()[:9 + len(PAYLOAD)]
+    _, frame = chain.source.emit_multihop(PAYLOAD, 0)
+    bare = frame[:9 + len(PAYLOAD)]
     verdict, _ = chain.gateway.verify_singlehop(bare, 300)
     assert verdict.outcome == PROVENANCE_FAIL
 
 
 def test_singlehop_freshness():
     chain = build_chain(n_intermediates=0, freshness_s=10)
-    frame = chain.source.emit_singlehop(PAYLOAD, 0).to_bytes()
+    _, frame = chain.source.emit_singlehop(PAYLOAD, 0)
     verdict, _ = chain.gateway.verify_singlehop(frame, now_ms=11000)
     assert verdict.outcome == STALE_TIMESTAMP
 

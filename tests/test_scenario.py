@@ -807,9 +807,9 @@ def test_every_accept_is_authentic(cfg):
 
     def emitting(original):
         def emit(node, payload, now_ms):
-            frame = original(node, payload, now_ms)
-            emitted[(frame.src, frame.seq)] = payload
-            return frame
+            seq, frame = original(node, payload, now_ms)
+            emitted[(node.id, seq)] = payload
+            return seq, frame
         return emit
 
     def verifying(original, parse):

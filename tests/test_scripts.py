@@ -38,3 +38,32 @@ def test_sweep_tables(tmp_path):
     energy = (out_dir / "energy.csv").read_text(encoding="utf-8").splitlines()
     assert energy[0] == "T_C_ms,energy_mJ,source_budget_mJ,relay_budget_mJ"
     assert len(energy) == 1 + 201
+    assert proc.stdout.splitlines()[-1] == (
+        "bloom filter overtakes the constant 24-byte mark at H=24")
+
+
+def test_sweep_tables_when_the_bloom_filter_never_overtakes(tmp_path):
+    # at a 95% false-positive rate the filter stays under 24 bytes on every
+    # path the 8-bit hop index counts
+    out_dir = tmp_path / "tables"
+    proc = run_script("sweep_tables.py", "--out-dir", str(out_dir),
+                      "--pfp", "0.95", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == (
+        "bloom filter never overtakes the constant 24-byte mark within "
+        "255 hops")
+    assert len((out_dir / "cost.csv").read_text().splitlines()) == 31
+    assert len((out_dir / "energy.csv").read_text().splitlines()) == 202
+
+
+def test_sweep_tables_writes_nothing_for_a_bad_hop_count(tmp_path):
+    out_dir = tmp_path / "tables"
+    for hops, message in (("0", "hop count must be >= 1"),
+                          ("256", "hop count must be <= 255")):
+        proc = run_script("sweep_tables.py", "--out-dir", str(out_dir),
+                          "--max-hops", hops, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+        assert not out_dir.exists()

@@ -27,11 +27,11 @@ KEY = SymmetricKey(material=V.AES_KAT_KEY, epoch=0)
 def golden_packet():
     cipher = make_provenance_record(bytes([192, 168, 1, 10]), 0x655B0F00, KEY)
     hash_part = make_hash_subwatermark(b"abc")
-    return embed(b"abc", cipher, hash_part, (1, 1), hop=1)
+    return embed(1, 1, 1, b"abc", cipher, hash_part)
 
 
 def test_golden_frame_bytes():
-    assert golden_packet().to_bytes() == V.GOLDEN_FRAME
+    assert golden_packet() == V.GOLDEN_FRAME
 
 
 def test_golden_frame_parses_back():
@@ -42,6 +42,9 @@ def test_golden_frame_parses_back():
     assert pkt.hash_part == V.HASH8_ABC
     # epoch is not on the wire
     assert "epoch" not in Frame._fields
+    # a Frame is only ever parsed: every field is read off the wire
+    assert Frame._field_defaults == {}
+    assert not hasattr(Frame, "to_bytes")
 
 
 def test_frozen_hash_part_vector():
@@ -58,17 +61,18 @@ def test_watermark_is_constant_size():
     for n in (0, 1, 16, 255, 1000):
         hash_part = make_hash_subwatermark(bytes(n))
         cipher = make_provenance_record(bytes(4), 0, KEY)
-        pkt = embed(bytes(n), cipher, hash_part, (1, 1), hop=1)
-        assert len(pkt.to_bytes()) - HEADER_BYTES - n == WATERMARK_BYTES == 24
+        pkt = embed(1, 1, 1, bytes(n), cipher, hash_part)
+        assert len(pkt) - HEADER_BYTES - n == WATERMARK_BYTES == 24
 
 
 def test_frame_sizes():
     pkt = golden_packet()
-    assert len(pkt.to_bytes()) == HEADER_BYTES + 3 + WATERMARK_BYTES
-    empty = embed(b"", pkt.cipher, pkt.hash_part, (1, 2), hop=1)
-    assert len(empty.to_bytes()) == 33
-    bare = embed_bare(b"", (1, 3), hop=1)
-    assert len(bare.to_bytes()) == 9
+    assert len(pkt) == HEADER_BYTES + 3 + WATERMARK_BYTES
+    w = extract(pkt)
+    empty = embed(1, 2, 1, b"", w.cipher, w.hash_part)
+    assert len(empty) == 33
+    bare = embed_bare(1, 3, 1, b"")
+    assert len(bare) == 9
 
 
 @given(ip=st.binary(min_size=4, max_size=4),
@@ -100,9 +104,10 @@ def test_format_ip_matches_dotted_decimal(ip):
 @settings(max_examples=60)
 def test_multihop_roundtrip(src, seq, hop, payload):
     cipher, hash_part = bytes(range(16)), make_hash_subwatermark(payload)
-    pkt = embed(payload, cipher, hash_part, (src, seq), hop)
-    back = extract(pkt.to_bytes())
-    assert back == pkt
+    data = embed(src, seq, hop, payload, cipher, hash_part)
+    back = extract(data)
+    assert back == Frame(src, seq, hop, payload, cipher, hash_part)
+    assert embed(*back) == data
     assert (back.src, back.seq, back.hop, back.payload) == (src, seq, hop, payload)
     assert back.cipher + back.hash_part == cipher + hash_part
 
@@ -111,10 +116,12 @@ def test_multihop_roundtrip(src, seq, hop, payload):
        hop=st.integers(1, 255), payload=st.binary(max_size=64))
 @settings(max_examples=60)
 def test_bare_roundtrip(src, seq, hop, payload):
-    pkt = embed_bare(payload, (src, seq), hop)
-    back = extract_bare(pkt.to_bytes())
-    assert back == Frame(src=src, seq=seq, hop=hop, payload=payload)
+    data = embed_bare(src, seq, hop, payload)
+    back = extract_bare(data)
+    assert back == Frame(src=src, seq=seq, hop=hop, payload=payload,
+                         cipher=b"", hash_part=b"")
     assert back.cipher == back.hash_part == b""
+    assert embed_bare(*back[:4]) == data
 
 
 def test_extract_rejects_truncation():
@@ -147,7 +154,7 @@ def test_extract_rejects_hop_zero():
     data[6] = 0
     with pytest.raises(FrameError):
         extract(bytes(data))
-    bare = bytearray(embed_bare(b"abc", (1, 1), hop=1).to_bytes())
+    bare = bytearray(embed_bare(1, 1, 1, b"abc"))
     bare[6] = 0
     with pytest.raises(FrameError):
         extract_bare(bytes(bare))
@@ -161,34 +168,35 @@ def test_extract_bare_rejects_watermarked_frame():
 
 def test_extract_rejects_bare_frame():
     # a bare frame read as multihop is 24 bytes short of its declared length
-    bare = embed_bare(b"abc", (7, 9), hop=3).to_bytes()
+    bare = embed_bare(7, 9, 3, b"abc")
     err = pytest.raises(FrameError, extract, bare).value
     assert (err.src, err.seq, err.hop) == (7, 9, 3)
 
 
 def test_embed_field_bounds():
-    w = golden_packet()
+    w = extract(golden_packet())
     with pytest.raises(ValueError):
-        embed(b"x", w.cipher, w.hash_part, (0x10000, 1), hop=1)
+        embed(0x10000, 1, 1, b"x", w.cipher, w.hash_part)
     with pytest.raises(ValueError):
-        embed(b"x", w.cipher, w.hash_part, (1, 2 ** 32), hop=1)
+        embed(1, 2 ** 32, 1, b"x", w.cipher, w.hash_part)
     with pytest.raises(ValueError):
-        embed(b"x", w.cipher, w.hash_part, (1, 1), hop=0)
+        embed(1, 1, 0, b"x", w.cipher, w.hash_part)
     with pytest.raises(ValueError):
-        embed_bare(b"x", (1, 1), hop=256)
+        embed_bare(1, 1, 256, b"x")
 
 
 def test_watermark_split_and_assemble():
-    w = golden_packet()
-    assert embed(w.payload, w.cipher, w.hash_part, (w.src, w.seq),
-                 w.hop) == w
-    assert extract(w.to_bytes()).to_bytes() == w.to_bytes()
+    data = golden_packet()
+    w = extract(data)
+    assert embed(w.src, w.seq, w.hop, w.payload, w.cipher,
+                 w.hash_part) == data
+    assert extract(embed(*w)) == w
     with pytest.raises(FrameError):
-        extract(w.to_bytes()[:-1])
+        extract(data[:-1])
     with pytest.raises(LengthError):
-        embed(b"x", w.cipher, b"x" * 7, (1, 1), hop=1)
+        embed(1, 1, 1, b"x", w.cipher, b"x" * 7)
     with pytest.raises(LengthError):
-        embed(b"x", b"x" * 15, w.hash_part, (1, 1), hop=1)
+        embed(1, 1, 1, b"x", b"x" * 15, w.hash_part)
 
 
 def test_parse_and_format_ip():
