@@ -1,10 +1,15 @@
 """Deterministic discrete-event simulator.
 
 One run is a pure function of its ScenarioConfig.  The clock is simulated
-milliseconds (int64); events pop in nondecreasing time order with insertion
-order breaking ties.  Every random draw comes from a sub-generator seeded
-with a string derived from the master seed and a purpose tag, so adding a
-consumer never perturbs the draws of another.
+milliseconds (int64); events pop in nondecreasing time order, ties broken by
+a place drawn when the event is queued.  Each traffic entry keeps one emit
+queued, and handling an emit queues the entry's next one.  Emits hold the
+tie-break places that set-up reserved for them, one block per entry ahead of
+every event queued during the run, so events pop as if every emit had been
+queued first, and set-up cost does not depend on packet count.  Every random
+draw comes from a sub-generator seeded with a string derived from the master
+seed and a purpose tag, so adding a consumer never perturbs the draws of
+another.
 
 The run produces a line-oriented event log (emit, deliver, attack, rotate,
 verdict, and store operations) and a JSON-ready report aggregating each
@@ -213,16 +218,18 @@ class Simulation:
         self.packets: Dict[Tuple[int, int], dict] = {}
         self.node_packets: Dict[int, int] = {i: 0 for i in self.nodes}
 
-        # one heapify in place of a push per emit: the (time, order) keys are
-        # unique, so the pop order is the same.  A traffic entry's emits
-        # share one argument tuple.
+        # each entry's emits get a block of consecutive orders, in config
+        # order, and later events draw orders after the last block: every
+        # emit pops under the (time, order) key it would have had with all
+        # of them queued up front
+        reserved = next(self._order)
         for traffic in config.traffic:
-            args = (traffic.source, traffic.payload_bytes)
-            self._queue.extend(
-                (traffic.start_ms + i * traffic.interval_ms, next(self._order),
-                 "emit", args)
-                for i in range(traffic.count))
-        heapq.heapify(self._queue)
+            last = reserved + traffic.count - 1
+            self._queue_emit(traffic.start_ms, traffic.source,
+                             traffic.payload_bytes, traffic.interval_ms,
+                             reserved, last)
+            reserved = last + 1
+        self._order = itertools.count(reserved)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -233,6 +240,13 @@ class Simulation:
 
     def _schedule(self, time: int, kind: str, args: tuple) -> None:
         heapq.heappush(self._queue, (time, next(self._order), kind, args))
+
+    def _queue_emit(self, time: int, source: int, payload_bytes: int,
+                    interval_ms: int, order: int, last: int) -> None:
+        """Queue a traffic entry's emit under `order`, the place set-up
+        reserved for it; the entry's reserved places run up to `last`."""
+        heapq.heappush(self._queue, (time, order, "emit", (
+            source, payload_bytes, interval_ms, order, last)))
 
     def _log_attack(self, attack: AttackSpec, src, seq, detail: str) -> None:
         self.log.append(events.attack(attack.kind, attack.target_label(), src,
@@ -299,7 +313,11 @@ class Simulation:
 
     # -- event handlers ------------------------------------------------------
 
-    def _handle_emit(self, source: int, payload_bytes: int) -> None:
+    def _handle_emit(self, source: int, payload_bytes: int, interval_ms: int,
+                     order: int, last: int) -> None:
+        if order < last:
+            self._queue_emit(self.now + interval_ms, source, payload_bytes,
+                             interval_ms, order + 1, last)
         node = self.nodes[source]
         payload = self._rng(f"payload/{source}").randbytes(payload_bytes)
         seq, frame = self._emit(node, payload, self.now)

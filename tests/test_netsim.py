@@ -2,6 +2,7 @@
 rotation, and report bookkeeping."""
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -436,6 +437,73 @@ def test_same_millisecond_ties_keep_their_order(tmp_path, capsys):
           for t in (1500, 2500)}
     assert at == {1500: ["attack|store_probe", "emit|1", "emit|2"],
                   2500: ["attack|fake_inject", "emit|1", "emit|2"]}
+
+
+def short_line_config(traffic, per_hop_delay_ms=300):
+    """Source 1 straight through intermediate 3 to gateway 9."""
+    return ScenarioConfig(
+        seed=5,
+        nodes=[NodeSpec(id=1, ip="10.0.0.1", role="source", x=5, y=50),
+               NodeSpec(id=3, ip="10.0.0.3", role="intermediate", x=50, y=50),
+               NodeSpec(id=9, ip="10.0.0.9", role="gateway", x=95, y=50)],
+        routes=[[1, 3, 9]], traffic=traffic,
+        per_hop_delay_ms=per_hop_delay_ms)
+
+
+@pytest.mark.parametrize("per_hop_delay_ms, pinned", [
+    # the delivery of packet k to 3 falls on packet k + 1's emit
+    (1000, [("emit|1|1|2|1|1000", "deliver|3|1|1|1|1000"),
+            ("emit|1|1|3|1|2000", "deliver|3|1|2|1|2000")]),
+    # packet 1's delivery to 9, queued at 1500, falls on packet 4's emit,
+    # whose predecessor only runs at 2000
+    (1500, [("emit|1|1|4|1|3000", "deliver|9|1|1|2|3000")]),
+])
+def test_emits_run_before_deliveries_on_their_millisecond(per_hop_delay_ms,
+                                                          pinned):
+    # every emit holds the place set-up reserved for it, ahead of each event
+    # queued during the run, as if every emit had been queued at set-up
+    log = netsim.run(short_line_config(
+        [TrafficSpec(source=1, count=4, interval_ms=1000, payload_bytes=8)],
+        per_hop_delay_ms)).log
+    for emit, deliver in pinned:
+        assert log.index(emit) < log.index(deliver)
+    kinds = {}
+    for line in log:
+        kind, *_, time = line.split("|")
+        if kind in ("emit", "deliver"):
+            kinds.setdefault(int(time), []).append(kind)
+    for seen in kinds.values():
+        assert seen == sorted(seen, key=("emit", "deliver").index)
+
+
+def test_set_up_memory_does_not_grow_with_packet_count():
+    def set_up_peak(count):
+        cfg = short_line_config(
+            [TrafficSpec(source=1, count=count, interval_ms=1, payload_bytes=8)])
+        tracemalloc.start()
+        try:
+            netsim.Simulation(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert set_up_peak(200_000) - set_up_peak(10) < 64 * 1024
+
+
+def test_two_traffic_entries_of_one_source_interleave_in_time_order():
+    traffic = [TrafficSpec(source=1, count=4, interval_ms=1000,
+                           payload_bytes=8),
+               TrafficSpec(source=1, count=3, interval_ms=700, start_ms=600,
+                           payload_bytes=8)]
+    log = netsim.run(short_line_config(traffic)).log
+    emits = [(e.time, e.seq) for _, e in events.read(log, ("emit",))]
+    # seqs are numbered in pop order: by time, then by entry, then by packet
+    pops = sorted((t.start_ms + i * t.interval_ms, ti, i)
+                  for ti, t in enumerate(traffic) for i in range(t.count))
+    assert emits == [(time, seq) for seq, (time, _, _)
+                     in enumerate(pops, start=1)]
+    assert [time for time, _ in emits] == [0, 600, 1000, 1300, 2000, 2000,
+                                           3000]
 
 
 # -- construction guards ---------------------------------------------------------------
