@@ -19,7 +19,7 @@ import struct
 from collections import namedtuple
 from typing import Callable, Optional
 
-from .crypto import digest, select_label_bits
+from .crypto import LABEL_MODE_LSB32, digest, select_label_bits
 
 _HEADER = struct.Struct(">HHH4s4s")
 HEADER_BYTES = _HEADER.size  # 14
@@ -86,7 +86,7 @@ def _hash_input(d: Ipv4HeaderModel) -> bytes:
     return d.dst + prefix
 
 
-def compute_label(d: Ipv4HeaderModel, mode: str = "lsb32",
+def compute_label(d: Ipv4HeaderModel, mode: str = LABEL_MODE_LSB32,
                   seed: object = None) -> int:
     return select_label_bits(digest(_hash_input(d)), mode, seed)
 
@@ -95,7 +95,7 @@ def extract_label(d: Ipv4HeaderModel) -> int:
     return (d.identification << 16) | (d.flags << 13) | d.fragment_offset
 
 
-def label_datagram(d: Ipv4HeaderModel, mode: str = "lsb32",
+def label_datagram(d: Ipv4HeaderModel, mode: str = LABEL_MODE_LSB32,
                    seed: object = None) -> Ipv4HeaderModel:
     """Write the 32 label bits into identification ∥ flags ∥ fragment offset,
     most significant bits first."""
@@ -107,7 +107,7 @@ def label_datagram(d: Ipv4HeaderModel, mode: str = "lsb32",
 def check_datagram(d: Ipv4HeaderModel,
                    is_internal: Callable[[bytes], bool],
                    expected_size: int,
-                   mode: str = "lsb32",
+                   mode: str = LABEL_MODE_LSB32,
                    seed: object = None) -> str:
     """Classify a datagram: authenticated internal, forged internal, or
     ordinary traffic that must go through the IDS."""

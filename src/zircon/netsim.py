@@ -1,12 +1,11 @@
 """Deterministic discrete-event simulator.
 
 One run is a pure function of its ScenarioConfig.  The clock is simulated
-milliseconds (int64); events pop in nondecreasing time order, ties broken by
-a place drawn when the event is queued.  Each traffic entry keeps one emit
-queued, and handling an emit queues the entry's next one.  Emits hold the
-tie-break places that set-up reserved for them, one block per entry ahead of
-every event queued during the run, so events pop as if every emit had been
-queued first, and set-up cost does not depend on packet count.  Every random
+milliseconds (int64); events pop in nondecreasing time order.  Ties go to
+set-up's inject and probe events first, then to emits in traffic-entry order,
+then to run-time events in the order they were queued.  Each traffic entry
+keeps one emit queued, under one tie-break place for all its emits, and
+handling an emit queues the entry's next one.  Every random
 draw comes from a sub-generator seeded with a string derived from the master
 seed and a purpose tag, so adding a consumer never perturbs the draws of
 another.
@@ -41,7 +40,7 @@ from .nodes import (
 )
 from .crypto import KEY_BYTES, SymmetricKey
 from .provstore import ProvenanceStore
-from .scenario import MODE_SINGLEHOP, ScenarioConfig, validate
+from .scenario import MODE_SINGLEHOP, ScenarioConfig, TrafficSpec, validate
 from .watermark import parse_ip
 
 # provenance of a delivery: organic traffic, an attacker's replayed copy,
@@ -146,13 +145,6 @@ class Simulation:
 
         self.store = ProvenanceStore(clock=lambda: self.now, log=self.log)
 
-        # event kind to handler; a queue entry is (time, order, kind, args)
-        # and keeps the kind string, not a bound method, to stay small
-        self._handlers = {"emit": self._handle_emit,
-                          "deliver": self._handle_deliver,
-                          "inject": self._handle_inject,
-                          "probe": self._handle_probe}
-
         # the wire profile is fixed for the run; its methods are read off the
         # classes here, not at import, so a wrapper put on a class sees them
         singlehop = config.mode == MODE_SINGLEHOP
@@ -165,7 +157,6 @@ class Simulation:
         initial = SymmetricKey(self._rng("keys").randbytes(KEY_BYTES), 0)
         self.keyring = KeyRing(initial)
         self._generations = 0
-        self._rotations = 0
         self._rotation_threshold: Optional[int] = None
         if config.key_rotation is not None:
             self._rotation_threshold = self._rng("rotation").randint(
@@ -210,26 +201,23 @@ class Simulation:
                 key = (attack.from_id, attack.to_id)
                 self._link_attacks.setdefault(key, []).append(attack)
             elif attack.kind == FAKE_INJECT:
-                self._schedule(attack.after_ms, "inject", (attack,))
+                self._schedule(attack.after_ms, self._handle_inject, (attack,))
             elif attack.kind == STORE_PROBE:
-                self._schedule(attack.after_ms, "probe", (attack,))
+                self._schedule(attack.after_ms, self._handle_probe, (attack,))
 
         # each packet's report.json entry, kept from its emission on
         self.packets: Dict[Tuple[int, int], dict] = {}
         self.node_packets: Dict[int, int] = {i: 0 for i in self.nodes}
 
-        # each entry's emits get a block of consecutive orders, in config
-        # order, and later events draw orders after the last block: every
-        # emit pops under the (time, order) key it would have had with all
-        # of them queued up front
-        reserved = next(self._order)
-        for traffic in config.traffic:
-            last = reserved + traffic.count - 1
-            self._queue_emit(traffic.start_ms, traffic.source,
-                             traffic.payload_bytes, traffic.interval_ms,
-                             reserved, last)
-            reserved = last + 1
-        self._order = itertools.count(reserved)
+        # entry i's emits all hold place first + i, after the inject and
+        # probe events above and before every event queued during the run;
+        # (time, order) stays unique, as an entry's emits never share a time
+        first = next(self._order)
+        for i, traffic in enumerate(config.traffic):
+            heapq.heappush(self._queue, (traffic.start_ms, first + i,
+                                         self._handle_emit,
+                                         (first + i, traffic, traffic.count)))
+        self._order = itertools.count(first + len(config.traffic))
 
     # -- plumbing ------------------------------------------------------------
 
@@ -238,26 +226,20 @@ class Simulation:
             self._rngs[purpose] = random.Random(f"{self.config.seed}/{purpose}")
         return self._rngs[purpose]
 
-    def _schedule(self, time: int, kind: str, args: tuple) -> None:
-        heapq.heappush(self._queue, (time, next(self._order), kind, args))
-
-    def _queue_emit(self, time: int, source: int, payload_bytes: int,
-                    interval_ms: int, order: int, last: int) -> None:
-        """Queue a traffic entry's emit under `order`, the place set-up
-        reserved for it; the entry's reserved places run up to `last`."""
-        heapq.heappush(self._queue, (time, order, "emit", (
-            source, payload_bytes, interval_ms, order, last)))
+    def _schedule(self, time: int, handler, args: tuple) -> None:
+        heapq.heappush(self._queue, (time, next(self._order), handler, args))
 
     def _log_attack(self, attack: AttackSpec, src, seq, detail: str) -> None:
         self.log.append(events.attack(attack.kind, attack.target_label(), src,
                                       seq, detail, self.now))
 
     def _record_verdict(self, verdict: VerificationVerdict, src: int,
-                        seq: int, flow: str) -> Optional[dict]:
+                        seq: int, flow: str, path=None) -> None:
         """Log a verdict as the node read it and add it to the entry of the
-        delivered packet `(src, seq)`, which it returns (None for a packet
-        never emitted).  A garbled header cannot move the verdict onto
-        another packet's entry."""
+        delivered packet `(src, seq)`, if it was emitted.  A garbled header
+        cannot move the verdict onto another packet's entry.  The organic
+        frame's verdict ends its packet when it is a rejection or the
+        gateway's accept, which passes its rebuilt `path`."""
         self.log.append(events.verdict(*verdict))
         node, _, _, hop, outcome, time = verdict
         entry = self.packets.get((src, seq))
@@ -265,12 +247,12 @@ class Simulation:
             v = {"outcome": outcome, "node": node, "hop": hop, "time": time,
                  "flow": flow}
             entry["verdicts"].append(v)
-            # only a gateway accept is terminal; the caller handles it
-            if (flow == FLOW_ORGANIC and entry["status"] == "in_flight"
-                    and outcome != ACCEPTED):
-                entry["status"] = "rejected"
+            if flow == FLOW_ORGANIC and (outcome != ACCEPTED
+                                         or path is not None):
+                entry["status"] = ("accepted" if outcome == ACCEPTED
+                                   else "rejected")
                 entry["final"] = v
-        return entry
+                entry["path"] = path
 
     def _maybe_rotate(self) -> None:
         if self._rotation_threshold is None:
@@ -278,7 +260,6 @@ class Simulation:
         while self._generations >= self._rotation_threshold:
             self._generations -= self._rotation_threshold
             key = rotate_keys(self.keyring, self._rng("keys"))
-            self._rotations += 1
             self.log.append(events.rotate(key.epoch, self.now))
             self._rotation_threshold = self._rng("rotation").randint(
                 self.config.key_rotation.min_generations,
@@ -300,26 +281,29 @@ class Simulation:
                 self._log_attack(attack, src, seq, result.detail)
                 if result.replay is not None:
                     copy, delay = result.replay
-                    self._schedule(self.now + delay, "deliver",
+                    self._schedule(self.now + delay, self._handle_deliver,
                                    (to_id, copy, src, seq, hop, FLOW_REPLAYED))
                 if result.deliver is None:
-                    entry = self.packets.get((src, seq))
-                    if entry is not None and entry["status"] == "in_flight":
-                        entry["status"] = "dropped"
+                    self.packets[(src, seq)]["status"] = "dropped"
                     return
                 data = result.deliver
-        self._schedule(self.now + self.config.per_hop_delay_ms, "deliver",
-                       (to_id, data, src, seq, hop, flow))
+        self._schedule(self.now + self.config.per_hop_delay_ms,
+                       self._handle_deliver, (to_id, data, src, seq, hop, flow))
 
     # -- event handlers ------------------------------------------------------
 
-    def _handle_emit(self, source: int, payload_bytes: int, interval_ms: int,
-                     order: int, last: int) -> None:
-        if order < last:
-            self._queue_emit(self.now + interval_ms, source, payload_bytes,
-                             interval_ms, order + 1, last)
+    def _handle_emit(self, order: int, traffic: TrafficSpec,
+                     left: int) -> None:
+        """Emit one of `traffic`'s packets, `left` counting this one, and
+        queue the next under the entry's same tie-break place."""
+        if left > 1:
+            heapq.heappush(self._queue, (self.now + traffic.interval_ms, order,
+                                         self._handle_emit,
+                                         (order, traffic, left - 1)))
+        source = traffic.source
         node = self.nodes[source]
-        payload = self._rng(f"payload/{source}").randbytes(payload_bytes)
+        payload = self._rng(f"payload/{source}").randbytes(
+            traffic.payload_bytes)
         seq, frame = self._emit(node, payload, self.now)
         self.node_packets[source] += 1
         self._generations += 1
@@ -348,20 +332,15 @@ class Simulation:
             return
 
         verdict, path = self._verify(node, data, self.now)
-        entry = self._record_verdict(verdict, src, seq, flow)
-        if verdict.outcome == ACCEPTED and flow == FLOW_ORGANIC \
-                and entry is not None and entry["status"] == "in_flight":
-            entry["status"] = "accepted"
-            entry["final"] = entry["verdicts"][-1]
-            entry["path"] = path
+        self._record_verdict(verdict, src, seq, flow, path)
 
     def _handle_inject(self, attack: AttackSpec) -> None:
         frame = adversary.build_fake_frame(attack, self.now // 1000, attack.seq)
         self._log_attack(attack, attack.src, attack.seq,
                          events.detail(epoch=attack.key_epoch, hop=attack.hop))
-        self._schedule(self.now + self.config.per_hop_delay_ms, "deliver",
-                       (attack.to_id, frame, attack.src, attack.seq,
-                        attack.hop, FLOW_FAKE))
+        self._schedule(self.now + self.config.per_hop_delay_ms,
+                       self._handle_deliver, (attack.to_id, frame, attack.src,
+                                              attack.seq, attack.hop, FLOW_FAKE))
 
     def _handle_probe(self, attack: AttackSpec) -> None:
         observed = adversary.run_store_probe(attack, self.store,
@@ -375,8 +354,8 @@ class Simulation:
         """Process one event; False when the queue is exhausted."""
         if not self._queue:
             return False
-        self.now, _, kind, args = heapq.heappop(self._queue)
-        self._handlers[kind](*args)
+        self.now, _, handler, args = heapq.heappop(self._queue)
+        handler(*args)
         self._maybe_rotate()
         return True
 
@@ -393,9 +372,6 @@ class Simulation:
         packets = {}
         for (src, seq), entry in sorted(self.packets.items()):
             entry["store_records"] = self.store.record_count(src, seq)
-            # a packet with stored records but no verdict was lost on the way
-            if entry["status"] == "in_flight" and entry["store_records"]:
-                entry["status"] = "dropped"
             counts[entry["status"]] += 1
             packets[f"{src}:{seq}"] = entry
         # the gateway purges every set it accepts, so the sets never retrieved
@@ -418,7 +394,7 @@ class Simulation:
             "packets": packets,
             "drops_suspected": [list(s) for s in suspects],
             "nodes": nodes,
-            "rotations": self._rotations,
+            "rotations": self.keyring.current.epoch,
             "final_epoch": self.keyring.current.epoch,
             "energy": asdict(self.config.energy),
         }

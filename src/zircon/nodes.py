@@ -209,7 +209,7 @@ class GatewayNode(_Verifier):
 
     def __init__(self, node_id: int, ip: bytes, keyring: KeyRing,
                  store: ProvenanceStore, origins: Dict[int, bytes],
-                 freshness_s: int = 60):
+                 freshness_s: int):
         super().__init__(node_id, ip, keyring, store)
         # the ip of every registered node, by id
         self.origins = origins

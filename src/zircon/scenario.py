@@ -443,6 +443,10 @@ def validate(config: ScenarioConfig) -> None:
             elif ids[a.to_id].role == ROLE_SOURCE:
                 errors.append(f"{at}.to: node {a.to_id} is a source, "
                               f"which verifies nothing")
+            elif not ids[a.to_id].registered:
+                # it could neither store nor retrieve records for the forgery
+                errors.append(f"{at}.to: node {a.to_id} is unregistered, "
+                              f"and unregistered nodes cannot verify")
             end_ms = a.after_ms + max(trips.values(), default=0)
             if end_ms // 1000 > MAX_CAPTURE_S:
                 errors.append(f"{at}.after_ms: its forged frame can "

@@ -460,8 +460,8 @@ def short_line_config(traffic, per_hop_delay_ms=300):
 ])
 def test_emits_run_before_deliveries_on_their_millisecond(per_hop_delay_ms,
                                                           pinned):
-    # every emit holds the place set-up reserved for it, ahead of each event
-    # queued during the run, as if every emit had been queued at set-up
+    # every emit holds its traffic entry's tie-break place, ahead of each
+    # event queued during the run
     log = netsim.run(short_line_config(
         [TrafficSpec(source=1, count=4, interval_ms=1000, payload_bytes=8)],
         per_hop_delay_ms)).log

@@ -1,5 +1,6 @@
 """Config schema: YAML round-trip and the validation catalog."""
 import dataclasses
+import random
 
 import pytest
 import yaml
@@ -425,6 +426,28 @@ def test_fake_inject_and_probe_requirements():
     assert any("needs src and seq" in e for e in errors_of(cfg))
 
 
+@pytest.mark.parametrize("role", ["gateway", "intermediate"])
+def test_fake_inject_at_an_unregistered_node_is_refused(role):
+    # a forgery matching the hop-1 record of packet 1:1 reaches node 8,
+    # which may neither retrieve the set (a gateway) nor store the next
+    # record (an intermediate); the run used to abort there
+    def forged(registered):
+        node = NodeSpec(id=8, ip="10.0.0.8", role=role, x=95, y=9,
+                        registered=registered)
+        return small_config(
+            seed=5, per_hop_delay_ms=1000,
+            nodes=small_config().nodes + [node],
+            attacks=[AttackSpec(kind="fake_inject", to_id=8, src=1, seq=1,
+                                hop=1, ip=bytes([10, 0, 0, 1]),
+                                key_material=random.Random("5/keys")
+                                .randbytes(16))])
+
+    assert errors_of(forged(False)) == [
+        "attacks[0].to: node 8 is unregistered, "
+        "and unregistered nodes cannot verify"]
+    assert run(forged(True)).report["counts"]["emitted"] == 3
+
+
 def test_rotation_bounds():
     cfg = small_config(key_rotation=KeyRotationConfig(0, 5))
     assert any("key_rotation" in e for e in errors_of(cfg))
@@ -766,11 +789,15 @@ def test_every_validated_config_runs_to_completion(cfg):
         validate(cfg)
     except ConfigError:
         return
-    counts = run(cfg).report["counts"]
+    report = run(cfg).report
+    counts = report["counts"]
     assert counts["emitted"] == sum(t.count for t in cfg.traffic)
     assert counts["emitted"] == sum(counts[status] for status in
                                     ("accepted", "rejected", "dropped",
                                      "in_flight"))
+    # every organic frame ends, and its end writes the packet's status
+    assert counts["in_flight"] == 0
+    assert report["rotations"] == report["final_epoch"]
 
 
 @given(cfg=_configs())
