@@ -62,7 +62,9 @@ def _write_run_outputs(result: netsim.SimResult, out_dir: str) -> None:
         fh.write(result.report_text())
     with open(os.path.join(out_dir, "provenance.journal"), "w",
               encoding="utf-8") as fh:
-        fh.write("".join(line + "\n" for line in events.journal(result.log)))
+        lines = events.journal(result.log)
+        lines.append("")  # ends the last line; an empty journal stays empty
+        fh.write("\n".join(lines))
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import operator
 import random
 from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii as _quote
@@ -67,8 +68,10 @@ class SimResult:
         """The report as `json.dumps(report, indent=2, sort_keys=True)` plus
         a newline, byte for byte.  With an indent, json takes its pure-Python
         encoder, so the packet entries, the bulk of the file, are written
-        from the fixed key sets `_handle_emit` and `_record_verdict` give
-        them; the other top-level values are small and go through json."""
+        from one template per entry shape; the other top-level values are
+        small and go through json.  The key sets live twice, in
+        `_handle_emit` and `_record_verdict` and in the templates;
+        test_report_text_matches_the_simulated_report keeps them together."""
         parts = []
         for key, value in sorted(self.report.items()):
             if key == "packets":
@@ -83,54 +86,62 @@ class SimResult:
 
 # a newline and the indent of each depth of report.json
 _P2, _P4, _P6, _P8, _P10 = ("\n" + " " * n for n in (2, 4, 6, 8, 10))
+# a verdict entry with its braces at depth 6 (`final`) and 8 (in `verdicts`)
+_V6, _V8 = (f'{{{p}  "flow": %s,{p}  "hop": %s,{p}  "node": %s,'
+            f'{p}  "outcome": %s,{p}  "time": %s{p}}}' for p in (_P6, _P8))
+_VERDICT_KEYS = operator.itemgetter("flow", "hop", "node", "outcome", "time")
+_PACKET_KEYS = operator.itemgetter("emitted_ms", "final", "path", "route",
+                                   "seq", "source", "status", "store_records",
+                                   "verdicts")
 
 
-def _leaf(value) -> str:
-    """A scalar as json writes it: a plain int in decimal, anything else
-    (None, a float, a bool) through json."""
-    return str(value) if type(value) is int else json.dumps(value)
-
-
-def _list_text(items: List[str], pad: str) -> str:
-    """A JSON list of encoded items, its brackets at `pad`."""
-    if not items:
-        return "[]"
-    inner = pad + "  "
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
-
-
-def _verdict_text(v: dict, pad: str) -> str:
-    """A verdict entry, its braces at `pad`; `hop` may be None."""
-    p = pad + "  "
-    return (f'{{{p}"flow": {_quote(v["flow"])},{p}"hop": {_leaf(v["hop"])},'
-            f'{p}"node": {_leaf(v["node"])},'
-            f'{p}"outcome": {_quote(v["outcome"])},'
-            f'{p}"time": {_leaf(v["time"])}{pad}}}')
-
-
-def _packet_text(e: dict) -> str:
-    """A packet entry, its braces at depth 4."""
-    final, path = e["final"], e["path"]
-    final = "null" if final is None else _verdict_text(final, _P6)
-    path = "null" if path is None else _list_text(
-        [f"[{_P10}{_quote(ip)},{_P10}{_leaf(t)}{_P8}]" for ip, t in path], _P6)
-    route = _list_text([_leaf(n) for n in e["route"]], _P6)
-    verdicts = _list_text([_verdict_text(v, _P8) for v in e["verdicts"]], _P6)
-    return (f'{{{_P6}"emitted_ms": {_leaf(e["emitted_ms"])},'
-            f'{_P6}"final": {final},{_P6}"path": {path},'
-            f'{_P6}"route": {route},{_P6}"seq": {_leaf(e["seq"])},'
-            f'{_P6}"source": {_leaf(e["source"])},'
-            f'{_P6}"status": {_quote(e["status"])},'
-            f'{_P6}"store_records": {_leaf(e["store_records"])},'
-            f'{_P6}"verdicts": {verdicts}{_P4}}}')
+def _packet_template(no_final: bool, path_len: int, route_len: int,
+                     verdict_count: int) -> str:
+    """The `%` template of a packet entry of one shape, from its key at
+    depth 4 to its closing brace; a path of length -1 is null."""
+    def listed(item: str, n: int) -> str:
+        return "[" + ",".join([_P8 + item] * n) + _P6 + "]" if n else "[]"
+    path = "null" if path_len < 0 else listed(
+        f"[{_P10}%s,{_P10}%s{_P8}]", path_len)
+    return (f'{_P4}%s: {{{_P6}"emitted_ms": %s,'
+            f'{_P6}"final": {"null" if no_final else _V6},'
+            f'{_P6}"path": {path},{_P6}"route": {listed("%s", route_len)},'
+            f'{_P6}"seq": %s,{_P6}"source": %s,{_P6}"status": %s,'
+            f'{_P6}"store_records": %s,'
+            f'{_P6}"verdicts": {listed(_V8, verdict_count)}{_P4}}}')
 
 
 def _packets_text(packets: dict) -> str:
-    """The packets object, its entries in key string order."""
+    """The packets object, its entries in key string order.  An entry's
+    shape is whether `final` and `path` are null and the lengths of `path`,
+    `route` and `verdicts`; each entry is one `%` into its shape's template,
+    every leaf written by json's rule: a plain int in decimal, a string
+    quoted, anything else (None, a float, a bool) through json."""
     if not packets:
         return "{}"
-    entries = [f"{_P4}{_quote(key)}: {_packet_text(packets[key])}"
-               for key in sorted(packets)]
+    templates: Dict[tuple, str] = {}
+    entries = []
+    for key in sorted(packets):
+        (emitted, final, path, route, seq, source, status, records,
+         verdicts) = _PACKET_KEYS(packets[key])
+        # -1, not True, marks a null path: True == 1 would share a key
+        shape = (final is None, -1 if path is None else len(path), len(route),
+                 len(verdicts))
+        template = templates.get(shape)
+        if template is None:
+            template = templates[shape] = _packet_template(*shape)
+        leaves = [key, emitted]
+        if final is not None:
+            leaves += _VERDICT_KEYS(final)
+        for ip, t in path or ():
+            leaves += (ip, t)
+        leaves += route
+        leaves += (seq, source, status, records)
+        for v in verdicts:
+            leaves += _VERDICT_KEYS(v)
+        entries.append(template % tuple([
+            v if type(v) is int else _quote(v) if type(v) is str
+            else json.dumps(v) for v in leaves]))
     return "{" + ",".join(entries) + _P2 + "}"
 
 
@@ -370,7 +381,8 @@ class Simulation:
         counts = {"emitted": len(self.packets), "accepted": 0, "rejected": 0,
                   "dropped": 0, "in_flight": 0}
         packets = {}
-        for (src, seq), entry in sorted(self.packets.items()):
+        for src, seq in sorted(self.packets):
+            entry = self.packets[(src, seq)]
             entry["store_records"] = self.store.record_count(src, seq)
             counts[entry["status"]] += 1
             packets[f"{src}:{seq}"] = entry

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tests.test_golden_outputs import GOLDEN
+from tests.test_golden_outputs import GOLDEN, MULTIHOP_LINE
 from zircon import adversary, cli, events, netsim
 from zircon.cli import main
 from zircon.nodes import GatewayNode, SourceNode
@@ -527,10 +527,10 @@ _LEAVES = st.one_of(_INTS, st.floats(), st.just(0.1 * 3), st.booleans(),
                     st.none())
 _TEXT = st.text(max_size=6)
 _VERDICT = st.fixed_dictionaries({
-    "outcome": _TEXT, "node": _LEAVES, "hop": st.one_of(st.none(), _INTS),
-    "time": _LEAVES, "flow": _TEXT})
+    "outcome": _TEXT, "node": _LEAVES, "hop": _LEAVES, "time": _LEAVES,
+    "flow": _TEXT})
 _PACKET = st.fixed_dictionaries({
-    "source": _LEAVES, "seq": _INTS, "route": st.lists(_INTS, max_size=3),
+    "source": _LEAVES, "seq": _INTS, "route": st.lists(_LEAVES, max_size=3),
     "emitted_ms": _LEAVES, "status": _TEXT,
     "final": st.one_of(st.none(), _VERDICT),
     "path": st.one_of(st.none(), st.lists(st.tuples(_TEXT, _LEAVES),
@@ -542,7 +542,7 @@ _PACKET_KEYS = st.one_of(
 _REPORT = st.fixed_dictionaries({
     "seed": _INTS, "mode": _TEXT,
     "counts": st.dictionaries(_TEXT, _INTS, max_size=3),
-    "packets": st.dictionaries(_PACKET_KEYS, _PACKET, max_size=4),
+    "packets": st.dictionaries(_PACKET_KEYS, _PACKET, max_size=8),
     "drops_suspected": st.lists(st.lists(_INTS, max_size=4), max_size=2),
     "nodes": st.dictionaries(st.builds(str, st.integers(0, 12)),
                              st.fixed_dictionaries({
@@ -556,6 +556,13 @@ _HOP_NULL = {"outcome": "frame_fail", "node": 3, "hop": None, "time": 10,
              "flow": "organic"}
 
 
+def _entry(source, route, hop, path=None):
+    verdict = dict(_HOP_NULL, hop=hop)
+    return {"source": source, "seq": 1, "route": route, "emitted_ms": 0,
+            "status": "rejected", "final": verdict, "path": path,
+            "verdicts": [verdict], "store_records": 0}
+
+
 @given(report=_REPORT)
 @example(report={
     "seed": 1, "mode": "multihop", "counts": {}, "drops_suspected": [],
@@ -567,11 +574,37 @@ _HOP_NULL = {"outcome": "frame_fail", "node": 3, "hop": None, "time": 10,
         "10:1": {"source": 10, "seq": 1, "route": [10, 3], "emitted_ms": 5,
                  "status": "rejected", "final": _HOP_NULL, "path": [],
                  "verdicts": [_HOP_NULL], "store_records": 0}}})
+# entries of one shape whose slots hold an int in one and a float, a bool or
+# None in the other; and a null path beside a one-item path
+@example(report={
+    "seed": 1, "mode": "multihop", "counts": {}, "drops_suspected": [],
+    "nodes": {}, "rotations": 0, "final_epoch": 0, "energy": {},
+    "packets": {
+        "1:1": _entry(1, [1, 9], 1),
+        "2:1": _entry(2.5, [float("nan"), True], None),
+        "3:1": _entry(None, [False, 1 << 70], 0.1 * 3),
+        "4:1": _entry(4, [4, 9], 2, path=[("10.0.0.4", 0)])}})
 @settings(max_examples=200, deadline=None)
 def test_report_text_is_json_dumps_byte_for_byte(report):
     result = netsim.SimResult(log=[], report=report)
     assert result.report_text() == \
         json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_packets_keep_numeric_order():
+    # MULTIHOP_LINE's 25 packets put "1:10" before "1:2" as strings; the
+    # report dict keeps (src, seq) order, and only report.json sorts the text
+    result = netsim.run(load_config(MULTIHOP_LINE))
+    keys = list(result.report["packets"])
+    assert keys == [f"1:{seq}" for seq in range(1, 26)]
+    assert keys != sorted(keys)
+    config = cli._suite_base(3)
+    config.attacks = cli._suite_attacks(adversary.DROP)
+    report = netsim.run(config).report
+    assert report["counts"]["dropped"] == 10
+    assert list(report["packets"]) == [f"1:{seq}" for seq in range(1, 11)]
+    assert [seq for _, seq, _, _ in report["drops_suspected"]] == \
+        list(range(1, 11))
 
 
 # the packet and verdict keys are written twice, where the simulator builds
