@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import defaultdict
 from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Union
 
@@ -174,25 +175,48 @@ def detection_report(log: Union[str, Iterable[str]]) -> dict:
     # events that share a timestamp
     emitted: List[tuple] = []
     attacks: List[tuple] = []
-    by_packet_verdicts: Dict[tuple, List[tuple]] = {}
+    by_packet_verdicts: Dict[tuple, List[tuple]] = defaultdict(list)
     stored_hops: Dict[tuple, int] = {}
     deleted_ids = set()
-    for idx, rec in events.read(lines, ("verdict", "store", "delete", "emit",
-                                        "attack")):
-        kind = type(rec)
-        if kind is events.Verdict:
-            if rec.src is not None and rec.seq is not None:
-                by_packet_verdicts.setdefault((rec.src, rec.seq), []).append(
-                    (idx, rec))
-        elif kind is events.Store:
-            key = (rec.src, rec.seq)
-            stored_hops[key] = max(stored_hops.get(key, 0), rec.hop)
-        elif kind is events.Delete:
-            deleted_ids.add((rec.src, rec.seq))
-        elif kind is events.Emit:
-            emitted.append((rec.src, rec.seq))
-        elif kind is events.Attack:
-            attacks.append((idx, rec))
+    read_verdict, read_store, read_delete, read_emit, read_attack = map(
+        events.READERS.get, ("verdict", "store", "delete", "emit", "attack"))
+
+    def walk(numbered):
+        # a line is split once and sent by its kind field to that kind's
+        # reader; deliver and rotate lines are passed over unparsed
+        for idx, line in numbered:
+            fields = line.split("|")
+            kind = fields[0]
+            try:
+                if kind == "verdict":
+                    rec = read_verdict(fields)
+                    if rec.src is not None and rec.seq is not None:
+                        by_packet_verdicts[rec.src, rec.seq].append((idx, rec))
+                elif kind == "store":
+                    rec = read_store(fields)
+                    key = (rec.src, rec.seq)
+                    if rec.hop > stored_hops.setdefault(key, 0):
+                        stored_hops[key] = rec.hop
+                elif kind == "delete":
+                    rec = read_delete(fields)
+                    deleted_ids.add((rec.src, rec.seq))
+                elif kind == "emit":
+                    rec = read_emit(fields)
+                    emitted.append((rec.src, rec.seq))
+                elif kind == "attack":
+                    attacks.append((idx, read_attack(fields)))
+                elif kind != "deliver" and kind != "rotate":
+                    raise ValueError(kind)
+            except ValueError:
+                # as events.read reads it: stripped, and passed over if blank
+                stripped = line.strip()
+                if stripped != line:
+                    walk(((idx, stripped),))
+                elif stripped:
+                    events.parse(line)  # raises, naming the line
+                    raise
+
+    walk(enumerate(lines))
 
     kinds: Dict[str, dict] = {}
 

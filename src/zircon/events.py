@@ -3,9 +3,11 @@
 A run's events.log is the record of the protocol: packet emissions and
 deliveries, per-hop verdicts, attacks, provenance-store writes and deletes,
 and key rotations.  SCHEMA below is the single definition of every kind's
-fields; parse() turns any line back into a record typed from it.  The
-writers are one plain f-string function per kind, so writing a line builds
-no object; a round-trip test holds each writer to SCHEMA.
+fields, and each kind's record type is built from it.  Each kind has one
+writer, a plain f-string function, so writing a line builds no object, and
+beside it one reader (READERS) that converts the split line's fields by
+name; parse() and read() go through the readers.  A round-trip test holds
+each writer and reader to SCHEMA.
 """
 from __future__ import annotations
 
@@ -25,25 +27,9 @@ SCHEMA = {
 }
 
 
-def _record(kind: str, spec: str):
-    """The record type of one kind, its field count, and the positions of
-    its integer and "-"-or-integer fields."""
-    names = spec.split()
-    record = namedtuple(kind.capitalize(), [n.rstrip("?$") for n in names])
-    ints = tuple(i for i, n in enumerate(names) if n[-1] not in "?$")
-    ids = tuple(i for i, n in enumerate(names) if n[-1] == "?")
-    return record, len(names), ints, ids
-
-
-_RECORDS = {kind: _record(kind, spec) for kind, spec in SCHEMA.items()}
-
-Emit = _RECORDS["emit"][0]
-Deliver = _RECORDS["deliver"][0]
-Verdict = _RECORDS["verdict"][0]
-Attack = _RECORDS["attack"][0]
-Store = _RECORDS["store"][0]
-Delete = _RECORDS["delete"][0]
-Rotate = _RECORDS["rotate"][0]
+Emit, Deliver, Verdict, Attack, Store, Delete, Rotate = (
+    namedtuple(kind.capitalize(), [n.rstrip("?$") for n in spec.split()])
+    for kind, spec in SCHEMA.items())
 
 
 def parse(line: str):
@@ -51,24 +37,17 @@ def parse(line: str):
     field count, or a field that is not an integer where one is due."""
     fields = line.split("|")
     try:
-        record, count, ints, ids = _RECORDS[fields[0]]
+        return READERS[fields[0]](fields)
     except KeyError:
         raise ValueError(f"malformed log line {line!r}: unknown event kind "
                          f"{fields[0]!r}") from None
-    del fields[0]
-    if len(fields) != count:
-        raise ValueError(f"malformed log line {line!r}: {count} fields "
-                         f"expected, got {len(fields)}")
-    # converted in place: a call per field would double the parse cost
-    try:
-        for i in ints:
-            fields[i] = int(fields[i])
-        for i in ids:
-            fields[i] = None if fields[i] == "-" else int(fields[i])
     except ValueError:
+        count = len(SCHEMA[fields[0]].split())
+        if len(fields) - 1 != count:
+            raise ValueError(f"malformed log line {line!r}: {count} fields "
+                             f"expected, got {len(fields) - 1}") from None
         raise ValueError(f"malformed log line {line!r}: not an integer "
                          f"where one is due") from None
-    return tuple.__new__(record, fields)
 
 
 def read(lines: Iterable[str], kinds=SCHEMA) -> Iterator[tuple]:
@@ -76,22 +55,44 @@ def read(lines: Iterable[str], kinds=SCHEMA) -> Iterator[tuple]:
     Blank lines, and lines of the other known kinds, are passed over
     unparsed; a line of an unknown kind raises like parse()."""
     for idx, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        kind = line.split("|", 1)[0]
-        if kind in kinds or kind not in SCHEMA:
-            yield idx, parse(line)
+        fields = line.split("|")
+        if fields[0] not in READERS:  # a padded, blank or unknown line
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split("|")
+        if fields[0] in kinds or fields[0] not in READERS:
+            try:
+                record = READERS[fields[0]](fields)
+            except (KeyError, ValueError):
+                record = parse(line.strip())  # raises, naming the line
+            yield idx, record
 
 
-# -- writers, one per kind, in SCHEMA's field order -------------------------
+# -- one writer and one reader per kind, in SCHEMA's field order ------------
+# A reader takes the split line, kind first, and raises ValueError on a wrong
+# field count or a bad integer; each kind ends in an integer, which int()
+# reads through the whitespace a padded line ends in.
+
+_new = tuple.__new__
+
 
 def emit(node: int, src: int, seq: int, hop: int, time: int) -> str:
     return f"emit|{node}|{src}|{seq}|{hop}|{time}"
 
 
+def _read_emit(fields: List[str]) -> Emit:
+    _, node, src, seq, hop, time = fields
+    return _new(Emit, (int(node), int(src), int(seq), int(hop), int(time)))
+
+
 def deliver(node: int, src: int, seq: int, hop: int, time: int) -> str:
     return f"deliver|{node}|{src}|{seq}|{hop}|{time}"
+
+
+def _read_deliver(fields: List[str]) -> Deliver:
+    _, node, src, seq, hop, time = fields
+    return _new(Deliver, (int(node), int(src), int(seq), int(hop), int(time)))
 
 
 def verdict(node: int, src: Optional[int], seq: Optional[int],
@@ -101,10 +102,24 @@ def verdict(node: int, src: Optional[int], seq: Optional[int],
             f"{outcome}|{time}")
 
 
+def _read_verdict(fields: List[str]) -> Verdict:
+    _, node, src, seq, hop, outcome, time = fields
+    return _new(Verdict, (int(node), None if src == "-" else int(src),
+                          None if seq == "-" else int(seq),
+                          None if hop == "-" else int(hop), outcome,
+                          int(time)))
+
+
 def attack(kind: str, where: str, src: Optional[int], seq: Optional[int],
            detail: str, time: int) -> str:
     return (f"attack|{kind}|{where}|{'-' if src is None else src}|"
             f"{'-' if seq is None else seq}|{detail}|{time}")
+
+
+def _read_attack(fields: List[str]) -> Attack:
+    _, kind, where, src, seq, detail, time = fields
+    return _new(Attack, (kind, where, None if src == "-" else int(src),
+                         None if seq == "-" else int(seq), detail, int(time)))
 
 
 def store(src: int, seq: int, hop: int, cipher_hex: str, by: int,
@@ -112,12 +127,33 @@ def store(src: int, seq: int, hop: int, cipher_hex: str, by: int,
     return f"store|{src}|{seq}|{hop}|{cipher_hex}|{by}|{time}"
 
 
+def _read_store(fields: List[str]) -> Store:
+    _, src, seq, hop, cipher_hex, by, time = fields
+    return _new(Store, (int(src), int(seq), int(hop), cipher_hex, int(by),
+                        int(time)))
+
+
 def delete(src: int, seq: int, count: int, time: int) -> str:
     return f"delete|{src}|{seq}|{count}|{time}"
 
 
+def _read_delete(fields: List[str]) -> Delete:
+    _, src, seq, count, time = fields
+    return _new(Delete, (int(src), int(seq), int(count), int(time)))
+
+
 def rotate(epoch: int, time: int) -> str:
     return f"rotate|{epoch}|{time}"
+
+
+def _read_rotate(fields: List[str]) -> Rotate:
+    _, epoch, time = fields
+    return _new(Rotate, (int(epoch), int(time)))
+
+
+READERS = dict(emit=_read_emit, deliver=_read_deliver, verdict=_read_verdict,
+               attack=_read_attack, store=_read_store, delete=_read_delete,
+               rotate=_read_rotate)
 
 
 # -- the attack line's detail field -----------------------------------------

@@ -1,5 +1,5 @@
 """The event-line schema: every writer's line parses back to its fields,
-and parse refuses what no writer produces."""
+and parse, read and the detection report refuse what no writer produces."""
 import inspect
 
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zircon import events
+from zircon.analysis import detection_report
 
 INTEGER = st.integers(min_value=-2 ** 40, max_value=2 ** 40)
 # "-" marks a missing id; a text field is any run of printable characters
@@ -16,10 +17,17 @@ TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
 STRATEGY = {"": INTEGER, "?": st.none() | INTEGER, "$": TEXT}
 
 
-def fields_of(kind):
+def fields_of(kind, strategy=STRATEGY):
     """One hypothesis strategy per field of `kind`, from SCHEMA's markers."""
-    return st.tuples(*(STRATEGY[name[-1] if name[-1] in "?$" else ""]
+    return st.tuples(*(strategy[name[-1] if name[-1] in "?$" else ""]
                        for name in events.SCHEMA[kind].split()))
+
+
+def written(strategy=STRATEGY):
+    """A line from one of the writers."""
+    return st.sampled_from(sorted(events.SCHEMA)).flatmap(
+        lambda kind: fields_of(kind, strategy).map(
+            lambda fields: getattr(events, kind)(*fields)))
 
 
 @given(st.sampled_from(sorted(events.SCHEMA)).flatmap(
@@ -30,6 +38,7 @@ def test_every_kind_round_trips(kind_and_fields):
     line = write(*fields)
     assert line.split("|", 1)[0] == kind
     record = events.parse(line)
+    assert type(record) is getattr(events, kind.capitalize())
     assert tuple(record) == fields
     assert record._fields == tuple(n.rstrip("?$")
                                    for n in events.SCHEMA[kind].split())
@@ -96,6 +105,85 @@ def test_detail_field_format(items, text):
 def test_parse_rejects(line):
     with pytest.raises(ValueError, match="malformed log line"):
         events.parse(line)
+
+
+def rejected_lines():
+    """Per kind, from SCHEMA: a line one field short, a line one field long,
+    a non-integer in each integer or id field, and "-" in each plain
+    integer field."""
+    for kind, spec in sorted(events.SCHEMA.items()):
+        names = spec.split()
+        good = ["x" if name.endswith("$") else "1" for name in names]
+        events.parse("|".join([kind] + good))  # each line is one edit off it
+        yield "|".join([kind] + good[:-1])
+        yield "|".join([kind] + good + ["1"])
+        for i, name in enumerate(names):
+            if not name.endswith("$"):
+                bad = ("x",) if name.endswith("?") else ("x", "-")
+                for value in bad:
+                    yield "|".join([kind] + good[:i] + [value] + good[i + 1:])
+
+
+# the kinds detection_report reads; it passes over deliver and rotate lines
+# unparsed, as read() passes over the kinds it is not asked for
+REPORTED = ("verdict", "store", "delete", "emit", "attack")
+
+
+@pytest.mark.parametrize("line", list(rejected_lines()))
+def test_parse_read_and_report_reject_alike(line):
+    with pytest.raises(ValueError, match="malformed log line") as parsed:
+        events.parse(line)
+    with pytest.raises(ValueError) as read:
+        list(events.read([line]))
+    assert str(read.value) == str(parsed.value)
+    if line.split("|", 1)[0] in REPORTED:
+        with pytest.raises(ValueError) as reported:
+            detection_report([line])
+        assert str(reported.value) == str(parsed.value)
+    else:
+        assert list(events.read([line], REPORTED)) == []
+        detection_report([line])
+
+
+PAD = st.sampled_from(["", " ", "\t", " \t "])
+
+
+def logged(lines):
+    """Writer lines, mixed with blank and padded lines and lines that end in
+    a newline."""
+    return st.lists(st.one_of(
+        lines, PAD, st.tuples(PAD, lines, PAD).map("".join),
+        lines.map(lambda line: line + "\n")), max_size=12)
+
+
+@given(logged(written()), st.sets(st.sampled_from(sorted(events.SCHEMA))))
+def test_read_matches_parse_line_by_line(lines, kinds):
+    expected = []
+    for idx, line in enumerate(lines):
+        line = line.strip()
+        if line and line.split("|", 1)[0] in kinds:
+            expected.append((idx, events.parse(line)))
+    got = list(events.read(lines, kinds))
+    assert got == expected
+    # records of different kinds may hold equal fields
+    assert [type(rec) for _, rec in got] == [type(rec) for _, rec in expected]
+
+
+# small ids and the report's own words, so that attacks, verdicts, stores
+# and emits fall on the same packets
+SMALL = {"": st.integers(0, 3), "?": st.none() | st.integers(0, 3),
+         "$": st.sampled_from(["accepted", "frame_fail", "replay", "drop",
+                               "eavesdrop", "store_probe", "delay=1000",
+                               "result=retrieved"])}
+
+
+@given(logged(written(SMALL)))
+def test_detection_report_reads_text_and_lines_alike(lines):
+    text = "\n".join(lines)
+    report = detection_report([line.strip() for line in lines])
+    assert detection_report(text) == report
+    assert detection_report(text.splitlines()) == report
+    assert detection_report(text.splitlines(keepends=True)) == report
 
 
 def test_journal_keeps_store_and_delete_lines_in_order():

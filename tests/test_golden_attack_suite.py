@@ -3,10 +3,14 @@
 The golden run scenarios in test_golden_outputs.py carry no eavesdrop or
 delete_bits attack; the suite runs one scenario per attack kind, so its
 stdout matrix and the sha256 of each per-kind events log pin the rest of
-the writers and the detection report.
+the writers, and each scenario's whole detection report is pinned beside
+them.
 """
 import hashlib
 
+import pytest
+
+from zircon import adversary, analysis, cli, netsim
 from zircon.cli import main
 
 MATRIX = """\
@@ -42,3 +46,38 @@ def test_attack_suite_seed_3_matches_pinned_outputs(tmp_path, capsys):
     got = {kind: hashlib.sha256((out_dir / f"{kind}.log").read_bytes())
            .hexdigest() for kind in LOG_SHA256}
     assert got == LOG_SHA256
+
+
+def _report(kind, attacks=10, detected=10, rate=1.0, clean_accepted=0,
+            drop_localization=None):
+    return {"kinds": {kind: {"attacks": attacks, "detected": detected,
+                             "rate": rate}},
+            "false_accepts": 0, "false_rejects": 0,
+            "clean_accepted": clean_accepted,
+            "drop_localization": drop_localization or {}}
+
+
+# every key of detection_report, where the matrix above shows four columns:
+# clean packets accepted beside a forger or a prober, and the hop at which a
+# dropped packet's records were stranded
+REPORTS = {
+    "eavesdrop": _report("eavesdrop", detected=None, rate=None),
+    "replay": _report("replay"),
+    "insert_bits": _report("insert_bits"),
+    "delete_bits": _report("delete_bits"),
+    "modify_payload": _report("modify_payload"),
+    "modify_watermark": _report("modify_watermark"),
+    "drop": _report("drop", drop_localization={
+        f"1:{seq}": 3 for seq in range(1, 11)}),
+    "fake_inject": _report("fake_inject", attacks=3, detected=3,
+                           clean_accepted=7),
+    "store_probe": _report("store_probe", attacks=1, detected=1,
+                           clean_accepted=9),
+}
+
+
+@pytest.mark.parametrize("kind", adversary.KINDS)
+def test_detection_report_seed_3_matches_pinned_report(kind):
+    config = cli._suite_base(3)
+    config.attacks = cli._suite_attacks(kind)
+    assert analysis.detection_report(netsim.run(config).log) == REPORTS[kind]
