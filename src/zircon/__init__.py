@@ -14,7 +14,6 @@ from .nodes import (
     IntermediateNode,
     KeyRing,
     SourceNode,
-    VerificationVerdict,
 )
 from .netsim import Simulation, SimResult, run
 from .provstore import ProvenanceKey, ProvenanceStore
@@ -24,7 +23,6 @@ from .watermark import Frame
 __all__ = [
     "SymmetricKey", "digest", "encrypt_block", "decrypt_block",
     "GatewayNode", "IntermediateNode", "KeyRing", "SourceNode",
-    "VerificationVerdict",
     "Simulation", "SimResult", "run",
     "ProvenanceKey", "ProvenanceStore",
     "ScenarioConfig", "load_config",

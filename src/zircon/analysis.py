@@ -165,8 +165,8 @@ def detection_report(log: Union[str, Iterable[str]]) -> dict:
     verdict for that packet appears later in the log (for replays, no
     earlier than the scheduled re-delivery time).  A false accept means the
     packet's last verdict is an acceptance issued after the attack.  Drops
-    count as detected when the packet's records sit stranded in the store:
-    stored but never deleted and never accepted after the drop.
+    count as detected when the packet's set is live at the end (a store line
+    sets its newest hop, a delete ends it) and no accept follows the drop.
     Eavesdropping is passive and excluded from rates; store probes report
     what the access check returned.
     """
@@ -176,8 +176,7 @@ def detection_report(log: Union[str, Iterable[str]]) -> dict:
     emitted: List[tuple] = []
     attacks: List[tuple] = []
     by_packet_verdicts: Dict[tuple, List[tuple]] = defaultdict(list)
-    stored_hops: Dict[tuple, int] = {}
-    deleted_ids = set()
+    live: Dict[tuple, int] = {}
     read_verdict, read_store, read_delete, read_emit, read_attack = map(
         events.READERS.get, ("verdict", "store", "delete", "emit", "attack"))
 
@@ -194,12 +193,10 @@ def detection_report(log: Union[str, Iterable[str]]) -> dict:
                         by_packet_verdicts[rec.src, rec.seq].append((idx, rec))
                 elif kind == "store":
                     rec = read_store(fields)
-                    key = (rec.src, rec.seq)
-                    if rec.hop > stored_hops.setdefault(key, 0):
-                        stored_hops[key] = rec.hop
+                    live[rec.src, rec.seq] = rec.hop
                 elif kind == "delete":
                     rec = read_delete(fields)
-                    deleted_ids.add((rec.src, rec.seq))
+                    live.pop((rec.src, rec.seq), None)
                 elif kind == "emit":
                     rec = read_emit(fields)
                     emitted.append((rec.src, rec.seq))
@@ -219,16 +216,12 @@ def detection_report(log: Union[str, Iterable[str]]) -> dict:
     walk(enumerate(lines))
 
     kinds: Dict[str, dict] = {}
-
-    def bucket(kind: str) -> dict:
-        return kinds.setdefault(kind, {"attacks": 0, "detected": 0, "rate": None})
-
     false_accepts = 0
     drop_localization = {}
     attacked_ids = set()
 
     for a_idx, a in attacks:
-        entry = bucket(a.kind)
+        entry = kinds.setdefault(a.kind, {"attacks": 0, "detected": 0})
         entry["attacks"] += 1
         key = (a.src, a.seq)
         if a.src is not None:
@@ -244,15 +237,18 @@ def detection_report(log: Union[str, Iterable[str]]) -> dict:
         if a.kind == DROP:
             accepted_after = any(v.outcome == ACCEPTED and idx > a_idx
                                  for idx, v in packet_verdicts)
-            stranded = key in stored_hops and key not in deleted_ids
-            if stranded and not accepted_after:
+            if key in live and not accepted_after:
                 entry["detected"] += 1
-                drop_localization[f"{a.src}:{a.seq}"] = stored_hops[key]
+                drop_localization[f"{a.src}:{a.seq}"] = live[key]
             continue
 
         horizon = a.time
         if a.kind == REPLAY:
-            horizon += int(events.parse_detail(a.detail).get("delay", 0))
+            try:
+                horizon += int(events.parse_detail(a.detail).get("delay", 0))
+            except ValueError as err:
+                raise ValueError(f"malformed log line {events.attack(*a)!r}: "
+                                 f"{err}") from None
         rejected_after = any(
             v.outcome != ACCEPTED and idx > a_idx and v.time >= horizon
             for idx, v in packet_verdicts

@@ -36,8 +36,6 @@ from .nodes import (
     ROLE_INTERMEDIATE,
     ROLE_SOURCE,
     SourceNode,
-    VerificationVerdict,
-    rotate_keys,
 )
 from .crypto import KEY_BYTES, SymmetricKey
 from .provstore import ProvenanceStore
@@ -168,12 +166,8 @@ class Simulation:
         initial = SymmetricKey(self._rng("keys").randbytes(KEY_BYTES), 0)
         self.keyring = KeyRing(initial)
         self._generations = 0
-        self._rotation_threshold: Optional[int] = None
-        if config.key_rotation is not None:
-            self._rotation_threshold = self._rng("rotation").randint(
-                config.key_rotation.min_generations,
-                config.key_rotation.max_generations,
-            )
+        self._rotation_threshold: Optional[int] = (
+            None if config.key_rotation is None else self._next_rotation())
 
         # every node by id; its class's `role` picks what a delivery runs.
         # The gateways' `origins` holds the ip of every registered node.
@@ -197,14 +191,11 @@ class Simulation:
                 else:
                     self.store.register_node(spec.id)
 
-        # next hop along each configured route; each source's packet entries
-        # share one copy of its route
-        self._route_of_source: Dict[int, List[int]] = {}
-        self._next_hop: Dict[Tuple[int, int], int] = {}
-        for route in config.routes:
-            self._route_of_source[route[0]] = list(route)
-            for a, b in zip(route, route[1:]):
-                self._next_hop[(route[0], a)] = b
+        # each source's route, one copy its packet entries share.  A frame at
+        # hop h crosses route[h - 1] -> route[h]: only a routed source opens a
+        # set, and a frame is forwarded only when its hop matched the store
+        self._route_of_source: Dict[int, List[int]] = {
+            route[0]: list(route) for route in config.routes}
 
         self._link_attacks: Dict[Tuple[int, int], List[AttackSpec]] = {}
         for attack in config.attacks:
@@ -244,7 +235,7 @@ class Simulation:
         self.log.append(events.attack(attack.kind, attack.target_label(), src,
                                       seq, detail, self.now))
 
-    def _record_verdict(self, verdict: VerificationVerdict, src: int,
+    def _record_verdict(self, verdict: events.Verdict, src: int,
                         seq: int, flow: str, path=None) -> None:
         """Log a verdict as the node read it and add it to the entry of the
         delivered packet `(src, seq)`, if it was emitted.  A garbled header
@@ -265,25 +256,25 @@ class Simulation:
                 entry["final"] = v
                 entry["path"] = path
 
+    def _next_rotation(self) -> int:
+        kr = self.config.key_rotation
+        return self._rng("rotation").randint(kr.min_generations,
+                                             kr.max_generations)
+
     def _maybe_rotate(self) -> None:
         if self._rotation_threshold is None:
             return
         while self._generations >= self._rotation_threshold:
             self._generations -= self._rotation_threshold
-            key = rotate_keys(self.keyring, self._rng("keys"))
+            key = self.keyring.rotate(self._rng("keys"))
             self.log.append(events.rotate(key.epoch, self.now))
-            self._rotation_threshold = self._rng("rotation").randint(
-                self.config.key_rotation.min_generations,
-                self.config.key_rotation.max_generations,
-            )
+            self._rotation_threshold = self._next_rotation()
 
     # -- link transmission ---------------------------------------------------
 
-    def _send(self, from_id: int, data: bytes, src: int, seq: int, hop: int,
+    def _send(self, data: bytes, src: int, seq: int, hop: int,
               flow: str) -> None:
-        to_id = self._next_hop.get((src, from_id))
-        if to_id is None:
-            return
+        from_id, to_id = self._route_of_source[src][hop - 1:hop + 1]
         if flow == FLOW_ORGANIC:
             for attack in self._link_attacks.get((from_id, to_id), ()):
                 if not attack.matches(src, seq, self.now):
@@ -326,7 +317,7 @@ class Simulation:
             "route": self._route_of_source[source],
             "emitted_ms": self.now, "status": "in_flight", "final": None,
             "path": None, "verdicts": [], "store_records": None}
-        self._send(source, frame, source, seq, 1, FLOW_ORGANIC)
+        self._send(frame, source, seq, 1, FLOW_ORGANIC)
 
     def _handle_deliver(self, to: int, data: bytes, src: int, seq: int,
                         hop: int, flow: str) -> None:
@@ -339,7 +330,7 @@ class Simulation:
             self._record_verdict(verdict, src, seq, flow)
             if forwarded is not None:
                 self._generations += 1
-                self._send(to, forwarded, src, seq, verdict.hop + 1, flow)
+                self._send(forwarded, src, seq, verdict.hop + 1, flow)
             return
 
         verdict, path = self._verify(node, data, self.now)

@@ -12,15 +12,15 @@ per-epoch into a path entry, checks the origin (the claimed source must be a
 registered node with the first record's ip), then freshness, and purges it.
 
 Any failed check follows the same procedure: discard the packet, delete the
-packet's stored records, and emit a verdict describing what failed.
+packet's stored records, and return an `events.Verdict` naming what failed.
 """
 from __future__ import annotations
 
 import random
 from typing import Dict, List, Optional, Tuple
 
-from . import events
 from .crypto import KEY_BYTES, DecryptionError, SymmetricKey, decrypt_block
+from .events import Verdict
 from .provstore import (
     MissingRecordError,
     OneRetrievalError,
@@ -57,13 +57,8 @@ MISSING_RECORD = "missing_record"
 ProvenancePath = List[Tuple[str, int]]
 
 
-# a verdict is the record its event line parses back to: (node, src, seq,
-# hop, outcome, time), with None for an id the frame did not yield
-VerificationVerdict = events.Verdict
-
-
 class KeyRing:
-    """Shared symmetric keys indexed by rotation epoch.
+    """Shared symmetric keys by rotation epoch; the ring rotates itself.
 
     All registered nodes hold the same ring; historical epochs stay
     available so records stored before a rotation still decrypt.
@@ -73,21 +68,15 @@ class KeyRing:
         self._keys: Dict[int, SymmetricKey] = {initial.epoch: initial}
         self.current = initial
 
-    def add(self, key: SymmetricKey) -> None:
-        if key.epoch <= self.current.epoch:
-            raise ValueError("key epoch must strictly increase")
+    def rotate(self, rng: random.Random) -> SymmetricKey:
+        """Install a fresh key at the next epoch and return it."""
+        key = self.current = SymmetricKey(rng.randbytes(KEY_BYTES),
+                                          self.current.epoch + 1)
         self._keys[key.epoch] = key
-        self.current = key
+        return key
 
     def get(self, epoch: int) -> Optional[SymmetricKey]:
         return self._keys.get(epoch)
-
-
-def rotate_keys(ring: KeyRing, rng: random.Random) -> SymmetricKey:
-    """Install a fresh key at the next epoch and return it."""
-    key = SymmetricKey(rng.randbytes(KEY_BYTES), ring.current.epoch + 1)
-    ring.add(key)
-    return key
 
 
 class _Node:
@@ -114,11 +103,13 @@ class _Verifier(_Node):
     """The checks intermediates and the gateway share."""
 
     def _verdict(self, outcome: str, src: Optional[int], seq: Optional[int],
-                 hop: Optional[int], now_ms: int) -> VerificationVerdict:
-        return VerificationVerdict(self.id, src, seq, hop, outcome, now_ms)
+                 hop: Optional[int], now_ms: int) -> Verdict:
+        # the record the verdict's event line parses back to: (node, src,
+        # seq, hop, outcome, time), None for an id the frame did not yield
+        return Verdict(self.id, src, seq, hop, outcome, now_ms)
 
     def _fail(self, outcome: str, src: Optional[int], seq: Optional[int],
-              hop: Optional[int], now_ms: int) -> Tuple[VerificationVerdict, None]:
+              hop: Optional[int], now_ms: int) -> Tuple[Verdict, None]:
         """Discard the packet: delete its stored records, when the frame
         still names a packet, and report what failed."""
         if src is not None and seq is not None:
@@ -126,8 +117,7 @@ class _Verifier(_Node):
         return self._verdict(outcome, src, seq, hop, now_ms), None
 
     def _check_hop(self, data: bytes, now_ms: int
-                   ) -> Tuple[Optional[VerificationVerdict],
-                              Optional[Frame]]:
+                   ) -> Tuple[Optional[Verdict], Optional[Frame]]:
         """Parse a multi-hop frame, check its payload against the carried
         hash part, and its hop and cipher against the newest stored record.
         Returns (None, packet) when every check passed, else (verdict, None)."""
@@ -186,7 +176,7 @@ class IntermediateNode(_Verifier):
     role = ROLE_INTERMEDIATE
 
     def process(self, data: bytes, now_ms: int
-                ) -> Tuple[VerificationVerdict, Optional[bytes]]:
+                ) -> Tuple[Verdict, Optional[bytes]]:
         """Return (verdict, the forwarded frame's wire bytes or None)."""
         verdict, pkt = self._check_hop(data, now_ms)
         if verdict is not None:
@@ -219,7 +209,7 @@ class GatewayNode(_Verifier):
         self._ip_text: Dict[bytes, str] = {}
 
     def _open_set(self, pkt: Frame, records: List[StoredRecord], now_ms: int
-                  ) -> Tuple[VerificationVerdict, Optional[ProvenancePath]]:
+                  ) -> Tuple[Verdict, Optional[ProvenancePath]]:
         """The set pass of both profiles.  Decrypt each record under the key
         of its own epoch straight into an (ip text, capture time) pair; a
         record that cannot have come from a registered node fails the packet
@@ -254,7 +244,7 @@ class GatewayNode(_Verifier):
         return self._verdict(ACCEPTED, pkt.src, pkt.seq, pkt.hop, now_ms), path
 
     def verify_multihop(self, data: bytes, now_ms: int
-                        ) -> Tuple[VerificationVerdict, Optional[ProvenancePath]]:
+                        ) -> Tuple[Verdict, Optional[ProvenancePath]]:
         verdict, pkt = self._check_hop(data, now_ms)
         if verdict is not None:
             return verdict, None
@@ -269,7 +259,7 @@ class GatewayNode(_Verifier):
         return self._open_set(pkt, records, now_ms)
 
     def verify_singlehop(self, data: bytes, now_ms: int
-                         ) -> Tuple[VerificationVerdict, Optional[ProvenancePath]]:
+                         ) -> Tuple[Verdict, Optional[ProvenancePath]]:
         """Verify a bare frame against the watermark the source left behind:
         regenerate the hash part from the received payload, compare with the
         stored one, then decrypt and validate the stored feature record."""

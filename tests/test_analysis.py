@@ -1,6 +1,7 @@
 """Energy and provenance-cost models, CSV writers, and log correlation."""
 import io
 import math
+import re
 
 import mpmath as mp
 import pytest
@@ -289,6 +290,25 @@ def test_drop_detected_from_stranded_records():
     assert report["drop_localization"] == {"1:1": 2}
 
 
+def test_a_drop_is_stranded_while_its_set_is_live():
+    # a store line sets a set's newest hop and a delete line ends the set,
+    # as `inspect-store` reads a journal; a set stored after a delete is live
+    log = log_lines(
+        "delete|1|1|0|0",
+        "emit|1|1|1|1|0",
+        "store|1|1|1|00|1|0",
+        "attack|drop|1->2|1|1|dropped|0",
+        "store|1|2|1|00|1|5",
+        "store|1|2|2|00|2|300",
+        "delete|1|2|2|600",
+        "attack|drop|2->3|1|2|dropped|300",
+    )
+    report = detection_report(log)
+    assert report["kinds"]["drop"] == {"attacks": 2, "detected": 1,
+                                       "rate": 0.5}
+    assert report["drop_localization"] == {"1:1": 1}
+
+
 def test_drop_not_detected_if_packet_was_delivered():
     log = log_lines(
         "store|1|1|1|00|1|0",
@@ -323,6 +343,13 @@ def test_eavesdrop_has_no_rate():
     # passive capture leaves the frame intact; delivering it is correct
     assert report["false_accepts"] == 0
     assert report["clean_accepted"] == 0  # the packet was still attacked
+
+
+def test_a_non_integer_replay_delay_names_its_line():
+    with pytest.raises(ValueError, match=re.escape(
+            "malformed log line 'attack|replay|1->2|1|1|delay=soon|5': ")):
+        detection_report(["emit|1|1|1|1|0",
+                          "attack|replay|1->2|1|1|delay=soon|5"])
 
 
 def test_malformed_log_raises():

@@ -5,11 +5,14 @@ each output file is pinned, and the benchmark's three simulator workloads are
 held at two seeds each to the digests perfbench/baseline.json records.  Any
 change that moves a single byte of events.log, report.json or
 provenance.journal fails here; a change that is meant to move them must
-update the pinned digests and say why.
+update the pinned digests and say why.  One more test runs the CLI under two
+hash seeds, which the pinned digests, taken under one, cannot tell apart.
 """
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -149,7 +152,8 @@ def test_run_outputs_match_pinned_digests(name, tmp_path, capsys):
     assert got == want
 
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load_bench_workloads():
@@ -182,3 +186,32 @@ def test_bench_workload_outputs_match_the_baseline(workload, seed, tmp_path,
     got = {f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
            for f in OUTPUT_FILES}
     assert got == want
+
+
+def _zircon(hash_seed: str, *args: str, cwd: Path):
+    """`python -m zircon ARGS` in its own interpreter under PYTHONHASHSEED."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    return subprocess.run([sys.executable, "-m", "zircon", *args], cwd=cwd,
+                          env=env, capture_output=True, timeout=120)
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # the goldens run under one hash seed, so an output that iterates a set
+    # or dict of str in hash order passes them; two interpreters with
+    # different seeds disagree on that order.  ATTACKED_LINE rotates keys and
+    # carries a replay, a drop, a forged frame and a store probe.
+    (tmp_path / "scenario.yaml").write_text(ATTACKED_LINE, encoding="utf-8")
+    outputs = []
+    for hash_seed in ("0", "12345"):
+        out_dir = tmp_path / hash_seed
+        run = _zircon(hash_seed, "run", "--config", "scenario.yaml", "--out",
+                      str(out_dir), cwd=tmp_path)
+        suite = _zircon(hash_seed, "attack-suite", "--seed", "3", cwd=tmp_path)
+        assert run.returncode == 0, run.stderr
+        assert suite.returncode == 0, suite.stderr
+        outputs.append([(out_dir / f).read_bytes() for f in OUTPUT_FILES]
+                       + [suite.stdout])
+    assert outputs[0] == outputs[1]

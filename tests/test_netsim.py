@@ -168,7 +168,7 @@ def test_rotation_disabled_by_default():
 
 # -- attacks ---------------------------------------------------------------------------
 
-def test_modify_payload_rejected_at_next_hop():
+def test_modify_payload_rejected_at_the_receiving_hop():
     cfg = base_config()
     cfg.attacks = [AttackSpec(kind="modify_payload", from_id=2, to_id=3,
                               seq=2, edits=((0, 0x01),))]

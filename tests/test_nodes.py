@@ -17,8 +17,6 @@ from zircon.nodes import (
     IntermediateNode,
     KeyRing,
     SourceNode,
-    VerificationVerdict,
-    rotate_keys,
 )
 from zircon.provstore import ProvenanceKey
 from zircon.watermark import (
@@ -51,19 +49,17 @@ def walk_to_gateway(chain, payload=PAYLOAD, t0=0, step_ms=300):
 # -- key ring -----------------------------------------------------------------
 
 def test_keyring_epochs_strictly_increase(keyring, key):
-    with pytest.raises(ValueError):
-        keyring.add(SymmetricKey(material=bytes(16), epoch=0))
-    keyring.add(SymmetricKey(material=bytes(16), epoch=1))
+    assert keyring.rotate(random.Random(1)) is keyring.current
     assert keyring.current.epoch == 1
     assert keyring.get(0) == key
     assert keyring.get(7) is None
     assert [e for e in range(8) if keyring.get(e) is not None] == [0, 1]
 
 
-def test_rotate_keys_is_deterministic(key):
+def test_keyring_rotate_is_deterministic(key):
     ring_a, ring_b = KeyRing(key), KeyRing(key)
-    k_a = rotate_keys(ring_a, random.Random("seed/keys"))
-    k_b = rotate_keys(ring_b, random.Random("seed/keys"))
+    k_a = ring_a.rotate(random.Random("seed/keys"))
+    k_b = ring_b.rotate(random.Random("seed/keys"))
     assert k_a == k_b
     assert k_a.epoch == 1
     assert k_a.material != key.material
@@ -363,7 +359,7 @@ def test_gateway_rejects_origin_ip_mismatch(chain):
 
 def test_gateway_accepts_across_key_rotation(chain):
     _, frame = chain.source.emit_multihop(PAYLOAD, 0)
-    rotate_keys(chain.keyring, random.Random(5))
+    chain.keyring.rotate(random.Random(5))
     t = 300
     for node in chain.intermediates:
         verdict, forwarded = node.process(frame, t)
@@ -431,9 +427,9 @@ def test_singlehop_freshness():
 # -- verdict formatting -----------------------------------------------------------
 
 def test_verdict_line_format():
-    v = VerificationVerdict(outcome=ACCEPTED, node=9, src=1, seq=12, hop=3,
-                            time=4200)
+    v = events.Verdict(outcome=ACCEPTED, node=9, src=1, seq=12, hop=3,
+                       time=4200)
     assert events.verdict(*v) == "verdict|9|1|12|3|accepted|4200"
-    v = VerificationVerdict(outcome=FRAME_FAIL, node=5, src=None, seq=None,
-                            hop=None, time=7)
+    v = events.Verdict(outcome=FRAME_FAIL, node=5, src=None, seq=None,
+                       hop=None, time=7)
     assert events.verdict(*v) == "verdict|5|-|-|-|frame_fail|7"

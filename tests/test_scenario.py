@@ -7,6 +7,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from zircon import events
 from zircon.adversary import KINDS, AttackSpec
 from zircon.analysis import EnergyParams
 from zircon.netsim import Simulation, run
@@ -789,7 +790,8 @@ def test_every_validated_config_runs_to_completion(cfg):
         validate(cfg)
     except ConfigError:
         return
-    report = run(cfg).report
+    result = run(cfg)
+    report = result.report
     counts = report["counts"]
     assert counts["emitted"] == sum(t.count for t in cfg.traffic)
     assert counts["emitted"] == sum(counts[status] for status in
@@ -798,6 +800,12 @@ def test_every_validated_config_runs_to_completion(cfg):
     # every organic frame ends, and its end writes the packet's status
     assert counts["in_flight"] == 0
     assert report["rotations"] == report["final_epoch"]
+    # forwarding reads the route: a frame at hop h crosses route[h - 1] ->
+    # route[h]; only a forged frame lands where its injector aims it
+    if all(a.kind != "fake_inject" for a in cfg.attacks):
+        routes = {route[0]: route for route in cfg.routes}
+        for _, rec in events.read(result.log, ("deliver",)):
+            assert rec.node == routes[rec.src][rec.hop]
 
 
 @given(cfg=_configs())
