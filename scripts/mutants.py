@@ -23,11 +23,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 MUTANTS = [
-    # emit's time read as an id: "-" would pass for a missing time
+    # a plain integer read as an id: "-" would pass for a missing time
     ("src/zircon/events.py",
-     "int(hop), int(time)))\n\n\ndef deliver(",
-     "int(hop), None if time == '-' else int(time)))\n\n\ndef deliver(",
+     'else f"int({name})")',
+     'else f"None if {name} == \'-\' else int({name})")',
      "tests/test_events.py::test_parse_read_and_report_reject_alike"),
+    # a missing id written raw, as "None", not as "-"
+    ("src/zircon/events.py",
+     "f\"{{'-' if {name} is None else {name}}}\"",
+     'f"{{{name}}}"',
+     "tests/test_events.py::test_missing_ids_print_as_dash"),
     # read() no longer strips a padded line before it picks the line's kind
     ("src/zircon/events.py",
      "            line = line.strip()\n            if not line:\n",
@@ -45,9 +50,7 @@ MUTANTS = [
      "(self.now + traffic.interval_ms, next(self._order),",
      "tests/test_netsim.py::"
      "test_emits_run_before_deliveries_on_their_millisecond"),
-    # the per-hop hash-part check skipped, then the gateway's bare-frame
-    # one (test_every_accept_is_authentic draws its payload edits, so it
-    # misses either now and then)
+    # the per-hop hash-part check skipped, then the gateway's bare-frame one
     ("src/zircon/nodes.py",
      "        if make_hash_subwatermark(pkt.payload) != pkt.hash_part:\n",
      "        if False:\n",

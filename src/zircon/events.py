@@ -2,17 +2,15 @@
 
 A run's events.log is the record of the protocol: packet emissions and
 deliveries, per-hop verdicts, attacks, provenance-store writes and deletes,
-and key rotations.  SCHEMA below is the single definition of every kind's
-fields, and each kind's record type is built from it.  Each kind has one
-writer, a plain f-string function, so writing a line builds no object, and
-beside it one reader (READERS) that converts the split line's fields by
-name; parse() and read() go through the readers.  A round-trip test holds
-each writer and reader to SCHEMA.
+and key rotations.  SCHEMA below is the only place that lists a kind's
+fields: each kind's record type, its writer (a plain f-string function, so
+writing a line builds no object) and its reader (READERS) are built from
+it, and parse() and read() go through the readers.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Union
 
 # Field order per kind.  A plain name is an integer, "name?" an integer that
 # prints as "-" when missing, and "name$" free text.
@@ -69,91 +67,45 @@ def read(lines: Iterable[str], kinds=SCHEMA) -> Iterator[tuple]:
             yield idx, record
 
 
-# -- one writer and one reader per kind, in SCHEMA's field order ------------
-# A reader takes the split line, kind first, and raises ValueError on a wrong
-# field count or a bad integer; each kind ends in an integer, which int()
-# reads through the whitespace a padded line ends in.
+# -- one writer and one reader per kind, compiled from SCHEMA ----------------
 
-_new = tuple.__new__
-
-
-def emit(node: int, src: int, seq: int, hop: int, time: int) -> str:
-    return f"emit|{node}|{src}|{seq}|{hop}|{time}"
-
-
-def _read_emit(fields: List[str]) -> Emit:
-    _, node, src, seq, hop, time = fields
-    return _new(Emit, (int(node), int(src), int(seq), int(hop), int(time)))
-
-
-def deliver(node: int, src: int, seq: int, hop: int, time: int) -> str:
-    return f"deliver|{node}|{src}|{seq}|{hop}|{time}"
-
-
-def _read_deliver(fields: List[str]) -> Deliver:
-    _, node, src, seq, hop, time = fields
-    return _new(Deliver, (int(node), int(src), int(seq), int(hop), int(time)))
-
-
-def verdict(node: int, src: Optional[int], seq: Optional[int],
-            hop: Optional[int], outcome: str, time: int) -> str:
-    return (f"verdict|{node}|{'-' if src is None else src}|"
-            f"{'-' if seq is None else seq}|{'-' if hop is None else hop}|"
-            f"{outcome}|{time}")
+def _source(kind: str, spec: str) -> str:
+    """Python source for `kind`'s writer and its reader `_read_<kind>`;
+    printing it shows the code that runs.  A plain name is written as it is
+    and read with int(), a "name?" is written and read as "-" when None, and
+    a "name$" passes through as text.  The reader takes the split line, kind
+    first, and raises ValueError on a wrong field count or a bad integer;
+    each kind ends in an integer, which int() reads through the whitespace a
+    padded line ends in."""
+    names, written, read = [], [], []
+    for field in spec.split():
+        name = field.rstrip("?$")
+        names.append(name)
+        if field.endswith("?"):
+            written.append(f"{{'-' if {name} is None else {name}}}")
+            read.append(f"None if {name} == '-' else int({name})")
+        else:
+            written.append(f"{{{name}}}")
+            read.append(name if field.endswith("$") else f"int({name})")
+    args = ", ".join(names)
+    return (f"def {kind}({args}):\n"
+            f"    return f\"{'|'.join([kind] + written)}\"\n\n\n"
+            f"def _read_{kind}(fields):\n"
+            f"    _, {args} = fields\n"
+            f"    return _new({kind.capitalize()}, ({', '.join(read)}))\n")
 
 
-def _read_verdict(fields: List[str]) -> Verdict:
-    _, node, src, seq, hop, outcome, time = fields
-    return _new(Verdict, (int(node), None if src == "-" else int(src),
-                          None if seq == "-" else int(seq),
-                          None if hop == "-" else int(hop), outcome,
-                          int(time)))
+# the writers' and readers' globals; __name__ makes them this module's
+_compiled = {"__name__": __name__, "_new": tuple.__new__, **{
+    record.__name__: record for record in (
+        Emit, Deliver, Verdict, Attack, Store, Delete, Rotate)}}
+for _kind, _spec in SCHEMA.items():
+    exec(compile(_source(_kind, _spec), f"<events.{_kind}>", "exec"),
+         _compiled)
 
-
-def attack(kind: str, where: str, src: Optional[int], seq: Optional[int],
-           detail: str, time: int) -> str:
-    return (f"attack|{kind}|{where}|{'-' if src is None else src}|"
-            f"{'-' if seq is None else seq}|{detail}|{time}")
-
-
-def _read_attack(fields: List[str]) -> Attack:
-    _, kind, where, src, seq, detail, time = fields
-    return _new(Attack, (kind, where, None if src == "-" else int(src),
-                         None if seq == "-" else int(seq), detail, int(time)))
-
-
-def store(src: int, seq: int, hop: int, cipher_hex: str, by: int,
-          time: int) -> str:
-    return f"store|{src}|{seq}|{hop}|{cipher_hex}|{by}|{time}"
-
-
-def _read_store(fields: List[str]) -> Store:
-    _, src, seq, hop, cipher_hex, by, time = fields
-    return _new(Store, (int(src), int(seq), int(hop), cipher_hex, int(by),
-                        int(time)))
-
-
-def delete(src: int, seq: int, count: int, time: int) -> str:
-    return f"delete|{src}|{seq}|{count}|{time}"
-
-
-def _read_delete(fields: List[str]) -> Delete:
-    _, src, seq, count, time = fields
-    return _new(Delete, (int(src), int(seq), int(count), int(time)))
-
-
-def rotate(epoch: int, time: int) -> str:
-    return f"rotate|{epoch}|{time}"
-
-
-def _read_rotate(fields: List[str]) -> Rotate:
-    _, epoch, time = fields
-    return _new(Rotate, (int(epoch), int(time)))
-
-
-READERS = dict(emit=_read_emit, deliver=_read_deliver, verdict=_read_verdict,
-               attack=_read_attack, store=_read_store, delete=_read_delete,
-               rotate=_read_rotate)
+emit, deliver, verdict, attack, store, delete, rotate = (
+    _compiled[kind] for kind in SCHEMA)
+READERS = {kind: _compiled[f"_read_{kind}"] for kind in SCHEMA}
 
 
 # -- the attack line's detail field -----------------------------------------

@@ -241,6 +241,13 @@ _FORGED = (
     ("hop", lambda hop: 1 <= hop <= MAX_HOP, f"a forged hop in 1..{MAX_HOP}"),
 )
 
+# an attack's sequence fields: (field, test of one item, what an item must be)
+_SEQUENCES = (
+    ("edits", lambda pair: type(pair) in (tuple, list) and len(pair) == 2
+     and all(type(v) is int for v in pair), "an (offset, mask) pair of integers"),
+    ("bits", lambda b: type(b) is int and b in (0, 1), "a bit (0 or 1)"),
+)
+
 
 def validate(config: ScenarioConfig) -> None:
     """Raise ConfigError listing every problem found."""
@@ -273,13 +280,14 @@ def validate(config: ScenarioConfig) -> None:
     errors += [f"routes[{ri}]: node id {nid!r} is not an integer"
                for ri, route in enumerate(config.routes) for nid in route
                if type(nid) is not int]
-    errors += [f"attacks[{ai}].edits: {pair!r} is not an (offset, mask) "
-               f"pair of integers"
-               for ai, a in enumerate(config.attacks) for pair in a.edits
-               if any(type(v) is not int for v in pair)]
-    errors += [f"attacks[{ai}].bits: {b!r} is not a bit (0 or 1)"
-               for ai, a in enumerate(config.attacks) for b in a.bits
-               if type(b) is not int or b not in (0, 1)]
+    for ai, a in enumerate(config.attacks):
+        for name, item_ok, wording in _SEQUENCES:
+            where, items = f"attacks[{ai}].{name}", getattr(a, name)
+            if type(items) not in (tuple, list):
+                errors.append(f"{where}: must be a list, got {items!r}")
+            else:
+                errors += [f"{where}: {item!r} is not {wording}"
+                           for item in items if not item_ok(item)]
     if errors:
         # every check below compares these values
         raise ConfigError(errors)

@@ -1,6 +1,7 @@
 """The event-line schema: every writer's line parses back to its fields,
 and parse, read and the detection report refuse what no writer produces."""
 import inspect
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -44,6 +45,15 @@ def test_every_kind_round_trips(kind_and_fields):
                                    for n in events.SCHEMA[kind].split())
     assert tuple(inspect.signature(write).parameters) == record._fields
     assert write(*record) == line
+
+
+def test_the_readme_lists_every_kind_as_schema_does():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = readme[readme.index("**events.log**"):].split("```\n")[1]
+    assert block.splitlines() == [
+        "|".join([kind] + [name.rstrip("?$") for name in spec.split()])
+        for kind, spec in events.SCHEMA.items()]
 
 
 def test_missing_ids_print_as_dash():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from zircon import events
@@ -648,6 +648,10 @@ def test_area_entries_must_be_numbers(area, message):
     assert exc.value.errors == [message]
 
 
+def _edit(edits):
+    return AttackSpec(kind="modify_payload", from_id=1, to_id=2, edits=edits)
+
+
 @pytest.mark.parametrize("overrides, message", [
     ({"energy": None}, "energy: must be an EnergyParams record, got None"),
     ({"key_rotation": {"min_generations": 1, "max_generations": 2}},
@@ -663,10 +667,18 @@ def test_area_entries_must_be_numbers(area, message):
     ({"routes": [None]}, "routes[0]: must be a list, got None"),
     ({"routes": [[1, 2, 9], 5]}, "routes[1]: must be a list, got 5"),
     ({"area": None}, "area: must be a (length, width) pair, got None"),
+    ({"attacks": [_edit(edits=((0, 1, 2),))]},
+     "attacks[0].edits: (0, 1, 2) is not an (offset, mask) pair of integers"),
+    ({"attacks": [_edit(edits=((0,),))]},
+     "attacks[0].edits: (0,) is not an (offset, mask) pair of integers"),
+    ({"attacks": [_edit(edits=5)]}, "attacks[0].edits: must be a list, got 5"),
+    ({"attacks": [AttackSpec(kind="insert_bits", from_id=1, to_id=2,
+                             offset_bits=3, bits={1: "x", 0: "y"})]},
+     "attacks[0].bits: must be a list, got {1: 'x', 0: 'y'}"),
 ])
 def test_a_record_of_the_wrong_type_is_a_config_error(overrides, message):
     # configs built in code: each of these used to escape validate as a bare
-    # TypeError or KeyError
+    # TypeError, KeyError or ValueError, and the last one ran as bits (1, 0)
     assert errors_of(small_config(**overrides)) == [message]
 
 
@@ -776,6 +788,16 @@ def _attacks(draw, links, live, smallest):
     return AttackSpec(**spec)
 
 
+def _nodes(unregistered=None):
+    """Sources 1-3, the intermediates of _POOL and the gateway, all but
+    `unregistered` registered."""
+    return [NodeSpec(id=nid, ip=f"10.0.0.{nid}",
+                     role=("source" if nid <= 3 else "gateway"
+                           if nid == _GATEWAY else "intermediate"),
+                     x=10 * nid, y=5, registered=nid != unregistered)
+            for nid in _IDS]
+
+
 @st.composite
 def _configs(draw):
     mode = draw(st.sampled_from(["multihop", "singlehop"]))
@@ -787,13 +809,8 @@ def _configs(draw):
             st.lists(st.sampled_from(_POOL), max_size=3, unique=True))
         routes.append([src, *middle, _GATEWAY])
     # at most one node unregistered: on a route it fails validation
-    unregistered = draw(st.one_of(st.none(), st.none(),
-                                  st.sampled_from(_IDS)))
-    nodes = [NodeSpec(id=nid, ip=f"10.0.0.{nid}",
-                      role=("source" if nid <= 3 else "gateway"
-                            if nid == _GATEWAY else "intermediate"),
-                      x=10 * nid, y=5, registered=nid != unregistered)
-             for nid in _IDS]
+    nodes = _nodes(draw(st.one_of(st.none(), st.none(),
+                                  st.sampled_from(_IDS))))
     traffic = [TrafficSpec(source=src, count=draw(st.integers(1, 4)),
                            interval_ms=draw(st.integers(1, 2000)),
                            start_ms=draw(st.integers(0, 3000)),
@@ -866,7 +883,22 @@ def test_eavesdrops_and_refused_probes_change_no_organic_fate(cfg):
     assert fates[0] == fates[1]
 
 
+def _tampered(mode, routes, link):
+    """Three packets from each route's source, and one payload edit on
+    `link` that meets every packet crossing it."""
+    return ScenarioConfig(
+        mode=mode, nodes=_nodes(), routes=routes,
+        traffic=[TrafficSpec(source=route[0], count=3) for route in routes],
+        attacks=[AttackSpec(kind="modify_payload", from_id=link[0],
+                            to_id=link[1], edits=((0, 1),))])
+
+
 @given(cfg=_configs())
+# the drawn configs carry few payload edits that reach a packet; these two
+# do, so that every run tests each verifier's hash-part check
+@example(cfg=_tampered("multihop", [[1, 4, 5, _GATEWAY]], (4, 5)))
+@example(cfg=_tampered("singlehop", [[1, _GATEWAY], [2, _GATEWAY],
+                                     [3, _GATEWAY]], (2, _GATEWAY)))
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_every_accept_is_authentic(cfg):
