@@ -35,8 +35,14 @@ MUTANTS = [
      "tests/test_events.py::test_missing_ids_print_as_dash"),
     # read() no longer strips a padded line before it picks the line's kind
     ("src/zircon/events.py",
-     "            line = line.strip()\n            if not line:\n",
-     "            if not line.strip():\n",
+     "            line = line.strip()\n            if line and ",
+     "            if line.strip() and ",
+     "tests/test_events.py::test_read_matches_parse_line_by_line"),
+    # a line its reader refuses is parsed again unstripped, so one that ends
+    # in whitespace int() refuses is refused, not read
+    ("src/zircon/events.py",
+     "record = parse(line.strip())",
+     "record = parse(line)",
      "tests/test_events.py::test_read_matches_parse_line_by_line"),
     # route items written raw through %s, not by json's rule
     ("src/zircon/netsim.py",
@@ -67,6 +73,12 @@ MUTANTS = [
      "        return self._verdict(outcome, pkt, now_ms), None\n",
      "tests/test_nodes.py::"
      "test_singlehop_short_frame_burns_the_set_it_still_names"),
+    # a negative forged key epoch passes validate, and the run aborts
+    ("src/zircon/scenario.py",
+     '    ("key_epoch", lambda epoch: epoch >= 0, '
+     '"a nonnegative forged key epoch"),\n',
+     "",
+     "tests/test_scenario.py::test_fake_inject_wire_limits"),
     # provenance_size prices a path of no hops
     ("src/zircon/analysis.py",
      "    if hops < 1:\n        raise ValueError(\"hop count must be >= 1\")\n",

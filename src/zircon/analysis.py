@@ -69,8 +69,9 @@ def energy_errors(params: EnergyParams) -> List[str]:
 
 def node_energy(params: EnergyParams, t_c_ms: float) -> float:
     """Energy of one duty cycle in millijoules (power in mW, windows in ms)."""
-    if t_c_ms < 0:
-        raise ValueError("computation time cannot be negative")
+    if not 0 <= t_c_ms < math.inf:
+        raise ValueError(f"t_c_ms: must be a finite nonnegative number, "
+                         f"got {t_c_ms!r}")
     active = params.t_a_ms + params.t_s_ms + t_c_ms + params.t_tr_ms + params.t_sl_ms
     return params.p_n_mw * active / 1000.0
 
@@ -164,43 +165,23 @@ def detection_report(log: Union[str, Iterable[str]]) -> dict:
     attacks: List[tuple] = []
     by_packet_verdicts: Dict[tuple, List[tuple]] = defaultdict(list)
     live: Dict[tuple, int] = {}
-    read_verdict, read_store, read_delete, read_emit, read_attack = map(
-        events.READERS.get, ("verdict", "store", "delete", "emit", "attack"))
-
-    def walk(numbered):
-        # a line is split once and sent by its kind field to that kind's
-        # reader; deliver and rotate lines are passed over unparsed
-        for idx, line in numbered:
-            fields = line.split("|")
-            kind = fields[0]
-            try:
-                if kind == "verdict":
-                    rec = read_verdict(fields)
-                    if rec.src is not None and rec.seq is not None:
-                        by_packet_verdicts[rec.src, rec.seq].append((idx, rec))
-                elif kind == "store":
-                    rec = read_store(fields)
-                    live[rec.src, rec.seq] = rec.hop
-                elif kind == "delete":
-                    rec = read_delete(fields)
-                    live.pop((rec.src, rec.seq), None)
-                elif kind == "emit":
-                    rec = read_emit(fields)
-                    emitted.append((rec.src, rec.seq))
-                elif kind == "attack":
-                    attacks.append((idx, read_attack(fields)))
-                elif kind != "deliver" and kind != "rotate":
-                    raise ValueError(kind)
-            except ValueError:
-                # as events.read reads it: stripped, and passed over if blank
-                stripped = line.strip()
-                if stripped != line:
-                    walk(((idx, stripped),))
-                elif stripped:
-                    events.parse(line)  # raises, naming the line
-                    raise
-
-    walk(enumerate(lines))
+    Verdict, Store, Delete, Emit = (events.Verdict, events.Store,
+                                    events.Delete, events.Emit)
+    for item in events.read(lines, ("verdict", "store", "delete", "emit",
+                                    "attack")):
+        rec = item[1]
+        kind = type(rec)
+        if kind is Verdict:
+            if rec.src is not None and rec.seq is not None:
+                by_packet_verdicts[rec.src, rec.seq].append(item)
+        elif kind is Store:
+            live[rec.src, rec.seq] = rec.hop
+        elif kind is Delete:
+            live.pop((rec.src, rec.seq), None)
+        elif kind is Emit:
+            emitted.append((rec.src, rec.seq))
+        else:
+            attacks.append(item)
 
     kinds: Dict[str, dict] = {}
     false_accepts = 0

@@ -52,19 +52,21 @@ def read(lines: Iterable[str], kinds=SCHEMA) -> Iterator[tuple]:
     """(line index, record) for each line of one of `kinds`, in order.
     Blank lines, and lines of the other known kinds, are passed over
     unparsed; a line of an unknown kind raises like parse()."""
+    # each known kind's reader, or False when it was not asked for
+    table = {kind: kind in kinds and reader for kind, reader in READERS.items()}
     for idx, line in enumerate(lines):
         fields = line.split("|")
-        if fields[0] not in READERS:  # a padded, blank or unknown line
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split("|")
-        if fields[0] in kinds or fields[0] not in READERS:
+        reader = table.get(fields[0])
+        if reader:
             try:
-                record = READERS[fields[0]](fields)
-            except (KeyError, ValueError):
-                record = parse(line.strip())  # raises, naming the line
+                record = reader(fields)
+            except ValueError:
+                record = parse(line.strip())  # or raise, naming the line
             yield idx, record
+        elif reader is None:  # a padded, blank or unknown line
+            line = line.strip()
+            if line and table.get(line.split("|", 1)[0], True):
+                yield idx, parse(line)  # an unknown kind raises
 
 
 # -- one writer and one reader per kind, compiled from SCHEMA ----------------

@@ -239,6 +239,7 @@ _FORGED = (
     ("payload", lambda p: len(p) <= MAX_PAYLOAD, "a forged payload of < 64 KiB"),
     ("key_material", lambda k: len(k) == KEY_BYTES, f"a {KEY_BYTES}-byte forging key"),
     ("hop", lambda hop: 1 <= hop <= MAX_HOP, f"a forged hop in 1..{MAX_HOP}"),
+    ("key_epoch", lambda epoch: epoch >= 0, "a nonnegative forged key epoch"),
 )
 
 # an attack's sequence fields: (field, test of one item, what an item must be)

@@ -56,8 +56,10 @@ def test_energy_monotonic_in_power():
 
 
 def test_energy_rejects_negatives():
-    with pytest.raises(ValueError):
-        node_energy(EnergyParams(), -1.0)
+    for t_c_ms in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_c_ms: must be a finite "
+                           "nonnegative number"):
+            node_energy(EnergyParams(), t_c_ms)
     assert energy_errors(EnergyParams(t_tr_ms=-5.0)) == [
         "t_tr_ms: must be a finite nonnegative number, got -5.0"]
 

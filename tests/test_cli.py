@@ -1,6 +1,7 @@
 """Command-line verbs exercised through main(argv)."""
 import hashlib
 import json
+import math
 from dataclasses import asdict
 
 import pytest
@@ -403,7 +404,11 @@ def test_energy_table_refuses_a_negative_energy_constant(tmp_path, capsys):
     assert not csv_path.exists()
 
 
-@pytest.mark.parametrize("nodes", [{"1": {"role": "source"}}, [1, 2]])
+@pytest.mark.parametrize("nodes", [
+    {"1": {"role": "source"}}, [1, 2],
+    # json.dumps writes NaN and Infinity, and json.load reads them back
+    {"1": {"role": "source", "packets": 1, "t_c_ms": math.nan}},
+    {"1": {"role": "source", "packets": 1, "t_c_ms": math.inf}}])
 def test_energy_table_refuses_malformed_nodes(tmp_path, capsys, nodes):
     out_dir, report_path = edited_report(tmp_path, capsys, "nodes", nodes)
     csv_path = tmp_path / "energy.csv"

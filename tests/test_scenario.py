@@ -279,6 +279,10 @@ def test_fake_inject_wire_limits():
         "attacks[0].ip: fake_inject needs a 4-byte forged address"]
     assert any("forged payload" in e
                for e in errors_of(forged(payload=bytes(0x10000))))
+    # a negative epoch used to pass, and the run aborted building the key
+    assert errors_of(forged(key_epoch=-1)) == [
+        "attacks[0].key_epoch: fake_inject needs a nonnegative forged key "
+        "epoch"]
 
 
 def test_attack_link_must_exist():
@@ -759,7 +763,7 @@ def _attacks(draw, links, live, smallest):
                 ip, st.binary(max_size=6)))),
             payload=draw(st.binary(max_size=24)),
             key_material=draw(forged(st.binary(min_size=16, max_size=16))),
-            key_epoch=draw(st.integers(0, 3)), hop=draw(st.integers(1, 5)))
+            key_epoch=draw(st.integers(-1, 3)), hop=draw(st.integers(1, 5)))
     if kind == "store_probe":
         return AttackSpec(kind=kind,
                           caller_id=draw(_or_none(st.sampled_from(
