@@ -56,6 +56,33 @@ MUTANTS = [
      "(self.now + traffic.interval_ms, next(self._order),",
      "tests/test_netsim.py::"
      "test_emits_run_before_deliveries_on_their_millisecond"),
+    # link attacks applied only when the scenario has none
+    ("src/zircon/netsim.py",
+     "if flow == FLOW_ORGANIC and self._link_attacks:",
+     "if flow == FLOW_ORGANIC and not self._link_attacks:",
+     "tests/test_netsim.py::test_modify_payload_rejected_at_the_receiving_hop"),
+    # the rotation check run only when the run does not rotate keys
+    ("src/zircon/netsim.py",
+     "        if self._rotation_threshold is not None:\n"
+     "            self._maybe_rotate()\n",
+     "        if self._rotation_threshold is None:\n"
+     "            self._maybe_rotate()\n",
+     "tests/test_netsim.py::test_rotation_threshold_counts_generations"),
+    # a stored record built with its epoch and time swapped
+    ("src/zircon/provstore.py",
+     "(hop, cipher, epoch, time,",
+     "(hop, cipher, time, epoch,",
+     "tests/test_records.py::test_stored_records_hold_every_field_in_order"),
+    # a verdict built with its src and seq swapped
+    ("src/zircon/nodes.py",
+     "(self.id, pkt.src, pkt.seq, pkt.hop, outcome,",
+     "(self.id, pkt.seq, pkt.src, pkt.hop, outcome,",
+     "tests/test_records.py::test_process_verdicts_hold_every_field_in_order"),
+    # a frame parsed with its hop dropped: every later field moves up one
+    ("src/zircon/watermark.py",
+     "    return _new(Frame, (src, seq, hop, data[HEADER_BYTES:end],\n",
+     "    return _new(Frame, (src, seq, data[HEADER_BYTES:end],\n",
+     "tests/test_records.py::test_frames_hold_every_field_in_order"),
     # the per-hop hash-part check skipped, then the gateway's bare-frame one
     ("src/zircon/nodes.py",
      "        if make_hash_subwatermark(pkt.payload) != pkt.hash_part:\n",

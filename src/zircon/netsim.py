@@ -262,8 +262,8 @@ class Simulation:
                                              kr.max_generations)
 
     def _maybe_rotate(self) -> None:
-        if self._rotation_threshold is None:
-            return
+        """Rotate the key once per threshold of generations passed; step
+        calls it only when the run rotates keys."""
         while self._generations >= self._rotation_threshold:
             self._generations -= self._rotation_threshold
             key = self.keyring.rotate(self._rng("keys"))
@@ -274,9 +274,10 @@ class Simulation:
 
     def _send(self, data: bytes, src: int, seq: int, hop: int,
               flow: str) -> None:
-        from_id, to_id = self._route_of_source[src][hop - 1:hop + 1]
-        if flow == FLOW_ORGANIC:
-            for attack in self._link_attacks.get((from_id, to_id), ()):
+        route = self._route_of_source[src]
+        to_id = route[hop]
+        if flow == FLOW_ORGANIC and self._link_attacks:
+            for attack in self._link_attacks.get((route[hop - 1], to_id), ()):
                 if not attack.matches(src, seq, self.now):
                     continue
                 result = adversary.apply(attack, data)
@@ -289,8 +290,9 @@ class Simulation:
                     self.packets[(src, seq)]["status"] = "dropped"
                     return
                 data = result.deliver
-        self._schedule(self.now + self.config.per_hop_delay_ms,
-                       self._handle_deliver, (to_id, data, src, seq, hop, flow))
+        heapq.heappush(self._queue, (self.now + self.config.per_hop_delay_ms,
+                                     next(self._order), self._handle_deliver,
+                                     (to_id, data, src, seq, hop, flow)))
 
     # -- event handlers ------------------------------------------------------
 
@@ -357,7 +359,8 @@ class Simulation:
             return False
         self.now, _, handler, args = heapq.heappop(self._queue)
         handler(*args)
-        self._maybe_rotate()
+        if self._rotation_threshold is not None:
+            self._maybe_rotate()
         return True
 
     def run(self) -> SimResult:

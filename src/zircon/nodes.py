@@ -56,6 +56,9 @@ MISSING_RECORD = "missing_record"
 # (dotted ip, capture/receive time in seconds) per hop, in hop order
 ProvenancePath = List[Tuple[str, int]]
 
+# builds keys and verdicts without their named tuples' Python-level __new__
+_new = tuple.__new__
+
 
 class KeyRing:
     """Shared symmetric keys by rotation epoch; the ring rotates itself.
@@ -106,7 +109,8 @@ class _Verifier(_Node):
                  now_ms: int) -> Verdict:
         # the record the verdict's event line parses back to: (node, src,
         # seq, hop, outcome, time), None for an id the frame did not yield
-        return Verdict(self.id, pkt.src, pkt.seq, pkt.hop, outcome, now_ms)
+        return _new(Verdict, (self.id, pkt.src, pkt.seq, pkt.hop, outcome,
+                              now_ms))
 
     def _fail(self, outcome: str, pkt: Union[Frame, FrameError],
               now_ms: int) -> Tuple[Verdict, None]:
@@ -152,8 +156,8 @@ class SourceNode(_Node):
         # build the frame first: a header field that does not fit raises
         # before any record is stored
         frame = embed(self.id, seq, 1, payload, cipher, hash_part)
-        self.store.store(ProvenanceKey(self.id, seq, 1), cipher, epoch,
-                         by=self.id)
+        self.store.store(_new(ProvenanceKey, (self.id, seq, 1)), cipher,
+                         epoch, by=self.id)
         self.next_seq += 1
         return seq, frame
 
@@ -164,8 +168,8 @@ class SourceNode(_Node):
         hash_part = make_hash_subwatermark(payload)
         seq = self.next_seq
         frame = embed_bare(self.id, seq, 1, payload)
-        self.store.store(ProvenanceKey(self.id, seq, 1), cipher, epoch,
-                         by=self.id, hash_part=hash_part)
+        self.store.store(_new(ProvenanceKey, (self.id, seq, 1)), cipher,
+                         epoch, by=self.id, hash_part=hash_part)
         self.next_seq += 1
         return seq, frame
 
@@ -186,8 +190,8 @@ class IntermediateNode(_Verifier):
         next_hop = pkt.hop + 1
         forwarded = embed(pkt.src, pkt.seq, next_hop, pkt.payload, cipher,
                           pkt.hash_part)
-        self.store.store(ProvenanceKey(pkt.src, pkt.seq, next_hop), cipher,
-                         epoch, by=self.id)
+        self.store.store(_new(ProvenanceKey, (pkt.src, pkt.seq, next_hop)),
+                         cipher, epoch, by=self.id)
         return self._verdict(ACCEPTED, pkt, now_ms), forwarded
 
 
@@ -214,8 +218,9 @@ class GatewayNode(_Verifier):
         source, with a capture time inside the freshness window, before the
         path is out and the set purged."""
         path: ProvenancePath = [None] * len(records)
+        key_of = self.keyring.get
         for i, rec in enumerate(records):
-            key = self.keyring.get(rec.epoch)
+            key = key_of(rec.epoch)
             if key is None:
                 return self._fail(PROVENANCE_FAIL, pkt, now_ms)
             try:

@@ -16,6 +16,9 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import events
 
+# builds a StoredRecord without the Python-level __new__ of its named tuple
+_new = tuple.__new__
+
 
 class AuthorizationError(PermissionError):
     """Caller id is not allowed to perform the operation."""
@@ -89,7 +92,8 @@ class ProvenanceStore:
         if records is None:
             records = self._sets[(src, seq)] = []
         time = self.clock()
-        records.append(StoredRecord(hop, cipher, epoch, time, hash_part))
+        records.append(_new(StoredRecord, (hop, cipher, epoch, time,
+                                           hash_part)))
         self.log.append(events.store(src, seq, hop, cipher.hex(), by, time))
 
     def query_last(self, source: int, sequence: int) -> StoredRecord:

@@ -51,6 +51,8 @@ MAX_CAPTURE_S = 0xFFFFFFFF  # capture times are whole seconds in 32 bits
 # leading zero (some tools read 010 as octal)
 _IP_PART = r"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _IPV4 = re.compile(r"\.".join([_IP_PART] * 4))
+# builds a Frame of struct's fields without its Python-level __new__
+_new = tuple.__new__
 
 
 class FrameError(ValueError):
@@ -159,8 +161,9 @@ def _unframe(data: bytes, tail_bytes: int) -> Frame:
                          f"{end + tail_bytes}", src=src, seq=seq, hop=hop)
     if hop < 1:
         raise FrameError("hop index 0 is invalid", src=src, seq=seq, hop=hop)
-    return Frame(src, seq, hop, data[HEADER_BYTES:end],
-                 data[end:end + RECORD_BYTES], data[end + RECORD_BYTES:])
+    return _new(Frame, (src, seq, hop, data[HEADER_BYTES:end],
+                        data[end:end + RECORD_BYTES],
+                        data[end + RECORD_BYTES:]))
 
 
 def extract(data: bytes) -> Frame:

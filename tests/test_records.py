@@ -1,0 +1,162 @@
+"""The records a hop builds with tuple.__new__ (frames, stored records and
+verdicts) hold every field of their class, in order: each equals the record
+its class's own constructor builds from the fields by name."""
+import pytest
+
+from tests.conftest import build_chain
+from zircon import events
+from zircon.nodes import (
+    ACCEPTED,
+    FRAME_FAIL,
+    INTEGRITY_FAIL,
+    MISSING_RECORD,
+    PROVENANCE_FAIL,
+)
+from zircon.provstore import ProvenanceKey, ProvenanceStore, StoredRecord
+from zircon.watermark import (
+    Frame,
+    FrameError,
+    embed,
+    embed_bare,
+    extract,
+    extract_bare,
+    make_hash_subwatermark,
+)
+
+PAYLOAD = b"shape of a record"
+CIPHER = bytes(range(16))
+HASH_PART = bytes(range(100, 108))
+# the store's clock reads a time no field of the records below holds
+CLOCK_MS = 7777
+
+
+def assert_record(got, expected):
+    assert type(got) is type(expected)
+    assert len(got) == len(type(got)._fields)
+    assert got == expected
+
+
+def test_frames_hold_every_field_in_order():
+    data = embed(513, 70000, 4, PAYLOAD, CIPHER, HASH_PART)
+    assert_record(extract(data), Frame(
+        src=513, seq=70000, hop=4, payload=PAYLOAD, cipher=CIPHER,
+        hash_part=HASH_PART))
+    assert_record(extract_bare(embed_bare(513, 70000, 4, PAYLOAD)), Frame(
+        src=513, seq=70000, hop=4, payload=PAYLOAD, cipher=b"",
+        hash_part=b""))
+    for parse, short in ((extract, data[:-1]), (extract_bare, data[:7])):
+        with pytest.raises(FrameError):
+            parse(short)
+
+
+def test_stored_records_hold_every_field_in_order():
+    store = ProvenanceStore(clock=lambda: CLOCK_MS)
+    store.register_node(1)
+    store.register_gateway(9)
+    store.store(ProvenanceKey(1, 2, 1), CIPHER, 3, by=1, hash_part=HASH_PART)
+    store.store(ProvenanceKey(1, 2, 2), CIPHER[::-1], 4, by=1)
+    first = StoredRecord(hop=1, cipher=CIPHER, epoch=3, time=CLOCK_MS,
+                         hash_part=HASH_PART)
+    last = StoredRecord(hop=2, cipher=CIPHER[::-1], epoch=4, time=CLOCK_MS,
+                        hash_part=None)
+    assert_record(store.query_last(1, 2), last)
+    got = store.query_all(1, 2, by=9)
+    assert len(got) == 2
+    for record, expected in zip(got, (first, last)):
+        assert_record(record, expected)
+
+
+def test_a_source_stores_a_record_of_every_field():
+    chain = build_chain(clock=lambda: CLOCK_MS)
+    _, frame = chain.source.emit_multihop(PAYLOAD, 2000)
+    assert_record(chain.store.query_last(1, 1), StoredRecord(
+        hop=1, cipher=extract(frame).cipher, epoch=0, time=CLOCK_MS))
+    chain = build_chain(n_intermediates=0, clock=lambda: CLOCK_MS)
+    chain.source.emit_singlehop(PAYLOAD, 2000)
+    stored = chain.store.query_last(1, 1)
+    assert_record(stored, StoredRecord(
+        hop=1, cipher=stored.cipher, epoch=0, time=CLOCK_MS,
+        hash_part=make_hash_subwatermark(PAYLOAD)))
+
+
+def test_nodes_store_under_keys_of_every_field(monkeypatch):
+    keys = []
+    store = ProvenanceStore.store
+    monkeypatch.setattr(ProvenanceStore, "store",
+                        lambda self, key, *a, **kw: (keys.append(key),
+                                                     store(self, key, *a,
+                                                           **kw)))
+    chain = build_chain(n_intermediates=1)
+    for _ in range(3):
+        _, frame = chain.source.emit_multihop(PAYLOAD, 1000)
+    chain.intermediates[0].process(frame, 1300)
+    build_chain(n_intermediates=0).source.emit_singlehop(PAYLOAD, 1000)
+    expected = [(1, 1, 1), (1, 2, 1), (1, 3, 1), (1, 3, 2), (1, 1, 1)]
+    assert len(keys) == len(expected)
+    for key, (source, sequence, hop) in zip(keys, expected):
+        assert_record(key, ProvenanceKey(source=source, sequence=sequence,
+                                         hop=hop))
+
+
+def verdict(node, src, seq, hop, outcome, time):
+    return events.Verdict(node=node, src=src, seq=seq, hop=hop,
+                          outcome=outcome, time=time)
+
+
+def second_hop_frame(chain, seq):
+    """Packet `seq` of the chain's source as its first intermediate forwards
+    it: every id of the frame differs from every other (src 1, hop 2)."""
+    for _ in range(seq):
+        _, frame = chain.source.emit_multihop(PAYLOAD, 1000)
+    return chain.intermediates[0].process(frame, 1300)[1]
+
+
+def test_process_verdicts_hold_every_field_in_order():
+    chain = build_chain(n_intermediates=2)
+    node = chain.intermediates[1]
+    frame = second_hop_frame(chain, 3)
+    got, forwarded = node.process(frame, 1600)
+    assert forwarded is not None
+    assert_record(got, verdict(3, 1, 3, 2, ACCEPTED, 1600))
+    # a tampered payload, a frame with no stored set, and short frames
+    hash_part = make_hash_subwatermark(PAYLOAD)
+    tampered = embed(1, 2, 2, PAYLOAD[::-1], CIPHER, hash_part)
+    assert_record(node.process(tampered, 1700)[0],
+                  verdict(3, 1, 2, 2, INTEGRITY_FAIL, 1700))
+    unknown = embed(1, 40, 2, PAYLOAD, CIPHER, hash_part)
+    assert_record(node.process(unknown, 1800)[0],
+                  verdict(3, 1, 40, 2, MISSING_RECORD, 1800))
+    assert_record(node.process(frame[:7], 1900)[0],
+                  verdict(3, 1, 3, 2, FRAME_FAIL, 1900))
+    assert_record(node.process(frame[:3], 2000)[0],
+                  verdict(3, 1, None, None, FRAME_FAIL, 2000))
+
+
+def test_gateway_verdicts_hold_every_field_in_order():
+    chain = build_chain(n_intermediates=1)
+    frame = second_hop_frame(chain, 3)
+    got, path = chain.gateway.verify_multihop(frame, 1600)
+    assert path == [("10.0.0.1", 1), ("10.0.0.2", 1)]
+    assert_record(got, verdict(9, 1, 3, 2, ACCEPTED, 1600))
+    frame = second_hop_frame(chain, 1)
+    forged = embed(1, 4, 2, PAYLOAD, CIPHER, make_hash_subwatermark(PAYLOAD))
+    assert_record(chain.gateway.verify_multihop(forged, 1700)[0],
+                  verdict(9, 1, 4, 2, PROVENANCE_FAIL, 1700))
+    assert_record(chain.gateway.verify_multihop(frame[:6], 1800)[0],
+                  verdict(9, 1, 4, None, FRAME_FAIL, 1800))
+
+
+def test_singlehop_verdicts_hold_every_field_in_order():
+    chain = build_chain(n_intermediates=0)
+    for _ in range(3):
+        _, frame = chain.source.emit_singlehop(PAYLOAD, 1000)
+    got, path = chain.gateway.verify_singlehop(frame, 1300)
+    assert path == [("10.0.0.1", 1)]
+    assert_record(got, verdict(9, 1, 3, 1, ACCEPTED, 1300))
+    _, frame = chain.source.emit_singlehop(PAYLOAD, 2000)
+    tampered = frame[:-1] + bytes((frame[-1] ^ 1,))
+    assert_record(chain.gateway.verify_singlehop(tampered, 2300)[0],
+                  verdict(9, 1, 4, 1, INTEGRITY_FAIL, 2300))
+    _, frame = chain.source.emit_singlehop(PAYLOAD, 2000)
+    assert_record(chain.gateway.verify_singlehop(frame + b"!", 2400)[0],
+                  verdict(9, 1, 5, 1, FRAME_FAIL, 2400))
