@@ -50,6 +50,23 @@ MUTANTS = [
      "            v if type(v) is int or any(v is r for r in route)\n"
      "            else _quote(v) if type(v) is str\n",
      "tests/test_netsim.py::test_report_text_is_json_dumps_byte_for_byte"),
+    # a report verdict built with its hop and node swapped
+    ("src/zircon/netsim.py",
+     "(ReportVerdict, (flow, hop, node, outcome, time))",
+     "(ReportVerdict, (flow, node, hop, outcome, time))",
+     "tests/test_records.py::test_report_verdicts_hold_every_field_in_order"),
+    # a drop on a link written into the entry's final slot, not its status
+    ("src/zircon/netsim.py",
+     '[(src, seq)][_STATUS] = "dropped"',
+     '[(src, seq)][_FINAL] = "dropped"',
+     "tests/test_records.py::test_report_packets_hold_every_field_in_order"),
+    # a packet's fields out of json's key order: the writer's positions and
+    # its keys no longer agree
+    ("src/zircon/netsim.py",
+     '"emitted_ms final path route seq source status "',
+     '"emitted_ms final path route source seq status "',
+     "tests/test_netsim.py::"
+     "test_report_records_list_their_fields_in_json_key_order"),
     # the next emit's tie-break place drawn when it is queued
     ("src/zircon/netsim.py",
      "(self.now + traffic.interval_ms, order,",

@@ -28,9 +28,9 @@ def clean_run(seed: int) -> None:
         if shown == 3:
             print(f"  ... {len(packets) - shown} more")
             break
-        hops = " -> ".join(f"{ip}@{t}s" for ip, t in p["path"])
+        hops = " -> ".join(f"{ip}@{t}s" for ip, t in p.path)
         print(f"  packet {pkt_id}  {hops}")
-    leftover = sum(p["store_records"] for p in packets.values())
+    leftover = sum(p.store_records for p in packets.values())
     print(f"provenance records left in store: {leftover}")
 
 

@@ -11,16 +11,16 @@ seed and a purpose tag, so adding a consumer never perturbs the draws of
 another.
 
 The run produces a line-oriented event log (emit, deliver, attack, rotate,
-verdict, and store operations) and a JSON-ready report aggregating each
-packet's fate.
+verdict, and store operations) and a report that keeps each packet's fate
+as a `Packet` record, which `SimResult.report_text` writes as report.json.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 import json
-import operator
 import random
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional, Tuple, Union
@@ -53,6 +53,17 @@ FLOW_FAKE = "fake"
 # are delivered to, so a node's count is its packets times its role's charge.
 OPS_BY_ROLE = {ROLE_SOURCE: 1, ROLE_INTERMEDIATE: 2, ROLE_GATEWAY: 2}
 
+# A packet's fate and a verdict on it.  Their fields are the keys of the
+# packet's report.json entry in json's sort_keys order, as report_text
+# writes them by position.  status is in_flight, accepted, rejected or
+# dropped; store_records is counted when the report is built.
+Packet = namedtuple("Packet", "emitted_ms final path route seq source status "
+                    "store_records verdicts")
+ReportVerdict = namedtuple("ReportVerdict", "flow hop node outcome time")
+# a live entry is a list in Packet's field order; the slots a run writes
+_FINAL, _PATH, _STATUS, _RECORDS, _VERDICTS = map(Packet._fields.index, (
+    "final", "path", "status", "store_records", "verdicts"))
+
 
 @dataclass
 class SimResult:
@@ -64,12 +75,11 @@ class SimResult:
 
     def report_text(self) -> str:
         """The report as `json.dumps(report, indent=2, sort_keys=True)` plus
-        a newline, byte for byte.  With an indent, json takes its pure-Python
-        encoder, so the packet entries, the bulk of the file, are written
-        from one template per entry shape; the other top-level values are
-        small and go through json.  The key sets live twice, in
-        `_handle_emit` and `_record_verdict` and in the templates;
-        test_report_text_matches_the_simulated_report keeps them together."""
+        a newline, byte for byte, each record written as its `_asdict()`.
+        With an indent, json takes its pure-Python encoder, so the packet
+        entries, the bulk of the file, are written from one template per
+        entry shape, keyed by the records' fields; the other top-level
+        values are small and go through json."""
         parts = []
         for key, value in sorted(self.report.items()):
             if key == "packets":
@@ -84,13 +94,18 @@ class SimResult:
 
 # a newline and the indent of each depth of report.json
 _P2, _P4, _P6, _P8, _P10 = ("\n" + " " * n for n in (2, 4, 6, 8, 10))
+
+
+def _object(p: str, record, **texts: str) -> str:
+    """The `%` template of a `record` class as a json object, its braces at
+    newline and indent `p`: a field's value is `%s` unless `texts` names it."""
+    values = record._make(["%s"] * len(record._fields))._replace(**texts)
+    return "{" + ",".join(f"{p}  {_quote(key)}: {value}" for key, value
+                          in zip(record._fields, values)) + p + "}"
+
+
 # a verdict entry with its braces at depth 6 (`final`) and 8 (in `verdicts`)
-_V6, _V8 = (f'{{{p}  "flow": %s,{p}  "hop": %s,{p}  "node": %s,'
-            f'{p}  "outcome": %s,{p}  "time": %s{p}}}' for p in (_P6, _P8))
-_VERDICT_KEYS = operator.itemgetter("flow", "hop", "node", "outcome", "time")
-_PACKET_KEYS = operator.itemgetter("emitted_ms", "final", "path", "route",
-                                   "seq", "source", "status", "store_records",
-                                   "verdicts")
+_V6, _V8 = (_object(p, ReportVerdict) for p in (_P6, _P8))
 
 
 def _packet_template(no_final: bool, path_len: int, route_len: int,
@@ -101,12 +116,9 @@ def _packet_template(no_final: bool, path_len: int, route_len: int,
         return "[" + ",".join([_P8 + item] * n) + _P6 + "]" if n else "[]"
     path = "null" if path_len < 0 else listed(
         f"[{_P10}%s,{_P10}%s{_P8}]", path_len)
-    return (f'{_P4}%s: {{{_P6}"emitted_ms": %s,'
-            f'{_P6}"final": {"null" if no_final else _V6},'
-            f'{_P6}"path": {path},{_P6}"route": {listed("%s", route_len)},'
-            f'{_P6}"seq": %s,{_P6}"source": %s,{_P6}"status": %s,'
-            f'{_P6}"store_records": %s,'
-            f'{_P6}"verdicts": {listed(_V8, verdict_count)}{_P4}}}')
+    return f"{_P4}%s: " + _object(
+        _P4, Packet, final="null" if no_final else _V6, path=path,
+        route=listed("%s", route_len), verdicts=listed(_V8, verdict_count))
 
 
 def _packets_text(packets: dict) -> str:
@@ -121,7 +133,7 @@ def _packets_text(packets: dict) -> str:
     entries = []
     for key in sorted(packets):
         (emitted, final, path, route, seq, source, status, records,
-         verdicts) = _PACKET_KEYS(packets[key])
+         verdicts) = packets[key]
         # -1, not True, marks a null path: True == 1 would share a key
         shape = (final is None, -1 if path is None else len(path), len(route),
                  len(verdicts))
@@ -130,13 +142,13 @@ def _packets_text(packets: dict) -> str:
             template = templates[shape] = _packet_template(*shape)
         leaves = [key, emitted]
         if final is not None:
-            leaves += _VERDICT_KEYS(final)
+            leaves += final
         for ip, t in path or ():
             leaves += (ip, t)
         leaves += route
         leaves += (seq, source, status, records)
         for v in verdicts:
-            leaves += _VERDICT_KEYS(v)
+            leaves += v
         entries.append(template % tuple([
             v if type(v) is int else _quote(v) if type(v) is str
             else json.dumps(v) for v in leaves]))
@@ -207,8 +219,8 @@ class Simulation:
             elif attack.kind == STORE_PROBE:
                 self._schedule(attack.after_ms, self._handle_probe, (attack,))
 
-        # each packet's report.json entry, kept from its emission on
-        self.packets: Dict[Tuple[int, int], dict] = {}
+        # each packet's live entry, kept from its emission on
+        self.packets: Dict[Tuple[int, int], list] = {}
         self.node_packets: Dict[int, int] = {i: 0 for i in self.nodes}
 
         # entry i's emits all hold place first + i, after the inject and
@@ -246,15 +258,14 @@ class Simulation:
         node, _, _, hop, outcome, time = verdict
         entry = self.packets.get((src, seq))
         if entry is not None:
-            v = {"outcome": outcome, "node": node, "hop": hop, "time": time,
-                 "flow": flow}
-            entry["verdicts"].append(v)
+            v = tuple.__new__(ReportVerdict, (flow, hop, node, outcome, time))
+            entry[_VERDICTS].append(v)
             if flow == FLOW_ORGANIC and (outcome != ACCEPTED
                                          or path is not None):
-                entry["status"] = ("accepted" if outcome == ACCEPTED
-                                   else "rejected")
-                entry["final"] = v
-                entry["path"] = path
+                entry[_STATUS] = ("accepted" if outcome == ACCEPTED
+                                  else "rejected")
+                entry[_FINAL] = v
+                entry[_PATH] = path
 
     def _next_rotation(self) -> int:
         kr = self.config.key_rotation
@@ -287,7 +298,7 @@ class Simulation:
                     self._schedule(self.now + delay, self._handle_deliver,
                                    (to_id, copy, src, seq, hop, FLOW_REPLAYED))
                 if result.deliver is None:
-                    self.packets[(src, seq)]["status"] = "dropped"
+                    self.packets[(src, seq)][_STATUS] = "dropped"
                     return
                 data = result.deliver
         heapq.heappush(self._queue, (self.now + self.config.per_hop_delay_ms,
@@ -312,13 +323,9 @@ class Simulation:
         self.node_packets[source] += 1
         self._generations += 1
         self.log.append(events.emit(source, source, seq, 1, self.now))
-        # status: in_flight | accepted | rejected | dropped; store_records is
-        # counted when the report is built
-        self.packets[(source, seq)] = {
-            "source": source, "seq": seq,
-            "route": self._route_of_source[source],
-            "emitted_ms": self.now, "status": "in_flight", "final": None,
-            "path": None, "verdicts": [], "store_records": None}
+        self.packets[(source, seq)] = [
+            self.now, None, None, self._route_of_source[source], seq, source,
+            "in_flight", None, []]
         self._send(frame, source, seq, 1, FLOW_ORGANIC)
 
     def _handle_deliver(self, to: int, data: bytes, src: int, seq: int,
@@ -376,9 +383,9 @@ class Simulation:
         packets = {}
         for src, seq in sorted(self.packets):
             entry = self.packets[(src, seq)]
-            entry["store_records"] = self.store.record_count(src, seq)
-            counts[entry["status"]] += 1
-            packets[f"{src}:{seq}"] = entry
+            entry[_RECORDS] = self.store.record_count(src, seq)
+            counts[entry[_STATUS]] += 1
+            packets[f"{src}:{seq}"] = tuple.__new__(Packet, entry)
         # the gateway purges every set it accepts, so the sets never retrieved
         # are exactly the drops
         suspects = self.store.unretrieved()

@@ -66,8 +66,7 @@ def five_node_config(count, seed=11, **overrides):
 def flow_verdicts(result, flow):
     out = []
     for p in result.report["packets"].values():
-        out.extend((v["node"], v["outcome"]) for v in p["verdicts"]
-                   if v["flow"] == flow)
+        out.extend((v.node, v.outcome) for v in p.verdicts if v.flow == flow)
     return out
 
 
@@ -85,12 +84,12 @@ def test_01_clean_multihop_delivery():
 
     route_ips = ["10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"]
     for p in result.report["packets"].values():
-        assert p["status"] == "accepted"
-        assert [ip for ip, _ in p["path"]] == route_ips
-        times = [t for _, t in p["path"]]
-        assert times[0] == p["emitted_ms"] // 1000
+        assert p.status == "accepted"
+        assert [ip for ip, _ in p.path] == route_ips
+        times = [t for _, t in p.path]
+        assert times[0] == p.emitted_ms // 1000
         assert all(a <= b for a, b in zip(times, times[1:]))
-        assert p["store_records"] == 0
+        assert p.store_records == 0
 
     stores = [l for l in events.journal(result.log) if l.startswith("store|")]
     deletes = [l for l in events.journal(result.log) if l.startswith("delete|")]
@@ -208,7 +207,7 @@ def test_05_fake_injection_rejected():
     for line in events.journal(result.log):
         if line.startswith("store|"):
             assert line.split("|")[5] in {"1", "2", "3", "4"}
-    assert all(p["store_records"] == 0
+    assert all(p.store_records == 0
                for p in result.report["packets"].values())
 
 

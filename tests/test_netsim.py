@@ -45,13 +45,13 @@ def base_config(count=5, **overrides):
 
 
 def statuses(result):
-    return {key: p["status"] for key, p in result.report["packets"].items()}
+    return {key: p.status for key, p in result.report["packets"].items()}
 
 
 def flow_verdicts(result, flow):
     out = []
     for p in result.report["packets"].values():
-        out.extend(v["outcome"] for v in p["verdicts"] if v["flow"] == flow)
+        out.extend(v.outcome for v in p.verdicts if v.flow == flow)
     return out
 
 
@@ -63,12 +63,12 @@ def test_clean_run_accepts_everything():
     assert counts == {"emitted": 5, "accepted": 5, "rejected": 0,
                       "dropped": 0, "in_flight": 0}
     for p in result.report["packets"].values():
-        assert p["status"] == "accepted"
-        assert p["final"]["node"] == 9
-        assert p["path"] == [("10.0.0.1", (p["emitted_ms"]) // 1000),
-                             ("10.0.0.2", (p["emitted_ms"] + 300) // 1000),
-                             ("10.0.0.3", (p["emitted_ms"] + 600) // 1000)]
-        assert p["store_records"] == 0  # purged on delivery
+        assert p.status == "accepted"
+        assert p.final.node == 9
+        assert p.path == [("10.0.0.1", (p.emitted_ms) // 1000),
+                          ("10.0.0.2", (p.emitted_ms + 300) // 1000),
+                          ("10.0.0.3", (p.emitted_ms + 600) // 1000)]
+        assert p.store_records == 0  # purged on delivery
     assert result.report["drops_suspected"] == []
 
 
@@ -79,16 +79,16 @@ def test_packet_entries_share_ip_strings_and_routes():
     cfg.traffic.append(TrafficSpec(source=4, count=4, interval_ms=700,
                                    payload_bytes=8))
     packets = netsim.run(cfg).report["packets"].values()
-    assert all(p["status"] == "accepted" for p in packets)
+    assert all(p.status == "accepted" for p in packets)
     for route in cfg.routes:
-        entries = [p for p in packets if p["source"] == route[0]]
+        entries = [p for p in packets if p.source == route[0]]
         assert len(entries) == 4
-        assert entries[0]["route"] == route
-        assert entries[0]["route"] is not route
-        assert all(p["route"] is entries[0]["route"] for p in entries)
+        assert entries[0].route == route
+        assert entries[0].route is not route
+        assert all(p.route is entries[0].route for p in entries)
     texts = {}
     for p in packets:
-        for ip, _ in p["path"]:
+        for ip, _ in p.path:
             assert texts.setdefault(ip, ip) is ip
     assert sorted(texts) == ["10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"]
 
@@ -135,7 +135,7 @@ def test_store_journal_balanced_on_clean_run():
     assert len(stores) == 5 * 3  # one record per hop: source + 2 intermediates
     assert len(deletes) == 5
     assert all(l.split("|")[3] == "3" for l in deletes)  # 3 records purged each
-    assert all(p["store_records"] == 0
+    assert all(p.store_records == 0
                for p in result.report["packets"].values())
 
 
@@ -176,8 +176,8 @@ def test_modify_payload_rejected_at_the_receiving_hop():
     st = statuses(result)
     assert st["1:2"] == "rejected"
     assert [s for k, s in st.items() if k != "1:2"] == ["accepted"] * 4
-    final = result.report["packets"]["1:2"]["final"]
-    assert final["outcome"] == "integrity_fail" and final["node"] == 3
+    final = result.report["packets"]["1:2"].final
+    assert final.outcome == "integrity_fail" and final.node == 3
 
 
 def test_modify_watermark_rejected_as_provenance_fail():
@@ -186,7 +186,7 @@ def test_modify_watermark_rejected_as_provenance_fail():
                               edits=((3, 0xFF),))]
     result = netsim.run(cfg)
     assert set(statuses(result).values()) == {"rejected"}
-    outcomes = {p["final"]["outcome"]
+    outcomes = {p.final.outcome
                 for p in result.report["packets"].values()}
     assert outcomes == {"provenance_fail"}
 
@@ -220,7 +220,7 @@ def test_predelivery_mutated_replay_is_provenance_fail():
     # the mutated copy outruns the original and burns the record set
     assert flow_verdicts(result, "replayed") == ["provenance_fail"] * 5
     assert set(statuses(result).values()) == {"rejected"}
-    assert {p["final"]["outcome"] for p in
+    assert {p.final.outcome for p in
             result.report["packets"].values()} == {"missing_record"}
 
 
@@ -238,7 +238,7 @@ def test_fake_inject_rejected_and_never_stored():
     for line in events.journal(result.log):
         if line.startswith("store|"):
             assert line.split("|")[5] in {"1", "2", "3"}
-    assert all(p["store_records"] == 0
+    assert all(p.store_records == 0
                for p in result.report["packets"].values())
 
 
@@ -292,7 +292,7 @@ def test_delete_bits_rejected_as_frame_fail():
     cfg.attacks = [AttackSpec(kind="delete_bits", from_id=1, to_id=2, q=8)]
     result = netsim.run(cfg)
     assert set(statuses(result).values()) == {"rejected"}
-    assert {p["final"]["outcome"] for p in
+    assert {p.final.outcome for p in
             result.report["packets"].values()} == {"frame_fail"}
 
 
@@ -307,7 +307,7 @@ def test_garbled_header_rejection_is_filed_under_the_delivered_packet():
     assert result.report["counts"] == {"emitted": 20, "accepted": 0,
                                        "rejected": 20, "dropped": 0,
                                        "in_flight": 0}
-    assert {p["final"]["outcome"] for p in
+    assert {p.final.outcome for p in
             result.report["packets"].values()} == {"frame_fail"}
     # the log keeps the verdict as node 2 read it
     verdicts = [line for line in result.log if line.startswith("verdict|")]
@@ -338,7 +338,7 @@ def test_singlehop_clean_run():
     result = netsim.run(singlehop_config())
     assert result.report["counts"]["accepted"] == 4
     for p in result.report["packets"].values():
-        assert len(p["path"]) == 1
+        assert len(p.path) == 1
 
 
 def test_singlehop_frames_are_bare(monkeypatch):
@@ -357,7 +357,7 @@ def test_singlehop_payload_tamper_detected():
     cfg.attacks = [AttackSpec(kind="modify_payload", from_id=1, to_id=9,
                               edits=((5, 0x20),))]
     result = netsim.run(cfg)
-    assert {p["final"]["outcome"] for p in
+    assert {p.final.outcome for p in
             result.report["packets"].values()} == {"integrity_fail"}
 
 
@@ -526,16 +526,15 @@ _INTS = st.integers(min_value=-(1 << 70), max_value=1 << 70)
 _LEAVES = st.one_of(_INTS, st.floats(), st.just(0.1 * 3), st.booleans(),
                     st.none())
 _TEXT = st.text(max_size=6)
-_VERDICT = st.fixed_dictionaries({
-    "outcome": _TEXT, "node": _LEAVES, "hop": _LEAVES, "time": _LEAVES,
-    "flow": _TEXT})
-_PACKET = st.fixed_dictionaries({
-    "source": _LEAVES, "seq": _INTS, "route": st.lists(_LEAVES, max_size=3),
-    "emitted_ms": _LEAVES, "status": _TEXT,
-    "final": st.one_of(st.none(), _VERDICT),
-    "path": st.one_of(st.none(), st.lists(st.tuples(_TEXT, _LEAVES),
-                                          max_size=3)),
-    "verdicts": st.lists(_VERDICT, max_size=3), "store_records": _LEAVES})
+_VERDICT = st.builds(netsim.ReportVerdict, outcome=_TEXT, node=_LEAVES,
+                     hop=_LEAVES, time=_LEAVES, flow=_TEXT)
+_PACKET = st.builds(
+    netsim.Packet, source=_LEAVES, seq=_INTS,
+    route=st.lists(_LEAVES, max_size=3), emitted_ms=_LEAVES, status=_TEXT,
+    final=st.one_of(st.none(), _VERDICT),
+    path=st.one_of(st.none(), st.lists(st.tuples(_TEXT, _LEAVES),
+                                       max_size=3)),
+    verdicts=st.lists(_VERDICT, max_size=3), store_records=_LEAVES)
 # "10:1" sorts before "9:1" as a string
 _PACKET_KEYS = st.one_of(
     st.builds("{}:{}".format, st.integers(0, 12), st.integers(0, 12)), _TEXT)
@@ -552,15 +551,34 @@ _REPORT = st.fixed_dictionaries({
     "rotations": _INTS, "final_epoch": _INTS,
     "energy": st.dictionaries(_TEXT, st.floats(), max_size=3)})
 
-_HOP_NULL = {"outcome": "frame_fail", "node": 3, "hop": None, "time": 10,
-             "flow": "organic"}
+_HOP_NULL = netsim.ReportVerdict(outcome="frame_fail", node=3, hop=None,
+                                 time=10, flow="organic")
 
 
 def _entry(source, route, hop, path=None):
-    verdict = dict(_HOP_NULL, hop=hop)
-    return {"source": source, "seq": 1, "route": route, "emitted_ms": 0,
-            "status": "rejected", "final": verdict, "path": path,
-            "verdicts": [verdict], "store_records": 0}
+    verdict = _HOP_NULL._replace(hop=hop)
+    return netsim.Packet(source=source, seq=1, route=route, emitted_ms=0,
+                         status="rejected", final=verdict, path=path,
+                         verdicts=[verdict], store_records=0)
+
+
+def as_json(report):
+    """`report` with each record turned into a dict, as report.json holds
+    it."""
+    def fate(p):
+        return dict(p._asdict(),
+                    final=None if p.final is None else p.final._asdict(),
+                    verdicts=[v._asdict() for v in p.verdicts])
+    return dict(report, packets={key: fate(p) for key, p
+                                 in report["packets"].items()})
+
+
+def test_report_records_list_their_fields_in_json_key_order():
+    # report_text writes a record's values by position into templates whose
+    # keys json's sort_keys puts in order; another field order would move
+    # values under the wrong keys
+    for record in (netsim.Packet, netsim.ReportVerdict):
+        assert list(record._fields) == sorted(record._fields)
 
 
 @given(report=_REPORT)
@@ -568,12 +586,12 @@ def _entry(source, route, hop, path=None):
     "seed": 1, "mode": "multihop", "counts": {}, "drops_suspected": [],
     "nodes": {}, "rotations": 0, "final_epoch": 0, "energy": {},
     "packets": {
-        "9:1": {"source": 9, "seq": 1, "route": [], "emitted_ms": 0,
-                "status": "dropped", "final": None, "path": None,
-                "verdicts": [], "store_records": 1},
-        "10:1": {"source": 10, "seq": 1, "route": [10, 3], "emitted_ms": 5,
-                 "status": "rejected", "final": _HOP_NULL, "path": [],
-                 "verdicts": [_HOP_NULL], "store_records": 0}}})
+        "9:1": netsim.Packet(source=9, seq=1, route=[], emitted_ms=0,
+                             status="dropped", final=None, path=None,
+                             verdicts=[], store_records=1),
+        "10:1": netsim.Packet(source=10, seq=1, route=[10, 3], emitted_ms=5,
+                              status="rejected", final=_HOP_NULL, path=[],
+                              verdicts=[_HOP_NULL], store_records=0)}})
 # entries of one shape whose slots hold an int in one and a float, a bool or
 # None in the other; and a null path beside a one-item path
 @example(report={
@@ -588,7 +606,7 @@ def _entry(source, route, hop, path=None):
 def test_report_text_is_json_dumps_byte_for_byte(report):
     result = netsim.SimResult(log=[], report=report)
     assert result.report_text() == \
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
+        json.dumps(as_json(report), indent=2, sort_keys=True) + "\n"
 
 
 def test_report_packets_keep_numeric_order():
@@ -607,10 +625,7 @@ def test_report_packets_keep_numeric_order():
         list(range(1, 11))
 
 
-# the packet and verdict keys are written twice, where the simulator builds
-# the entries and in report_text's templates; a key only one side knows
-# makes the text differ from the dict json would write.  The runs are the
-# golden scenarios and the attack suite's, one per attack kind.
+# the golden scenarios and the attack suite's runs, one per attack kind
 @pytest.mark.parametrize("name", sorted(GOLDEN) + list(KINDS))
 def test_report_text_matches_the_simulated_report(name):
     if name in GOLDEN:
@@ -620,4 +635,4 @@ def test_report_text_matches_the_simulated_report(name):
         config.attacks = cli._suite_attacks(name)
     result = netsim.run(config)
     assert result.report_text() == \
-        json.dumps(result.report, indent=2, sort_keys=True) + "\n"
+        json.dumps(as_json(result.report), indent=2, sort_keys=True) + "\n"

@@ -3,6 +3,8 @@ gateway path reconstruction, and every failure verdict."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import build_chain
 from zircon import events, nodes
@@ -439,6 +441,56 @@ def test_singlehop_freshness():
     _, frame = chain.source.emit_singlehop(PAYLOAD, 0)
     verdict, _ = chain.gateway.verify_singlehop(frame, now_ms=11000)
     assert verdict.outcome == STALE_TIMESTAMP
+
+
+# -- arbitrary bytes ---------------------------------------------------------------
+
+OUTCOMES = {ACCEPTED, INTEGRITY_FAIL, PROVENANCE_FAIL, FRAME_FAIL,
+            STALE_TIMESTAMP, MISSING_RECORD}
+
+
+def verifiers():
+    """The three verifiers of two fresh chains, each with the genuine frame
+    it expects next."""
+    chain = build_chain(n_intermediates=1)
+    _, first = chain.source.emit_multihop(PAYLOAD, 0)
+    _, other = chain.source.emit_multihop(PAYLOAD, 0)
+    _, second = chain.intermediates[0].process(other, 300)
+    single = build_chain(n_intermediates=0)
+    _, bare = single.source.emit_singlehop(PAYLOAD, 0)
+    return [(chain.intermediates[0].process, first),
+            (chain.gateway.verify_multihop, second),
+            (single.gateway.verify_singlehop, bare)]
+
+
+def flipped(frame, bits):
+    data = bytearray(frame)
+    for bit in bits:
+        data[bit // 8] ^= 1 << bit % 8
+    return bytes(data)
+
+
+def mangled(frame):
+    """`frame` with bits flipped, cut short or extended, or random bytes."""
+    flips = st.lists(st.integers(0, len(frame) * 8 - 1), min_size=1,
+                     max_size=4)
+    return st.one_of(
+        flips.map(lambda bits: flipped(frame, bits)),
+        st.integers(0, len(frame) - 1).map(lambda n: frame[:n]),
+        st.binary(min_size=1, max_size=16).map(lambda tail: frame + tail),
+        st.binary(max_size=len(frame) + 16))
+
+
+@given(data=st.data(), which=st.integers(0, 2),
+       now_ms=st.integers(0, 120_000))
+@settings(max_examples=300, deadline=None)
+def test_verifiers_judge_any_bytes_without_raising(data, which, now_ms):
+    verify, frame = verifiers()[which]
+    verdict, out = verify(data.draw(mangled(frame)), now_ms)
+    assert type(verdict) is events.Verdict
+    assert verdict.outcome in OUTCOMES
+    # only an accept forwards the frame or rebuilds its path
+    assert (out is None) == (verdict.outcome != ACCEPTED)
 
 
 # -- verdict formatting -----------------------------------------------------------

@@ -1,10 +1,12 @@
-"""The records a hop builds with tuple.__new__ (frames, stored records and
-verdicts) hold every field of their class, in order: each equals the record
-its class's own constructor builds from the fields by name."""
+"""The records built with tuple.__new__ (a hop's frames, stored records and
+verdicts, and the report's packets and their verdicts) hold every field of
+their class, in order: each equals the record its class's own constructor
+builds from the fields by name."""
 import pytest
 
 from tests.conftest import build_chain
-from zircon import events
+from zircon import events, netsim
+from zircon.adversary import DROP, AttackSpec
 from zircon.nodes import (
     ACCEPTED,
     FRAME_FAIL,
@@ -13,6 +15,7 @@ from zircon.nodes import (
     PROVENANCE_FAIL,
 )
 from zircon.provstore import ProvenanceKey, ProvenanceStore, StoredRecord
+from zircon.scenario import NodeSpec, ScenarioConfig, TrafficSpec
 from zircon.watermark import (
     Frame,
     FrameError,
@@ -160,3 +163,46 @@ def test_singlehop_verdicts_hold_every_field_in_order():
     _, frame = chain.source.emit_singlehop(PAYLOAD, 2000)
     assert_record(chain.gateway.verify_singlehop(frame + b"!", 2400)[0],
                   verdict(9, 1, 5, 1, FRAME_FAIL, 2400))
+
+
+def report_packets():
+    """The report of source 4's packets on the line 4 -> 7 -> 9, emitted at
+    2000, 3500 and 5000 ms, with the third dropped on its last link."""
+    config = ScenarioConfig(
+        nodes=[NodeSpec(id=4, ip="10.0.0.4", role="source"),
+               NodeSpec(id=7, ip="10.0.0.7", role="intermediate"),
+               NodeSpec(id=9, ip="10.0.0.9", role="gateway")],
+        routes=[[4, 7, 9]],
+        traffic=[TrafficSpec(source=4, count=3, interval_ms=1500,
+                             start_ms=2000)],
+        attacks=[AttackSpec(kind=DROP, from_id=7, to_id=9, seq=3)])
+    return netsim.run(config).report["packets"]
+
+
+def report_verdict(hop, node, time):
+    return netsim.ReportVerdict(flow="organic", hop=hop, node=node,
+                                outcome=ACCEPTED, time=time)
+
+
+def test_report_packets_hold_every_field_in_order():
+    packets = report_packets()
+    final = report_verdict(hop=2, node=9, time=4100)
+    assert_record(packets["4:2"], netsim.Packet(
+        emitted_ms=3500, final=final, path=[("10.0.0.4", 3), ("10.0.0.7", 3)],
+        route=[4, 7, 9], seq=2, source=4, status="accepted", store_records=0,
+        verdicts=[report_verdict(hop=1, node=7, time=3800), final]))
+    # the source and the intermediate stored a record each before the drop
+    assert_record(packets["4:3"], netsim.Packet(
+        emitted_ms=5000, final=None, path=None, route=[4, 7, 9], seq=3,
+        source=4, status="dropped", store_records=2,
+        verdicts=[report_verdict(hop=1, node=7, time=5300)]))
+
+
+def test_report_verdicts_hold_every_field_in_order():
+    packets = report_packets()
+    expected = [report_verdict(hop=1, node=7, time=3800),
+                report_verdict(hop=2, node=9, time=4100)]
+    assert len(packets["4:2"].verdicts) == len(expected)
+    for got, verdict in zip(packets["4:2"].verdicts, expected):
+        assert_record(got, verdict)
+    assert_record(packets["4:2"].final, expected[-1])

@@ -881,7 +881,7 @@ def test_eavesdrops_and_refused_probes_change_no_organic_fate(cfg):
     quiet = dataclasses.replace(cfg, attacks=[
         a for a in cfg.attacks if a.kind != "eavesdrop"
         and not (a.kind == "store_probe" and a.caller_id not in gateways)])
-    fates = [{key: (p["status"], p["final"], p["path"])
+    fates = [{key: (p.status, p.final, p.path)
               for key, p in run(c).report["packets"].items()}
              for c in (cfg, quiet)]
     assert fates[0] == fates[1]
