@@ -123,6 +123,11 @@ MUTANTS = [
      '"a nonnegative forged key epoch"),\n',
      "",
      "tests/test_scenario.py::test_fake_inject_wire_limits"),
+    # YAML bits read as a list, not the tuple a code-built attack holds
+    ("src/zircon/scenario.py",
+     '"bits": ("bits", lambda bits: tuple(_list(bits))),',
+     '"bits": ("bits", _list),',
+     "tests/test_scenario.py::test_yaml_literal_loads_every_key"),
     # provenance_size prices a path of no hops
     ("src/zircon/analysis.py",
      "    if hops < 1:\n        raise ValueError(\"hop count must be >= 1\")\n",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Union
 
 from . import events
@@ -53,23 +53,23 @@ class EnergyParams:
     tc_per_op_ms: float = 0.5
 
 
+def _finite_nonnegative(value) -> bool:
+    # a bool is an int to Python, and NaN passes every comparison test
+    return not isinstance(value, bool) and isinstance(value, (int, float)) \
+        and 0 <= value < math.inf
+
+
 def energy_errors(params: EnergyParams) -> List[str]:
     """One `field: ...` error per constant that is not a finite nonnegative
     number."""
-    errors = []
-    for f in fields(params):
-        value = getattr(params, f.name)
-        # a bool is an int to Python, and NaN passes every comparison test
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not 0 <= value < math.inf:
-            errors.append(f"{f.name}: must be a finite nonnegative number, "
-                          f"got {value!r}")
-    return errors
+    return [f"{name}: must be a finite nonnegative number, got {value!r}"
+            for name, value in vars(params).items()
+            if not _finite_nonnegative(value)]
 
 
 def node_energy(params: EnergyParams, t_c_ms: float) -> float:
     """Energy of one duty cycle in millijoules (power in mW, windows in ms)."""
-    if not 0 <= t_c_ms < math.inf:
+    if not _finite_nonnegative(t_c_ms):
         raise ValueError(f"t_c_ms: must be a finite nonnegative number, "
                          f"got {t_c_ms!r}")
     active = params.t_a_ms + params.t_s_ms + t_c_ms + params.t_tr_ms + params.t_sl_ms
@@ -137,11 +137,12 @@ def write_energy_csv(out, report: dict, params: EnergyParams) -> None:
     nodes = report.get("nodes", {})
     for node_id in sorted(nodes, key=int):
         info = nodes[node_id]
-        t_c = float(info["t_c_ms"])
-        writer.writerow([
-            node_id, info["role"], info["packets"], str(t_c),
-            str(node_energy(params, t_c)),
-        ])
+        t_c, packets = info["t_c_ms"], info["packets"]
+        if type(packets) is not int:
+            raise TypeError(f"packets: must be an integer, got {packets!r}")
+        # float() would read a bool or a digit string; node_energy refuses both
+        writer.writerow([node_id, info["role"], packets, str(float(t_c)),
+                         str(node_energy(params, t_c))])
 
 
 # -- detection reporting ------------------------------------------------------

@@ -179,11 +179,13 @@ def cmd_energy_table(args: argparse.Namespace) -> int:
     with open(report_path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
     try:
-        params = analysis.EnergyParams(**report["energy"])
+        energy = report["energy"]
+        params = analysis.EnergyParams(**energy)
     except (KeyError, TypeError) as err:
         raise ValueError(f"{report_path}: no usable energy parameters "
                          f"({err})") from err
-    errors = analysis.energy_errors(params)
+    errors = [f"{name}: missing required key" for name in vars(params)
+              if name not in energy] + analysis.energy_errors(params)
     if errors:
         raise ValueError(f"{report_path}: "
                          + "; ".join(f"energy.{e}" for e in errors))
@@ -223,9 +225,7 @@ def cmd_inspect_store(args: argparse.Namespace) -> int:
 
     for key in sorted(history):
         src, seq = key
-        if args.src is not None and src != args.src:
-            continue
-        if args.seq is not None and seq != args.seq:
+        if args.src not in (None, src) or args.seq not in (None, seq):
             continue
         hist = history[key]
         records = live.get(key, [])

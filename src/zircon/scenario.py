@@ -1,4 +1,4 @@
-"""Scenario configuration: dataclasses, validation, and YAML round-trip.
+"""Scenario configuration: dataclasses, validation, and YAML loading.
 
 A scenario fixes everything a run needs: topology and routes inside an
 L x W area, traffic schedules, the attack list, key-rotation policy, energy
@@ -8,7 +8,7 @@ determines the simulation output, byte for byte.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 import yaml
@@ -36,7 +36,6 @@ from .watermark import (
     MAX_SEQ,
     MAX_SRC,
     WATERMARK_BYTES,
-    format_ip,
     parse_ip,
 )
 
@@ -114,17 +113,16 @@ _CONFIG_YAML = {
     "attacks": ("attacks", [AttackSpec]),
 }
 # attack fields spelt or held otherwise than in YAML: field -> (YAML key,
-# YAML value to field value, field value to YAML value)
+# reader of the YAML value into the field value)
 _ATTACK_YAML = {
-    "from_id": ("from", None, None),
-    "to_id": ("to", None, None),
-    "bits": ("bits", lambda bits: tuple(_list(bits)), list),
+    "from_id": ("from", None),
+    "to_id": ("to", None),
+    "bits": ("bits", lambda bits: tuple(_list(bits))),
     "edits": ("edits", lambda edits: tuple((off, mask) for off, mask
-                                           in map(_list, _list(edits))),
-              lambda edits: [list(pair) for pair in edits]),
-    "ip": ("ip", parse_ip, format_ip),
-    "payload": ("payload_hex", bytes.fromhex, bytes.hex),
-    "key_material": ("key_material_hex", bytes.fromhex, bytes.hex),
+                                           in map(_list, _list(edits)))),
+    "ip": ("ip", parse_ip),
+    "payload": ("payload_hex", bytes.fromhex),
+    "key_material": ("key_material_hex", bytes.fromhex),
 }
 
 # what a scalar field admits, by its annotation, a string under `from
@@ -141,7 +139,7 @@ def _table(cls, spelling: dict) -> tuple:
     its annotated type, and None too if Optional."""
     keys, required, scalars = {}, [], []
     for f in fields(cls):
-        key, read = spelling.get(f.name, (f.name, None))[:2]
+        key, read = spelling.get(f.name, (f.name, None))
         keys[key] = (f, read)
         if f.default is MISSING and f.default_factory is MISSING:
             required.append(key)
@@ -488,7 +486,7 @@ def validate(config: ScenarioConfig) -> None:
         raise ConfigError(errors)
 
 
-# -- YAML round-trip ---------------------------------------------------------
+# -- YAML loading ------------------------------------------------------------
 
 def _build(cls, data, where: str, errors: List[str]):
     """A `cls` record from the YAML mapping `data` at path `where`, or None
@@ -536,26 +534,6 @@ def from_dict(data) -> ScenarioConfig:
     return config
 
 
-def _attack_to_dict(a: AttackSpec) -> dict:
-    """An attack's YAML form: its kind and every field off its default."""
-    d = {}
-    for f in fields(a):
-        value = getattr(a, f.name)
-        if f.default is MISSING or value != f.default:
-            key, _read, write = _ATTACK_YAML.get(f.name, (f.name, None, None))
-            d[key] = value if write is None else write(value)
-    return d
-
-
-def to_dict(config: ScenarioConfig) -> dict:
-    """The YAML shape of a config: its fields in declaration order, with a
-    plain list for the area, and attacks in their own form."""
-    data = asdict(config)
-    data["area"] = list(config.area)
-    data["attacks"] = [_attack_to_dict(a) for a in config.attacks]
-    return data
-
-
 # libyaml's C scanner and parser where PyYAML was built with it; either
 # loader constructs with the same SafeConstructor and resolver, so the
 # objects, and every output of a run, are the same
@@ -570,10 +548,6 @@ def load_config(stream) -> ScenarioConfig:
     except yaml.YAMLError as err:
         raise ConfigError([f"yaml: {err}"]) from err
     return from_dict(data)
-
-
-def dump_config(config: ScenarioConfig) -> str:
-    return yaml.safe_dump(to_dict(config), sort_keys=False)
 
 
 EXAMPLE_CONFIG = """\

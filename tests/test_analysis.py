@@ -56,7 +56,7 @@ def test_energy_monotonic_in_power():
 
 
 def test_energy_rejects_negatives():
-    for t_c_ms in (-1.0, math.nan, math.inf):
+    for t_c_ms in (-1.0, math.nan, math.inf, True, "5"):
         with pytest.raises(ValueError, match="t_c_ms: must be a finite "
                            "nonnegative number"):
             node_energy(EnergyParams(), t_c_ms)

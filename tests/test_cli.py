@@ -404,11 +404,35 @@ def test_energy_table_refuses_a_negative_energy_constant(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+def test_energy_table_refuses_a_partial_energy_mapping(tmp_path, capsys):
+    # the left-out constants would otherwise take EnergyParams' defaults
+    out_dir, report_path = edited_report(tmp_path, capsys, "energy",
+                                         {"p_n_mw": 1.0, "t_a_ms": 2.0})
+    csv_path = tmp_path / "energy.csv"
+    code, out, err = run_cli(capsys, "energy-table", "--run", str(out_dir),
+                             "--out", str(csv_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {report_path}: " + "; ".join(
+        f"energy.{name}: missing required key" for name in
+        ["t_s_ms", "t_tr_ms", "t_sl_ms", "e0_mj", "intermediate_multiplier",
+         "tc_per_op_ms"]) + "\n"
+    assert not csv_path.exists()
+
+
 @pytest.mark.parametrize("nodes", [
     {"1": {"role": "source"}}, [1, 2],
     # json.dumps writes NaN and Infinity, and json.load reads them back
     {"1": {"role": "source", "packets": 1, "t_c_ms": math.nan}},
-    {"1": {"role": "source", "packets": 1, "t_c_ms": math.inf}}])
+    {"1": {"role": "source", "packets": 1, "t_c_ms": math.inf}},
+    # float() would read these as 1.0, 5.0 and 7.0
+    {"1": {"role": "source", "packets": 1, "t_c_ms": True}},
+    {"1": {"role": "source", "packets": 1, "t_c_ms": "5"}},
+    {"1": {"role": "source", "packets": 1, "t_c_ms": " 7 "}},
+    # and the CSV would print these as they stand
+    {"1": {"role": "source", "packets": "x", "t_c_ms": 1.0}},
+    {"1": {"role": "source", "packets": True, "t_c_ms": 1.0}},
+    {"1": {"role": "source", "packets": 2.0, "t_c_ms": 1.0}}])
 def test_energy_table_refuses_malformed_nodes(tmp_path, capsys, nodes):
     out_dir, report_path = edited_report(tmp_path, capsys, "nodes", nodes)
     csv_path = tmp_path / "energy.csv"

@@ -1,4 +1,4 @@
-"""Config schema: YAML round-trip and the validation catalog."""
+"""Config schema: YAML loading and the validation catalog."""
 import dataclasses
 import random
 
@@ -19,10 +19,8 @@ from zircon.scenario import (
     NodeSpec,
     ScenarioConfig,
     TrafficSpec,
-    dump_config,
     from_dict,
     load_config,
-    to_dict,
     validate,
 )
 from zircon.watermark import extract, extract_bare
@@ -61,8 +59,54 @@ def test_example_config_is_valid():
     assert cfg.attacks == []
 
 
-def test_yaml_roundtrip_preserves_everything():
-    cfg = small_config()
+# every top-level key and every attack kind, each spelt as a scenario file
+# spells it; the last two attacks set fields off their own kind
+LITERAL = """\
+seed: 3
+mode: multihop
+freshness_s: 45
+per_hop_delay_ms: 250
+area: [120.0, 80]
+key_rotation: {min_generations: 5, max_generations: 9}
+energy: {p_n_mw: 25.0, tc_per_op_ms: 0.25}
+nodes:
+- {id: 1, ip: 10.0.0.1, role: source, x: 5, y: 5}
+- {id: 2, ip: 10.0.0.2, role: intermediate, x: 50, y: 5, registered: false}
+- {id: 9, ip: 10.0.0.9, role: gateway, x: 95, y: 5}
+routes: [[1, 2, 9]]
+traffic:
+- {source: 1, count: 3, interval_ms: 500, start_ms: 20, payload_bytes: 8}
+attacks:
+- {kind: eavesdrop, from: 1, to: 2}
+- {kind: replay, from: 1, to: 2, delay_ms: 9000, mutate_timestamp: true}
+- {kind: modify_payload, from: 1, to: 2, seq: 2, edits: [[0, 1], [3, 128]]}
+- {kind: modify_watermark, from: 2, to: 9, edits: [[17, 255]]}
+- {kind: insert_bits, from: 2, to: 9, offset_bits: 12, bits: [1, 0, 1]}
+- {kind: delete_bits, from: 1, to: 2, q: 5, offset_bits: 3}
+- {kind: drop, from: 2, to: 9, after_ms: 1500}
+- kind: fake_inject
+  to: 2
+  src: 1
+  seq: 4
+  ip: 10.0.0.1
+  payload_hex: "6670"
+  key_material_hex: "00000000000000000000000000000000"
+  key_epoch: 3
+  hop: 2
+- {kind: store_probe, caller_id: 666, src: 1, seq: 1, after_ms: 10}
+- {kind: drop, from: 1, to: 2, delay_ms: 5, mutate_timestamp: true, q: 3,
+   offset_bits: 7, bits: [1, 0], edits: [[0, 1]], caller_id: 6}
+- {kind: eavesdrop, from: 1, to: 2, ip: 0.0.0.0, payload_hex: "70",
+   key_material_hex: "00000000000000000000000000000000", key_epoch: 2,
+   hop: 4}
+"""
+
+
+def test_yaml_literal_loads_every_key():
+    cfg = small_config(freshness_s=45, per_hop_delay_ms=250, area=(120.0, 80.0))
+    cfg.nodes[1].registered = False
+    cfg.traffic = [TrafficSpec(source=1, count=3, interval_ms=500, start_ms=20,
+                               payload_bytes=8)]
     cfg.key_rotation = KeyRotationConfig(5, 9)
     cfg.energy = EnergyParams(p_n_mw=25.0, tc_per_op_ms=0.25)
     cfg.attacks = [
@@ -83,12 +127,16 @@ def test_yaml_roundtrip_preserves_everything():
                    key_material=bytes(16), key_epoch=3, hop=2),
         AttackSpec(kind="store_probe", caller_id=666, src=1, seq=1,
                    after_ms=10),
+        AttackSpec(kind="drop", from_id=1, to_id=2, delay_ms=5,
+                   mutate_timestamp=True, q=3, offset_bits=7, bits=(1, 0),
+                   edits=((0, 1),), caller_id=6),
+        AttackSpec(kind="eavesdrop", from_id=1, to_id=2, ip=bytes(4),
+                   payload=b"p", key_material=bytes(16), key_epoch=2, hop=4),
     ]
-    text = dump_config(cfg)
-    back = load_config(text)
-    assert to_dict(back) == to_dict(cfg)
-    # and a second round-trip is a fixed point
-    assert dump_config(back) == text
+    assert set(yaml.safe_load(LITERAL)) == {
+        f.name for f in dataclasses.fields(ScenarioConfig)}
+    assert {a.kind for a in cfg.attacks} == set(KINDS)
+    assert load_config(LITERAL) == cfg
 
 
 def test_load_config_accepts_stream(tmp_path):
@@ -106,20 +154,6 @@ def test_bad_yaml_and_bad_shape():
         load_config("- just\n- a list\n")
     with pytest.raises(ConfigError):
         from_dict(["not", "a", "mapping"])
-
-
-def test_attacks_keep_every_field_off_its_default():
-    # the writer used to keep only each kind's own fields, so these came
-    # back from the YAML as defaults
-    cfg = small_config(attacks=[
-        AttackSpec(kind="drop", from_id=1, to_id=2, delay_ms=5,
-                   mutate_timestamp=True, q=3, offset_bits=7, bits=(1, 0),
-                   edits=((0, 1),), caller_id=6),
-        AttackSpec(kind="eavesdrop", from_id=1, to_id=2, ip=bytes(4),
-                   payload=b"p", key_material=bytes(16), key_epoch=2, hop=4),
-        AttackSpec(kind="replay", from_id=1, to_id=2, delay_ms=1000)])
-    assert load_config(dump_config(cfg)) == cfg
-    assert to_dict(cfg)["attacks"][2] == {"kind": "replay", "from": 1, "to": 2}
 
 
 # -- validation catalog ---------------------------------------------------------

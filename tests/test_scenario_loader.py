@@ -8,19 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zircon import scenario
-from zircon.adversary import AttackSpec
-from zircon.analysis import EnergyParams
-from zircon.scenario import (
-    EXAMPLE_CONFIG,
-    ConfigError,
-    KeyRotationConfig,
-    NodeSpec,
-    ScenarioConfig,
-    TrafficSpec,
-    dump_config,
-    load_config,
-    to_dict,
-)
+from zircon.scenario import EXAMPLE_CONFIG, ConfigError, load_config
 from tests.test_golden_outputs import GOLDEN
 
 # the pure-Python loader is the reference every other loader must match
@@ -54,10 +42,9 @@ def test_scenarios_load_alike(name, monkeypatch):
     same_under_both_loaders(text)
     configs = [load_with(monkeypatch, loader, text) for loader in LOADERS]
     assert configs[0] == configs[1]
-    assert dump_config(configs[0]) == dump_config(configs[1])
 
 
-# -- generated configs, dumped and read back ----------------------------------
+# -- generated YAML data, dumped and read back --------------------------------
 
 INTS = st.integers(min_value=-2 ** 70, max_value=2 ** 70)
 FLOATS = st.floats(allow_nan=True, allow_infinity=True)
@@ -66,64 +53,26 @@ FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 TEXT = st.text(max_size=12) | st.sampled_from(
     ["yes", "No", "on", "~", "null", "1e5", "1.0e+5", "0x1F", "0o17", "017",
      "1_000", ".inf", "-.NaN", "2001-12-14", "12:30:45", "<<", "=", "-", ""])
-FINITE = st.floats(min_value=0, max_value=1e300)
-
-NODES = st.builds(NodeSpec, id=INTS, ip=TEXT, role=TEXT, x=FLOATS, y=FLOATS,
-                  registered=st.booleans())
-TRAFFIC = st.builds(TrafficSpec, source=INTS, count=INTS, interval_ms=INTS,
-                    start_ms=INTS, payload_bytes=INTS)
-ENERGY = st.builds(EnergyParams, p_n_mw=FINITE, t_a_ms=FINITE,
-                   tc_per_op_ms=FINITE | st.integers(0, 10 ** 6))
-OPTIONAL_INT = st.none() | INTS
-LINK = dict(from_id=OPTIONAL_INT, to_id=OPTIONAL_INT, src=OPTIONAL_INT,
-            seq=OPTIONAL_INT, after_ms=INTS)
-EDITS = st.lists(st.tuples(INTS, st.integers(1, 255)), min_size=1,
-                 max_size=3).map(tuple)
-# one strategy per attack kind, each setting that kind's own fields
-ATTACKS = st.one_of(
-    st.builds(AttackSpec, kind=st.sampled_from(["eavesdrop", "drop"]), **LINK),
-    st.builds(AttackSpec, kind=st.just("replay"), delay_ms=INTS,
-              mutate_timestamp=st.booleans(), **LINK),
-    st.builds(AttackSpec, kind=st.just("insert_bits"), offset_bits=INTS,
-              bits=st.lists(st.integers(0, 1), min_size=1).map(tuple), **LINK),
-    st.builds(AttackSpec, kind=st.just("delete_bits"), q=st.integers(1),
-              offset_bits=OPTIONAL_INT, **LINK),
-    st.builds(AttackSpec, kind=st.sampled_from(["modify_payload",
-                                                "modify_watermark"]),
-              edits=EDITS, **LINK),
-    st.builds(AttackSpec, kind=st.just("fake_inject"), to_id=INTS, src=INTS,
-              seq=INTS, ip=st.binary(min_size=4, max_size=4),
-              payload=st.binary(max_size=8),
-              key_material=st.binary(min_size=16, max_size=16),
-              key_epoch=INTS, hop=INTS),
-    st.builds(AttackSpec, kind=st.just("store_probe"), caller_id=INTS,
-              src=OPTIONAL_INT, seq=OPTIONAL_INT, after_ms=INTS),
-)
-CONFIGS = st.builds(
-    ScenarioConfig, seed=INTS, mode=TEXT, freshness_s=INTS,
-    per_hop_delay_ms=INTS,
-    area=st.tuples(FLOATS, FLOATS),
-    key_rotation=st.none() | st.builds(KeyRotationConfig, INTS, INTS),
-    energy=ENERGY, nodes=st.lists(NODES, max_size=3),
-    routes=st.lists(st.lists(INTS, max_size=4), max_size=3),
-    traffic=st.lists(TRAFFIC, max_size=2),
-    attacks=st.lists(ATTACKS, max_size=2))
+# what a scenario file holds: scalars in lists and str-keyed mappings
+DATA = st.recursive(
+    st.none() | st.booleans() | INTS | FLOATS | TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=16)
 
 
 @settings(max_examples=150, deadline=None)
-@given(CONFIGS)
-def test_dumped_configs_load_alike(config):
-    text = dump_config(config)
-    data = same_under_both_loaders(text)
-    # and the shape read back is the shape that was dumped
-    want = to_dict(config)
-    assert repr(data) == repr(want)
+@given(DATA)
+def test_dumped_yaml_loads_alike(data):
+    text = yaml.safe_dump(data, sort_keys=False)
+    # and the data read back is the data that was dumped
+    assert repr(same_under_both_loaders(text)) == repr(data)
 
 
 def test_lookalike_scalars_resolve_alike():
     # a string that looks like another type must come back as that string,
     # and YAML 1.1 reads an exponent without a dot as text
-    data = same_under_both_loaders(dump_config(ScenarioConfig(mode="1e5")))
+    data = same_under_both_loaders(yaml.safe_dump({"mode": "1e5"}))
     assert data["mode"] == "1e5"
     data = same_under_both_loaders("seed: 1e5\nmode: 1.0e+5\narea: [.nan, 1]\n")
     assert data["seed"] == "1e5" and data["mode"] == 100000.0
