@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Union
@@ -53,10 +54,11 @@ class EnergyParams:
     tc_per_op_ms: float = 0.5
 
 
-def _finite_nonnegative(value) -> bool:
-    # a bool is an int to Python, and NaN passes every comparison test
+def finite_nonnegative(value) -> bool:
+    # a bool is an int to Python, NaN passes every comparison test, and
+    # float() overflows on an int past the largest float
     return not isinstance(value, bool) and isinstance(value, (int, float)) \
-        and 0 <= value < math.inf
+        and 0 <= value <= sys.float_info.max
 
 
 def energy_errors(params: EnergyParams) -> List[str]:
@@ -64,12 +66,12 @@ def energy_errors(params: EnergyParams) -> List[str]:
     number."""
     return [f"{name}: must be a finite nonnegative number, got {value!r}"
             for name, value in vars(params).items()
-            if not _finite_nonnegative(value)]
+            if not finite_nonnegative(value)]
 
 
 def node_energy(params: EnergyParams, t_c_ms: float) -> float:
     """Energy of one duty cycle in millijoules (power in mW, windows in ms)."""
-    if not _finite_nonnegative(t_c_ms):
+    if not finite_nonnegative(t_c_ms):
         raise ValueError(f"t_c_ms: must be a finite nonnegative number, "
                          f"got {t_c_ms!r}")
     active = params.t_a_ms + params.t_s_ms + t_c_ms + params.t_tr_ms + params.t_sl_ms
@@ -140,9 +142,9 @@ def write_energy_csv(out, report: dict, params: EnergyParams) -> None:
         t_c, packets = info["t_c_ms"], info["packets"]
         if type(packets) is not int:
             raise TypeError(f"packets: must be an integer, got {packets!r}")
-        # float() would read a bool or a digit string; node_energy refuses both
+        energy = node_energy(params, t_c)  # refuses what float() misreads
         writer.writerow([node_id, info["role"], packets, str(float(t_c)),
-                         str(node_energy(params, t_c))])
+                         str(energy)])
 
 
 # -- detection reporting ------------------------------------------------------

@@ -164,7 +164,7 @@ class Simulation:
         self._order = itertools.count()
         self.log: List[str] = []
 
-        self.store = ProvenanceStore(clock=lambda: self.now, log=self.log)
+        self.store = ProvenanceStore(self.log)
 
         # the wire profile is fixed for the run; its methods are read off the
         # classes here, not at import, so a wrapper put on a class sees them

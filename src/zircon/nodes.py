@@ -116,7 +116,7 @@ class _Verifier(_Node):
               now_ms: int) -> Tuple[Verdict, None]:
         """Discard the packet, burning the set its frame still names."""
         if pkt.src is not None and pkt.seq is not None:
-            self.store.delete_all(pkt.src, pkt.seq)
+            self.store.delete_all(pkt.src, pkt.seq, now_ms)
         return self._verdict(outcome, pkt, now_ms), None
 
     def _check_hop(self, data: bytes, now_ms: int
@@ -142,11 +142,7 @@ class _Verifier(_Node):
 
 class SourceNode(_Node):
     role = ROLE_SOURCE
-
-    def __init__(self, node_id: int, ip: bytes, keyring: KeyRing,
-                 store: ProvenanceStore):
-        super().__init__(node_id, ip, keyring, store)
-        self.next_seq = 1
+    next_seq = 1  # the next emit's seq; the first emit's += 1 makes it per node
 
     def emit_multihop(self, payload: bytes, now_ms: int) -> Tuple[int, bytes]:
         """Store the hop-1 record and return (seq, the frame's wire bytes)."""
@@ -157,7 +153,7 @@ class SourceNode(_Node):
         # before any record is stored
         frame = embed(self.id, seq, 1, payload, cipher, hash_part)
         self.store.store(_new(ProvenanceKey, (self.id, seq, 1)), cipher,
-                         epoch, by=self.id)
+                         epoch, self.id, now_ms)
         self.next_seq += 1
         return seq, frame
 
@@ -169,7 +165,7 @@ class SourceNode(_Node):
         seq = self.next_seq
         frame = embed_bare(self.id, seq, 1, payload)
         self.store.store(_new(ProvenanceKey, (self.id, seq, 1)), cipher,
-                         epoch, by=self.id, hash_part=hash_part)
+                         epoch, self.id, now_ms, hash_part)
         self.next_seq += 1
         return seq, frame
 
@@ -191,7 +187,7 @@ class IntermediateNode(_Verifier):
         forwarded = embed(pkt.src, pkt.seq, next_hop, pkt.payload, cipher,
                           pkt.hash_part)
         self.store.store(_new(ProvenanceKey, (pkt.src, pkt.seq, next_hop)),
-                         cipher, epoch, by=self.id)
+                         cipher, epoch, self.id, now_ms)
         return self._verdict(ACCEPTED, pkt, now_ms), forwarded
 
 
@@ -240,7 +236,7 @@ class GatewayNode(_Verifier):
         if now_ms // 1000 - path[0][1] > self.freshness_s:
             return self._fail(STALE_TIMESTAMP, pkt, now_ms)
 
-        self.store.delete_all(pkt.src, pkt.seq)
+        self.store.delete_all(pkt.src, pkt.seq, now_ms)
         return self._verdict(ACCEPTED, pkt, now_ms), path
 
     def verify_multihop(self, data: bytes, now_ms: int

@@ -12,7 +12,7 @@ hops 1..n, as `store` accepts only the hop after the newest stored one.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import events
 
@@ -46,21 +46,18 @@ class StoredRecord(NamedTuple):
     hop: int
     cipher: bytes  # the 16-byte encrypted feature record
     epoch: int  # the key epoch that encrypted it; not on the wire
-    time: int
+    time: int  # the now_ms the storing node passed
     # single-hop emitters keep the full watermark, so the truncated payload
     # digest rides along; multi-hop entries leave this None
     hash_part: Optional[bytes] = None
 
 
 class ProvenanceStore:
-    """Every store and delete appends its event line to `log`: the caller's
-    event log when one is given (the simulator passes its own), else a
-    list of the store's own."""
+    """Times and the log come from the caller: each store and delete takes
+    its time as `now_ms` and appends its event line to the caller's `log`."""
 
-    def __init__(self, clock: Callable[[], int] = lambda: 0,
-                 log: Optional[List[str]] = None):
-        self.clock = clock
-        self.log: List[str] = [] if log is None else log
+    def __init__(self, log: List[str]):
+        self.log = log
         # a packet's records in hop order; a set exists only while it holds
         # at least one record
         self._sets: Dict[Tuple[int, int], List[StoredRecord]] = {}
@@ -79,7 +76,7 @@ class ProvenanceStore:
     # -- operations --------------------------------------------------------
 
     def store(self, key: ProvenanceKey, cipher: bytes, epoch: int, by: int,
-              hash_part: Optional[bytes] = None) -> None:
+              now_ms: int, hash_part: Optional[bytes] = None) -> None:
         if by not in self._node_ids:
             raise AuthorizationError(f"id {by} is not registered to store records")
         src, seq, hop = key
@@ -91,10 +88,9 @@ class ProvenanceStore:
             )
         if records is None:
             records = self._sets[(src, seq)] = []
-        time = self.clock()
-        records.append(_new(StoredRecord, (hop, cipher, epoch, time,
+        records.append(_new(StoredRecord, (hop, cipher, epoch, now_ms,
                                            hash_part)))
-        self.log.append(events.store(src, seq, hop, cipher.hex(), by, time))
+        self.log.append(events.store(src, seq, hop, cipher.hex(), by, now_ms))
 
     def query_last(self, source: int, sequence: int) -> StoredRecord:
         records = self._sets.get((source, sequence))
@@ -116,11 +112,10 @@ class ProvenanceStore:
         self._consumed.add(packet)
         return list(records)
 
-    def delete_all(self, source: int, sequence: int) -> int:
+    def delete_all(self, source: int, sequence: int, now_ms: int) -> int:
         records = self._sets.pop((source, sequence), ())
         self._consumed.discard((source, sequence))
-        self.log.append(events.delete(source, sequence, len(records),
-                                      self.clock()))
+        self.log.append(events.delete(source, sequence, len(records), now_ms))
         return len(records)
 
     # -- introspection (read-only; used by reports) ------------------------

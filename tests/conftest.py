@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 import pytest
+from hypothesis import Phase, settings
 
 from zircon.crypto import SymmetricKey
 from zircon.nodes import (
@@ -14,6 +15,12 @@ from zircon.nodes import (
     SourceNode,
 )
 from zircon.provstore import ProvenanceStore
+
+# scripts/mutants.py runs its tests with --hypothesis-profile=mutants: a
+# caught mutant needs only a failing example, and shrinking one could take
+# minutes and more than a gigabyte
+settings.register_profile("mutants",
+                          phases=set(Phase) - {Phase.shrink, Phase.explain})
 
 
 @pytest.fixture
@@ -28,7 +35,7 @@ def keyring(key):
 
 @pytest.fixture
 def store():
-    return ProvenanceStore()
+    return ProvenanceStore([])
 
 
 @dataclass
@@ -43,11 +50,10 @@ class Chain:
 
 
 def build_chain(n_intermediates: int = 2, freshness_s: int = 60,
-                key_material: bytes = bytes(range(16)),
-                clock=lambda: 0) -> Chain:
+                key_material: bytes = bytes(range(16))) -> Chain:
     """One source at id 1, intermediates at 2.., gateway at 9."""
     keyring = KeyRing(SymmetricKey(material=key_material, epoch=0))
-    store = ProvenanceStore(clock=clock)
+    store = ProvenanceStore([])
     # node n has ip 10.0.0.n
     origins = {nid: bytes([10, 0, 0, nid])
                for nid in [1, *range(2, 2 + n_intermediates), 9]}

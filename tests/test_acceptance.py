@@ -213,7 +213,7 @@ def test_05_fake_injection_rejected():
 
 def test_06_store_access_control():
     key = crypto.SymmetricKey(material=bytes(range(16)), epoch=0)
-    store = ProvenanceStore()
+    store = ProvenanceStore([])
     for nid in (1, 2):
         store.register_node(nid)
     store.register_gateway(9)
@@ -222,8 +222,10 @@ def test_06_store_access_control():
         return make_provenance_record(bytes([10, 0, 0, ip_last]), t, key)
 
     for seq in range(1, 101):
-        store.store(ProvenanceKey(1, seq, 1), record(1, seq), key.epoch, by=1)
-        store.store(ProvenanceKey(1, seq, 2), record(2, seq), key.epoch, by=2)
+        store.store(ProvenanceKey(1, seq, 1), record(1, seq), key.epoch,
+                    by=1, now_ms=0)
+        store.store(ProvenanceKey(1, seq, 2), record(2, seq), key.epoch,
+                    by=2, now_ms=0)
 
     for seq in range(1, 101):
         for node_id in (1, 2, 666):
@@ -235,7 +237,8 @@ def test_06_store_access_control():
             store.query_all(1, seq, by=9)
 
     with pytest.raises(AuthorizationError):
-        store.store(ProvenanceKey(2, 1, 1), record(3, 1), key.epoch, by=666)
+        store.store(ProvenanceKey(2, 1, 1), record(3, 1), key.epoch,
+                    by=666, now_ms=0)
 
 
 def test_07_provenance_cost_model():

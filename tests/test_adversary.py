@@ -343,7 +343,7 @@ def test_fake_frame_rejected_when_records_exist():
 def test_store_probe_results(store):
     store.register_node(1)
     store.register_gateway(9)
-    store.store(ProvenanceKey(1, 1, 1), bytes(16), 0, by=1)
+    store.store(ProvenanceKey(1, 1, 1), bytes(16), 0, by=1, now_ms=0)
 
     def probe(caller_id, src=1, seq=1):
         return AttackSpec(kind="store_probe", caller_id=caller_id, src=src,

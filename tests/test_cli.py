@@ -224,6 +224,9 @@ _INJECT = ("{kind: fake_inject, to: 2, src: 1, seq: 1, ip: 10.0.0.1, "
      "attacks: [{kind: fake_inject, to: 1, src: 1, seq: 3, ip: 10.0.0.1, "
      "key_material_hex: 000102030405060708090a0b0c0d0e0f}]",
      "attacks[0].to: node 1 is a source, which verifies nothing"),
+    # ran and wrote `"t_c_ms": Infinity`, which is not JSON
+    ("tc_per_op_ms: 0.5", "tc_per_op_ms: 1.0e+308",
+     "energy.tc_per_op_ms: 40 ops at 1e+308 ms overflow a float"),
 ])
 def test_run_refuses_a_config_that_would_abort_or_mislead(tmp_path, capsys,
                                                           old, new, message):
@@ -432,7 +435,9 @@ def test_energy_table_refuses_a_partial_energy_mapping(tmp_path, capsys):
     # and the CSV would print these as they stand
     {"1": {"role": "source", "packets": "x", "t_c_ms": 1.0}},
     {"1": {"role": "source", "packets": True, "t_c_ms": 1.0}},
-    {"1": {"role": "source", "packets": 2.0, "t_c_ms": 1.0}}])
+    {"1": {"role": "source", "packets": 2.0, "t_c_ms": 1.0}},
+    # float() overflows on an integer past the largest float
+    {"1": {"role": "source", "packets": 1, "t_c_ms": 10**400}}])
 def test_energy_table_refuses_malformed_nodes(tmp_path, capsys, nodes):
     out_dir, report_path = edited_report(tmp_path, capsys, "nodes", nodes)
     csv_path = tmp_path / "energy.csv"

@@ -177,8 +177,9 @@ def logged(lines):
 
 
 # Hypothesis's explain phase only annotates the report of a failure, and
-# after a shrunk failure here it ran for minutes in over 1 GB
-NO_EXPLAIN = settings(phases=set(Phase) - {Phase.explain})
+# after a shrunk failure here it ran for minutes in over 1 GB; the other
+# phases are the active profile's
+NO_EXPLAIN = settings(phases=set(settings.default.phases) - {Phase.explain})
 
 
 @NO_EXPLAIN

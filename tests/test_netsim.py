@@ -1,8 +1,10 @@
 """Simulator behavior: determinism, packet fates under each attack, key
 rotation, and report bookkeeping."""
+import gc
 import hashlib
 import json
 import tracemalloc
+import weakref
 from collections import Counter
 
 import pytest
@@ -488,6 +490,34 @@ def test_set_up_memory_does_not_grow_with_packet_count():
             tracemalloc.stop()
 
     assert set_up_peak(200_000) - set_up_peak(10) < 64 * 1024
+
+
+def attacked_config():
+    """A replay, a forged frame and a store probe: every kind of event the
+    queue holds besides emits and plain deliveries."""
+    return base_config(attacks=[
+        AttackSpec(kind="replay", from_id=1, to_id=2, delay_ms=20000),
+        AttackSpec(kind="fake_inject", to_id=2, src=1, seq=2, after_ms=1100,
+                   ip=bytes([10, 0, 0, 1]), payload=b"forged-payload!!",
+                   key_material=bytes(range(16, 32)), key_epoch=9, hop=2),
+        AttackSpec(kind="store_probe", caller_id=666, src=1, seq=1,
+                   after_ms=500)])
+
+
+@pytest.mark.parametrize("make", [base_config, singlehop_config,
+                                  attacked_config])
+def test_a_run_leaves_no_reference_cycle(make):
+    # reference counts alone free a finished simulation; a cycle through it
+    # would hold the run's state until the cyclic collector ran
+    gc.disable()
+    try:
+        sim = netsim.Simulation(make())
+        sim.run()
+        dead = weakref.ref(sim)
+        del sim
+        assert dead() is None
+    finally:
+        gc.enable()
 
 
 def test_two_traffic_entries_of_one_source_interleave_in_time_order():

@@ -29,8 +29,8 @@ from zircon.watermark import (
 PAYLOAD = b"shape of a record"
 CIPHER = bytes(range(16))
 HASH_PART = bytes(range(100, 108))
-# the store's clock reads a time no field of the records below holds
-CLOCK_MS = 7777
+# a store time no other field of the records below holds
+NOW_MS = 7777
 
 
 def assert_record(got, expected):
@@ -53,14 +53,15 @@ def test_frames_hold_every_field_in_order():
 
 
 def test_stored_records_hold_every_field_in_order():
-    store = ProvenanceStore(clock=lambda: CLOCK_MS)
+    store = ProvenanceStore([])
     store.register_node(1)
     store.register_gateway(9)
-    store.store(ProvenanceKey(1, 2, 1), CIPHER, 3, by=1, hash_part=HASH_PART)
-    store.store(ProvenanceKey(1, 2, 2), CIPHER[::-1], 4, by=1)
-    first = StoredRecord(hop=1, cipher=CIPHER, epoch=3, time=CLOCK_MS,
+    store.store(ProvenanceKey(1, 2, 1), CIPHER, 3, by=1, now_ms=NOW_MS,
+                hash_part=HASH_PART)
+    store.store(ProvenanceKey(1, 2, 2), CIPHER[::-1], 4, by=1, now_ms=NOW_MS)
+    first = StoredRecord(hop=1, cipher=CIPHER, epoch=3, time=NOW_MS,
                          hash_part=HASH_PART)
-    last = StoredRecord(hop=2, cipher=CIPHER[::-1], epoch=4, time=CLOCK_MS,
+    last = StoredRecord(hop=2, cipher=CIPHER[::-1], epoch=4, time=NOW_MS,
                         hash_part=None)
     assert_record(store.query_last(1, 2), last)
     got = store.query_all(1, 2, by=9)
@@ -70,15 +71,16 @@ def test_stored_records_hold_every_field_in_order():
 
 
 def test_a_source_stores_a_record_of_every_field():
-    chain = build_chain(clock=lambda: CLOCK_MS)
+    # the stored time is the emit's own now_ms
+    chain = build_chain()
     _, frame = chain.source.emit_multihop(PAYLOAD, 2000)
     assert_record(chain.store.query_last(1, 1), StoredRecord(
-        hop=1, cipher=extract(frame).cipher, epoch=0, time=CLOCK_MS))
-    chain = build_chain(n_intermediates=0, clock=lambda: CLOCK_MS)
+        hop=1, cipher=extract(frame).cipher, epoch=0, time=2000))
+    chain = build_chain(n_intermediates=0)
     chain.source.emit_singlehop(PAYLOAD, 2000)
     stored = chain.store.query_last(1, 1)
     assert_record(stored, StoredRecord(
-        hop=1, cipher=stored.cipher, epoch=0, time=CLOCK_MS,
+        hop=1, cipher=stored.cipher, epoch=0, time=2000,
         hash_part=make_hash_subwatermark(PAYLOAD)))
 
 

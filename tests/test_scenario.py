@@ -1,6 +1,7 @@
 """Config schema: YAML loading and the validation catalog."""
 import dataclasses
 import random
+import sys
 
 import pytest
 import yaml
@@ -539,6 +540,8 @@ def test_negative_energy_constant_is_a_config_error(field):
 
 @pytest.mark.parametrize("value, shown", [
     (".nan", "nan"), (".inf", "inf"), ("yes", "True"), ("1e-5", "'1e-5'"),
+    # finite, but past the largest float: float() would overflow on it
+    pytest.param(str(10**400), str(10**400), id="10**400"),
 ])
 def test_energy_constant_must_be_a_finite_number(value, shown):
     text = EXAMPLE_CONFIG.replace("  t_a_ms: 1.0 ", f"  t_a_ms: {value} ")
@@ -555,6 +558,33 @@ def test_energy_constants_are_reported_with_every_other_error():
         "energy.t_a_ms: must be a finite nonnegative number, got nan",
         "energy.t_s_ms: must be a finite nonnegative number, got -1",
     ]
+
+
+def test_tc_per_op_ms_keeps_every_charge_a_float():
+    # the example's gateway runs 2 ops on each of its 20 packets: a charge
+    # per op of float max / 64 keeps its T_C finite, float max / 32 does not
+    cfg = load_config(EXAMPLE_CONFIG)
+    cfg.energy = EnergyParams(tc_per_op_ms=sys.float_info.max / 64)
+    nodes = run(cfg).report["nodes"].values()
+    assert max(n["watermark_ops"] for n in nodes) == 40
+    assert all(n["t_c_ms"] <= sys.float_info.max for n in nodes)
+    tc = sys.float_info.max / 32
+    cfg.energy = EnergyParams(tc_per_op_ms=tc)
+    assert errors_of(cfg) == [
+        f"energy.tc_per_op_ms: 40 ops at {tc!r} ms overflow a float"]
+
+
+def test_the_op_bound_counts_replayed_copies_and_forgeries():
+    # the gateway is delivered each packet, its replayed copy and the forgery
+    text = EXAMPLE_CONFIG.replace("attacks: []", (
+        "attacks: [{kind: replay, from: 3, to: 9, delay_ms: 5000}, "
+        "{kind: fake_inject, to: 9, src: 1, seq: 3, ip: 10.0.0.1, "
+        "key_material_hex: 000102030405060708090a0b0c0d0e0f}]"))
+    nodes = run(load_config(text)).report["nodes"].values()
+    assert max(n["watermark_ops"] for n in nodes) == 2 * (20 * 2 + 1)
+    cfg = load_config(text.replace("tc_per_op_ms: 0.5", "tc_per_op_ms: 1.0e+308"))
+    assert errors_of(cfg) == [
+        "energy.tc_per_op_ms: 82 ops at 1e+308 ms overflow a float"]
 
 
 def test_integer_energy_constant_is_accepted():
