@@ -92,11 +92,17 @@ MUTANTS = [
      "        self.store = ProvenanceStore(self.log)\n"
      "        self.store.simulation = self\n",
      "tests/test_netsim.py::test_a_run_leaves_no_reference_cycle"),
-    # a stored record built with its epoch and time swapped
-    ("src/zircon/provstore.py",
-     "(hop, cipher, epoch, now_ms,",
-     "(hop, cipher, now_ms, epoch,",
-     "tests/test_records.py::test_stored_records_hold_every_field_in_order"),
+    # a node's record built with its epoch and time swapped
+    ("src/zircon/nodes.py",
+     "            key.epoch, now_ms, hash_part))\n",
+     "            now_ms, key.epoch, hash_part))\n",
+     "tests/test_records.py::test_a_source_stores_a_record_of_every_field"),
+    # a forgery accepted at the gateway's hop forwarded past the route's end
+    ("src/zircon/netsim.py",
+     "        except IndexError:",
+     "        except KeyError:",
+     "tests/test_netsim.py::"
+     "test_a_forgery_under_the_network_key_is_forwarded_to_no_one"),
     # a verdict built with its src and seq swapped
     ("src/zircon/nodes.py",
      "(self.id, pkt.src, pkt.seq, pkt.hop, outcome,",
@@ -135,6 +141,11 @@ MUTANTS = [
      '"bits": ("bits", lambda bits: tuple(_list(bits))),',
      '"bits": ("bits", _list),',
      "tests/test_scenario.py::test_yaml_literal_loads_every_key"),
+    # an energy past the largest float passes validate and energy-table
+    ("src/zircon/analysis.py",
+     "    if not finite_nonnegative(energy):\n",
+     "    if False:\n",
+     "tests/test_cli.py::test_energy_table_refuses_energy_that_overflows"),
     # provenance_size prices a path of no hops
     ("src/zircon/analysis.py",
      "    if hops < 1:\n        raise ValueError(\"hop count must be >= 1\")\n",

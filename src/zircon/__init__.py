@@ -16,7 +16,7 @@ from .nodes import (
     SourceNode,
 )
 from .netsim import Simulation, SimResult, run
-from .provstore import ProvenanceKey, ProvenanceStore
+from .provstore import ProvenanceStore
 from .scenario import ScenarioConfig, load_config
 from .watermark import Frame
 
@@ -24,7 +24,7 @@ __all__ = [
     "SymmetricKey", "digest", "encrypt_block", "decrypt_block",
     "GatewayNode", "IntermediateNode", "KeyRing", "SourceNode",
     "Simulation", "SimResult", "run",
-    "ProvenanceKey", "ProvenanceStore",
+    "ProvenanceStore",
     "ScenarioConfig", "load_config",
     "Frame",
     "__version__",

@@ -75,7 +75,10 @@ def node_energy(params: EnergyParams, t_c_ms: float) -> float:
         raise ValueError(f"t_c_ms: must be a finite nonnegative number, "
                          f"got {t_c_ms!r}")
     active = params.t_a_ms + params.t_s_ms + t_c_ms + params.t_tr_ms + params.t_sl_ms
-    return params.p_n_mw * active / 1000.0
+    energy = params.p_n_mw * active / 1000.0
+    if not finite_nonnegative(energy):
+        raise ValueError(f"energy: {energy!r} mJ at t_c_ms {t_c_ms!r} is not finite")
+    return energy
 
 
 def node_budget(params: EnergyParams, role: str) -> float:

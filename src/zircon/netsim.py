@@ -286,7 +286,10 @@ class Simulation:
     def _send(self, data: bytes, src: int, seq: int, hop: int,
               flow: str) -> None:
         route = self._route_of_source[src]
-        to_id = route[hop]
+        try:
+            to_id = route[hop]
+        except IndexError:  # forged under the network key, past the route
+            return
         if flow == FLOW_ORGANIC and self._link_attacks:
             for attack in self._link_attacks.get((route[hop - 1], to_id), ()):
                 if not attack.matches(src, seq, self.now):

@@ -24,7 +24,6 @@ from .events import Verdict
 from .provstore import (
     MissingRecordError,
     OneRetrievalError,
-    ProvenanceKey,
     ProvenanceStore,
     StoredRecord,
 )
@@ -56,7 +55,7 @@ MISSING_RECORD = "missing_record"
 # (dotted ip, capture/receive time in seconds) per hop, in hop order
 ProvenancePath = List[Tuple[str, int]]
 
-# builds keys and verdicts without their named tuples' Python-level __new__
+# builds records and verdicts without their named tuples' Python-level __new__
 _new = tuple.__new__
 
 
@@ -95,11 +94,14 @@ class _Node:
         self.keyring = keyring
         self.store = store
 
-    def _new_record(self, now_ms: int) -> Tuple[bytes, int]:
-        """This node's feature record, stamped with now in whole seconds and
-        sealed under the current key: (cipher, key epoch)."""
+    def _new_record(self, hop: int, now_ms: int,
+                    hash_part: Optional[bytes] = None) -> StoredRecord:
+        """The record this node stores at `hop`: its feature record, stamped
+        with now in whole seconds and sealed under the current key."""
         key = self.keyring.current
-        return make_provenance_record(self.ip, now_ms // 1000, key), key.epoch
+        return _new(StoredRecord, (
+            hop, make_provenance_record(self.ip, now_ms // 1000, key),
+            key.epoch, now_ms, hash_part))
 
 
 class _Verifier(_Node):
@@ -146,26 +148,23 @@ class SourceNode(_Node):
 
     def emit_multihop(self, payload: bytes, now_ms: int) -> Tuple[int, bytes]:
         """Store the hop-1 record and return (seq, the frame's wire bytes)."""
-        cipher, epoch = self._new_record(now_ms)
-        hash_part = make_hash_subwatermark(payload)
+        record = self._new_record(1, now_ms)
         seq = self.next_seq
         # build the frame first: a header field that does not fit raises
         # before any record is stored
-        frame = embed(self.id, seq, 1, payload, cipher, hash_part)
-        self.store.store(_new(ProvenanceKey, (self.id, seq, 1)), cipher,
-                         epoch, self.id, now_ms)
+        frame = embed(self.id, seq, 1, payload, record.cipher,
+                      make_hash_subwatermark(payload))
+        self.store.store(record, self.id, seq, self.id)
         self.next_seq += 1
         return seq, frame
 
     def emit_singlehop(self, payload: bytes, now_ms: int) -> Tuple[int, bytes]:
         """Store the full watermark (record plus hash part) and return (seq,
         the bare payload frame's wire bytes)."""
-        cipher, epoch = self._new_record(now_ms)
-        hash_part = make_hash_subwatermark(payload)
+        record = self._new_record(1, now_ms, make_hash_subwatermark(payload))
         seq = self.next_seq
         frame = embed_bare(self.id, seq, 1, payload)
-        self.store.store(_new(ProvenanceKey, (self.id, seq, 1)), cipher,
-                         epoch, self.id, now_ms, hash_part)
+        self.store.store(record, self.id, seq, self.id)
         self.next_seq += 1
         return seq, frame
 
@@ -182,12 +181,10 @@ class IntermediateNode(_Verifier):
 
         # verified: re-watermark with own ip and receive time, hash part
         # unchanged; the frame comes first, so a hop past 255 stores nothing
-        cipher, epoch = self._new_record(now_ms)
-        next_hop = pkt.hop + 1
-        forwarded = embed(pkt.src, pkt.seq, next_hop, pkt.payload, cipher,
-                          pkt.hash_part)
-        self.store.store(_new(ProvenanceKey, (pkt.src, pkt.seq, next_hop)),
-                         cipher, epoch, self.id, now_ms)
+        record = self._new_record(pkt.hop + 1, now_ms)
+        forwarded = embed(pkt.src, pkt.seq, record.hop, pkt.payload,
+                          record.cipher, pkt.hash_part)
+        self.store.store(record, pkt.src, pkt.seq, self.id)
         return self._verdict(ACCEPTED, pkt, now_ms), forwarded
 
 

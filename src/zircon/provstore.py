@@ -16,9 +16,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import events
 
-# builds a StoredRecord without the Python-level __new__ of its named tuple
-_new = tuple.__new__
-
 
 class AuthorizationError(PermissionError):
     """Caller id is not allowed to perform the operation."""
@@ -36,25 +33,20 @@ class OneRetrievalError(RuntimeError):
     """The full set for this packet was already retrieved once."""
 
 
-class ProvenanceKey(NamedTuple):
-    source: int
-    sequence: int
-    hop: int  # from 1; the store accepts only max + 1
-
-
 class StoredRecord(NamedTuple):
-    hop: int
+    hop: int  # from 1; the store accepts only max + 1
     cipher: bytes  # the 16-byte encrypted feature record
     epoch: int  # the key epoch that encrypted it; not on the wire
-    time: int  # the now_ms the storing node passed
+    time: int  # the storing node's now_ms
     # single-hop emitters keep the full watermark, so the truncated payload
     # digest rides along; multi-hop entries leave this None
     hash_part: Optional[bytes] = None
 
 
 class ProvenanceStore:
-    """Times and the log come from the caller: each store and delete takes
-    its time as `now_ms` and appends its event line to the caller's `log`."""
+    """A node hands `store` the record it built, time included, and the store
+    appends that record; `delete_all` takes its time as `now_ms`.  Both add
+    their event line to the caller's `log`."""
 
     def __init__(self, log: List[str]):
         self.log = log
@@ -75,22 +67,21 @@ class ProvenanceStore:
 
     # -- operations --------------------------------------------------------
 
-    def store(self, key: ProvenanceKey, cipher: bytes, epoch: int, by: int,
-              now_ms: int, hash_part: Optional[bytes] = None) -> None:
+    def store(self, record: StoredRecord, src: int, seq: int, by: int) -> None:
+        """Append the record node `by` built, as is, to (src, seq)'s set."""
         if by not in self._node_ids:
             raise AuthorizationError(f"id {by} is not registered to store records")
-        src, seq, hop = key
         records = self._sets.get((src, seq))
         current_max = records[-1].hop if records else 0
-        if hop != current_max + 1:
+        if record.hop != current_max + 1:
             raise SequencingError(
-                f"hop {hop} does not extend current max {current_max}"
+                f"hop {record.hop} does not extend current max {current_max}"
             )
         if records is None:
             records = self._sets[(src, seq)] = []
-        records.append(_new(StoredRecord, (hop, cipher, epoch, now_ms,
-                                           hash_part)))
-        self.log.append(events.store(src, seq, hop, cipher.hex(), by, now_ms))
+        records.append(record)
+        self.log.append(events.store(src, seq, record.hop, record.cipher.hex(),
+                                     by, record.time))
 
     def query_last(self, source: int, sequence: int) -> StoredRecord:
         records = self._sets.get((source, sequence))

@@ -25,7 +25,7 @@ from .adversary import (
     STORE_PROBE,
     AttackSpec,
 )
-from .analysis import EnergyParams, energy_errors, finite_nonnegative
+from .analysis import EnergyParams, energy_errors, finite_nonnegative, node_energy
 from .nodes import ROLE_GATEWAY, ROLE_INTERMEDIATE, ROLE_SOURCE, ROLES
 from .crypto import KEY_BYTES
 from .watermark import (
@@ -482,12 +482,18 @@ def validate(config: ScenarioConfig) -> None:
         if not 1 <= kr.min_generations <= kr.max_generations:
             errors.append("key_rotation: need 1 <= min_generations <= max_generations")
 
-    # last, on a valid config: T_C = ops * tc_per_op_ms must fit a float at
-    # the most ops a node runs, 2 (OPS_BY_ROLE) per packet, replay and forgery
+    # last, on a valid config: T_C = ops * tc_per_op_ms and its energy, which
+    # grows with it, must fit a float at the most ops a node runs, 2
+    # (OPS_BY_ROLE) per packet, replay and forgery
     kinds, tc = Counter(a.kind for a in config.attacks), config.energy.tc_per_op_ms
     ops = 2 * (sum(sent.values()) * (1 + kinds[REPLAY]) + kinds[FAKE_INJECT])
     if not errors and not finite_nonnegative(ops * tc):
         errors.append(f"energy.tc_per_op_ms: {ops} ops at {tc!r} ms overflow a float")
+    elif not errors:
+        try:
+            node_energy(config.energy, ops * tc)
+        except ValueError as err:
+            errors.append(str(err))
     if errors:
         raise ConfigError(errors)
 

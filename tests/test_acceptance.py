@@ -31,8 +31,8 @@ from zircon.nodes import ACCEPTED
 from zircon.provstore import (
     AuthorizationError,
     OneRetrievalError,
-    ProvenanceKey,
     ProvenanceStore,
+    StoredRecord,
 )
 from zircon.scenario import NodeSpec, ScenarioConfig, TrafficSpec
 from zircon.watermark import (
@@ -222,10 +222,10 @@ def test_06_store_access_control():
         return make_provenance_record(bytes([10, 0, 0, ip_last]), t, key)
 
     for seq in range(1, 101):
-        store.store(ProvenanceKey(1, seq, 1), record(1, seq), key.epoch,
-                    by=1, now_ms=0)
-        store.store(ProvenanceKey(1, seq, 2), record(2, seq), key.epoch,
-                    by=2, now_ms=0)
+        store.store(StoredRecord(1, record(1, seq), key.epoch, 0),
+                    1, seq, by=1)
+        store.store(StoredRecord(2, record(2, seq), key.epoch, 0),
+                    1, seq, by=2)
 
     for seq in range(1, 101):
         for node_id in (1, 2, 666):
@@ -237,8 +237,7 @@ def test_06_store_access_control():
             store.query_all(1, seq, by=9)
 
     with pytest.raises(AuthorizationError):
-        store.store(ProvenanceKey(2, 1, 1), record(3, 1), key.epoch,
-                    by=666, now_ms=0)
+        store.store(StoredRecord(1, record(3, 1), key.epoch, 0), 2, 1, by=666)
 
 
 def test_07_provenance_cost_model():

@@ -15,7 +15,7 @@ from zircon.adversary import (
 )
 from zircon.crypto import DecryptionError, decrypt_block
 from zircon.nodes import ACCEPTED, PROVENANCE_FAIL
-from zircon.provstore import ProvenanceKey
+from zircon.provstore import StoredRecord
 from zircon.scenario import ConfigError, validate
 from zircon.watermark import extract
 
@@ -343,7 +343,7 @@ def test_fake_frame_rejected_when_records_exist():
 def test_store_probe_results(store):
     store.register_node(1)
     store.register_gateway(9)
-    store.store(ProvenanceKey(1, 1, 1), bytes(16), 0, by=1, now_ms=0)
+    store.store(StoredRecord(1, bytes(16), 0, 0), 1, 1, by=1)
 
     def probe(caller_id, src=1, seq=1):
         return AttackSpec(kind="store_probe", caller_id=caller_id, src=src,

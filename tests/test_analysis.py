@@ -2,6 +2,7 @@
 import io
 import math
 import re
+import sys
 
 import mpmath as mp
 import pytest
@@ -62,6 +63,18 @@ def test_energy_rejects_negatives():
             node_energy(EnergyParams(), t_c_ms)
     assert energy_errors(EnergyParams(t_tr_ms=-5.0)) == [
         "t_tr_ms: must be a finite nonnegative number, got -5.0"]
+
+
+def test_energy_refuses_a_result_that_is_not_finite():
+    big = sys.float_info.max
+    # each constant is a float, but their sum, the sum times the power, or
+    # no power over an infinite window (nan) is not
+    for params in (EnergyParams(t_a_ms=big, t_s_ms=big),
+                   EnergyParams(p_n_mw=big),
+                   EnergyParams(p_n_mw=0.0, t_a_ms=big, t_s_ms=big)):
+        with pytest.raises(ValueError, match=r"^energy: (inf|nan) mJ at "
+                           r"t_c_ms 0\.0 is not finite$"):
+            node_energy(params, 0.0)
 
 
 def test_budget_by_role():

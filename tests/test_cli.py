@@ -227,6 +227,13 @@ _INJECT = ("{kind: fake_inject, to: 2, src: 1, seq: 1, ip: 10.0.0.1, "
     # ran and wrote `"t_c_ms": Infinity`, which is not JSON
     ("tc_per_op_ms: 0.5", "tc_per_op_ms: 1.0e+308",
      "energy.tc_per_op_ms: 40 ops at 1e+308 ms overflow a float"),
+    # ran, and energy-table wrote an energy of inf for every node: each
+    # constant is a float, but their sum, or the sum times the power, is not
+    ("t_a_ms: 1.0         # acquisition window\n  t_s_ms: 0.5 ",
+     "t_a_ms: 1.0e+308    # acquisition window\n  t_s_ms: 1.0e+308 ",
+     "energy: inf mJ at t_c_ms 20.0 is not finite"),
+    ("p_n_mw: 30.0 ", "p_n_mw: 1.0e+306 ",
+     "energy: inf mJ at t_c_ms 20.0 is not finite"),
 ])
 def test_run_refuses_a_config_that_would_abort_or_mislead(tmp_path, capsys,
                                                           old, new, message):
@@ -420,6 +427,22 @@ def test_energy_table_refuses_a_partial_energy_mapping(tmp_path, capsys):
         f"energy.{name}: missing required key" for name in
         ["t_s_ms", "t_tr_ms", "t_sl_ms", "e0_mj", "intermediate_multiplier",
          "tc_per_op_ms"]) + "\n"
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("energy", [
+    EnergyParams(t_a_ms=1.0e308, t_s_ms=1.0e308), EnergyParams(p_n_mw=1.0e306)])
+def test_energy_table_refuses_energy_that_overflows(tmp_path, capsys, energy):
+    out_dir, report_path = edited_report(tmp_path, capsys, "energy",
+                                         asdict(energy))
+    csv_path = tmp_path / "energy.csv"
+    code, out, err = run_cli(capsys, "energy-table", "--run", str(out_dir),
+                             "--out", str(csv_path))
+    assert code == 1
+    assert out == ""
+    # the first node, the source, is charged 20 ops at 0.5 ms
+    assert err == (f"error: {report_path}: malformed nodes (ValueError: "
+                   f"energy: inf mJ at t_c_ms 10.0 is not finite)\n")
     assert not csv_path.exists()
 
 

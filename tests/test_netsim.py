@@ -3,6 +3,7 @@ rotation, and report bookkeeping."""
 import gc
 import hashlib
 import json
+import random
 import tracemalloc
 import weakref
 from collections import Counter
@@ -244,6 +245,30 @@ def test_fake_inject_rejected_and_never_stored():
                for p in result.report["packets"].values())
 
 
+def test_a_forgery_under_the_network_key_is_forwarded_to_no_one():
+    # fake_inject may name the run's own key.  Node 3 stores 1:1's hop 3 at
+    # 600 ms, in capture second 0; a frame forged under that key with node
+    # 3's ip in the same second carries the same cipher, so node 2 accepts
+    # it at 700 ms and forwards hop 4, past the route's last node
+    key = random.Random("7/keys").randbytes(16).hex()
+    text = EXAMPLE_CONFIG.replace("count: 20", "count: 1").replace(
+        "attacks: []", "attacks: [{kind: fake_inject, to: 2, src: 1, seq: 1, "
+        "hop: 3, after_ms: 400, ip: 10.0.0.3, key_epoch: 0, "
+        f"key_material_hex: {key}}}]")
+    result = netsim.run(load_config(text))
+    verdicts = result.report["packets"]["1:1"].verdicts
+    assert [(v.flow, v.node, v.hop, v.outcome, v.time) for v in verdicts] == [
+        ("organic", 2, 1, "accepted", 300), ("organic", 3, 2, "accepted", 600),
+        ("fake", 2, 3, "accepted", 700),
+        ("organic", 9, 3, "provenance_fail", 900)]
+    # node 2 stored the hop-4 record it forwarded, which no node receives
+    delivered = [events.parse(line) for line in result.log
+                 if line.startswith("deliver|")]
+    assert [(d.node, d.hop) for d in delivered] == [(2, 1), (3, 2), (2, 3),
+                                                    (9, 3)]
+    assert "delete|1|1|4|900" in result.log
+
+
 def test_store_probe_logged_with_result():
     cfg = base_config()
     cfg.attacks = [AttackSpec(kind="store_probe", caller_id=666, src=1, seq=1,
@@ -341,6 +366,23 @@ def test_singlehop_clean_run():
     assert result.report["counts"]["accepted"] == 4
     for p in result.report["packets"].values():
         assert len(p.path) == 1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "a failed check burns the set its frame names, so a forgery that names "
+    "a live single-hop packet destroys it"))
+def test_an_off_path_forgery_leaves_a_singlehop_packet_accepted():
+    # 1:3 is emitted at 2000 ms and lands at 2300; the forgery naming it
+    # lands at 2050, fails extract_bare, and its header still names 1:3
+    cfg = singlehop_config(traffic=[TrafficSpec(source=1, count=5,
+                                                payload_bytes=12)])
+    cfg.attacks = [AttackSpec(kind="fake_inject", to_id=9, src=1, seq=3,
+                              after_ms=1750, ip=bytes([10, 0, 0, 66]),
+                              payload=b"forged-payload!!",
+                              key_material=bytes(range(16)))]
+    result = netsim.run(cfg)
+    assert flow_verdicts(result, "fake") == ["frame_fail"]
+    assert statuses(result) == {f"1:{seq}": "accepted" for seq in range(1, 6)}
 
 
 def test_singlehop_frames_are_bare(monkeypatch):

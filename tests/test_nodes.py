@@ -20,7 +20,7 @@ from zircon.nodes import (
     KeyRing,
     SourceNode,
 )
-from zircon.provstore import ProvenanceKey
+from zircon.provstore import StoredRecord
 from zircon.watermark import (
     FEATURE,
     embed,
@@ -152,8 +152,7 @@ def test_intermediate_stores_nothing_when_the_forward_cannot_be_built(chain):
     key = chain.keyring.current
     for hop in range(1, 256):
         cipher = make_provenance_record(chain.origins[1], 0, key)
-        chain.store.store(ProvenanceKey(1, 1, hop), cipher, key.epoch,
-                          by=1, now_ms=0)
+        chain.store.store(StoredRecord(hop, cipher, key.epoch, 0), 1, 1, by=1)
     frame = embed(1, 1, 255, PAYLOAD, cipher, make_hash_subwatermark(PAYLOAD))
     with pytest.raises(ValueError, match="hop index"):
         chain.intermediates[0].process(frame, now_ms=300)
@@ -278,7 +277,7 @@ def test_gateway_freshness_boundary():
 def test_gateway_rejects_unknown_key_epoch():
     chain = build_chain(n_intermediates=0)
     cipher = bytes(range(16))
-    chain.store.store(ProvenanceKey(1, 1, 1), cipher, 57, by=1, now_ms=0)
+    chain.store.store(StoredRecord(1, cipher, 57, 0), 1, 1, by=1)
     frame = embed(1, 1, 1, PAYLOAD, cipher, make_hash_subwatermark(PAYLOAD))
     verdict, _ = chain.gateway.verify_multihop(frame, 300)
     assert verdict.outcome == PROVENANCE_FAIL
@@ -289,8 +288,7 @@ def test_gateway_rejects_record_encrypted_under_foreign_key():
     foreign = SymmetricKey(material=bytes(range(16, 32)), epoch=0)
     cipher = make_provenance_record(chain.origins[1], 0, foreign)
     # claims epoch 0, but the ring's epoch-0 key cannot decrypt it
-    chain.store.store(ProvenanceKey(1, 1, 1), cipher, foreign.epoch, by=1,
-                      now_ms=0)
+    chain.store.store(StoredRecord(1, cipher, foreign.epoch, 0), 1, 1, by=1)
     frame = embed(1, 1, 1, PAYLOAD, cipher, make_hash_subwatermark(PAYLOAD))
     verdict, _ = chain.gateway.verify_multihop(frame, 300)
     assert verdict.outcome == PROVENANCE_FAIL
@@ -324,8 +322,7 @@ def test_gateway_stops_at_the_first_undecryptable_record(monkeypatch):
     ciphers = [make_provenance_record(chain.origins[hop], 0, key)
                for hop, key in ((2, foreign), (3, chain.keyring.current))]
     for hop, cipher in enumerate(ciphers, start=2):
-        chain.store.store(ProvenanceKey(1, 1, hop), cipher, 0, by=hop,
-                          now_ms=0)
+        chain.store.store(StoredRecord(hop, cipher, 0, 0), 1, 1, by=hop)
     frame = embed(1, 1, 3, PAYLOAD, ciphers[-1],
                   make_hash_subwatermark(PAYLOAD))
     calls = count_decrypts(monkeypatch)

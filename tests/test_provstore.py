@@ -9,9 +9,9 @@ from zircon.provstore import (
     AuthorizationError,
     MissingRecordError,
     OneRetrievalError,
-    ProvenanceKey,
     ProvenanceStore,
     SequencingError,
+    StoredRecord,
 )
 
 
@@ -25,42 +25,42 @@ def populated():
     s.register_node(1)
     s.register_node(2)
     s.register_gateway(9)
-    s.store(ProvenanceKey(1, 1, 1), cipher(0xAA), 0, by=1, now_ms=42)
-    s.store(ProvenanceKey(1, 1, 2), cipher(0xBB), 0, by=2, now_ms=42)
+    s.store(StoredRecord(1, cipher(0xAA), 0, 42), 1, 1, by=1)
+    s.store(StoredRecord(2, cipher(0xBB), 0, 42), 1, 1, by=2)
     return s
 
 
 def test_store_requires_registration(store):
     with pytest.raises(AuthorizationError):
-        store.store(ProvenanceKey(1, 1, 1), cipher(1), 0, by=5, now_ms=0)
+        store.store(StoredRecord(1, cipher(1), 0, 0), 1, 1, by=5)
     store.register_node(5)
-    store.store(ProvenanceKey(1, 1, 1), cipher(1), 0, by=5, now_ms=0)
+    store.store(StoredRecord(1, cipher(1), 0, 0), 1, 1, by=5)
     # gateway registration alone does not grant store rights
     store.register_gateway(9)
     with pytest.raises(AuthorizationError):
-        store.store(ProvenanceKey(1, 1, 2), cipher(2), 0, by=9, now_ms=0)
+        store.store(StoredRecord(2, cipher(2), 0, 0), 1, 1, by=9)
 
 
 def test_hop_contiguity(store):
     store.register_node(1)
     # must start at 1
     with pytest.raises(SequencingError):
-        store.store(ProvenanceKey(1, 1, 2), cipher(1), 0, by=1, now_ms=0)
-    store.store(ProvenanceKey(1, 1, 1), cipher(1), 0, by=1, now_ms=0)
+        store.store(StoredRecord(2, cipher(1), 0, 0), 1, 1, by=1)
+    store.store(StoredRecord(1, cipher(1), 0, 0), 1, 1, by=1)
     # duplicate hop
     with pytest.raises(SequencingError):
-        store.store(ProvenanceKey(1, 1, 1), cipher(2), 0, by=1, now_ms=0)
+        store.store(StoredRecord(1, cipher(2), 0, 0), 1, 1, by=1)
     # gap
     with pytest.raises(SequencingError):
-        store.store(ProvenanceKey(1, 1, 3), cipher(3), 0, by=1, now_ms=0)
-    store.store(ProvenanceKey(1, 1, 2), cipher(2), 0, by=1, now_ms=0)
+        store.store(StoredRecord(3, cipher(3), 0, 0), 1, 1, by=1)
+    store.store(StoredRecord(2, cipher(2), 0, 0), 1, 1, by=1)
     assert store.record_count(1, 1) == 2
 
 
 def test_hop_index_starts_at_one(store):
     store.register_node(1)
     with pytest.raises(ValueError):  # SequencingError is one
-        store.store(ProvenanceKey(1, 1, 0), cipher(1), 0, by=1, now_ms=0)
+        store.store(StoredRecord(0, cipher(1), 0, 0), 1, 1, by=1)
     assert store.record_count(1, 1) == 0
     assert store.unretrieved() == []
     assert store.log == []
@@ -102,14 +102,14 @@ def test_delete_all(populated):
     # deleting again reports zero, never raises
     assert populated.delete_all(1, 1, 42) == 0
     # after deletion the hop sequence restarts at 1
-    populated.store(ProvenanceKey(1, 1, 1), cipher(0xCC), 0, by=1, now_ms=42)
+    populated.store(StoredRecord(1, cipher(0xCC), 0, 42), 1, 1, by=1)
     assert populated.query_last(1, 1).hop == 1
 
 
 def test_deletion_clears_consumed_flag(populated):
     populated.query_all(1, 1, by=9)
     populated.delete_all(1, 1, 42)
-    populated.store(ProvenanceKey(1, 1, 1), cipher(0xDD), 0, by=1, now_ms=42)
+    populated.store(StoredRecord(1, cipher(0xDD), 0, 42), 1, 1, by=1)
     # a fresh set is retrievable even though the old one was consumed
     assert len(populated.query_all(1, 1, by=9)) == 1
 
@@ -127,7 +127,7 @@ def test_journal_lines_land_in_the_given_log():
     log = ["emit|1|1|7|1|0"]
     s = ProvenanceStore(log)
     s.register_node(1)
-    s.store(ProvenanceKey(1, 7, 1), cipher(1), 0, by=1, now_ms=0)
+    s.store(StoredRecord(1, cipher(1), 0, 0), 1, 7, by=1)
     s.delete_all(1, 7, 0)
     assert s.log is log
     assert len(log) == 3
@@ -135,7 +135,7 @@ def test_journal_lines_land_in_the_given_log():
 
 
 def test_unretrieved_sets_and_counts(populated):
-    populated.store(ProvenanceKey(2, 5, 1), cipher(1), 0, by=2, now_ms=42)
+    populated.store(StoredRecord(1, cipher(1), 0, 42), 2, 5, by=2)
     assert [u[:2] for u in populated.unretrieved()] == [(1, 1), (2, 5)]
     assert populated.record_count(2, 5) == 1
     populated.delete_all(2, 5, 42)
@@ -146,10 +146,10 @@ def test_unretrieved():
     s = ProvenanceStore([])
     s.register_node(1)
     s.register_gateway(9)
-    s.store(ProvenanceKey(1, 1, 1), cipher(1), 0, by=1, now_ms=0)
-    s.store(ProvenanceKey(1, 2, 1), cipher(2), 0, by=1, now_ms=500)
-    s.store(ProvenanceKey(1, 2, 2), cipher(3), 0, by=1, now_ms=500)
-    s.store(ProvenanceKey(1, 3, 1), cipher(4), 0, by=1, now_ms=500)
+    s.store(StoredRecord(1, cipher(1), 0, 0), 1, 1, by=1)
+    s.store(StoredRecord(1, cipher(2), 0, 500), 1, 2, by=1)
+    s.store(StoredRecord(2, cipher(3), 0, 500), 1, 2, by=1)
+    s.store(StoredRecord(1, cipher(4), 0, 500), 1, 3, by=1)
     s.query_all(1, 3, by=9)  # consumed: delivered, not a drop suspect
 
     # every set never retrieved, oldest packet first, with its last hop
@@ -163,7 +163,7 @@ def test_full_retrieval_preserves_hop_order(hops):
     s.register_node(1)
     s.register_gateway(9)
     for h in range(1, hops + 1):
-        s.store(ProvenanceKey(3, 4, h), cipher(h), 0, by=1, now_ms=0)
+        s.store(StoredRecord(h, cipher(h), 0, 0), 3, 4, by=1)
     records = s.query_all(3, 4, by=9)
     assert [r.hop for r in records] == list(range(1, hops + 1))
     assert [r.cipher[0] for r in records] == list(range(1, hops + 1))
@@ -171,8 +171,7 @@ def test_full_retrieval_preserves_hop_order(hops):
 
 def test_stored_hash_part_retained(store):
     store.register_node(1)
-    store.store(ProvenanceKey(1, 1, 1), cipher(1), 0, by=1, now_ms=0,
-                hash_part=b"12345678")
+    store.store(StoredRecord(1, cipher(1), 0, 0, b"12345678"), 1, 1, by=1)
     assert store.query_last(1, 1).hash_part == b"12345678"
-    store.store(ProvenanceKey(1, 2, 1), cipher(1), 0, by=1, now_ms=0)
+    store.store(StoredRecord(1, cipher(1), 0, 0), 1, 2, by=1)
     assert store.query_last(1, 2).hash_part is None

@@ -14,7 +14,7 @@ from zircon.nodes import (
     MISSING_RECORD,
     PROVENANCE_FAIL,
 )
-from zircon.provstore import ProvenanceKey, ProvenanceStore, StoredRecord
+from zircon.provstore import ProvenanceStore, StoredRecord
 from zircon.scenario import NodeSpec, ScenarioConfig, TrafficSpec
 from zircon.watermark import (
     Frame,
@@ -56,13 +56,12 @@ def test_stored_records_hold_every_field_in_order():
     store = ProvenanceStore([])
     store.register_node(1)
     store.register_gateway(9)
-    store.store(ProvenanceKey(1, 2, 1), CIPHER, 3, by=1, now_ms=NOW_MS,
-                hash_part=HASH_PART)
-    store.store(ProvenanceKey(1, 2, 2), CIPHER[::-1], 4, by=1, now_ms=NOW_MS)
     first = StoredRecord(hop=1, cipher=CIPHER, epoch=3, time=NOW_MS,
                          hash_part=HASH_PART)
     last = StoredRecord(hop=2, cipher=CIPHER[::-1], epoch=4, time=NOW_MS,
                         hash_part=None)
+    store.store(first, 1, 2, by=1)
+    store.store(last, 1, 2, by=1)
     assert_record(store.query_last(1, 2), last)
     got = store.query_all(1, 2, by=9)
     assert len(got) == 2
@@ -85,22 +84,23 @@ def test_a_source_stores_a_record_of_every_field():
 
 
 def test_nodes_store_under_keys_of_every_field(monkeypatch):
-    keys = []
+    keys, records = [], []
     store = ProvenanceStore.store
     monkeypatch.setattr(ProvenanceStore, "store",
-                        lambda self, key, *a, **kw: (keys.append(key),
-                                                     store(self, key, *a,
-                                                           **kw)))
+                        lambda self, record, src, seq, by: (
+                            keys.append((src, seq, record.hop)),
+                            records.append(record),
+                            store(self, record, src, seq, by)))
     chain = build_chain(n_intermediates=1)
     for _ in range(3):
         _, frame = chain.source.emit_multihop(PAYLOAD, 1000)
     chain.intermediates[0].process(frame, 1300)
     build_chain(n_intermediates=0).source.emit_singlehop(PAYLOAD, 1000)
     expected = [(1, 1, 1), (1, 2, 1), (1, 3, 1), (1, 3, 2), (1, 1, 1)]
-    assert len(keys) == len(expected)
-    for key, (source, sequence, hop) in zip(keys, expected):
-        assert_record(key, ProvenanceKey(source=source, sequence=sequence,
-                                         hop=hop))
+    assert keys == expected
+    for record in records:
+        assert type(record) is StoredRecord
+        assert len(record) == len(StoredRecord._fields)
 
 
 def verdict(node, src, seq, hop, outcome, time):

@@ -562,16 +562,22 @@ def test_energy_constants_are_reported_with_every_other_error():
 
 def test_tc_per_op_ms_keeps_every_charge_a_float():
     # the example's gateway runs 2 ops on each of its 20 packets: a charge
-    # per op of float max / 64 keeps its T_C finite, float max / 32 does not
+    # per op of float max / 64 keeps its T_C finite, float max / 32 does not.
+    # At 1 mW the energy, T_C / 1000, is a float whenever T_C is
     cfg = load_config(EXAMPLE_CONFIG)
-    cfg.energy = EnergyParams(tc_per_op_ms=sys.float_info.max / 64)
+    cfg.energy = EnergyParams(p_n_mw=1.0, tc_per_op_ms=sys.float_info.max / 64)
     nodes = run(cfg).report["nodes"].values()
     assert max(n["watermark_ops"] for n in nodes) == 40
     assert all(n["t_c_ms"] <= sys.float_info.max for n in nodes)
     tc = sys.float_info.max / 32
-    cfg.energy = EnergyParams(tc_per_op_ms=tc)
+    cfg.energy = EnergyParams(p_n_mw=1.0, tc_per_op_ms=tc)
     assert errors_of(cfg) == [
         f"energy.tc_per_op_ms: 40 ops at {tc!r} ms overflow a float"]
+    # the default 30 mW times that finite T_C is past the largest float
+    cfg.energy = EnergyParams(tc_per_op_ms=sys.float_info.max / 64)
+    assert errors_of(cfg) == [
+        f"energy: inf mJ at t_c_ms {40 * (sys.float_info.max / 64)!r} "
+        f"is not finite"]
 
 
 def test_the_op_bound_counts_replayed_copies_and_forgeries():
