@@ -136,6 +136,12 @@ MUTANTS = [
      '"a nonnegative forged key epoch"),\n',
      "",
      "tests/test_scenario.py::test_fake_inject_wire_limits"),
+    # a List annotation admits a tuple too, so a code-built tuple route runs
+    ("src/zircon/scenario.py",
+     '((list,) if origin is list else (list, tuple), "a list", parts,',
+     '((list, tuple), "a list", parts,',
+     "tests/test_scenario.py::"
+     "test_list_fields_refuse_a_tuple_and_tuple_fields_take_a_list"),
     # YAML bits read as a list, not the tuple a code-built attack holds
     ("src/zircon/scenario.py",
      '"bits": ("bits", lambda bits: tuple(_list(bits))),',

@@ -54,6 +54,10 @@ class EnergyParams:
     tc_per_op_ms: float = 0.5
 
 
+class EnergyOverflow(ValueError):
+    """Energy constants, each finite, whose energy at some T_C is not."""
+
+
 def finite_nonnegative(value) -> bool:
     # a bool is an int to Python, NaN passes every comparison test, and
     # float() overflows on an int past the largest float
@@ -77,7 +81,7 @@ def node_energy(params: EnergyParams, t_c_ms: float) -> float:
     active = params.t_a_ms + params.t_s_ms + t_c_ms + params.t_tr_ms + params.t_sl_ms
     energy = params.p_n_mw * active / 1000.0
     if not finite_nonnegative(energy):
-        raise ValueError(f"energy: {energy!r} mJ at t_c_ms {t_c_ms!r} is not finite")
+        raise EnergyOverflow(f"energy: {energy!r} mJ at t_c_ms {t_c_ms!r} is not finite")
     return energy
 
 
@@ -139,7 +143,9 @@ def write_energy_csv(out, report: dict, params: EnergyParams) -> None:
     charged computation time, and the resulting duty-cycle energy."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["node", "role", "packets", "T_C_ms", "energy_mJ"])
-    nodes = report.get("nodes", {})
+    nodes = report["nodes"]
+    if not nodes:  # every run has a node
+        raise ValueError("no node entries")
     for node_id in sorted(nodes, key=int):
         info = nodes[node_id]
         t_c, packets = info["t_c_ms"], info["packets"]

@@ -193,6 +193,8 @@ def cmd_energy_table(args: argparse.Namespace) -> int:
     text = io.StringIO()
     try:
         analysis.write_energy_csv(text, report, params)
+    except analysis.EnergyOverflow as err:  # the constants' fault, no node's
+        raise ValueError(f"{report_path}: {err}") from err
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{report_path}: malformed nodes "
                          f"({type(err).__name__}: {err})") from err

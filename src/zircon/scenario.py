@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from functools import cache
+from typing import (Dict, List, Optional, Tuple, Union, get_args, get_origin,
+                    get_type_hints)
 
 import yaml
 
@@ -125,31 +127,21 @@ _ATTACK_YAML = {
     "key_material": ("key_material_hex", bytes.fromhex),
 }
 
-# what a scalar field admits, by its annotation, a string under `from
-# __future__ import annotations`; types are matched exactly, so a bool (an
-# int subclass) is no number
-_SCALARS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
-            "str": ((str,), "a string"), "bool": ((bool,), "true or false"),
-            "bytes": ((bytes,), "bytes")}
+# what a scalar annotation admits, matched exactly: a bool is no number
+_SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+            str: ((str,), "a string"), bool: ((bool,), "true or false"),
+            bytes: ((bytes,), "bytes")}
 
 
 def _table(cls, spelling: dict) -> tuple:
-    """A record class's YAML key -> (field, reader), required keys, and
-    (name, YAML key, admitted types, wording) per scalar field, which admits
-    its annotated type, and None too if Optional."""
-    keys, required, scalars = {}, [], []
+    """A record class's YAML key -> (field, reader), and its required keys."""
+    keys, required = {}, []
     for f in fields(cls):
         key, read = spelling.get(f.name, (f.name, None))
         keys[key] = (f, read)
         if f.default is MISSING and f.default_factory is MISSING:
             required.append(key)
-        optional = f.type.startswith("Optional[")
-        want = f.type[len("Optional["):-1] if optional else f.type
-        if want in _SCALARS:
-            types, wording = _SCALARS[want]
-            scalars.append((f.name, key, types + (type(None),) * optional,
-                            wording))
-    return keys, required, scalars
+    return keys, required
 
 
 _TABLES = {cls: _table(cls, spelling) for cls, spelling in (
@@ -157,12 +149,50 @@ _TABLES = {cls: _table(cls, spelling) for cls, spelling in (
     (TrafficSpec, {}), (KeyRotationConfig, {}), (EnergyParams, {}))}
 
 
-def _type_errors(where: str, obj) -> List[str]:
-    """One error per scalar field of a config record whose value does not
-    have the annotated type."""
-    return [f"{where}{key}: must be {wording}, got {getattr(obj, name)!r}"
-            for name, key, types, wording in _TABLES[type(obj)][2]
-            if type(getattr(obj, name)) not in types]
+@cache
+def _rule(hint) -> tuple:
+    """(types, wording, parts, size) for annotation `hint`.  A value's type
+    must be in `types`; then each of its fields or items must pass its
+    (path, attribute, rule) in `parts`, every item parts[0] unless `size`
+    fixes their number.  Only a record, a fixed-size tuple, or a list or
+    tuple with items, has parts to check."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[X]: X, or None
+        types, *rest = _rule(args[0])
+        return (types + (type(None),), *rest)
+    if hint in _SCALARS:
+        return (*_SCALARS[hint], (), None)
+    if origin in (list, tuple):
+        parts = tuple(("", None, _rule(arg)) for arg in args if arg is not ...)
+        return ((list,) if origin is list else (list, tuple), "a list", parts,
+                None if origin is list or ... in args else len(parts))
+    hints = get_type_hints(hint)
+    # the energy constants have their own rule, in the value pass
+    parts = () if hint is EnergyParams else tuple(
+        (f".{key}", f.name, _rule(hints[f.name]))
+        for key, (f, _read) in _TABLES[hint][0].items())
+    article = "an" if hint.__name__[0] in "AEIOU" else "a"
+    return (hint,), f"{article} {hint.__name__} record", parts, None
+
+
+def _type_errors(value, rule: tuple) -> List[str]:
+    """An error, a path suffix then ": " and the fault, for `value` and each
+    part of it that `rule` does not admit; paths are built only for errors."""
+    types, wording, parts, size = rule
+    if type(value) not in types:
+        return [f": must be {wording}, got {value!r}"]
+    if value is None or not parts:
+        return []
+    if parts[0][1]:  # a record: its fields' values, in the order of parts
+        value = [getattr(value, part[1]) for part in parts]
+    elif size is None:
+        parts *= len(value)
+    elif len(value) != size:
+        return [f": must be {size} items, got {value!r}"]
+    return [(path or f"[{i}]") + e
+            for i, (v, (path, _name, rule)) in enumerate(zip(value, parts))
+            if type(v) not in rule[0] or (rule[2] and (v or rule[3]))
+            for e in _type_errors(v, rule)]
 
 
 def _crossing_payloads(config: ScenarioConfig
@@ -240,55 +270,13 @@ _FORGED = (
     ("key_epoch", lambda epoch: epoch >= 0, "a nonnegative forged key epoch"),
 )
 
-# an attack's sequence fields: (field, test of one item, what an item must be)
-_SEQUENCES = (
-    ("edits", lambda pair: type(pair) in (tuple, list) and len(pair) == 2
-     and all(type(v) is int for v in pair), "an (offset, mask) pair of integers"),
-    ("bits", lambda b: type(b) is int and b in (0, 1), "a bit (0 or 1)"),
-)
-
 
 def validate(config: ScenarioConfig) -> None:
     """Raise ConfigError listing every problem found."""
-    errors, records = [], [("energy", config.energy, EnergyParams)]
-    for name, cls in (("nodes", NodeSpec), ("routes", list),
-                      ("traffic", TrafficSpec), ("attacks", AttackSpec)):
-        value = getattr(config, name)
-        if type(value) is not list:
-            errors.append(f"{name}: must be a list, got {value!r}")
-        else:
-            records += [(f"{name}[{i}]", v, cls) for i, v in enumerate(value)]
-    if config.key_rotation is not None:
-        records.append(("key_rotation", config.key_rotation, KeyRotationConfig))
-    if type(config.area) not in (tuple, list):
-        errors.append(f"area: must be a (length, width) pair, got "
-                      f"{config.area!r}")
-    errors += [f"{where}: must be {'an' if cls.__name__[0] in 'AEIOU' else 'a'}"
-               f" {cls.__name__}{'' if cls is list else ' record'}, got {obj!r}"
-               for where, obj, cls in records if type(obj) is not cls]
+    # a field's path starts with ".", which the config's own fields drop
+    errors = [e[1:] for e in _type_errors(config, _rule(ScenarioConfig))]
     if errors:
-        # every check below walks these lists and reads these records' fields
-        raise ConfigError(errors)
-    # the energy constants have their own rule, in the value pass
-    errors = _type_errors("", config) + [
-        e for where, obj, cls in records if cls not in (EnergyParams, list)
-        for e in _type_errors(where + ".", obj)]
-    errors += [f"area[{i}]: must be a number, got {v!r}"
-               for i, v in enumerate(config.area)
-               if type(v) not in (int, float)]
-    errors += [f"routes[{ri}]: node id {nid!r} is not an integer"
-               for ri, route in enumerate(config.routes) for nid in route
-               if type(nid) is not int]
-    for ai, a in enumerate(config.attacks):
-        for name, item_ok, wording in _SEQUENCES:
-            where, items = f"attacks[{ai}].{name}", getattr(a, name)
-            if type(items) not in (tuple, list):
-                errors.append(f"{where}: must be a list, got {items!r}")
-            else:
-                errors += [f"{where}: {item!r} is not {wording}"
-                           for item in items if not item_ok(item)]
-    if errors:
-        # every check below compares these values
+        # every check below walks these lists and compares these values
         raise ConfigError(errors)
 
     if config.mode not in MODES:
@@ -297,7 +285,7 @@ def validate(config: ScenarioConfig) -> None:
         errors.append("freshness_s: must be positive")
     if config.per_hop_delay_ms <= 0:
         errors.append("per_hop_delay_ms: must be positive")
-    if len(config.area) != 2 or config.area[0] <= 0 or config.area[1] <= 0:
+    if config.area[0] <= 0 or config.area[1] <= 0:
         errors.append("area: needs positive (length, width)")
     errors += [f"energy.{e}" for e in energy_errors(config.energy)]
 
@@ -320,10 +308,9 @@ def validate(config: ScenarioConfig) -> None:
             ips.add(ip)
         except ValueError:
             errors.append(f"nodes[{ni}].ip: bad address {n.ip!r}")
-        if len(config.area) == 2:
-            length, width = config.area
-            if not (0 <= n.x <= length and 0 <= n.y <= width):
-                errors.append(f"nodes[{ni}]: position outside {length}x{width} area")
+        length, width = config.area
+        if not (0 <= n.x <= length and 0 <= n.y <= width):
+            errors.append(f"nodes[{ni}]: position outside {length}x{width} area")
 
     links = set()
     routed: Dict[int, int] = {}
@@ -415,6 +402,8 @@ def validate(config: ScenarioConfig) -> None:
             errors.append(f"{at}.kind: unknown attack kind {a.kind!r}")
         if a.after_ms < 0:
             errors.append(f"{at}.after_ms: must be >= 0")
+        errors += [f"{at}.bits: {b!r} is not a bit (0 or 1)"
+                   for b in a.bits if b not in (0, 1)]
         if a.kind in LINK_KINDS:
             link = (a.from_id, a.to_id)
             if link not in links:
@@ -508,7 +497,7 @@ def _build(cls, data, where: str, errors: List[str]):
         errors.append(f"{where or 'top level'}: expected a mapping, got "
                       f"{data!r}")
         return None
-    keys, required, _scalars = _TABLES[cls]
+    keys, required = _TABLES[cls]
     found = len(errors)
     kwargs = {}
     for key, value in data.items():

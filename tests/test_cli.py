@@ -140,12 +140,12 @@ def test_run_refuses_a_nan_energy_constant(tmp_path, capsys):
     ("x: 40.0, y: 50.0}", "x: 40.0, y: 50.0, registered: 1}",
      "nodes[1].registered: must be true or false, got 1"),
     ("[1, 2, 3, 9]", "[1, 2.0, 3, 9]",
-     "routes[0]: node id 2.0 is not an integer"),
+     "routes[0][1]: must be an integer, got 2.0"),
     ("attacks: []", "attacks: [{kind: drop, from: 1, to: 2, after_ms: soon}]",
      "attacks[0].after_ms: must be an integer, got 'soon'"),
     ("attacks: []",
      "attacks: [{kind: modify_payload, from: 1, to: 2, edits: [[a, 1]]}]",
-     "attacks[0].edits: ('a', 1) is not an (offset, mask) pair of integers"),
+     "attacks[0].edits[0][0]: must be an integer, got 'a'"),
     ("attacks: []",
      "attacks: [{kind: fake_inject, to: 2, src: 1, seq: 1, ip: 5, "
      "key_material_hex: 000102030405060708090a0b0c0d0e0f}]",
@@ -158,10 +158,10 @@ def test_run_refuses_a_nan_energy_constant(tmp_path, capsys):
      "attacks[0].mutate_timestamp: must be true or false, got 1"),
     ("attacks: []", "attacks: [{kind: insert_bits, from: 1, to: 2, "
      "offset_bits: 3, bits: [true, 0]}]",
-     "attacks[0].bits: True is not a bit (0 or 1)"),
+     "attacks[0].bits[0]: must be an integer, got True"),
     ("attacks: []", "attacks: [{kind: insert_bits, from: 1, to: 2, "
      "offset_bits: 3, bits: [0, 1.0]}]",
-     "attacks[0].bits: 1.0 is not a bit (0 or 1)"),
+     "attacks[0].bits[1]: must be an integer, got 1.0"),
 ])
 def test_run_refuses_a_wrong_typed_scalar(tmp_path, capsys, old, new, message):
     # each used to end in a traceback, or (payload_bytes: true) to run with
@@ -388,15 +388,22 @@ def test_energy_table_refuses_report_without_usable_energy(tmp_path, capsys,
     assert err.startswith("error: ") and "energy parameters" in err
 
 
+# a report section's value that deletes the section
+DELETED = object()
+
+
 def edited_report(tmp_path, capsys, section, value):
     """A run directory of the example scenario whose report.json has
-    `section` replaced by `value`, and the report's path."""
+    `section` replaced by `value`, or deleted, and the report's path."""
     cfg = write_example(tmp_path)
     out_dir = tmp_path / "out"
     run_cli(capsys, "run", "--config", str(cfg), "--out", str(out_dir))
     report_path = out_dir / "report.json"
     report = json.loads(report_path.read_text())
-    report[section] = value
+    if value is DELETED:
+        del report[section]
+    else:
+        report[section] = value
     report_path.write_text(json.dumps(report))
     return out_dir, report_path
 
@@ -441,13 +448,15 @@ def test_energy_table_refuses_energy_that_overflows(tmp_path, capsys, energy):
     assert code == 1
     assert out == ""
     # the first node, the source, is charged 20 ops at 0.5 ms
-    assert err == (f"error: {report_path}: malformed nodes (ValueError: "
-                   f"energy: inf mJ at t_c_ms 10.0 is not finite)\n")
+    assert err == (f"error: {report_path}: "
+                   f"energy: inf mJ at t_c_ms 10.0 is not finite\n")
     assert not csv_path.exists()
 
 
 @pytest.mark.parametrize("nodes", [
     {"1": {"role": "source"}}, [1, 2],
+    # every run has a node, so a report without one is not a run's
+    DELETED, {},
     # json.dumps writes NaN and Infinity, and json.load reads them back
     {"1": {"role": "source", "packets": 1, "t_c_ms": math.nan}},
     {"1": {"role": "source", "packets": 1, "t_c_ms": math.inf}},

@@ -706,7 +706,8 @@ def test_area_of_the_wrong_length_fails_validation():
     text = EXAMPLE_CONFIG.replace("area: [100.0, 100.0]", "area: [100, 100, 5]")
     with pytest.raises(ConfigError) as exc:
         validate(load_config(text))
-    assert exc.value.errors == ["area: needs positive (length, width)"]
+    assert exc.value.errors == [
+        "area: must be 2 items, got (100.0, 100.0, 5.0)"]
 
 
 @pytest.mark.parametrize("area, message", [
@@ -740,11 +741,11 @@ def _edit(edits):
     ({"routes": None}, "routes: must be a list, got None"),
     ({"routes": [None]}, "routes[0]: must be a list, got None"),
     ({"routes": [[1, 2, 9], 5]}, "routes[1]: must be a list, got 5"),
-    ({"area": None}, "area: must be a (length, width) pair, got None"),
+    ({"area": None}, "area: must be a list, got None"),
     ({"attacks": [_edit(edits=((0, 1, 2),))]},
-     "attacks[0].edits: (0, 1, 2) is not an (offset, mask) pair of integers"),
+     "attacks[0].edits[0]: must be 2 items, got (0, 1, 2)"),
     ({"attacks": [_edit(edits=((0,),))]},
-     "attacks[0].edits: (0,) is not an (offset, mask) pair of integers"),
+     "attacks[0].edits[0]: must be 2 items, got (0,)"),
     ({"attacks": [_edit(edits=5)]}, "attacks[0].edits: must be a list, got 5"),
     ({"attacks": [AttackSpec(kind="insert_bits", from_id=1, to_id=2,
                              offset_bits=3, bits={1: "x", 0: "y"})]},
@@ -787,6 +788,80 @@ def test_a_yaml_list_field_takes_only_a_list(old, new, message):
     with pytest.raises(ConfigError) as exc:
         validate(load_config(text))
     assert exc.value.errors == [message]
+
+
+# attack fields whose YAML key is not their name
+_YAML_KEYS = {"from_id": "from", "to_id": "to", "payload": "payload_hex",
+              "key_material": "key_material_hex"}
+
+
+class _Wrong:
+    """A value no config annotation admits."""
+
+    def __repr__(self):
+        return "<wrong>"
+
+
+def _parts(value, steps=(), path=""):
+    """(steps, YAML path) of each field of the config records in `value`, and
+    of each item of their lists and tuples; a step is a field name or an
+    index."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            key = _YAML_KEYS.get(f.name, f.name)
+            at = f"{path}.{key}" if path else key
+            yield steps + (f.name,), at
+            yield from _parts(getattr(value, f.name), steps + (f.name,), at)
+    elif type(value) in (list, tuple):
+        for i, item in enumerate(value):
+            yield steps + (i,), f"{path}[{i}]"
+            yield from _parts(item, steps + (i,), f"{path}[{i}]")
+
+
+def _replaced(value, steps, new):
+    """A copy of `value` with the part that `steps` leads to replaced by
+    `new`."""
+    if not steps:
+        return new
+    step, rest = steps[0], steps[1:]
+    if type(step) is str:
+        return dataclasses.replace(
+            value, **{step: _replaced(getattr(value, step), rest, new)})
+    items = list(value)
+    items[step] = _replaced(items[step], rest, new)
+    return type(value)(items)
+
+
+def test_every_field_and_item_refuses_a_wrong_type_at_its_path():
+    # walked from the dataclasses, so a field added later is covered too
+    cfg = small_config(
+        key_rotation=KeyRotationConfig(min_generations=1, max_generations=2),
+        attacks=[AttackSpec(kind="modify_payload", from_id=1, to_id=2,
+                            bits=(1, 0), edits=((0, 1),))])
+    validate(cfg)
+    paths = []
+    for steps, path in _parts(cfg):
+        errors = errors_of(_replaced(cfg, steps, _Wrong()))
+        assert errors[0].startswith(f"{path}: "), (path, errors)
+        paths.append(path)
+    for path in ("attacks[0].from", "key_rotation.max_generations",
+                 "energy.t_a_ms", "nodes[2].registered", "routes[0][1]",
+                 "area[1]", "attacks[0].bits[0]", "attacks[0].edits[0][1]"):
+        assert path in paths
+
+
+def test_list_fields_refuse_a_tuple_and_tuple_fields_take_a_list():
+    # a List annotation takes a list only; a Tuple one a list or a tuple,
+    # as code builds edits and bits either way and YAML reads lists
+    assert errors_of(small_config(routes=[(1, 2, 9)])) == [
+        "routes[0]: must be a list, got (1, 2, 9)"]
+    validate(small_config(area=[100.0, 100]))
+    validate(small_config(attacks=[
+        AttackSpec(kind="modify_payload", from_id=1, to_id=2, edits=((0, 1),)),
+        AttackSpec(kind="modify_payload", from_id=1, to_id=2,
+                   edits=[[0, 1]]),
+        AttackSpec(kind="insert_bits", from_id=1, to_id=2, offset_bits=0,
+                   bits=[1, 0])]))
 
 
 # -- every config that passes validate runs ------------------------------------------
