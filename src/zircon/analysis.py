@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Union
 
 from . import events
 from .adversary import DROP, EAVESDROP, REPLAY, STORE_PROBE
-from .nodes import ACCEPTED, ROLE_SOURCE
+from .nodes import ACCEPTED, ROLE_SOURCE, ROLES
 from .watermark import MAX_HOP, WATERMARK_BYTES
 
 SCHEME_ZIRCON = "zircon"
@@ -148,11 +148,13 @@ def write_energy_csv(out, report: dict, params: EnergyParams) -> None:
         raise ValueError("no node entries")
     for node_id in sorted(nodes, key=int):
         info = nodes[node_id]
-        t_c, packets = info["t_c_ms"], info["packets"]
+        t_c, packets, role = info["t_c_ms"], info["packets"], info["role"]
         if type(packets) is not int:
             raise TypeError(f"packets: must be an integer, got {packets!r}")
+        if role not in ROLES:
+            raise ValueError(f"role: unknown role {role!r}")
         energy = node_energy(params, t_c)  # refuses what float() misreads
-        writer.writerow([node_id, info["role"], packets, str(float(t_c)),
+        writer.writerow([node_id, role, packets, str(float(t_c)),
                          str(energy)])
 
 

@@ -156,6 +156,10 @@ def _packets_text(packets: dict) -> str:
 
 
 class Simulation:
+    """One run of a scenario.  `run()` hands each packet's live entry over
+    to the report it returns, so a Simulation runs once; build a new one to
+    run its config again."""
+
     def __init__(self, config: ScenarioConfig):
         validate(config)
         self.config = config
@@ -219,7 +223,8 @@ class Simulation:
             elif attack.kind == STORE_PROBE:
                 self._schedule(attack.after_ms, self._handle_probe, (attack,))
 
-        # each packet's live entry, kept from its emission on
+        # each packet's live entry, from its emission until the report
+        # takes it over
         self.packets: Dict[Tuple[int, int], list] = {}
         self.node_packets: Dict[int, int] = {i: 0 for i in self.nodes}
 
@@ -383,9 +388,13 @@ class Simulation:
     def _build_report(self) -> dict:
         counts = {"emitted": len(self.packets), "accepted": 0, "rejected": 0,
                   "dropped": 0, "in_flight": 0}
+        # the report takes the entries over in (src, seq) order, and lets
+        # each entry and its key go once the packet's record holds its values
+        live = sorted(self.packets.items(), reverse=True)
+        self.packets.clear()
         packets = {}
-        for src, seq in sorted(self.packets):
-            entry = self.packets[(src, seq)]
+        while live:
+            (src, seq), entry = live.pop()
             entry[_RECORDS] = self.store.record_count(src, seq)
             counts[entry[_STATUS]] += 1
             packets[f"{src}:{seq}"] = tuple.__new__(Packet, entry)

@@ -162,6 +162,35 @@ def test_run_refuses_a_nan_energy_constant(tmp_path, capsys):
     ("attacks: []", "attacks: [{kind: insert_bits, from: 1, to: 2, "
      "offset_bits: 3, bits: [0, 1.0]}]",
      "attacks[0].bits[1]: must be an integer, got 1.0"),
+], ids=[
+    # fixed names, so that rewording a message renames no test
+    'count: 20,-count: 2.5,-traffic[0].count: must be an integer, got 2.5',
+    'interval_ms: 1000,-interval_ms: "1000",-traffic[0].interval_ms: must be '
+    "an integer, got '1000'",
+    'freshness_s: 60-freshness_s: sixty-freshness_s: must be an integer, got '
+    "'sixty'",
+    'ip: 10.0.0.2,-ip: 5,-nodes[1].ip: must be a string, got 5',
+    'payload_bytes: 16-payload_bytes: true-traffic[0].payload_bytes: must be '
+    'an integer, got True',
+    'x: 40.0-x: "40"-nodes[1].x: must be a number, got \'40\'',
+    'x: 40.0, y: 50.0}-x: 40.0, y: 50.0, registered: 1}-nodes[1].registered: '
+    'must be true or false, got 1',
+    '[1, 2, 3, 9]-[1, 2.0, 3, 9]-routes[0][1]: must be an integer, got 2.0',
+    'attacks: []-attacks: [{kind: drop, from: 1, to: 2, after_ms: '
+    "soon}]-attacks[0].after_ms: must be an integer, got 'soon'",
+    'attacks: []-attacks: [{kind: modify_payload, from: 1, to: 2, edits: '
+    "[[a, 1]]}]-attacks[0].edits[0][0]: must be an integer, got 'a'",
+    'attacks: []-attacks: [{kind: fake_inject, to: 2, src: 1, seq: 1, ip: 5, '
+    'key_material_hex: 000102030405060708090a0b0c0d0e0f}]-attacks[0].ip: bad '
+    'IPv4 address 5',
+    'attacks: []-attacks: [{kind: replay, from: 1, to: 2, mutate_timestamp: '
+    "nope}]-attacks[0].mutate_timestamp: must be true or false, got 'nope'",
+    'attacks: []-attacks: [{kind: replay, from: 1, to: 2, mutate_timestamp: '
+    '1}]-attacks[0].mutate_timestamp: must be true or false, got 1',
+    'attacks: []-attacks: [{kind: insert_bits, from: 1, to: 2, offset_bits: '
+    '3, bits: [true, 0]}]-attacks[0].bits[0]: must be an integer, got True',
+    'attacks: []-attacks: [{kind: insert_bits, from: 1, to: 2, offset_bits: '
+    '3, bits: [0, 1.0]}]-attacks[0].bits[1]: must be an integer, got 1.0',
 ])
 def test_run_refuses_a_wrong_typed_scalar(tmp_path, capsys, old, new, message):
     # each used to end in a traceback, or (payload_bytes: true) to run with
@@ -469,7 +498,12 @@ def test_energy_table_refuses_energy_that_overflows(tmp_path, capsys, energy):
     {"1": {"role": "source", "packets": True, "t_c_ms": 1.0}},
     {"1": {"role": "source", "packets": 2.0, "t_c_ms": 1.0}},
     # float() overflows on an integer past the largest float
-    {"1": {"role": "source", "packets": 1, "t_c_ms": 10**400}}])
+    {"1": {"role": "source", "packets": 1, "t_c_ms": 10**400}},
+    # a role that no node has
+    {"1": {"role": 5, "packets": 1, "t_c_ms": 1.0}},
+    {"1": {"role": ["x"], "packets": 1, "t_c_ms": 1.0}},
+    {"1": {"role": None, "packets": 1, "t_c_ms": 1.0}},
+    {"1": {"role": "router", "packets": 1, "t_c_ms": 1.0}}])
 def test_energy_table_refuses_malformed_nodes(tmp_path, capsys, nodes):
     out_dir, report_path = edited_report(tmp_path, capsys, "nodes", nodes)
     csv_path = tmp_path / "energy.csv"

@@ -697,6 +697,20 @@ def test_report_packets_keep_numeric_order():
         list(range(1, 11))
 
 
+def test_the_report_takes_over_each_live_entry():
+    # the report's record holds the entry's own lists, and the finished
+    # simulation holds no entry a second time
+    sim = netsim.Simulation(base_config())
+    while (1, 1) not in sim.packets:
+        assert sim.step()
+    verdicts = sim.packets[(1, 1)][-1]
+    assert verdicts == []
+    report = sim.run().report
+    assert sim.packets == {}
+    assert report["packets"]["1:1"].verdicts is verdicts
+    assert len(verdicts) == 3
+
+
 # the golden scenarios and the attack suite's runs, one per attack kind
 @pytest.mark.parametrize("name", sorted(GOLDEN) + list(KINDS))
 def test_report_text_matches_the_simulated_report(name):

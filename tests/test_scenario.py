@@ -750,6 +750,25 @@ def _edit(edits):
     ({"attacks": [AttackSpec(kind="insert_bits", from_id=1, to_id=2,
                              offset_bits=3, bits={1: "x", 0: "y"})]},
      "attacks[0].bits: must be a list, got {1: 'x', 0: 'y'}"),
+], ids=[
+    # fixed names, so that rewording a message renames no test
+    'overrides0-energy: must be an EnergyParams record, got None',
+    'overrides1-key_rotation: must be a KeyRotationConfig record, got '
+    "{'min_generations': 1, 'max_generations': 2}",
+    "overrides2-traffic[0]: must be a TrafficSpec record, got {'source': 1, "
+    "'count': 3}",
+    'overrides3-nodes[0]: must be a NodeSpec record, got None',
+    "overrides4-attacks[0]: must be an AttackSpec record, got {'kind': "
+    "'drop'}",
+    'overrides5-traffic: must be a list, got None',
+    'overrides6-routes: must be a list, got None',
+    'overrides7-routes[0]: must be a list, got None',
+    'overrides8-routes[1]: must be a list, got 5',
+    'overrides9-area: must be a list, got None',
+    'overrides10-attacks[0].edits[0]: must be 2 items, got (0, 1, 2)',
+    'overrides11-attacks[0].edits[0]: must be 2 items, got (0,)',
+    'overrides12-attacks[0].edits: must be a list, got 5',
+    "overrides13-attacks[0].bits: must be a list, got {1: 'x', 0: 'y'}",
 ])
 def test_a_record_of_the_wrong_type_is_a_config_error(overrides, message):
     # configs built in code: each of these used to escape validate as a bare
