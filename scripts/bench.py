@@ -19,20 +19,22 @@ end-to-end metric, both sides' medians and quartiles over the seeds, the
 change/parent ratio of the medians and the pairs each side won.  It exits 1
 if any output digest or `.calls` metric differs between the sides.
 
-Each run is its own process and takes --seconds (BENCHMARK.json's
-run_seconds unless given) plus a few seconds of set-up, so a full `pairs`
-takes about half an hour.  Standard library only.
+Each run is its own process and lasts BENCHMARK.json's run_seconds plus a
+few seconds of set-up, so a full `pairs` takes about half an hour.  The
+quartiles are perfbench/run.py's own.
 """
 import argparse
 import json
 import re
-import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import quartiles  # noqa: E402
+
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 # `pairs` runs seeds 1-10, and 1-3 of datagram_filter, whose runs hold many
@@ -41,60 +43,44 @@ SEEDS = {name: range(1, 4 if name == "datagram_filter" else 11)
          for name in WORKLOADS}
 RECORD_SEED = 1
 
-# `name = value unit`, and for a timed metric its repetitions in brackets
-_METRIC = re.compile(r"([\w.]+) = (\S+) (\S+)(?: \((.*)\))?$")
-_REPS = re.compile(r"median of (\d+) reps, calibrated; quartiles (\S+) to "
-                   r"(\S+); uncalibrated (\S+)")
+# a timed metric's printed line, which ends with its repetitions
+_REPS = re.compile(r"([\w.]+) = .*\(median of (\d+) reps, calibrated; "
+                   r"quartiles (\S+) to (\S+); uncalibrated (\S+)\)$")
 
 
 def parse(text: str) -> dict:
-    """perfbench/run.py's printed output as {"host": ..., "workloads":
-    {name: {"seed", "correct", "attempted", "failed", "digests",
-    "metrics"}}}.  A metric is {"value", "unit"}, plus "reps", "q1", "q3"
-    and "uncalibrated" when it was timed over repetitions; a workload is
-    correct when run.py printed no failed check for it."""
-    out = {"host": None, "workloads": {}}
-    block = None
-    for line in text.splitlines():
+    """One workload's perfbench/run.py output as {"host", "correct",
+    "attempted", "failed", "digests", "metrics"}.  The verdict, the counts
+    and each metric's {"value", "unit"} are run.py's closing JSON line; the
+    host and the digests are their printed lines, and a timed metric gains
+    "reps", "q1", "q3" and "uncalibrated" from its own."""
+    lines = text.splitlines()
+    out = dict(json.loads(lines[-1]), digests={})
+    for line in lines:
         if line.startswith("host "):
             out["host"] = json.loads(line[len("host "):])
-        elif line.startswith("workload="):
-            fields = dict(item.split("=") for item in line.split())
-            block = out["workloads"][fields["workload"]] = {
-                "seed": int(fields["seed"]), "correct": True, "digests": {},
-                "metrics": {}}
         elif line.startswith("digests "):
-            block["digests"] = json.loads(line[len("digests "):])
-        elif line.startswith("ops "):
-            for item in line.split()[1:]:
-                key, value = item.split("=")
-                block[key] = int(value)
-        elif line.startswith("CHECK FAILED: "):
-            block["correct"] = False
-        elif block is not None and (match := _METRIC.match(line)):
-            name, value, unit, note = match.groups()
-            metric = block["metrics"][name] = {"value": float(value),
-                                               "unit": unit}
-            reps = _REPS.match(note or "")
-            if reps:
-                metric["reps"] = int(reps[1])
-                metric["q1"], metric["q3"], metric["uncalibrated"] = map(
-                    float, reps.groups()[1:])
+            out["digests"] = json.loads(line[len("digests "):])
+        elif match := _REPS.match(line):
+            name, reps, q1, q3, uncalibrated = match.groups()
+            out["metrics"][name].update(reps=int(reps), q1=float(q1),
+                                        q3=float(q3),
+                                        uncalibrated=float(uncalibrated))
     return out
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float,
-        trace: int) -> dict:
+def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One perfbench run of `tree`'s own program, parsed."""
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload",
-         workload, "--seed", str(seed), "--seconds", str(seconds), "--trace",
-         str(trace)], cwd=tree, capture_output=True, text=True)
-    parsed = parse(proc.stdout)
-    if workload not in parsed["workloads"]:
+         workload, "--seed", str(seed), "--seconds",
+         str(SPEC["run_seconds"]), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True)
+    try:
+        return dict(parse(proc.stdout), seed=seed)
+    except (IndexError, ValueError):
         raise SystemExit(f"bench: {tree}: {workload} seed {seed} trace "
                          f"{trace} printed no result:\n{proc.stderr}")
-    return dict(parsed["workloads"][workload], host=parsed["host"])
 
 
 def workload_record(untraced: dict, traced: dict) -> dict:
@@ -113,7 +99,7 @@ def workload_record(untraced: dict, traced: dict) -> dict:
 def cmd_record(args) -> int:
     host, workloads = None, {}
     for name in WORKLOADS:
-        runs = [run(ROOT, name, RECORD_SEED, args.seconds, trace)
+        runs = [run(ROOT, name, RECORD_SEED, trace)
                 for trace in (0, 1)]
         host = runs[0]["host"]
         workloads[name] = workload_record(*runs)
@@ -121,18 +107,13 @@ def cmd_record(args) -> int:
     path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps({
         "command": "python3 perfbench/run.py --workload W --seed "
-                   f"{RECORD_SEED} --seconds {args.seconds:g} --trace 0|1",
+                   f"{RECORD_SEED} --seconds {SPEC['run_seconds']:g} "
+                   "--trace 0|1",
         "host": host,
         "workloads": workloads,
     }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {path.name}")
     return 0 if all(w["correct"] for w in workloads.values()) else 1
-
-
-def quartiles(values: list) -> list:
-    if len(values) < 2:
-        return values * 3
-    return statistics.quantiles(values, n=4, method="inclusive")
 
 
 def beats(value: float, other: float, better: str) -> bool:
@@ -194,7 +175,7 @@ def cmd_pairs(args) -> int:
             for seed in seeds:
                 order = ("parent", "change") if seed % 2 else ("change",
                                                                "parent")
-                runs = {side: run(trees[side], name, seed, args.seconds, 0)
+                runs = {side: run(trees[side], name, seed, 0)
                         for side in order}
                 pairs[name].append((runs["parent"], runs["change"]))
                 rate = {side: runs[side]["metrics"]["packets_per_s"]["value"]
@@ -202,11 +183,11 @@ def cmd_pairs(args) -> int:
                 print(f"{name} seed {seed}: " + ", ".join(
                     f"{side} {rate[side]:.6g} packets/s" for side in order),
                     flush=True)
-            traced[name] = tuple(run(trees[side], name, 1, args.seconds, 1)
+            traced[name] = tuple(run(trees[side], name, 1, 1)
                                  for side in ("parent", "change"))
     lines, mismatches = compare(pairs, traced)
     print(f"parent {args.rev}, change {ROOT}; medians [quartiles] over "
-          f"seeds, --seconds {args.seconds:g}")
+          f"seeds, --seconds {SPEC['run_seconds']:g}")
     for line in lines + [f"MISMATCH: {m}" for m in mismatches]:
         print(line)
     return 1 if mismatches else 0
@@ -219,9 +200,6 @@ def main(argv=None) -> int:
     record.add_argument("n", type=int)
     pairs = sub.add_parser("pairs", help="alternate REV and this checkout")
     pairs.add_argument("rev")
-    for each in (record, pairs):
-        each.add_argument("--seconds", type=float,
-                          default=SPEC["run_seconds"])
     args = parser.parse_args(argv)
     return cmd_record(args) if args.command == "record" else cmd_pairs(args)
 

@@ -94,7 +94,7 @@ MUTANTS = [
      "tests/test_netsim.py::test_a_run_leaves_no_reference_cycle"),
     # the report copies each live entry, and the simulation keeps them all
     ("src/zircon/netsim.py",
-     "        self.packets.clear()\n",
+     "        self.packets = None\n",
      "",
      "tests/test_netsim.py::test_the_report_takes_over_each_live_entry"),
     # a node's record built with its epoch and time swapped

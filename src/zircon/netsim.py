@@ -157,8 +157,8 @@ def _packets_text(packets: dict) -> str:
 
 class Simulation:
     """One run of a scenario.  `run()` hands each packet's live entry over
-    to the report it returns, so a Simulation runs once; build a new one to
-    run its config again."""
+    to the report it returns, so a Simulation runs once and a second `run()`
+    raises; build a new one to run its config again."""
 
     def __init__(self, config: ScenarioConfig):
         validate(config)
@@ -224,8 +224,8 @@ class Simulation:
                 self._schedule(attack.after_ms, self._handle_probe, (attack,))
 
         # each packet's live entry, from its emission until the report
-        # takes it over
-        self.packets: Dict[Tuple[int, int], list] = {}
+        # takes it over; None once it has
+        self.packets: Optional[Dict[Tuple[int, int], list]] = {}
         self.node_packets: Dict[int, int] = {i: 0 for i in self.nodes}
 
         # entry i's emits all hold place first + i, after the inject and
@@ -379,6 +379,9 @@ class Simulation:
         return True
 
     def run(self) -> SimResult:
+        if self.packets is None:
+            raise RuntimeError("a Simulation runs once; its report has "
+                               "taken its packets over")
         while self.step():
             pass
         return SimResult(self.log, self._build_report())
@@ -391,7 +394,7 @@ class Simulation:
         # the report takes the entries over in (src, seq) order, and lets
         # each entry and its key go once the packet's record holds its values
         live = sorted(self.packets.items(), reverse=True)
-        self.packets.clear()
+        self.packets = None
         packets = {}
         while live:
             (src, seq), entry = live.pop()

@@ -706,9 +706,12 @@ def test_the_report_takes_over_each_live_entry():
     verdicts = sim.packets[(1, 1)][-1]
     assert verdicts == []
     report = sim.run().report
-    assert sim.packets == {}
+    assert sim.packets is None
     assert report["packets"]["1:1"].verdicts is verdicts
     assert len(verdicts) == 3
+    # a finished simulation refuses a second run
+    with pytest.raises(RuntimeError, match="runs once"):
+        sim.run()
 
 
 # the golden scenarios and the attack suite's runs, one per attack kind

@@ -250,32 +250,31 @@ ops attempted=400 failed=0
 
 def test_a_bench_record_holds_every_metric_benchmark_json_names():
     bench = load_script("bench")
-    untraced, traced = (bench.parse(text)["workloads"]["line_deep"]
-                        for text in (RUN_PY_TRACE0, RUN_PY_TRACE1))
+    untraced, traced = map(bench.parse, (RUN_PY_TRACE0, RUN_PY_TRACE1))
     record = bench.workload_record(untraced, traced)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert sorted(record["metrics"]) == sorted(
         m["name"] for m in spec["end_to_end"] + spec["per_layer"])
     assert record["metrics"]["packets_per_s"] == {
-        "value": 5668.41, "unit": "1/s", "reps": 3, "q1": 5577.81,
+        "value": 5668.408540021264, "unit": "1/s", "reps": 3, "q1": 5577.81,
         "q3": 5885.26, "uncalibrated": 4150.66}
-    assert record["metrics"]["peak_py_mb"] == {"value": 2.43705, "unit": "MB"}
+    assert record["metrics"]["peak_py_mb"] == {"value": 2.437051,
+                                               "unit": "MB"}
     assert record["metrics"]["crypto.encrypt_block.calls"] == {
         "value": 11, "unit": "1/pkt"}
     assert record["digests"]["report.json"] == (
         "b9f9f235941afdb56d9dfbec5622057c12e3d4da5fcc822fdd24317a91f4ec67")
     assert (record["correct"], record["attempted"], record["failed"]) == (
         True, 400, 0)
-    failed = RUN_PY_TRACE1.replace("ops attempted", "CHECK FAILED: x\nops "
-                                   "attempted")
-    traced = bench.parse(failed)["workloads"]["line_deep"]
-    assert not bench.workload_record(untraced, traced)["correct"]
+    failed = RUN_PY_TRACE1.replace('{"correct": true', '{"correct": false')
+    assert not bench.workload_record(untraced, bench.parse(failed))["correct"]
 
 
 def test_bench_pairs_counts_wins_and_reports_every_mismatch():
     bench = load_script("bench")
-    run = bench.parse(RUN_PY_TRACE0)["workloads"]["line_deep"]
-    traced = bench.parse(RUN_PY_TRACE1)["workloads"]["line_deep"]
+    # as bench.run returns them, with the seed they ran at
+    run = dict(bench.parse(RUN_PY_TRACE0), seed=1)
+    traced = dict(bench.parse(RUN_PY_TRACE1), seed=1)
     slow = copy.deepcopy(run)
     slow["metrics"]["packets_per_s"]["value"] = 2000.0
     slow["metrics"]["setup_s"]["value"] = 1.0
