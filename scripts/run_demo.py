@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from zircon import analysis, netsim, scenario
-from zircon.adversary import MODIFY_PAYLOAD, REPLAY, AttackSpec
+from zircon.adversary import ModifyPayload, Replay
 
 
 def clean_run(seed: int) -> None:
@@ -38,11 +38,10 @@ def attacked_run(seed: int) -> int:
     config = scenario.load_config(scenario.EXAMPLE_CONFIG)
     config.seed = seed
     config.attacks = [
-        AttackSpec(kind=MODIFY_PAYLOAD, from_id=2, to_id=3,
-                   edits=((0, 0x80),), seq=s)
+        ModifyPayload(from_id=2, to_id=3, edits=((0, 0x80),), seq=s)
         for s in (3, 7, 11)
     ] + [
-        AttackSpec(kind=REPLAY, from_id=1, to_id=2, delay_ms=30000, seq=5),
+        Replay(from_id=1, to_id=2, delay_ms=30000, seq=5),
     ]
     result = netsim.run(config)
     summary = analysis.detection_report(result.log)

@@ -1,9 +1,10 @@
 """Executable threat model.
 
-Attacks are declarative specs scheduled by the simulator.  Byte- and
-bit-level manipulations (insert, delete, modify, drop, eavesdrop, replay
-capture) are pure transformations applied while a frame crosses the targeted
-link; fake injection and store probes are synthesized events.
+Attacks are declarative records, one class per kind, scheduled by the
+simulator.  Byte- and bit-level manipulations (insert, delete, modify, drop,
+eavesdrop, replay capture) are each link kind's `apply`, a pure
+transformation of a frame crossing the targeted link; fake injection and
+store probes are synthesized events.
 
 Bit edits operate on the frame as a bitstream, most-significant bit first.
 A receiver only ever sees whole octets, so after an edit the stream is
@@ -15,8 +16,8 @@ bits, and one `to_bytes` keeps the whole-byte prefix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import ClassVar, Optional, Tuple
 
 from . import events
 from .crypto import SymmetricKey
@@ -34,58 +35,22 @@ from .watermark import (
     make_provenance_record,
 )
 
-EAVESDROP = "eavesdrop"
-REPLAY = "replay"
-INSERT_BITS = "insert_bits"
-DELETE_BITS = "delete_bits"
-MODIFY_PAYLOAD = "modify_payload"
-MODIFY_WATERMARK = "modify_watermark"
-DROP = "drop"
-FAKE_INJECT = "fake_inject"
-STORE_PROBE = "store_probe"
 
-KINDS = (EAVESDROP, REPLAY, INSERT_BITS, DELETE_BITS, MODIFY_PAYLOAD,
-         MODIFY_WATERMARK, DROP, FAKE_INJECT, STORE_PROBE)
-
-# kinds applied to frames in flight on a link
-LINK_KINDS = (EAVESDROP, REPLAY, INSERT_BITS, DELETE_BITS, MODIFY_PAYLOAD,
-              MODIFY_WATERMARK, DROP)
-
-
-class AttackSpecError(ValueError):
+class AttackError(ValueError):
     """An attack that cannot act on the frame `apply` is given."""
 
 
-@dataclass
-class AttackSpec:
-    """One declared attack; scenario.validate checks its fields per kind."""
+@dataclass(frozen=True, kw_only=True)
+class Attack:
+    """One declared attack, of the kind its class names; scenario.validate
+    checks its fields."""
 
-    kind: str
-    # link target: the frame is intercepted travelling from_id -> to_id;
-    # store probes leave these None and target the store instead
-    from_id: Optional[int] = None
-    to_id: Optional[int] = None
-    # trigger: all given conditions must match
+    kind: ClassVar[str]
+    # a link attack's trigger, all given conditions to match; the other
+    # kinds make src and seq the packet they name
     src: Optional[int] = None
     seq: Optional[int] = None
     after_ms: int = 0
-    # replay
-    delay_ms: int = 1000
-    mutate_timestamp: bool = False
-    # insert_bits / delete_bits
-    offset_bits: Optional[int] = None
-    bits: Tuple[int, ...] = ()
-    q: int = 1
-    # modify_payload / modify_watermark: (byte offset, xor mask) pairs
-    edits: Tuple[Tuple[int, int], ...] = ()
-    # fake_inject: forged identity and key material
-    ip: Optional[bytes] = None
-    payload: bytes = b""
-    key_material: Optional[bytes] = None
-    key_epoch: int = 0
-    hop: int = 1
-    # store_probe
-    caller_id: Optional[int] = None
 
     def matches(self, src: int, seq: int, now_ms: int) -> bool:
         if self.src is not None and src != self.src:
@@ -94,9 +59,16 @@ class AttackSpec:
             return False
         return now_ms >= self.after_ms
 
+
+@dataclass(frozen=True, kw_only=True)
+class LinkAttack(Attack):
+    """An attack on the frames in flight from from_id to to_id; its kind's
+    `apply` acts on each frame it matches."""
+
+    from_id: Optional[int] = None
+    to_id: Optional[int] = None
+
     def target_label(self) -> str:
-        if self.kind == STORE_PROBE:
-            return "store"
         return f"{self.from_id}->{self.to_id}"
 
 
@@ -129,7 +101,7 @@ def _splice_bits(data: bytes, offset: int, cut: int,
 def _payload_region(data: bytes) -> Tuple[int, int]:
     """(start, length) of the payload inside a well-formed multihop frame."""
     if len(data) < HEADER_BYTES:
-        raise AttackSpecError("frame too short to locate payload")
+        raise AttackError("frame too short to locate payload")
     plen = int.from_bytes(data[HEADER_BYTES - 2:HEADER_BYTES], "big")
     return HEADER_BYTES, plen
 
@@ -139,74 +111,160 @@ def _apply_edits(data: bytes, edits: Tuple[Tuple[int, int], ...],
     out = bytearray(data)
     for off, mask in edits:
         if not 0 <= off < region_len:
-            raise AttackSpecError(f"edit offset {off} outside region of "
+            raise AttackError(f"edit offset {off} outside region of "
                                   f"{region_len} bytes")
         out[base + off] ^= mask
     return bytes(out)
 
 
-def apply(spec: AttackSpec, data: bytes) -> AttackResult:
-    """Apply a link attack to in-flight bytes."""
-    if spec.kind == EAVESDROP:
+@dataclass(frozen=True, kw_only=True)
+class Eavesdrop(LinkAttack):
+    kind = "eavesdrop"
+
+    def apply(self, data: bytes) -> AttackResult:
         return AttackResult(deliver=data, detail=events.detail(captured=True))
 
-    if spec.kind == DROP:
-        return AttackResult(deliver=None, detail=events.detail(dropped=True))
 
-    if spec.kind == REPLAY:
+@dataclass(frozen=True, kw_only=True)
+class Replay(LinkAttack):
+    kind = "replay"
+    delay_ms: int = 1000
+    mutate_timestamp: bool = False
+
+    def apply(self, data: bytes) -> AttackResult:
         copy = bytearray(data)
-        if spec.mutate_timestamp:
+        if self.mutate_timestamp:
             # the timestamp lives inside the encrypted record, so the best an
             # attacker can do is perturb cipher bytes; flip one in the
             # time half of the record region
             start, plen = _payload_region(data)
             tail = start + plen
             if len(copy) < tail + WATERMARK_BYTES:
-                raise AttackSpecError("frame carries no watermark to mutate")
+                raise AttackError("frame carries no watermark to mutate")
             copy[tail + 7] ^= 0x01
-        return AttackResult(deliver=data, replay=(bytes(copy), spec.delay_ms),
+        return AttackResult(deliver=data, replay=(bytes(copy), self.delay_ms),
                             detail=events.detail(
-                                delay=spec.delay_ms,
-                                mutated=bool(spec.mutate_timestamp)))
+                                delay=self.delay_ms,
+                                mutated=bool(self.mutate_timestamp)))
 
-    if spec.kind == INSERT_BITS:
-        total = len(data) * 8
-        off = spec.offset_bits
-        if off is None or not 0 <= off <= total:
-            raise AttackSpecError(f"insert offset {off} outside 0..{total}")
-        return AttackResult(deliver=_splice_bits(data, off, 0, spec.bits),
+
+@dataclass(frozen=True, kw_only=True)
+class InsertBits(LinkAttack):
+    kind = "insert_bits"
+    offset_bits: int
+    bits: Tuple[int, ...] = ()
+
+    def apply(self, data: bytes) -> AttackResult:
+        total, off = len(data) * 8, self.offset_bits
+        if not 0 <= off <= total:
+            raise AttackError(f"insert offset {off} outside 0..{total}")
+        return AttackResult(deliver=_splice_bits(data, off, 0, self.bits),
                             detail=events.detail(offset=off,
-                                                 n=len(spec.bits)))
+                                                 n=len(self.bits)))
 
-    if spec.kind == DELETE_BITS:
+
+@dataclass(frozen=True, kw_only=True)
+class DeleteBits(LinkAttack):
+    kind = "delete_bits"
+    # None cuts the frame's last q bits
+    offset_bits: Optional[int] = None
+    q: int = 1
+
+    def apply(self, data: bytes) -> AttackResult:
         total = len(data) * 8
-        off = total - spec.q if spec.offset_bits is None else spec.offset_bits
-        if not 0 <= off or off + spec.q > total:
-            raise AttackSpecError(
-                f"delete range {off}+{spec.q} outside {total} bits"
+        off = total - self.q if self.offset_bits is None else self.offset_bits
+        if not 0 <= off or off + self.q > total:
+            raise AttackError(
+                f"delete range {off}+{self.q} outside {total} bits"
             )
-        return AttackResult(deliver=_splice_bits(data, off, spec.q),
-                            detail=events.detail(offset=off, q=spec.q))
+        return AttackResult(deliver=_splice_bits(data, off, self.q),
+                            detail=events.detail(offset=off, q=self.q))
 
-    if spec.kind == MODIFY_PAYLOAD:
+
+@dataclass(frozen=True, kw_only=True)
+class ModifyPayload(LinkAttack):
+    kind = "modify_payload"
+    # (byte offset into the payload, xor mask) pairs
+    edits: Tuple[Tuple[int, int], ...] = ()
+
+    def apply(self, data: bytes) -> AttackResult:
         start, plen = _payload_region(data)
-        return AttackResult(deliver=_apply_edits(data, spec.edits, start, plen),
-                            detail=events.detail(edits=len(spec.edits)))
+        return AttackResult(deliver=_apply_edits(data, self.edits, start, plen),
+                            detail=events.detail(edits=len(self.edits)))
 
-    if spec.kind == MODIFY_WATERMARK:
+
+@dataclass(frozen=True, kw_only=True)
+class ModifyWatermark(LinkAttack):
+    kind = "modify_watermark"
+    # (byte offset into the watermark, xor mask) pairs
+    edits: Tuple[Tuple[int, int], ...] = ()
+
+    def apply(self, data: bytes) -> AttackResult:
         start, plen = _payload_region(data)
         tail = start + plen
         if len(data) != tail + WATERMARK_BYTES:
-            raise AttackSpecError("frame carries no watermark tail")
+            raise AttackError("frame carries no watermark tail")
         return AttackResult(
-            deliver=_apply_edits(data, spec.edits, tail, WATERMARK_BYTES),
-            detail=events.detail(edits=len(spec.edits)),
+            deliver=_apply_edits(data, self.edits, tail, WATERMARK_BYTES),
+            detail=events.detail(edits=len(self.edits)),
         )
 
-    raise AttackSpecError(f"{spec.kind} is not a link attack")
+
+@dataclass(frozen=True, kw_only=True)
+class Drop(LinkAttack):
+    kind = "drop"
+
+    def apply(self, data: bytes) -> AttackResult:
+        return AttackResult(deliver=None, detail=events.detail(dropped=True))
 
 
-def build_fake_frame(spec: AttackSpec, now_s: int) -> bytes:
+@dataclass(frozen=True, kw_only=True)
+class FakeInject(Attack):
+    """A frame forged under the attacker's own key, src:seq the packet it
+    claims to be, delivered to to_id at after_ms."""
+
+    kind = "fake_inject"
+    to_id: Optional[int] = None
+    # required: field() stops the trigger's default None being inherited
+    src: int = field()
+    seq: int = field()
+    ip: bytes
+    key_material: bytes
+    payload: bytes = b""
+    key_epoch: int = 0
+    hop: int = 1
+
+    def target_label(self) -> str:
+        # a forger crosses no link, and events.log names none
+        return f"None->{self.to_id}"
+
+
+@dataclass(frozen=True, kw_only=True)
+class StoreProbe(Attack):
+    """A full retrieval of packet src:seq's records asked by caller_id, an
+    id the store should refuse, at after_ms."""
+
+    kind = "store_probe"
+    src: int = field()
+    seq: int = field()
+    caller_id: int
+
+    def target_label(self) -> str:
+        return "store"
+
+
+# every kind, by the name a scenario gives it
+ATTACKS = {cls.kind: cls for cls in (
+    Eavesdrop, Replay, InsertBits, DeleteBits, ModifyPayload, ModifyWatermark,
+    Drop, FakeInject, StoreProbe)}
+
+
+def apply(spec: LinkAttack, data: bytes) -> AttackResult:
+    """Apply a link attack to in-flight bytes."""
+    return spec.apply(data)
+
+
+def build_fake_frame(spec: FakeInject, now_s: int) -> bytes:
     """Forge a well-formed frame under the attacker's own key.
 
     The hash part is honest (the attacker knows its payload), so only the
@@ -218,7 +276,7 @@ def build_fake_frame(spec: AttackSpec, now_s: int) -> bytes:
                  make_hash_subwatermark(spec.payload))
 
 
-def run_store_probe(spec: AttackSpec, store: ProvenanceStore) -> str:
+def run_store_probe(spec: StoreProbe, store: ProvenanceStore) -> str:
     """Attempt an unauthorized full retrieval; returns the observed result."""
     try:
         store.query_all(spec.src, spec.seq, by=spec.caller_id)

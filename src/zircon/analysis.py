@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Union
 
 from . import events
-from .adversary import DROP, EAVESDROP, REPLAY, STORE_PROBE
+from .adversary import Drop, Eavesdrop, Replay, StoreProbe
 from .nodes import ACCEPTED, ROLE_SOURCE, ROLES
 from .watermark import MAX_HOP, WATERMARK_BYTES
 
@@ -210,13 +210,13 @@ def detection_report(log: Union[str, Iterable[str]]) -> dict:
             attacked_ids.add(key)
         packet_verdicts = by_packet_verdicts.get(key, [])
 
-        if a.kind == EAVESDROP:
+        if a.kind == Eavesdrop.kind:
             continue
-        if a.kind == STORE_PROBE:
+        if a.kind == StoreProbe.kind:
             if events.parse_detail(a.detail).get("result") != "retrieved":
                 entry["detected"] += 1
             continue
-        if a.kind == DROP:
+        if a.kind == Drop.kind:
             accepted_after = any(v.outcome == ACCEPTED and idx > a_idx
                                  for idx, v in packet_verdicts)
             if key in live and not accepted_after:
@@ -225,7 +225,7 @@ def detection_report(log: Union[str, Iterable[str]]) -> dict:
             continue
 
         horizon = a.time
-        if a.kind == REPLAY:
+        if a.kind == Replay.kind:
             delay = events.parse_detail(a.detail).get("delay", "0")
             # a bare `delay` flag parses as True, which int() would read as 1
             if delay is True or not (delay.isascii() and delay.isdecimal()):
@@ -246,8 +246,8 @@ def detection_report(log: Union[str, Iterable[str]]) -> dict:
     # a bucket exists once it has counted an attack
     for entry in kinds.values():
         entry["rate"] = entry["detected"] / entry["attacks"]
-    if EAVESDROP in kinds:
-        kinds[EAVESDROP].update(detected=None, rate=None)
+    if Eavesdrop.kind in kinds:
+        kinds[Eavesdrop.kind].update(detected=None, rate=None)
 
     false_rejects = 0
     clean_accepted = 0

@@ -17,18 +17,8 @@ import sys
 from typing import Optional
 
 from . import adversary, analysis, events, netsim, scenario
-from .adversary import (
-    DELETE_BITS,
-    DROP,
-    EAVESDROP,
-    FAKE_INJECT,
-    INSERT_BITS,
-    MODIFY_PAYLOAD,
-    MODIFY_WATERMARK,
-    REPLAY,
-    STORE_PROBE,
-    AttackSpec,
-)
+from .adversary import (DeleteBits, Drop, Eavesdrop, FakeInject, InsertBits,
+                        ModifyPayload, ModifyWatermark, Replay, StoreProbe)
 from .scenario import (
     ConfigError,
     KeyRotationConfig,
@@ -102,44 +92,33 @@ def _suite_base(seed: int) -> ScenarioConfig:
     )
 
 
-def _suite_attacks(kind: str) -> list:
-    if kind == EAVESDROP:
-        return [AttackSpec(kind=kind, from_id=1, to_id=2)]
-    if kind == REPLAY:
-        # re-delivery lands long after the original was accepted and purged
-        return [AttackSpec(kind=kind, from_id=1, to_id=2, delay_ms=30000)]
-    if kind == INSERT_BITS:
-        return [AttackSpec(kind=kind, from_id=2, to_id=3, offset_bits=80,
-                           bits=(1, 0, 1, 1, 0, 0, 1, 0))]
-    if kind == DELETE_BITS:
-        return [AttackSpec(kind=kind, from_id=2, to_id=3, q=8)]
-    if kind == MODIFY_PAYLOAD:
-        return [AttackSpec(kind=kind, from_id=2, to_id=3, edits=((0, 0x01),))]
-    if kind == MODIFY_WATERMARK:
-        return [AttackSpec(kind=kind, from_id=3, to_id=4, edits=((5, 0xFF),))]
-    if kind == DROP:
-        return [AttackSpec(kind=kind, from_id=3, to_id=4)]
-    if kind == FAKE_INJECT:
-        # forge packets impersonating live traffic under an unregistered key
-        return [
-            AttackSpec(kind=kind, to_id=2, src=1, seq=s,
-                       after_ms=(s - 1) * 1000 + 100,
-                       ip=bytes([10, 0, 0, 1]), payload=b"forged-payload!!",
-                       key_material=bytes(range(16, 32)), key_epoch=999)
-            for s in (2, 4, 6)
-        ]
-    if kind == STORE_PROBE:
-        return [AttackSpec(kind=kind, caller_id=666, src=1, seq=1,
-                           after_ms=500)]
-    raise ValueError(f"no suite scenario for {kind!r}")
+# the suite's attacks on _suite_base's line 1 -> 2 -> 3 -> 4 -> 9; each
+# kind's run carries that kind's records
+_SUITE_ATTACKS = (
+    Eavesdrop(from_id=1, to_id=2),
+    # re-delivery lands long after the original was accepted and purged
+    Replay(from_id=1, to_id=2, delay_ms=30000),
+    InsertBits(from_id=2, to_id=3, offset_bits=80,
+               bits=(1, 0, 1, 1, 0, 0, 1, 0)),
+    DeleteBits(from_id=2, to_id=3, q=8),
+    ModifyPayload(from_id=2, to_id=3, edits=((0, 0x01),)),
+    ModifyWatermark(from_id=3, to_id=4, edits=((5, 0xFF),)),
+    Drop(from_id=3, to_id=4),
+    # forge packets impersonating live traffic under an unregistered key
+    *(FakeInject(to_id=2, src=1, seq=s, after_ms=(s - 1) * 1000 + 100,
+                 ip=bytes([10, 0, 0, 1]), payload=b"forged-payload!!",
+                 key_material=bytes(range(16, 32)), key_epoch=999)
+      for s in (2, 4, 6)),
+    StoreProbe(caller_id=666, src=1, seq=1, after_ms=500),
+)
 
 
 def cmd_attack_suite(args: argparse.Namespace) -> int:
     rows = []
     total_false_accepts = 0
-    for kind in adversary.KINDS:
+    for kind in adversary.ATTACKS:
         config = _suite_base(args.seed)
-        config.attacks = _suite_attacks(kind)
+        config.attacks = [a for a in _SUITE_ATTACKS if a.kind == kind]
         result = netsim.run(config)
         summary = analysis.detection_report(result.log)
         entry = summary["kinds"].get(kind, {"attacks": 0, "detected": 0,

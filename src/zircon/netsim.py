@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import adversary, events
-from .adversary import FAKE_INJECT, STORE_PROBE, AttackSpec
+from .adversary import Attack, FakeInject, LinkAttack, StoreProbe
 from .nodes import (
     ACCEPTED,
     GatewayNode,
@@ -213,14 +213,14 @@ class Simulation:
         self._route_of_source: Dict[int, List[int]] = {
             route[0]: list(route) for route in config.routes}
 
-        self._link_attacks: Dict[Tuple[int, int], List[AttackSpec]] = {}
+        self._link_attacks: Dict[Tuple[int, int], List[LinkAttack]] = {}
         for attack in config.attacks:
-            if attack.kind in adversary.LINK_KINDS:
+            if isinstance(attack, LinkAttack):
                 key = (attack.from_id, attack.to_id)
                 self._link_attacks.setdefault(key, []).append(attack)
-            elif attack.kind == FAKE_INJECT:
+            elif isinstance(attack, FakeInject):
                 self._schedule(attack.after_ms, self._handle_inject, (attack,))
-            elif attack.kind == STORE_PROBE:
+            elif isinstance(attack, StoreProbe):
                 self._schedule(attack.after_ms, self._handle_probe, (attack,))
 
         # each packet's live entry, from its emission until the report
@@ -248,7 +248,7 @@ class Simulation:
     def _schedule(self, time: int, handler, args: tuple) -> None:
         heapq.heappush(self._queue, (time, next(self._order), handler, args))
 
-    def _log_attack(self, attack: AttackSpec, src, seq, detail: str) -> None:
+    def _log_attack(self, attack: Attack, src, seq, detail: str) -> None:
         self.log.append(events.attack(attack.kind, attack.target_label(), src,
                                       seq, detail, self.now))
 
@@ -353,7 +353,7 @@ class Simulation:
         verdict, path = self._verify(node, data, self.now)
         self._record_verdict(verdict, src, seq, flow, path)
 
-    def _handle_inject(self, attack: AttackSpec) -> None:
+    def _handle_inject(self, attack: FakeInject) -> None:
         frame = adversary.build_fake_frame(attack, self.now // 1000)
         self._log_attack(attack, attack.src, attack.seq,
                          events.detail(epoch=attack.key_epoch, hop=attack.hop))
@@ -361,7 +361,7 @@ class Simulation:
                        self._handle_deliver, (attack.to_id, frame, attack.src,
                                               attack.seq, attack.hop, FLOW_FAKE))
 
-    def _handle_probe(self, attack: AttackSpec) -> None:
+    def _handle_probe(self, attack: StoreProbe) -> None:
         observed = adversary.run_store_probe(attack, self.store)
         self._log_attack(attack, attack.src, attack.seq,
                          events.detail(caller=attack.caller_id, result=observed))

@@ -15,18 +15,8 @@ from typing import (Dict, List, Optional, Tuple, Union, get_args, get_origin,
 
 import yaml
 
-from .adversary import (
-    DELETE_BITS,
-    FAKE_INJECT,
-    INSERT_BITS,
-    KINDS,
-    LINK_KINDS,
-    MODIFY_PAYLOAD,
-    MODIFY_WATERMARK,
-    REPLAY,
-    STORE_PROBE,
-    AttackSpec,
-)
+from .adversary import (ATTACKS, Attack, DeleteBits, FakeInject, InsertBits,
+                        LinkAttack, ModifyPayload, ModifyWatermark, Replay)
 from .analysis import EnergyParams, energy_errors, finite_nonnegative, node_energy
 from .nodes import ROLE_GATEWAY, ROLE_INTERMEDIATE, ROLE_SOURCE, ROLES
 from .crypto import KEY_BYTES
@@ -91,7 +81,7 @@ class ScenarioConfig:
     nodes: List[NodeSpec] = field(default_factory=list)
     routes: List[List[int]] = field(default_factory=list)
     traffic: List[TrafficSpec] = field(default_factory=list)
-    attacks: List[AttackSpec] = field(default_factory=list)
+    attacks: List[Attack] = field(default_factory=list)
 
 
 def _list(value) -> list:
@@ -112,7 +102,7 @@ _CONFIG_YAML = {
     "energy": ("energy", EnergyParams),
     "nodes": ("nodes", [NodeSpec]),
     "traffic": ("traffic", [TrafficSpec]),
-    "attacks": ("attacks", [AttackSpec]),
+    "attacks": ("attacks", [Attack]),
 }
 # attack fields spelt or held otherwise than in YAML: field -> (YAML key,
 # reader of the YAML value into the field value)
@@ -145,8 +135,9 @@ def _table(cls, spelling: dict) -> tuple:
 
 
 _TABLES = {cls: _table(cls, spelling) for cls, spelling in (
-    (ScenarioConfig, _CONFIG_YAML), (AttackSpec, _ATTACK_YAML), (NodeSpec, {}),
-    (TrafficSpec, {}), (KeyRotationConfig, {}), (EnergyParams, {}))}
+    (ScenarioConfig, _CONFIG_YAML), (NodeSpec, {}), (TrafficSpec, {}),
+    (KeyRotationConfig, {}), (EnergyParams, {}),
+    *((cls, _ATTACK_YAML) for cls in ATTACKS.values()))}
 
 
 @cache
@@ -155,7 +146,8 @@ def _rule(hint) -> tuple:
     must be in `types`; then each of its fields or items must pass its
     (path, attribute, rule) in `parts`, every item parts[0] unless `size`
     fixes their number.  Only a record, a fixed-size tuple, or a list or
-    tuple with items, has parts to check."""
+    tuple with items, has parts to check; an Attack's parts are those of
+    its own kind's record."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is Union:  # Optional[X]: X, or None
         types, *rest = _rule(args[0])
@@ -166,6 +158,9 @@ def _rule(hint) -> tuple:
         parts = tuple(("", None, _rule(arg)) for arg in args if arg is not ...)
         return ((list,) if origin is list else (list, tuple), "a list", parts,
                 None if origin is list or ... in args else len(parts))
+    if hint is Attack:  # a record of any kind, checked against its own fields
+        kinds = tuple(ATTACKS.values())
+        return kinds, "an Attack record", {k: _rule(k)[2] for k in kinds}, None
     hints = get_type_hints(hint)
     # the energy constants have their own rule, in the value pass
     parts = () if hint is EnergyParams else tuple(
@@ -181,6 +176,8 @@ def _type_errors(value, rule: tuple) -> List[str]:
     types, wording, parts, size = rule
     if type(value) not in types:
         return [f": must be {wording}, got {value!r}"]
+    if type(parts) is dict:  # one of several records: that record's parts
+        parts = parts[type(value)]
     if value is None or not parts:
         return []
     if parts[0][1]:  # a record: its fields' values, in the order of parts
@@ -212,14 +209,12 @@ def _crossing_payloads(config: ScenarioConfig
     return crossing
 
 
-def _offset_errors(where: str, a: AttackSpec, payload: Optional[int],
+def _offset_errors(where: str, a: LinkAttack, payload: Optional[int],
                    tail: int) -> List[str]:
     """Errors for the offsets of link attack `a` that fall outside the
     shortest organic frame crossing its link: a header, `payload` bytes of
     payload (None when no traffic crosses) and a `tail`-byte watermark."""
-    if a.kind == INSERT_BITS and a.offset_bits is None:
-        return [f"{where}offset_bits: insert_bits needs an offset"]
-    if a.kind == MODIFY_WATERMARK:
+    if isinstance(a, ModifyWatermark):
         return [f"{where}edits: offset {off} is outside the "
                 f"{WATERMARK_BYTES}-byte watermark"
                 for off, _mask in a.edits if not 0 <= off < WATERMARK_BYTES]
@@ -227,17 +222,17 @@ def _offset_errors(where: str, a: AttackSpec, payload: Optional[int],
         return []
     shortest = f"the shortest frame on {a.from_id}->{a.to_id}"
     bits = (HEADER_BYTES + payload + tail) * 8
-    if a.kind == MODIFY_PAYLOAD:
+    if isinstance(a, ModifyPayload):
         return [f"{where}edits: offset {off} is outside the {payload}-byte "
                 f"payload of {shortest}"
                 for off, _mask in a.edits if not 0 <= off < payload]
-    if a.kind == INSERT_BITS and not 0 <= a.offset_bits <= bits:
+    if isinstance(a, InsertBits) and not 0 <= a.offset_bits <= bits:
         return [f"{where}offset_bits: {a.offset_bits} is outside the {bits} "
                 f"bits of {shortest}"]
-    if a.kind == DELETE_BITS and a.offset_bits is None and a.q > bits:
+    if isinstance(a, DeleteBits) and a.offset_bits is None and a.q > bits:
         return [f"{where}q: {a.q} bits is more than the {bits} bits of "
                 f"{shortest}"]
-    if a.kind == DELETE_BITS and a.offset_bits is not None \
+    if isinstance(a, DeleteBits) and a.offset_bits is not None \
             and not 0 <= a.offset_bits <= bits - a.q:
         return [f"{where}offset_bits: bits {a.offset_bits}.."
                 f"{a.offset_bits + a.q - 1} are outside the {bits} bits of "
@@ -247,19 +242,19 @@ def _offset_errors(where: str, a: AttackSpec, payload: Optional[int],
 
 # link attacks that cut or pad the frame, and those that parse it: a parser
 # after a reshaper on one link meets a frame validate never modelled
-_RESHAPERS = (INSERT_BITS, DELETE_BITS)
-_PARSERS = (MODIFY_PAYLOAD, MODIFY_WATERMARK) + _RESHAPERS
+_RESHAPERS = (InsertBits, DeleteBits)
+_PARSERS = (ModifyPayload, ModifyWatermark) + _RESHAPERS
 
 
-def _may_meet(a: AttackSpec, b: AttackSpec) -> bool:
+def _may_meet(a: LinkAttack, b: LinkAttack) -> bool:
     """Whether two attacks' src and seq filters (None matches every value)
     can both match one packet."""
     return all(x is None or y is None or x == y
                for x, y in ((a.src, b.src), (a.seq, b.seq)))
 
 
-# what a fake_inject's forged fields must hold: (field, test of a value that
-# is not None, requirement); each goes on the wire or keys the forgery
+# what a fake_inject's forged fields must hold: (field, test of its value,
+# requirement); each goes on the wire or keys the forgery
 _FORGED = (
     ("src", lambda src: 0 <= src <= MAX_SRC, "a forged src of 16 bits"),
     ("seq", lambda seq: 0 <= seq <= MAX_SEQ, "a forged seq of 32 bits"),
@@ -362,8 +357,8 @@ def validate(config: ScenarioConfig) -> None:
     # seconds of the clock, must fit 32 bits, so nothing may run past it
     trips = {r[0]: (len(r) - 1) * config.per_hop_delay_ms
              for r in config.routes if r}
-    replay_ms = max((a.delay_ms for a in config.attacks if a.kind == REPLAY),
-                    default=0)
+    replay_ms = max((a.delay_ms for a in config.attacks
+                     if isinstance(a, Replay)), default=0)
     sent: Dict[int, int] = {}
     for ti, t in enumerate(config.traffic):
         sent[t.source] = sent.get(t.source, 0) + t.count
@@ -393,23 +388,20 @@ def validate(config: ScenarioConfig) -> None:
 
     # only link attacks read it
     crossing = _crossing_payloads(config) \
-        if any(a.kind in LINK_KINDS for a in config.attacks) else {}
+        if any(isinstance(a, LinkAttack) for a in config.attacks) else {}
     tail = 0 if config.mode == MODE_SINGLEHOP else WATERMARK_BYTES
     reshaped: Dict[Tuple[int, int], List[int]] = {}
     for ai, a in enumerate(config.attacks):
         at = f"attacks[{ai}]"
-        if a.kind not in KINDS:
-            errors.append(f"{at}.kind: unknown attack kind {a.kind!r}")
         if a.after_ms < 0:
             errors.append(f"{at}.after_ms: must be >= 0")
-        errors += [f"{at}.bits: {b!r} is not a bit (0 or 1)"
-                   for b in a.bits if b not in (0, 1)]
-        if a.kind in LINK_KINDS:
+        if isinstance(a, LinkAttack):
             link = (a.from_id, a.to_id)
             if link not in links:
                 errors.append(
                     f"{at}: link {a.from_id}->{a.to_id} is not on any route")
-            if a.kind in _PARSERS or (a.kind == REPLAY and a.mutate_timestamp):
+            if isinstance(a, _PARSERS) or (isinstance(a, Replay)
+                                           and a.mutate_timestamp):
                 first = next((bi for bi in reshaped.get(link, ())
                               if _may_meet(a, config.attacks[bi])), None)
                 if first is not None:
@@ -418,29 +410,33 @@ def validate(config: ScenarioConfig) -> None:
                         f"would parse frames the "
                         f"{config.attacks[first].kind} of attacks[{first}] "
                         f"has already reshaped")
-            if a.kind in _RESHAPERS:
+            if isinstance(a, _RESHAPERS):
                 reshaped.setdefault(link, []).append(ai)
-            if a.kind == REPLAY and a.delay_ms < 0:
+            if isinstance(a, Replay) and a.delay_ms < 0:
                 errors.append(f"{at}.delay_ms: must be >= 0")
-            if a.kind == INSERT_BITS and not a.bits:
-                errors.append(f"{at}.bits: insert_bits needs at least one bit")
-            if a.kind == DELETE_BITS and a.q < 1:
+            if isinstance(a, InsertBits):
+                if not a.bits:
+                    errors.append(f"{at}.bits: insert_bits needs at least one "
+                                  f"bit")
+                errors += [f"{at}.bits: {b!r} is not a bit (0 or 1)"
+                           for b in a.bits if b not in (0, 1)]
+            if isinstance(a, DeleteBits) and a.q < 1:
                 errors.append(f"{at}.q: delete_bits needs q >= 1")
-            if a.kind in (MODIFY_PAYLOAD, MODIFY_WATERMARK):
+            if isinstance(a, (ModifyPayload, ModifyWatermark)):
                 if not a.edits:
                     errors.append(f"{at}.edits: {a.kind} needs an edit")
                 errors += [f"{at}.edits: xor mask {mask} is not a byte (1..255)"
                            for _off, mask in a.edits if not 1 <= mask <= 255]
             if config.mode == MODE_SINGLEHOP and (
-                    a.kind == MODIFY_WATERMARK
-                    or (a.kind == REPLAY and a.mutate_timestamp)):
+                    isinstance(a, ModifyWatermark)
+                    or (isinstance(a, Replay) and a.mutate_timestamp)):
                 errors.append(
                     f"{at}: singlehop frames carry no watermark to modify")
             payload = min((p for src, p in crossing.get((a.from_id, a.to_id),
                                                         ())
                            if a.src in (None, src)), default=None)
             errors += _offset_errors(f"{at}.", a, payload, tail)
-        elif a.kind == FAKE_INJECT:
+        elif isinstance(a, FakeInject):
             if a.to_id not in ids:
                 errors.append(f"{at}.to: inject target {a.to_id} unknown")
             elif ids[a.to_id].role == ROLE_SOURCE:
@@ -458,13 +454,7 @@ def validate(config: ScenarioConfig) -> None:
             errors += [f"{at}.{_ATTACK_YAML.get(name, (name,))[0]}: "
                        f"fake_inject needs {need}"
                        for name, fits, need in _FORGED
-                       if getattr(a, name) is None
-                       or not fits(getattr(a, name))]
-        elif a.kind == STORE_PROBE:
-            if a.src is None or a.seq is None:
-                errors.append(f"{at}: store_probe needs src and seq")
-            if a.caller_id is None:
-                errors.append(f"{at}.caller_id: store_probe needs a caller_id")
+                       if not fits(getattr(a, name))]
 
     if config.key_rotation is not None:
         kr = config.key_rotation
@@ -475,7 +465,8 @@ def validate(config: ScenarioConfig) -> None:
     # grows with it, must fit a float at the most ops a node runs, 2
     # (OPS_BY_ROLE) per packet, replay and forgery
     kinds, tc = Counter(a.kind for a in config.attacks), config.energy.tc_per_op_ms
-    ops = 2 * (sum(sent.values()) * (1 + kinds[REPLAY]) + kinds[FAKE_INJECT])
+    ops = 2 * (sum(sent.values()) * (1 + kinds[Replay.kind])
+               + kinds[FakeInject.kind])
     if not errors and not finite_nonnegative(ops * tc):
         errors.append(f"energy.tc_per_op_ms: {ops} ops at {tc!r} ms overflow a float")
     elif not errors:
@@ -497,6 +488,15 @@ def _build(cls, data, where: str, errors: List[str]):
         errors.append(f"{where or 'top level'}: expected a mapping, got "
                       f"{data!r}")
         return None
+    if cls is Attack:  # the record of the kind the mapping names
+        data = dict(data)
+        kind = data.pop("kind", MISSING)
+        cls = ATTACKS.get(kind) if type(kind) is str else None
+        if cls is None:
+            fault = ("missing required key" if kind is MISSING
+                     else f"unknown attack kind {kind!r}")
+            errors.append(f"{where}.kind: {fault}")
+            return None
     keys, required = _TABLES[cls]
     found = len(errors)
     kwargs = {}

@@ -18,7 +18,8 @@ import pytest
 from tests.conftest import build_chain
 from tests.reference import aes_ref, sha256_ref
 from zircon import analysis, crypto, events, netsim
-from zircon.adversary import AttackSpec, apply as apply_attack
+from zircon.adversary import (Drop, FakeInject, InsertBits, ModifyPayload,
+                              Replay, apply as apply_attack)
 from zircon.internal_datagram import (
     INTERNAL_AUTHENTICATED,
     INTERNAL_FORGED,
@@ -140,7 +141,7 @@ def test_03_length_tampering_never_accepted():
         _, frame = chain.source.emit_multihop(PAYLOAD, 0)
         n_bits = 8 * rng.randint(1, 8)
         offset = rng.randrange(0, len(frame) * 8 + 1)
-        spec = AttackSpec(kind="insert_bits", from_id=1, to_id=2,
+        spec = InsertBits(from_id=1, to_id=2,
                           offset_bits=offset,
                           bits=tuple(rng.randrange(2) for _ in range(n_bits)))
         mutated = apply_attack(spec, frame).deliver
@@ -154,8 +155,8 @@ def test_03_length_tampering_never_accepted():
 def test_04_replay_variants_rejected():
     # a replayed copy arriving after delivery finds no records left
     cfg = five_node_config(count=100)
-    cfg.attacks = [AttackSpec(kind="replay", from_id=1, to_id=2,
-                              delay_ms=30000)]
+    cfg.attacks = [Replay(from_id=1, to_id=2,
+                          delay_ms=30000)]
     result = netsim.run(cfg)
     assert result.report["counts"]["accepted"] == 100  # originals unharmed
     replayed = flow_verdicts(result, "replayed")
@@ -163,8 +164,8 @@ def test_04_replay_variants_rejected():
 
     # a mutated copy outrunning the original burns the record set
     cfg = five_node_config(count=100)
-    cfg.attacks = [AttackSpec(kind="replay", from_id=1, to_id=2, delay_ms=100,
-                              mutate_timestamp=True)]
+    cfg.attacks = [Replay(from_id=1, to_id=2, delay_ms=100,
+                          mutate_timestamp=True)]
     result = netsim.run(cfg)
     replayed = flow_verdicts(result, "replayed")
     assert [o for _, o in replayed] == ["provenance_fail"] * 100
@@ -182,8 +183,8 @@ def test_04_replay_variants_rejected():
         traffic=[TrafficSpec(source=1, count=100, interval_ms=1000,
                              payload_bytes=16)],
         attacks=[
-            AttackSpec(kind="replay", from_id=1, to_id=9, delay_ms=15000),
-            AttackSpec(kind="drop", from_id=1, to_id=9),
+            Replay(from_id=1, to_id=9, delay_ms=15000),
+            Drop(from_id=1, to_id=9),
         ],
     )
     result = netsim.run(cfg)
@@ -194,7 +195,7 @@ def test_04_replay_variants_rejected():
 def test_05_fake_injection_rejected():
     cfg = five_node_config(count=100)
     cfg.attacks = [
-        AttackSpec(kind="fake_inject", to_id=2, src=1, seq=s,
+        FakeInject(to_id=2, src=1, seq=s,
                    after_ms=(s - 1) * 1000 + 100, ip=bytes([10, 0, 0, 1]),
                    payload=b"forged-payload!!",
                    key_material=bytes(range(16, 32)), key_epoch=999, hop=2)
@@ -327,10 +328,10 @@ def test_10_deterministic_runs():
     def attacked():
         cfg = five_node_config(count=50, seed=77)
         cfg.attacks = [
-            AttackSpec(kind="modify_payload", from_id=2, to_id=3,
-                       edits=((0, 0x01),), seq=10),
-            AttackSpec(kind="replay", from_id=1, to_id=2, delay_ms=30000),
-            AttackSpec(kind="drop", from_id=3, to_id=4, seq=20),
+            ModifyPayload(from_id=2, to_id=3,
+                          edits=((0, 0x01),), seq=10),
+            Replay(from_id=1, to_id=2, delay_ms=30000),
+            Drop(from_id=3, to_id=4, seq=20),
         ]
         return cfg
 

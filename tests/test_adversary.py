@@ -7,8 +7,17 @@ from hypothesis import strategies as st
 from tests.conftest import build_chain
 from tests.test_scenario import small_config
 from zircon.adversary import (
-    AttackSpec,
-    AttackSpecError,
+    AttackError,
+    DeleteBits,
+    Drop,
+    Eavesdrop,
+    FakeInject,
+    InsertBits,
+    LinkAttack,
+    ModifyPayload,
+    ModifyWatermark,
+    Replay,
+    StoreProbe,
     apply,
     build_fake_frame,
     run_store_probe,
@@ -16,7 +25,7 @@ from zircon.adversary import (
 from zircon.crypto import DecryptionError, decrypt_block
 from zircon.nodes import ACCEPTED, PROVENANCE_FAIL
 from zircon.provstore import StoredRecord
-from zircon.scenario import ConfigError, validate
+from zircon.scenario import ConfigError, from_dict, validate
 from zircon.watermark import extract
 
 
@@ -51,12 +60,12 @@ def _from_bits(bits):
 
 
 def insert(data, offset, bits):
-    return apply(AttackSpec(kind="insert_bits", from_id=1, to_id=2,
+    return apply(InsertBits(from_id=1, to_id=2,
                             offset_bits=offset, bits=tuple(bits)), data)
 
 
 def delete(data, offset, q):
-    return apply(AttackSpec(kind="delete_bits", from_id=1, to_id=2,
+    return apply(DeleteBits(from_id=1, to_id=2,
                             offset_bits=offset, q=q), data)
 
 
@@ -100,7 +109,7 @@ def _model(spec, data):
 @settings(max_examples=300)
 def test_insert_bits_matches_the_bit_list_model(data, at, bits):
     offset = min(at, len(data) * 8)
-    spec = AttackSpec(kind="insert_bits", from_id=1, to_id=2,
+    spec = InsertBits(from_id=1, to_id=2,
                       offset_bits=offset, bits=tuple(bits))
     result = apply(spec, data)
     assert result.deliver == _model(spec, data)
@@ -118,7 +127,7 @@ def test_insert_bits_matches_the_bit_list_model(data, at, bits):
 def test_delete_bits_matches_the_bit_list_model(data, at, q):
     q = min(q, len(data) * 8)
     offset = None if at is None else min(at, len(data) * 8 - q)
-    spec = AttackSpec(kind="delete_bits", from_id=1, to_id=2,
+    spec = DeleteBits(from_id=1, to_id=2,
                       offset_bits=offset, q=q)
     result = apply(spec, data)
     assert result.deliver == _model(spec, data)
@@ -127,20 +136,27 @@ def test_delete_bits_matches_the_bit_list_model(data, at, q):
 
 
 @pytest.mark.parametrize("spec, data, message", [
-    (dict(kind="insert_bits", bits=(1,)), b"\xb2",
-     "insert offset None outside 0..8"),
-    (dict(kind="insert_bits", offset_bits=9, bits=(1,)), b"\xb2",
+    (InsertBits(from_id=1, to_id=2, offset_bits=9, bits=(1,)), b"\xb2",
      "insert offset 9 outside 0..8"),
-    (dict(kind="insert_bits", offset_bits=1, bits=(1,)), b"",
+    (InsertBits(from_id=1, to_id=2, offset_bits=1, bits=(1,)), b"",
      "insert offset 1 outside 0..0"),
-    (dict(kind="delete_bits", q=9), b"\xb2", "delete range -1+9 outside 8 bits"),
-    (dict(kind="delete_bits", offset_bits=5, q=4), b"\xb2",
+    (DeleteBits(from_id=1, to_id=2, q=9), b"\xb2",
+     "delete range -1+9 outside 8 bits"),
+    (DeleteBits(from_id=1, to_id=2, offset_bits=5, q=4), b"\xb2",
      "delete range 5+4 outside 8 bits"),
-    (dict(kind="delete_bits", q=1), b"", "delete range -1+1 outside 0 bits"),
+    (DeleteBits(from_id=1, to_id=2, q=1), b"",
+     "delete range -1+1 outside 0 bits"),
+], ids=[
+    # fixed names, those the cases had beside an insert with no offset
+    "spec1-\xb2-insert offset 9 outside 0..8",
+    "spec2--insert offset 1 outside 0..0",
+    "spec3-\xb2-delete range -1+9 outside 8 bits",
+    "spec4-\xb2-delete range 5+4 outside 8 bits",
+    "spec5--delete range -1+1 outside 0 bits",
 ])
 def test_bit_attacks_outside_the_frame_are_refused(spec, data, message):
-    with pytest.raises(AttackSpecError) as exc:
-        apply(AttackSpec(from_id=1, to_id=2, **spec), data)
+    with pytest.raises(AttackError) as exc:
+        apply(spec, data)
     assert str(exc.value) == message
 
 
@@ -148,20 +164,20 @@ def test_bit_attacks_outside_the_frame_are_refused(spec, data, message):
 
 def test_eavesdrop_copies_without_altering():
     _, frame = frame_of()
-    result = apply(AttackSpec(kind="eavesdrop", from_id=1, to_id=2), frame)
+    result = apply(Eavesdrop(from_id=1, to_id=2), frame)
     assert result.deliver == frame
     assert result.replay is None
 
 
 def test_drop_suppresses_delivery():
     _, frame = frame_of()
-    result = apply(AttackSpec(kind="drop", from_id=1, to_id=2), frame)
+    result = apply(Drop(from_id=1, to_id=2), frame)
     assert result.deliver is None
 
 
 def test_replay_schedules_unmodified_copy():
     _, frame = frame_of()
-    spec = AttackSpec(kind="replay", from_id=1, to_id=2, delay_ms=7000)
+    spec = Replay(from_id=1, to_id=2, delay_ms=7000)
     result = apply(spec, frame)
     assert result.deliver == frame  # original continues
     copy, delay = result.replay
@@ -172,21 +188,21 @@ def test_replay_schedules_unmodified_copy():
 def test_replay_mutation_flips_one_record_byte():
     payload = b"0123456789abcdef"
     _, frame = frame_of(payload)
-    spec = AttackSpec(kind="replay", from_id=1, to_id=2, delay_ms=100,
-                      mutate_timestamp=True)
+    spec = Replay(from_id=1, to_id=2, delay_ms=100,
+                  mutate_timestamp=True)
     copy, _ = apply(spec, frame).replay
     tail = 9 + len(payload)
     diff = [i for i in range(len(frame)) if frame[i] != copy[i]]
     assert diff == [tail + 7]  # inside the encrypted record, time half
     assert copy[tail + 7] == frame[tail + 7] ^ 0x01
-    with pytest.raises(AttackSpecError,
+    with pytest.raises(AttackError,
                        match="frame carries no watermark to mutate"):
         apply(spec, frame[:tail])
 
 
 def test_insert_bits_lengthens_stream():
     _, frame = frame_of()
-    spec = AttackSpec(kind="insert_bits", from_id=1, to_id=2, offset_bits=16,
+    spec = InsertBits(from_id=1, to_id=2, offset_bits=16,
                       bits=(1, 0, 1, 1, 0, 0, 1, 0))
     out = apply(spec, frame).deliver
     assert len(out) == len(frame) + 1
@@ -197,7 +213,7 @@ def test_insert_bits_lengthens_stream():
 
 def test_insert_nonbyte_multiple_truncates():
     _, frame = frame_of()
-    spec = AttackSpec(kind="insert_bits", from_id=1, to_id=2, offset_bits=0,
+    spec = InsertBits(from_id=1, to_id=2, offset_bits=0,
                       bits=(1, 1, 1))
     out = apply(spec, frame).deliver
     # 3 bits in, 3 bits lost off the tail: length unchanged, content shifted
@@ -207,14 +223,14 @@ def test_insert_nonbyte_multiple_truncates():
 
 def test_delete_bits_default_trims_tail():
     _, frame = frame_of()
-    out = apply(AttackSpec(kind="delete_bits", from_id=1, to_id=2, q=8),
+    out = apply(DeleteBits(from_id=1, to_id=2, q=8),
                 frame).deliver
     assert out == frame[:-1]
 
 
 def test_delete_bits_at_offset():
     data = bytes([0b10110010, 0b01011100])
-    out = apply(AttackSpec(kind="delete_bits", from_id=1, to_id=2, q=3,
+    out = apply(DeleteBits(from_id=1, to_id=2, q=3,
                            offset_bits=2), data).deliver
     # remaining 13 bits, first 8 kept: 10 + 010 + 010 -> 10010010
     assert out == bytes([0b10010010])
@@ -223,17 +239,17 @@ def test_delete_bits_at_offset():
 def test_modify_payload_xors_inside_payload_region():
     payload = b"0123456789abcdef"
     _, frame = frame_of(payload)
-    spec = AttackSpec(kind="modify_payload", from_id=1, to_id=2,
-                      edits=((0, 0x01), (15, 0x80)))
+    spec = ModifyPayload(from_id=1, to_id=2,
+                         edits=((0, 0x01), (15, 0x80)))
     out = apply(spec, frame).deliver
     assert out[9] == frame[9] ^ 0x01
     assert out[24] == frame[24] ^ 0x80
     assert out[:9] == frame[:9] and out[25:] == frame[25:]
-    with pytest.raises(AttackSpecError):
-        apply(AttackSpec(kind="modify_payload", from_id=1, to_id=2,
-                         edits=((16, 0x01),)), frame)
+    with pytest.raises(AttackError):
+        apply(ModifyPayload(from_id=1, to_id=2,
+                            edits=((16, 0x01),)), frame)
     # cut inside the header, the frame declares no payload length
-    with pytest.raises(AttackSpecError,
+    with pytest.raises(AttackError,
                        match="frame too short to locate payload"):
         apply(spec, frame[:8])
 
@@ -241,74 +257,98 @@ def test_modify_payload_xors_inside_payload_region():
 def test_modify_watermark_xors_the_tail():
     payload = b"0123456789abcdef"
     _, frame = frame_of(payload)
-    spec = AttackSpec(kind="modify_watermark", from_id=1, to_id=2,
-                      edits=((23, 0xFF),))
+    spec = ModifyWatermark(from_id=1, to_id=2,
+                           edits=((23, 0xFF),))
     out = apply(spec, frame).deliver
     tail = 9 + len(payload)
     assert out[tail + 23] == frame[tail + 23] ^ 0xFF
-    with pytest.raises(AttackSpecError):
-        apply(AttackSpec(kind="modify_watermark", from_id=1, to_id=2,
-                         edits=((24, 0xFF),)), frame)
+    with pytest.raises(AttackError):
+        apply(ModifyWatermark(from_id=1, to_id=2,
+                              edits=((24, 0xFF),)), frame)
     bare = frame[:tail]  # no tail to modify
-    with pytest.raises(AttackSpecError):
+    with pytest.raises(AttackError):
         apply(spec, bare)
 
 
 def test_store_probe_is_not_a_link_attack():
     _, frame = frame_of()
-    with pytest.raises(AttackSpecError):
-        apply(AttackSpec(kind="store_probe", caller_id=6), frame)
+    probe = StoreProbe(caller_id=6, src=1, seq=1)
+    assert not isinstance(probe, LinkAttack)
+    with pytest.raises(AttributeError):
+        apply(probe, frame)
 
 
 # -- spec validation ---------------------------------------------------------------
 
 def test_spec_validation_errors():
-    def errors_of(**spec):
-        cfg = small_config(attacks=[AttackSpec(from_id=1, to_id=2, **spec)])
+    def errors_of(attack):
         with pytest.raises(ConfigError) as exc:
-            validate(cfg)
+            validate(small_config(attacks=[attack]))
         return exc.value.errors
 
-    assert "attacks[0].kind: unknown attack kind 'jam'" in errors_of(
-        kind="jam")
+    def load_errors(**attack):
+        with pytest.raises(ConfigError) as exc:
+            from_dict({"attacks": [attack]})
+        return exc.value.errors
+
+    # a kind no record has is refused as the scenario loads
+    assert load_errors(kind="jam", **{"from": 1, "to": 2}) == [
+        "attacks[0].kind: unknown attack kind 'jam'"]
     assert "attacks[0].bits: insert_bits needs at least one bit" in errors_of(
-        kind="insert_bits", offset_bits=0, bits=())
+        InsertBits(from_id=1, to_id=2, offset_bits=0, bits=()))
     assert "attacks[0].bits: 2 is not a bit (0 or 1)" in errors_of(
-        kind="insert_bits", offset_bits=0, bits=(0, 2))
+        InsertBits(from_id=1, to_id=2, offset_bits=0, bits=(0, 2)))
     assert "attacks[0].q: delete_bits needs q >= 1" in errors_of(
-        kind="delete_bits", q=0)
+        DeleteBits(from_id=1, to_id=2, q=0))
     assert "attacks[0].edits: modify_payload needs an edit" in errors_of(
-        kind="modify_payload", edits=())
+        ModifyPayload(from_id=1, to_id=2, edits=()))
     assert "attacks[0].edits: xor mask 0 is not a byte (1..255)" in \
-        errors_of(kind="modify_payload", edits=((0, 0),))
-    errors = errors_of(kind="fake_inject", src=1, seq=1)
-    assert "attacks[0].ip: fake_inject needs a 4-byte forged address" in errors
-    assert "attacks[0].key_material_hex: fake_inject needs a 16-byte forging " \
-        "key" in errors
-    assert "attacks[0].caller_id: store_probe needs a caller_id" in errors_of(
-        kind="store_probe", src=1, seq=1)
+        errors_of(ModifyPayload(from_id=1, to_id=2, edits=((0, 0),)))
+    # a required field: a missing key as the scenario loads, and a None in
+    # a record built in code refused by its type
+    assert load_errors(kind="insert_bits", bits=[1]) == [
+        "attacks[0].offset_bits: missing required key"]
+    assert errors_of(InsertBits(from_id=1, to_id=2, offset_bits=None,
+                                bits=(1,))) == [
+        "attacks[0].offset_bits: must be an integer, got None"]
+    assert load_errors(kind="fake_inject", to=2, src=1, seq=1) == [
+        "attacks[0].ip: missing required key",
+        "attacks[0].key_material_hex: missing required key"]
+    errors = errors_of(FakeInject(to_id=2, src=1, seq=1, ip=None,
+                                  key_material=None))
+    assert "attacks[0].ip: must be bytes, got None" in errors
+    assert "attacks[0].key_material_hex: must be bytes, got None" in errors
+    assert load_errors(kind="store_probe", caller_id=6) == [
+        "attacks[0].src: missing required key",
+        "attacks[0].seq: missing required key"]
+    assert load_errors(kind="store_probe", src=1, seq=1) == [
+        "attacks[0].caller_id: missing required key"]
+    assert errors_of(StoreProbe(src=1, seq=1, caller_id=None)) == [
+        "attacks[0].caller_id: must be an integer, got None"]
 
 
 def test_spec_matching():
-    spec = AttackSpec(kind="drop", from_id=1, to_id=2, src=1, seq=5,
-                      after_ms=1000)
+    spec = Drop(from_id=1, to_id=2, src=1, seq=5,
+                after_ms=1000)
     assert spec.matches(1, 5, 1000)
     assert not spec.matches(1, 5, 999)
     assert not spec.matches(1, 6, 1000)
     assert not spec.matches(2, 5, 1000)
-    unfiltered = AttackSpec(kind="drop", from_id=1, to_id=2)
+    unfiltered = Drop(from_id=1, to_id=2)
     assert unfiltered.matches(3, 9, 0)
 
 
 def test_target_labels():
-    assert AttackSpec(kind="drop", from_id=1, to_id=2).target_label() == "1->2"
-    assert AttackSpec(kind="store_probe", caller_id=6).target_label() == "store"
+    assert Drop(from_id=1, to_id=2).target_label() == "1->2"
+    assert StoreProbe(caller_id=6, src=1, seq=1).target_label() == "store"
+    # a forger crosses no link
+    assert fake_spec().target_label() == "None->2"
 
 
 # -- forged frames -------------------------------------------------------------------
 
 def fake_spec(seq=3):
-    return AttackSpec(kind="fake_inject", to_id=2, src=1, seq=seq,
+    return FakeInject(to_id=2, src=1, seq=seq,
                       ip=bytes([10, 0, 0, 1]), payload=b"forged-payload!!",
                       key_material=bytes(range(16, 32)), key_epoch=999)
 
@@ -346,7 +386,7 @@ def test_store_probe_results(store):
     store.store(StoredRecord(1, bytes(16), 0, 0), 1, 1, by=1)
 
     def probe(caller_id, src=1, seq=1):
-        return AttackSpec(kind="store_probe", caller_id=caller_id, src=src,
+        return StoreProbe(caller_id=caller_id, src=src,
                           seq=seq)
 
     assert run_store_probe(probe(666), store) == "authorization_error"

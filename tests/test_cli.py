@@ -235,7 +235,7 @@ _INJECT = ("{kind: fake_inject, to: 2, src: 1, seq: 1, ip: 10.0.0.1, "
     ("attacks: []",
      "attacks: [{kind: modify_payload, from: 1, to: 2, edits: [[0, 256]]}]",
      "attacks[0].edits: xor mask 256 is not a byte (1..255)"),
-    # raised AttackSpecError from the first frame the delete had cut
+    # raised AttackError from the first frame the delete had cut
     ("attacks: []",
      "attacks: [{kind: delete_bits, from: 1, to: 2, offset_bits: 0, q: 8}, "
      "{kind: modify_watermark, from: 1, to: 2, edits: [[0, 1]]}]",

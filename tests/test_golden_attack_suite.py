@@ -76,8 +76,8 @@ REPORTS = {
 }
 
 
-@pytest.mark.parametrize("kind", adversary.KINDS)
+@pytest.mark.parametrize("kind", adversary.ATTACKS)
 def test_detection_report_seed_3_matches_pinned_report(kind):
     config = cli._suite_base(3)
-    config.attacks = cli._suite_attacks(kind)
+    config.attacks = [a for a in cli._SUITE_ATTACKS if a.kind == kind]
     assert analysis.detection_report(netsim.run(config).log) == REPORTS[kind]

@@ -16,7 +16,9 @@ from tests.test_golden_outputs import GOLDEN, MULTIHOP_LINE
 from zircon import adversary, cli, events, netsim
 from zircon.cli import main
 from zircon.nodes import GatewayNode, SourceNode
-from zircon.adversary import KINDS, AttackSpec
+from zircon.adversary import (ATTACKS, DeleteBits, Drop, Eavesdrop, FakeInject,
+                              InsertBits, ModifyPayload, ModifyWatermark,
+                              Replay, StoreProbe)
 from zircon.scenario import (
     EXAMPLE_CONFIG,
     ConfigError,
@@ -118,8 +120,8 @@ def test_different_seeds_differ():
 
 def test_log_grammar_parses():
     cfg = base_config()
-    cfg.attacks = [AttackSpec(kind="replay", from_id=1, to_id=2,
-                              delay_ms=20000)]
+    cfg.attacks = [Replay(from_id=1, to_id=2,
+                          delay_ms=20000)]
     cfg.key_rotation = KeyRotationConfig(3, 3)
     result = netsim.run(cfg)
     records = [events.parse(line) for line in result.log]
@@ -173,8 +175,8 @@ def test_rotation_disabled_by_default():
 
 def test_modify_payload_rejected_at_the_receiving_hop():
     cfg = base_config()
-    cfg.attacks = [AttackSpec(kind="modify_payload", from_id=2, to_id=3,
-                              seq=2, edits=((0, 0x01),))]
+    cfg.attacks = [ModifyPayload(from_id=2, to_id=3,
+                                 seq=2, edits=((0, 0x01),))]
     result = netsim.run(cfg)
     st = statuses(result)
     assert st["1:2"] == "rejected"
@@ -185,8 +187,8 @@ def test_modify_payload_rejected_at_the_receiving_hop():
 
 def test_modify_watermark_rejected_as_provenance_fail():
     cfg = base_config()
-    cfg.attacks = [AttackSpec(kind="modify_watermark", from_id=1, to_id=2,
-                              edits=((3, 0xFF),))]
+    cfg.attacks = [ModifyWatermark(from_id=1, to_id=2,
+                                   edits=((3, 0xFF),))]
     result = netsim.run(cfg)
     assert set(statuses(result).values()) == {"rejected"}
     outcomes = {p.final.outcome
@@ -196,7 +198,7 @@ def test_modify_watermark_rejected_as_provenance_fail():
 
 def test_drop_localized_to_last_stored_hop():
     cfg = base_config()
-    cfg.attacks = [AttackSpec(kind="drop", from_id=3, to_id=9)]
+    cfg.attacks = [Drop(from_id=3, to_id=9)]
     result = netsim.run(cfg)
     assert set(statuses(result).values()) == {"dropped"}
     suspects = result.report["drops_suspected"]
@@ -207,8 +209,8 @@ def test_drop_localized_to_last_stored_hop():
 
 def test_replay_after_delivery_is_missing_record():
     cfg = base_config()
-    cfg.attacks = [AttackSpec(kind="replay", from_id=1, to_id=2,
-                              delay_ms=30000)]
+    cfg.attacks = [Replay(from_id=1, to_id=2,
+                          delay_ms=30000)]
     result = netsim.run(cfg)
     assert set(statuses(result).values()) == {"accepted"}  # originals intact
     replayed = flow_verdicts(result, "replayed")
@@ -217,8 +219,8 @@ def test_replay_after_delivery_is_missing_record():
 
 def test_predelivery_mutated_replay_is_provenance_fail():
     cfg = base_config()
-    cfg.attacks = [AttackSpec(kind="replay", from_id=1, to_id=2, delay_ms=100,
-                              mutate_timestamp=True)]
+    cfg.attacks = [Replay(from_id=1, to_id=2, delay_ms=100,
+                          mutate_timestamp=True)]
     result = netsim.run(cfg)
     # the mutated copy outruns the original and burns the record set
     assert flow_verdicts(result, "replayed") == ["provenance_fail"] * 5
@@ -229,7 +231,7 @@ def test_predelivery_mutated_replay_is_provenance_fail():
 
 def test_fake_inject_rejected_and_never_stored():
     cfg = base_config()
-    cfg.attacks = [AttackSpec(kind="fake_inject", to_id=2, src=1, seq=2,
+    cfg.attacks = [FakeInject(to_id=2, src=1, seq=2,
                               after_ms=1100, ip=bytes([10, 0, 0, 1]),
                               payload=b"forged-payload!!",
                               key_material=bytes(range(16, 32)),
@@ -271,7 +273,7 @@ def test_a_forgery_under_the_network_key_is_forwarded_to_no_one():
 
 def test_store_probe_logged_with_result():
     cfg = base_config()
-    cfg.attacks = [AttackSpec(kind="store_probe", caller_id=666, src=1, seq=1,
+    cfg.attacks = [StoreProbe(caller_id=666, src=1, seq=1,
                               after_ms=500)]
     result = netsim.run(cfg)
     probe_lines = [l for l in result.log if l.startswith("attack|store_probe")]
@@ -297,7 +299,7 @@ def record_attacked_frames(monkeypatch):
 def test_eavesdrop_captures_wire_bytes(monkeypatch):
     captures = record_attacked_frames(monkeypatch)
     cfg = base_config()
-    cfg.attacks = [AttackSpec(kind="eavesdrop", from_id=2, to_id=3)]
+    cfg.attacks = [Eavesdrop(from_id=2, to_id=3)]
     result = netsim.run(cfg)
     assert len(captures) == 5
     for raw in captures:
@@ -308,7 +310,7 @@ def test_eavesdrop_captures_wire_bytes(monkeypatch):
 
 def test_insert_bits_rejected():
     cfg = base_config()
-    cfg.attacks = [AttackSpec(kind="insert_bits", from_id=2, to_id=3,
+    cfg.attacks = [InsertBits(from_id=2, to_id=3,
                               offset_bits=100, bits=(1, 0, 1, 1))]
     result = netsim.run(cfg)
     assert set(statuses(result).values()) == {"rejected"}
@@ -316,7 +318,7 @@ def test_insert_bits_rejected():
 
 def test_delete_bits_rejected_as_frame_fail():
     cfg = base_config()
-    cfg.attacks = [AttackSpec(kind="delete_bits", from_id=1, to_id=2, q=8)]
+    cfg.attacks = [DeleteBits(from_id=1, to_id=2, q=8)]
     result = netsim.run(cfg)
     assert set(statuses(result).values()) == {"rejected"}
     assert {p.final.outcome for p in
@@ -376,7 +378,7 @@ def test_an_off_path_forgery_leaves_a_singlehop_packet_accepted():
     # lands at 2050, fails extract_bare, and its header still names 1:3
     cfg = singlehop_config(traffic=[TrafficSpec(source=1, count=5,
                                                 payload_bytes=12)])
-    cfg.attacks = [AttackSpec(kind="fake_inject", to_id=9, src=1, seq=3,
+    cfg.attacks = [FakeInject(to_id=9, src=1, seq=3,
                               after_ms=1750, ip=bytes([10, 0, 0, 66]),
                               payload=b"forged-payload!!",
                               key_material=bytes(range(16)))]
@@ -388,7 +390,7 @@ def test_an_off_path_forgery_leaves_a_singlehop_packet_accepted():
 def test_singlehop_frames_are_bare(monkeypatch):
     captures = record_attacked_frames(monkeypatch)
     cfg = singlehop_config()
-    cfg.attacks = [AttackSpec(kind="eavesdrop", from_id=1, to_id=9)]
+    cfg.attacks = [Eavesdrop(from_id=1, to_id=9)]
     netsim.run(cfg)
     assert len(captures) == 4
     for raw in captures:
@@ -398,8 +400,8 @@ def test_singlehop_frames_are_bare(monkeypatch):
 
 def test_singlehop_payload_tamper_detected():
     cfg = singlehop_config()
-    cfg.attacks = [AttackSpec(kind="modify_payload", from_id=1, to_id=9,
-                              edits=((5, 0x20),))]
+    cfg.attacks = [ModifyPayload(from_id=1, to_id=9,
+                                 edits=((5, 0x20),))]
     result = netsim.run(cfg)
     assert {p.final.outcome for p in
             result.report["packets"].values()} == {"integrity_fail"}
@@ -538,11 +540,11 @@ def attacked_config():
     """A replay, a forged frame and a store probe: every kind of event the
     queue holds besides emits and plain deliveries."""
     return base_config(attacks=[
-        AttackSpec(kind="replay", from_id=1, to_id=2, delay_ms=20000),
-        AttackSpec(kind="fake_inject", to_id=2, src=1, seq=2, after_ms=1100,
+        Replay(from_id=1, to_id=2, delay_ms=20000),
+        FakeInject(to_id=2, src=1, seq=2, after_ms=1100,
                    ip=bytes([10, 0, 0, 1]), payload=b"forged-payload!!",
                    key_material=bytes(range(16, 32)), key_epoch=9, hop=2),
-        AttackSpec(kind="store_probe", caller_id=666, src=1, seq=1,
+        StoreProbe(caller_id=666, src=1, seq=1,
                    after_ms=500)])
 
 
@@ -689,7 +691,7 @@ def test_report_packets_keep_numeric_order():
     assert keys == [f"1:{seq}" for seq in range(1, 26)]
     assert keys != sorted(keys)
     config = cli._suite_base(3)
-    config.attacks = cli._suite_attacks(adversary.DROP)
+    config.attacks = [a for a in cli._SUITE_ATTACKS if a.kind == Drop.kind]
     report = netsim.run(config).report
     assert report["counts"]["dropped"] == 10
     assert list(report["packets"]) == [f"1:{seq}" for seq in range(1, 11)]
@@ -715,13 +717,13 @@ def test_the_report_takes_over_each_live_entry():
 
 
 # the golden scenarios and the attack suite's runs, one per attack kind
-@pytest.mark.parametrize("name", sorted(GOLDEN) + list(KINDS))
+@pytest.mark.parametrize("name", sorted(GOLDEN) + list(ATTACKS))
 def test_report_text_matches_the_simulated_report(name):
     if name in GOLDEN:
         config = load_config(GOLDEN[name][0])
     else:
         config = cli._suite_base(3)
-        config.attacks = cli._suite_attacks(name)
+        config.attacks = [a for a in cli._SUITE_ATTACKS if a.kind == name]
     result = netsim.run(config)
     assert result.report_text() == \
         json.dumps(as_json(result.report), indent=2, sort_keys=True) + "\n"

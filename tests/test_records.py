@@ -6,7 +6,7 @@ import pytest
 
 from tests.conftest import build_chain
 from zircon import events, netsim
-from zircon.adversary import DROP, AttackSpec
+from zircon.adversary import Drop
 from zircon.nodes import (
     ACCEPTED,
     FRAME_FAIL,
@@ -177,7 +177,7 @@ def report_packets():
         routes=[[4, 7, 9]],
         traffic=[TrafficSpec(source=4, count=3, interval_ms=1500,
                              start_ms=2000)],
-        attacks=[AttackSpec(kind=DROP, from_id=7, to_id=9, seq=3)])
+        attacks=[Drop(from_id=7, to_id=9, seq=3)])
     return netsim.run(config).report["packets"]
 
 

@@ -9,7 +9,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from zircon import events
-from zircon.adversary import KINDS, AttackSpec
+from zircon.adversary import (ATTACKS, DeleteBits, Drop, Eavesdrop, FakeInject,
+                              InsertBits, ModifyPayload, ModifyWatermark,
+                              Replay, StoreProbe)
 from zircon.analysis import EnergyParams
 from zircon.netsim import Simulation, run
 from zircon.nodes import ACCEPTED, GatewayNode, SourceNode
@@ -60,8 +62,12 @@ def test_example_config_is_valid():
     assert cfg.attacks == []
 
 
+# attack fields whose YAML key is not their name
+_YAML_KEYS = {"from_id": "from", "to_id": "to", "payload": "payload_hex",
+              "key_material": "key_material_hex"}
+
 # every top-level key and every attack kind, each spelt as a scenario file
-# spells it; the last two attacks set fields off their own kind
+# spells it
 LITERAL = """\
 seed: 3
 mode: multihop
@@ -95,11 +101,6 @@ attacks:
   key_epoch: 3
   hop: 2
 - {kind: store_probe, caller_id: 666, src: 1, seq: 1, after_ms: 10}
-- {kind: drop, from: 1, to: 2, delay_ms: 5, mutate_timestamp: true, q: 3,
-   offset_bits: 7, bits: [1, 0], edits: [[0, 1]], caller_id: 6}
-- {kind: eavesdrop, from: 1, to: 2, ip: 0.0.0.0, payload_hex: "70",
-   key_material_hex: "00000000000000000000000000000000", key_epoch: 2,
-   hop: 4}
 """
 
 
@@ -111,33 +112,51 @@ def test_yaml_literal_loads_every_key():
     cfg.key_rotation = KeyRotationConfig(5, 9)
     cfg.energy = EnergyParams(p_n_mw=25.0, tc_per_op_ms=0.25)
     cfg.attacks = [
-        AttackSpec(kind="eavesdrop", from_id=1, to_id=2),
-        AttackSpec(kind="replay", from_id=1, to_id=2, delay_ms=9000,
-                   mutate_timestamp=True),
-        AttackSpec(kind="modify_payload", from_id=1, to_id=2, seq=2,
-                   edits=((0, 1), (3, 0x80))),
-        AttackSpec(kind="modify_watermark", from_id=2, to_id=9,
-                   edits=((17, 0xFF),)),
+        Eavesdrop(from_id=1, to_id=2),
+        Replay(from_id=1, to_id=2, delay_ms=9000,
+               mutate_timestamp=True),
+        ModifyPayload(from_id=1, to_id=2, seq=2,
+                      edits=((0, 1), (3, 0x80))),
+        ModifyWatermark(from_id=2, to_id=9,
+                        edits=((17, 0xFF),)),
         # each after the attacks that parse frames on its link
-        AttackSpec(kind="insert_bits", from_id=2, to_id=9, offset_bits=12,
+        InsertBits(from_id=2, to_id=9, offset_bits=12,
                    bits=(1, 0, 1)),
-        AttackSpec(kind="delete_bits", from_id=1, to_id=2, q=5, offset_bits=3),
-        AttackSpec(kind="drop", from_id=2, to_id=9, after_ms=1500),
-        AttackSpec(kind="fake_inject", to_id=2, src=1, seq=4,
+        DeleteBits(from_id=1, to_id=2, q=5, offset_bits=3),
+        Drop(from_id=2, to_id=9, after_ms=1500),
+        FakeInject(to_id=2, src=1, seq=4,
                    ip=bytes([10, 0, 0, 1]), payload=b"fp",
                    key_material=bytes(16), key_epoch=3, hop=2),
-        AttackSpec(kind="store_probe", caller_id=666, src=1, seq=1,
+        StoreProbe(caller_id=666, src=1, seq=1,
                    after_ms=10),
-        AttackSpec(kind="drop", from_id=1, to_id=2, delay_ms=5,
-                   mutate_timestamp=True, q=3, offset_bits=7, bits=(1, 0),
-                   edits=((0, 1),), caller_id=6),
-        AttackSpec(kind="eavesdrop", from_id=1, to_id=2, ip=bytes(4),
-                   payload=b"p", key_material=bytes(16), key_epoch=2, hop=4),
     ]
     assert set(yaml.safe_load(LITERAL)) == {
         f.name for f in dataclasses.fields(ScenarioConfig)}
-    assert {a.kind for a in cfg.attacks} == set(KINDS)
+    assert {a.kind for a in cfg.attacks} == set(ATTACKS)
     assert load_config(LITERAL) == cfg
+
+
+# each kind's keys as a scenario spells them, and a value of each key taken
+# from the literal's record that sets it
+_KIND_KEYS = {kind: {_YAML_KEYS.get(f.name, f.name)
+                     for f in dataclasses.fields(cls)}
+              for kind, cls in ATTACKS.items()}
+_KEY_VALUES = {key: value for record in yaml.safe_load(LITERAL)["attacks"]
+               for key, value in record.items() if key != "kind"}
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind in ATTACKS
+    for key in sorted(set().union(*_KIND_KEYS.values()) - _KIND_KEYS[kind])])
+def test_a_key_of_another_kind_is_refused(kind, key):
+    # the literal's record of the kind, and a well-formed value of a key
+    # only other kinds take
+    record = next(a for a in yaml.safe_load(LITERAL)["attacks"]
+                  if a["kind"] == kind)
+    text = yaml.safe_dump({"attacks": [{**record, key: _KEY_VALUES[key]}]})
+    with pytest.raises(ConfigError) as exc:
+        load_config(text)
+    assert exc.value.errors == [f"attacks[0].{key}: unknown key"]
 
 
 def test_load_config_accepts_stream(tmp_path):
@@ -230,13 +249,13 @@ def test_singlehop_route_and_attack_restrictions():
     assert any("source->gateway only" in e for e in errors_of(cfg))
     cfg = small_config(mode="singlehop", routes=[[1, 9]])
     validate(cfg)
-    cfg.attacks = [AttackSpec(kind="modify_watermark", from_id=1, to_id=9,
-                              edits=((0, 1),))]
+    cfg.attacks = [ModifyWatermark(from_id=1, to_id=9,
+                                   edits=((0, 1),))]
     assert any("no watermark" in e for e in errors_of(cfg))
-    cfg.attacks = [AttackSpec(kind="replay", from_id=1, to_id=9,
-                              mutate_timestamp=True)]
+    cfg.attacks = [Replay(from_id=1, to_id=9,
+                          mutate_timestamp=True)]
     assert any("no watermark" in e for e in errors_of(cfg))
-    cfg.attacks = [AttackSpec(kind="replay", from_id=1, to_id=9)]
+    cfg.attacks = [Replay(from_id=1, to_id=9)]
     validate(cfg)  # plain replay of a bare frame is fine
 
 
@@ -298,10 +317,10 @@ def test_wire_limits():
 
 def test_fake_inject_wire_limits():
     def forged(**fields):
-        spec = dict(kind="fake_inject", to_id=2, src=1, seq=1, ip=bytes(4),
+        spec = dict(to_id=2, src=1, seq=1, ip=bytes(4),
                     key_material=bytes(16))
         spec.update(fields)
-        return small_config(attacks=[AttackSpec(**spec)])
+        return small_config(attacks=[FakeInject(**spec)])
 
     validate(forged(src=0xFFFF, seq=0xFFFFFFFF, hop=255))
     assert any("forged src" in e for e in errors_of(forged(src=0x10000)))
@@ -322,7 +341,7 @@ def test_fake_inject_wire_limits():
 
 def test_attack_link_must_exist():
     cfg = small_config()
-    cfg.attacks = [AttackSpec(kind="drop", from_id=2, to_id=1)]
+    cfg.attacks = [Drop(from_id=2, to_id=1)]
     assert any("not on any route" in e for e in errors_of(cfg))
 
 
@@ -331,34 +350,45 @@ SHORTEST = "the shortest frame on 1->2"
 
 
 @pytest.mark.parametrize("attack, message", [
-    (AttackSpec("modify_payload", 1, 2, edits=((0, 1), (16, 1))),
+    (ModifyPayload(from_id=1, to_id=2, edits=((0, 1), (16, 1))),
      f"attacks[0].edits: offset 16 is outside the 16-byte payload of "
      f"{SHORTEST}"),
-    (AttackSpec("modify_payload", 1, 2, edits=((-1, 1),)),
+    (ModifyPayload(from_id=1, to_id=2, edits=((-1, 1),)),
      f"attacks[0].edits: offset -1 is outside the 16-byte payload of "
      f"{SHORTEST}"),
-    (AttackSpec("modify_watermark", 1, 2, edits=((24, 1),)),
+    (ModifyWatermark(from_id=1, to_id=2, edits=((24, 1),)),
      "attacks[0].edits: offset 24 is outside the 24-byte watermark"),
-    (AttackSpec("insert_bits", 1, 2, offset_bits=393, bits=(1,)),
+    (InsertBits(from_id=1, to_id=2, offset_bits=393, bits=(1,)),
      f"attacks[0].offset_bits: 393 is outside the 392 bits of {SHORTEST}"),
-    (AttackSpec("insert_bits", 1, 2, bits=(1,)),
-     "attacks[0].offset_bits: insert_bits needs an offset"),
-    (AttackSpec("delete_bits", 1, 2, offset_bits=390, q=3),
+    (DeleteBits(from_id=1, to_id=2, offset_bits=390, q=3),
      f"attacks[0].offset_bits: bits 390..392 are outside the 392 bits of "
      f"{SHORTEST}"),
-    (AttackSpec("delete_bits", 1, 2, q=393),
+    (DeleteBits(from_id=1, to_id=2, q=393),
      f"attacks[0].q: 393 bits is more than the 392 bits of {SHORTEST}"),
+], ids=[
+    # fixed names, those the cases had beside an insert with no offset
+    "attack0-attacks[0].edits: offset 16 is outside the 16-byte payload of "
+    "the shortest frame on 1->2",
+    "attack1-attacks[0].edits: offset -1 is outside the 16-byte payload of "
+    "the shortest frame on 1->2",
+    "attack2-attacks[0].edits: offset 24 is outside the 24-byte watermark",
+    "attack3-attacks[0].offset_bits: 393 is outside the 392 bits of the "
+    "shortest frame on 1->2",
+    "attack5-attacks[0].offset_bits: bits 390..392 are outside the 392 bits "
+    "of the shortest frame on 1->2",
+    "attack6-attacks[0].q: 393 bits is more than the 392 bits of the "
+    "shortest frame on 1->2",
 ])
 def test_attack_offsets_must_fall_inside_the_shortest_frame(attack, message):
     assert errors_of(small_config(attacks=[attack])) == [message]
 
 
 @pytest.mark.parametrize("attack", [
-    AttackSpec("modify_payload", 1, 2, edits=((15, 1),)),
-    AttackSpec("modify_watermark", 1, 2, edits=((23, 1),)),
-    AttackSpec("insert_bits", 1, 2, offset_bits=392, bits=(1,)),
-    AttackSpec("delete_bits", 1, 2, offset_bits=389, q=3),
-    AttackSpec("delete_bits", 1, 2, q=392),
+    ModifyPayload(from_id=1, to_id=2, edits=((15, 1),)),
+    ModifyWatermark(from_id=1, to_id=2, edits=((23, 1),)),
+    InsertBits(from_id=1, to_id=2, offset_bits=392, bits=(1,)),
+    DeleteBits(from_id=1, to_id=2, offset_bits=389, q=3),
+    DeleteBits(from_id=1, to_id=2, q=392),
 ])
 def test_attack_offsets_at_the_frame_edge_run(attack):
     counts = run(small_config(attacks=[attack])).report["counts"]
@@ -367,30 +397,30 @@ def test_attack_offsets_at_the_frame_edge_run(attack):
 
 
 def test_attack_offsets_meet_the_shortest_crossing_payload():
-    edit = AttackSpec("modify_payload", 1, 2, edits=((4, 1),))
+    edit = ModifyPayload(from_id=1, to_id=2, edits=((4, 1),))
     cfg = small_config(attacks=[edit], traffic=[
         TrafficSpec(source=1, count=1), TrafficSpec(source=1, count=1,
                                                     payload_bytes=4)])
     assert errors_of(cfg) == [f"attacks[0].edits: offset 4 is outside the "
                               f"4-byte payload of {SHORTEST}"]
     # an attack filtered to a source that sends nothing meets no frame
-    edit.src = 7
+    cfg.attacks = [dataclasses.replace(edit, src=7)]
     validate(cfg)
     # a singlehop frame has no watermark: 9 + 16 bytes, 200 bits
     cfg = small_config(mode="singlehop", routes=[[1, 9]], attacks=[
-        AttackSpec("insert_bits", 1, 9, offset_bits=201, bits=(1,))])
+        InsertBits(from_id=1, to_id=9, offset_bits=201, bits=(1,))])
     assert errors_of(cfg) == ["attacks[0].offset_bits: 201 is outside the "
                               "200 bits of the shortest frame on 1->9"]
 
 
-_CUT = AttackSpec("delete_bits", 1, 2, offset_bits=0, q=8)
-_PAD = AttackSpec("insert_bits", 1, 2, offset_bits=8, bits=(1,))
+_CUT = DeleteBits(from_id=1, to_id=2, offset_bits=0, q=8)
+_PAD = InsertBits(from_id=1, to_id=2, offset_bits=8, bits=(1,))
 
 
 @pytest.mark.parametrize("later", [
-    AttackSpec("modify_payload", 1, 2, edits=((0, 1),)),
-    AttackSpec("modify_watermark", 1, 2, edits=((0, 1),)),
-    AttackSpec("replay", 1, 2, mutate_timestamp=True),
+    ModifyPayload(from_id=1, to_id=2, edits=((0, 1),)),
+    ModifyWatermark(from_id=1, to_id=2, edits=((0, 1),)),
+    Replay(from_id=1, to_id=2, mutate_timestamp=True),
     _PAD,
 ])
 def test_a_frame_parser_after_a_reshaper_on_its_link_is_refused(later):
@@ -401,15 +431,15 @@ def test_a_frame_parser_after_a_reshaper_on_its_link_is_refused(later):
 
 @pytest.mark.parametrize("attacks", [
     # the parser first, or a non-parsing attack after the reshaper
-    [AttackSpec("modify_watermark", 1, 2, edits=((0, 1),)), _PAD],
-    [_PAD, AttackSpec("replay", 1, 2), AttackSpec("drop", 1, 2, seq=3)],
+    [ModifyWatermark(from_id=1, to_id=2, edits=((0, 1),)), _PAD],
+    [_PAD, Replay(from_id=1, to_id=2), Drop(from_id=1, to_id=2, seq=3)],
     # filters that no one packet matches both of
-    [AttackSpec("delete_bits", 1, 2, src=1, offset_bits=0, q=8),
-     AttackSpec("modify_payload", 1, 2, src=5, edits=((0, 1),))],
-    [AttackSpec("delete_bits", 1, 2, seq=1, offset_bits=0, q=8),
-     AttackSpec("modify_payload", 1, 2, seq=2, edits=((0, 1),))],
+    [DeleteBits(from_id=1, to_id=2, src=1, offset_bits=0, q=8),
+     ModifyPayload(from_id=1, to_id=2, src=5, edits=((0, 1),))],
+    [DeleteBits(from_id=1, to_id=2, seq=1, offset_bits=0, q=8),
+     ModifyPayload(from_id=1, to_id=2, seq=2, edits=((0, 1),))],
     # another link
-    [_CUT, AttackSpec("modify_payload", 2, 9, edits=((0, 1),))],
+    [_CUT, ModifyPayload(from_id=2, to_id=9, edits=((0, 1),))],
 ])
 def test_attacks_that_never_chain_on_a_frame_run(attacks):
     counts = run(small_config(attacks=attacks)).report["counts"]
@@ -417,8 +447,8 @@ def test_attacks_that_never_chain_on_a_frame_run(attacks):
 
 
 def test_a_reshaper_filtered_to_one_source_still_meets_an_unfiltered_parser():
-    cut = AttackSpec("delete_bits", 1, 2, src=1, offset_bits=0, q=8)
-    edit = AttackSpec("modify_payload", 1, 2, edits=((0, 1),))
+    cut = DeleteBits(from_id=1, to_id=2, src=1, offset_bits=0, q=8)
+    edit = ModifyPayload(from_id=1, to_id=2, edits=((0, 1),))
     assert errors_of(small_config(attacks=[cut, edit])) == [
         "attacks[1]: modify_payload on 1->2 would parse frames the "
         "delete_bits of attacks[0] has already reshaped"]
@@ -427,7 +457,7 @@ def test_a_reshaper_filtered_to_one_source_still_meets_an_unfiltered_parser():
 def test_xor_masks_must_be_bytes():
     edits = ((0, 1), (1, 255), (2, 256), (3, -1))
     assert errors_of(small_config(attacks=[
-        AttackSpec("modify_payload", 1, 2, edits=edits)])) == [
+        ModifyPayload(from_id=1, to_id=2, edits=edits)])) == [
         "attacks[0].edits: xor mask 256 is not a byte (1..255)",
         "attacks[0].edits: xor mask -1 is not a byte (1..255)"]
 
@@ -438,10 +468,9 @@ def test_events_must_start_at_zero_or_later():
     cfg = small_config(traffic=[TrafficSpec(source=1, count=1,
                                             start_ms=-1000)])
     assert "traffic[0].start_ms: must be >= 0" in errors_of(cfg)
-    cfg = small_config(attacks=[AttackSpec("replay", 1, 2, delay_ms=-1)])
+    cfg = small_config(attacks=[Replay(from_id=1, to_id=2, delay_ms=-1)])
     assert errors_of(cfg) == ["attacks[0].delay_ms: must be >= 0"]
-    cfg = small_config(attacks=[AttackSpec(
-        "fake_inject", to_id=2, src=1, seq=1, after_ms=-5, ip=bytes(4),
+    cfg = small_config(attacks=[FakeInject(to_id=2, src=1, seq=1, after_ms=-5, ip=bytes(4),
         key_material=bytes(16))])
     assert errors_of(cfg) == ["attacks[0].after_ms: must be >= 0"]
 
@@ -451,9 +480,9 @@ def test_the_horizon_counts_the_longest_replay_delay():
     start = (1 << 32) * 1000 - 2000 - 600 - 5000
     cfg = small_config(traffic=[TrafficSpec(source=1, count=3,
                                             start_ms=start)])
-    cfg.attacks = [AttackSpec("replay", 1, 2, delay_ms=4999)]
+    cfg.attacks = [Replay(from_id=1, to_id=2, delay_ms=4999)]
     validate(cfg)
-    cfg.attacks.append(AttackSpec("replay", 1, 2, seq=1, delay_ms=5000))
+    cfg.attacks.append(Replay(from_id=1, to_id=2, seq=1, delay_ms=5000))
     assert errors_of(cfg) == [
         f"traffic[0].start_ms: its packets can be in flight at "
         f"{(1 << 32) * 1000} ms, past the 32-bit capture time (4294967295 s)"]
@@ -461,14 +490,21 @@ def test_the_horizon_counts_the_longest_replay_delay():
 
 def test_fake_inject_and_probe_requirements():
     cfg = small_config()
-    cfg.attacks = [AttackSpec(kind="fake_inject", to_id=7, src=1,
+    cfg.attacks = [FakeInject(to_id=7, src=1, seq=1,
                               ip=bytes(4), key_material=bytes(16))]
     errs = errors_of(cfg)
     assert any("target 7 unknown" in e for e in errs)
-    assert any("needs a forged seq" in e for e in errs)
-    cfg = small_config()
-    cfg.attacks = [AttackSpec(kind="store_probe", caller_id=6)]
-    assert any("needs src and seq" in e for e in errors_of(cfg))
+    # src and seq are required of both: a missing key as the scenario loads,
+    # and a None refused by its type
+    cfg.attacks = [dataclasses.replace(cfg.attacks[0], to_id=2, seq=None)]
+    assert errors_of(cfg) == ["attacks[0].seq: must be an integer, got None"]
+    cfg.attacks = [StoreProbe(caller_id=6, src=None, seq=None)]
+    assert errors_of(cfg) == ["attacks[0].src: must be an integer, got None",
+                              "attacks[0].seq: must be an integer, got None"]
+    with pytest.raises(ConfigError) as exc:
+        from_dict({"attacks": [{"kind": "store_probe", "caller_id": 6}]})
+    assert exc.value.errors == ["attacks[0].src: missing required key",
+                                "attacks[0].seq: missing required key"]
 
 
 @pytest.mark.parametrize("role", ["gateway", "intermediate"])
@@ -482,7 +518,7 @@ def test_fake_inject_at_an_unregistered_node_is_refused(role):
         return small_config(
             seed=5, per_hop_delay_ms=1000,
             nodes=small_config().nodes + [node],
-            attacks=[AttackSpec(kind="fake_inject", to_id=8, src=1, seq=1,
+            attacks=[FakeInject(to_id=8, src=1, seq=1,
                                 hop=1, ip=bytes([10, 0, 0, 1]),
                                 key_material=random.Random("5/keys")
                                 .randbytes(16))])
@@ -619,6 +655,8 @@ def test_unknown_top_level_key_is_a_config_error(old, new):
      "payload: '00', key_material_hex: 000102030405060708090a0b0c0d0e0f}",
      "attacks[0].payload: unknown key"),
     ("[drop, 1, 2]", "attacks[0]: expected a mapping, got ['drop', 1, 2]"),
+    ("{kind: [drop], from: 1, to: 2}",
+     "attacks[0].kind: unknown attack kind ['drop']"),
 ])
 def test_unknown_attack_key_is_a_config_error(attack, message):
     text = EXAMPLE_CONFIG.replace("attacks: []", f"attacks:\n  - {attack}")
@@ -659,14 +697,21 @@ def test_a_bad_record_is_reported_at_its_path(name, fault):
 
 def test_every_problem_in_the_attacks_is_reported_at_once():
     text = EXAMPLE_CONFIG.replace("mode: multihop", "mode: triple").replace(
-        "attacks: []", "attacks:\n  - {kind: jam, from: 1, to: 2}\n"
-        "  - {kind: delete_bits, from: 1, to: 2, q: 0}")
+        "attacks: []", "attacks:\n  - {kind: replay, from: 1, to: 2, "
+        "delay_ms: -1}\n  - {kind: delete_bits, from: 1, to: 2, q: 0}")
     with pytest.raises(ConfigError) as exc:
         validate(load_config(text))
     assert exc.value.errors == [
         "mode: must be one of ('singlehop', 'multihop'), got 'triple'",
-        "attacks[0].kind: unknown attack kind 'jam'",
+        "attacks[0].delay_ms: must be >= 0",
         "attacks[1].q: delete_bits needs q >= 1"]
+    # a kind no record has stops the load, with every other load error
+    with pytest.raises(ConfigError) as exc:
+        load_config(text.replace("kind: replay", "kind: jam").replace(
+            "q: 0", "q: 0, colour: red"))
+    assert exc.value.errors == [
+        "attacks[0].kind: unknown attack kind 'jam'",
+        "attacks[1].colour: unknown key"]
 
 
 def test_load_config_only_builds_and_the_simulation_validates():
@@ -681,16 +726,15 @@ def test_load_config_only_builds_and_the_simulation_validates():
 def test_absent_keys_take_the_dataclass_defaults():
     cfg = from_dict({"nodes": [], "attacks": [{"kind": "drop"},
                                               {"kind": "replay"}]})
-    assert cfg == ScenarioConfig(attacks=[AttackSpec(kind="drop"),
-                                          AttackSpec(kind="replay")])
+    assert cfg == ScenarioConfig(attacks=[Drop(), Replay()])
 
 
 def test_yaml_spellings_convert_to_their_fields():
     cfg = from_dict({"area": [3, 4], "attacks": [
         {"kind": "replay", "from": 1, "to": 2, "mutate_timestamp": 1},
-        {"kind": "insert_bits", "bits": [1, 0]},
+        {"kind": "insert_bits", "offset_bits": 0, "bits": [1, 0]},
         {"kind": "modify_payload", "edits": [[0, 1], [2, 3]]},
-        {"kind": "fake_inject", "src": 1, "ip": "10.0.0.1",
+        {"kind": "fake_inject", "src": 1, "seq": 1, "ip": "10.0.0.1",
          "payload_hex": "6869", "key_material_hex": "00" * 16},
     ]})
     assert cfg.area == (3.0, 4.0) and type(cfg.area[0]) is float
@@ -724,7 +768,7 @@ def test_area_entries_must_be_numbers(area, message):
 
 
 def _edit(edits):
-    return AttackSpec(kind="modify_payload", from_id=1, to_id=2, edits=edits)
+    return ModifyPayload(from_id=1, to_id=2, edits=edits)
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -736,7 +780,7 @@ def _edit(edits):
      "traffic[0]: must be a TrafficSpec record, got {'source': 1, 'count': 3}"),
     ({"nodes": [None]}, "nodes[0]: must be a NodeSpec record, got None"),
     ({"attacks": [{"kind": "drop"}]},
-     "attacks[0]: must be an AttackSpec record, got {'kind': 'drop'}"),
+     "attacks[0]: must be an Attack record, got {'kind': 'drop'}"),
     ({"traffic": None}, "traffic: must be a list, got None"),
     ({"routes": None}, "routes: must be a list, got None"),
     ({"routes": [None]}, "routes[0]: must be a list, got None"),
@@ -747,7 +791,7 @@ def _edit(edits):
     ({"attacks": [_edit(edits=((0,),))]},
      "attacks[0].edits[0]: must be 2 items, got (0,)"),
     ({"attacks": [_edit(edits=5)]}, "attacks[0].edits: must be a list, got 5"),
-    ({"attacks": [AttackSpec(kind="insert_bits", from_id=1, to_id=2,
+    ({"attacks": [InsertBits(from_id=1, to_id=2,
                              offset_bits=3, bits={1: "x", 0: "y"})]},
      "attacks[0].bits: must be a list, got {1: 'x', 0: 'y'}"),
 ], ids=[
@@ -758,8 +802,7 @@ def _edit(edits):
     "overrides2-traffic[0]: must be a TrafficSpec record, got {'source': 1, "
     "'count': 3}",
     'overrides3-nodes[0]: must be a NodeSpec record, got None',
-    "overrides4-attacks[0]: must be an AttackSpec record, got {'kind': "
-    "'drop'}",
+    "overrides4-attacks[0]: must be an Attack record, got {'kind': 'drop'}",
     'overrides5-traffic: must be a list, got None',
     'overrides6-routes: must be a list, got None',
     'overrides7-routes[0]: must be a list, got None',
@@ -809,11 +852,6 @@ def test_a_yaml_list_field_takes_only_a_list(old, new, message):
     assert exc.value.errors == [message]
 
 
-# attack fields whose YAML key is not their name
-_YAML_KEYS = {"from_id": "from", "to_id": "to", "payload": "payload_hex",
-              "key_material": "key_material_hex"}
-
-
 class _Wrong:
     """A value no config annotation admits."""
 
@@ -853,10 +891,21 @@ def _replaced(value, steps, new):
 
 def test_every_field_and_item_refuses_a_wrong_type_at_its_path():
     # walked from the dataclasses, so a field added later is covered too
+    # one record of each kind, every field of each set
     cfg = small_config(
         key_rotation=KeyRotationConfig(min_generations=1, max_generations=2),
-        attacks=[AttackSpec(kind="modify_payload", from_id=1, to_id=2,
-                            bits=(1, 0), edits=((0, 1),))])
+        attacks=[
+            ModifyPayload(from_id=1, to_id=2, src=1, seq=1, after_ms=0,
+                          edits=((0, 1),)),
+            InsertBits(from_id=1, to_id=2, offset_bits=8, bits=(1, 0)),
+            ModifyWatermark(from_id=2, to_id=9, edits=((0, 1),)),
+            Replay(from_id=1, to_id=2, delay_ms=10, mutate_timestamp=False),
+            DeleteBits(from_id=2, to_id=9, offset_bits=0, q=8),
+            Eavesdrop(from_id=1, to_id=2), Drop(from_id=2, to_id=9, seq=3),
+            FakeInject(to_id=2, src=1, seq=1, ip=bytes(4),
+                       key_material=bytes(16), payload=b"p", key_epoch=1,
+                       hop=1),
+            StoreProbe(caller_id=6, src=1, seq=1)])
     validate(cfg)
     paths = []
     for steps, path in _parts(cfg):
@@ -865,8 +914,12 @@ def test_every_field_and_item_refuses_a_wrong_type_at_its_path():
         paths.append(path)
     for path in ("attacks[0].from", "key_rotation.max_generations",
                  "energy.t_a_ms", "nodes[2].registered", "routes[0][1]",
-                 "area[1]", "attacks[0].bits[0]", "attacks[0].edits[0][1]"):
+                 "area[1]", "attacks[1].bits[0]", "attacks[0].edits[0][1]"):
         assert path in paths
+    assert {a.kind for a in cfg.attacks} == set(ATTACKS)
+    for i, a in enumerate(cfg.attacks):
+        for f in dataclasses.fields(a):
+            assert f"attacks[{i}].{_YAML_KEYS.get(f.name, f.name)}" in paths
 
 
 def test_list_fields_refuse_a_tuple_and_tuple_fields_take_a_list():
@@ -876,10 +929,10 @@ def test_list_fields_refuse_a_tuple_and_tuple_fields_take_a_list():
         "routes[0]: must be a list, got (1, 2, 9)"]
     validate(small_config(area=[100.0, 100]))
     validate(small_config(attacks=[
-        AttackSpec(kind="modify_payload", from_id=1, to_id=2, edits=((0, 1),)),
-        AttackSpec(kind="modify_payload", from_id=1, to_id=2,
-                   edits=[[0, 1]]),
-        AttackSpec(kind="insert_bits", from_id=1, to_id=2, offset_bits=0,
+        ModifyPayload(from_id=1, to_id=2, edits=((0, 1),)),
+        ModifyPayload(from_id=1, to_id=2,
+                      edits=[[0, 1]]),
+        InsertBits(from_id=1, to_id=2, offset_bits=0,
                    bits=[1, 0])]))
 
 
@@ -901,27 +954,29 @@ def _attacks(draw, links, live, smallest):
     # fake_inject and modify_payload four times over: close to a fifth of
     # the validated configs then carry a well-formed forgery, and one in ten
     # a payload edit that reaches a packet
-    kind = draw(st.sampled_from(KINDS + ("jam",)
+    kind = draw(st.sampled_from(tuple(ATTACKS)
                                 + ("fake_inject", "modify_payload") * 3))
     after_ms = draw(st.integers(0, 6000))
     if kind == "modify_payload" and live and smallest and draw(st.booleans()):
         # half the time the form that reaches a packet: edits inside the
         # smallest payload drawn, on a link its source's packets cross
         src, (from_id, to_id) = draw(st.sampled_from(live))
-        return AttackSpec(kind=kind, from_id=from_id, to_id=to_id,
-                          src=draw(st.sampled_from((None, src))),
-                          edits=tuple(draw(st.lists(st.tuples(
-                              st.integers(0, smallest - 1),
-                              st.integers(1, 255)), min_size=1, max_size=3))))
+        return ModifyPayload(from_id=from_id, to_id=to_id,
+                             src=draw(st.sampled_from((None, src))),
+                             edits=tuple(draw(st.lists(st.tuples(
+                                 st.integers(0, smallest - 1),
+                                 st.integers(1, 255)), min_size=1,
+                                 max_size=3))))
     if kind == "fake_inject":
         # three in four well formed: every forged field set, and a verifier
-        # as target; the rest exercise validate's refusals
+        # as target; the rest exercise validate's refusals, a None in a
+        # required field among them
         formed = draw(st.integers(0, 3)) > 0
         forged = (lambda strategy: strategy) if formed else _or_none
         ip = st.integers(0, 9).map(lambda i: bytes([10, 0, 0, i]))
-        return AttackSpec(
-            kind=kind, to_id=draw(st.sampled_from((*_POOL, _GATEWAY)
-                                                  if formed else _IDS)),
+        return FakeInject(
+            to_id=draw(st.sampled_from((*_POOL, _GATEWAY)
+                                       if formed else _IDS)),
             src=draw(forged(st.integers(0, 5))), seq=draw(st.integers(0, 5)),
             after_ms=after_ms, ip=draw(forged(ip if formed else st.one_of(
                 ip, st.binary(max_size=6)))),
@@ -929,20 +984,19 @@ def _attacks(draw, links, live, smallest):
             key_material=draw(forged(st.binary(min_size=16, max_size=16))),
             key_epoch=draw(st.integers(-1, 3)), hop=draw(st.integers(1, 5)))
     if kind == "store_probe":
-        return AttackSpec(kind=kind,
-                          caller_id=draw(_or_none(st.sampled_from(
+        return StoreProbe(caller_id=draw(_or_none(st.sampled_from(
                               _IDS + (666,)))),
                           src=draw(st.integers(0, 5)),
                           seq=draw(st.integers(0, 5)), after_ms=after_ms)
     from_id, to_id = draw(st.sampled_from(links))
-    spec = dict(kind=kind, from_id=from_id, to_id=to_id, after_ms=after_ms,
+    spec = dict(from_id=from_id, to_id=to_id, after_ms=after_ms,
                 src=draw(st.one_of(st.none(), st.integers(1, 3))),
                 seq=draw(st.one_of(st.none(), st.integers(0, 5))))
     if kind == "replay":
         spec.update(delay_ms=draw(st.integers(0, 70000)),
                     mutate_timestamp=draw(st.booleans()))
     elif kind == "insert_bits":
-        spec.update(offset_bits=draw(st.integers(0, _FRAME_BITS)),
+        spec.update(offset_bits=draw(_or_none(st.integers(0, _FRAME_BITS))),
                     bits=tuple(draw(st.lists(st.integers(0, 1),
                                              max_size=70))))
     elif kind == "delete_bits":
@@ -953,7 +1007,7 @@ def _attacks(draw, links, live, smallest):
         spec["edits"] = tuple(draw(st.lists(
             st.tuples(st.integers(0, 24), st.integers(1, 255)),
             max_size=3)))
-    return AttackSpec(**spec)
+    return ATTACKS[kind](**spec)
 
 
 def _nodes(unregistered=None):
@@ -1057,8 +1111,8 @@ def _tampered(mode, routes, link):
     return ScenarioConfig(
         mode=mode, nodes=_nodes(), routes=routes,
         traffic=[TrafficSpec(source=route[0], count=3) for route in routes],
-        attacks=[AttackSpec(kind="modify_payload", from_id=link[0],
-                            to_id=link[1], edits=((0, 1),))])
+        attacks=[ModifyPayload(from_id=link[0],
+                               to_id=link[1], edits=((0, 1),))])
 
 
 @given(cfg=_configs())
